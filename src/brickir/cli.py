@@ -19,7 +19,7 @@ from . import graph as graph_mod
 from . import ldraw, metrics, program
 from .catalog import Catalog
 from .collision import PartColliders
-from .errors import BrickIrError, CatalogError, LdrawParseError, ProgramError
+from .errors import BrickIrError, CatalogError, GraphParseError, LdrawParseError, ProgramError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (LdrawParseError, ProgramError) as exc:
+    except (GraphParseError, LdrawParseError, ProgramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CatalogError as exc:

@@ -3,9 +3,12 @@
 Meshes are inset by moving each vertex inward along its area-weighted
 pseudo-normal, scaled so the incident face planes offset by the requested
 amount (0.25 LDU by default, so legitimately tight-fitting parts stop
-registering as collisions). Pair queries run a BVH-vs-BVH traversal over a
-separating-interval triangle test; surface contact within 1e-6 LDU counts as
-non-intersecting. Pre-inset meshes may also be supplied directly (offset 0).
+registering as collisions). Assembly checks keep the placed world AABBs in
+arrays and pick near neighbours with one comparison (broad phase). Each near
+pair then runs a level-by-level BVH-vs-BVH traversal whose leaf pairs feed one
+batched separating-interval triangle test (narrow phase); surface contact
+within 1e-6 LDU counts as non-intersecting. Pre-inset meshes may also be
+supplied directly (offset 0).
 
 CollisionMesh values are immutable after build and safe to share across
 threads.
@@ -19,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BrickIrError
-from .geometry import RigidTransform
+from .geometry import RigidTransform, relative
 
 TRI_EPS = 1e-6
 DEGENERATE_AREA = 1e-9
+_CORNERS = np.arange(3)
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +34,15 @@ DEGENERATE_AREA = 1e-9
 
 
 class Bvh:
-    """Static axis-aligned bounding-volume hierarchy over triangles."""
+    """Static axis-aligned bounding-volume hierarchy over triangles, stored as
+    flat per-node arrays so traversals can gather many nodes at once.
+
+    Node 0 is the root (nodes are numbered in preorder). ``lo``/``hi`` are
+    (N, 3) node bounds, ``left``/``right`` child indices (-1 at leaves),
+    ``leaf`` the leaf mask, ``extent`` the largest side of each box and
+    ``leaf_tris`` an (N, LEAF_SIZE) table of triangle indices padded with -1
+    (all -1 on internal nodes).
+    """
 
     LEAF_SIZE = 4
 
@@ -38,61 +50,51 @@ class Bvh:
         # tri_vertices: (m, 3, 3) triangle corner coordinates
         self.tri_vertices = tri_vertices
         m = len(tri_vertices)
-        self.nodes_min: list[np.ndarray] = []
-        self.nodes_max: list[np.ndarray] = []
-        self.nodes_left: list[int] = []
-        self.nodes_right: list[int] = []
-        self.nodes_start: list[int] = []
-        self.nodes_count: list[int] = []
-        if m == 0:
-            self.order = np.zeros(0, dtype=np.int64)
-            return
+        cap = max(2 * m - 1, 0)  # a binary tree over m triangles has < 2m nodes
+        lo = np.zeros((cap, 3))
+        hi = np.zeros((cap, 3))
+        left = np.full(cap, -1, dtype=np.intp)
+        right = np.full(cap, -1, dtype=np.intp)
+        leaf_tris = np.full((cap, self.LEAF_SIZE), -1, dtype=np.intp)
         centroids = tri_vertices.mean(axis=1)
         tmin = tri_vertices.min(axis=1)
         tmax = tri_vertices.max(axis=1)
-        order = np.arange(m)
+        count = 0
 
         def build(idx: np.ndarray) -> int:
-            node = len(self.nodes_min)
-            self.nodes_min.append(tmin[idx].min(axis=0))
-            self.nodes_max.append(tmax[idx].max(axis=0))
-            self.nodes_left.append(-1)
-            self.nodes_right.append(-1)
-            self.nodes_start.append(-1)
-            self.nodes_count.append(0)
+            nonlocal count
+            node = count
+            count += 1
+            lo[node] = tmin[idx].min(axis=0)
+            hi[node] = tmax[idx].max(axis=0)
             if len(idx) <= self.LEAF_SIZE:
-                self.nodes_start[node] = len(self._flat)
-                self.nodes_count[node] = len(idx)
-                self._flat.extend(idx.tolist())
+                leaf_tris[node, : len(idx)] = idx
                 return node
-            extent = tmax[idx].max(axis=0) - tmin[idx].min(axis=0)
-            axis = int(np.argmax(extent))
+            axis = int(np.argmax(hi[node] - lo[node]))
             med = np.argsort(centroids[idx][:, axis], kind="stable")
             half = len(idx) // 2
-            left = build(idx[med[:half]])
-            right = build(idx[med[half:]])
-            self.nodes_left[node] = left
-            self.nodes_right[node] = right
+            left[node] = build(idx[med[:half]])
+            right[node] = build(idx[med[half:]])
             return node
 
-        self._flat: list[int] = []
-        build(order)
-        self.order = np.array(self._flat, dtype=np.int64)
-        self.nodes_min = [np.asarray(v) for v in self.nodes_min]
-        self.nodes_max = [np.asarray(v) for v in self.nodes_max]
-
-    def leaf_triangles(self, node: int) -> np.ndarray:
-        s = self.nodes_start[node]
-        return self.order[s : s + self.nodes_count[node]]
-
-    def is_leaf(self, node: int) -> bool:
-        return self.nodes_start[node] >= 0
+        if m:
+            build(np.arange(m))
+        self.lo = lo[:count]
+        self.hi = hi[:count]
+        self.left = left[:count]
+        self.right = right[:count]
+        self.leaf = self.left < 0
+        self.extent = (self.hi - self.lo).max(axis=1)
+        self.leaf_tris = leaf_tris[:count]
+        for arr in (self.lo, self.hi, self.left, self.right, self.leaf, self.extent):
+            arr.flags.writeable = False
+        self.leaf_tris.flags.writeable = False
 
     @property
     def root_bounds(self):
-        if not self.nodes_min:
+        if not len(self.lo):
             return np.zeros(3), np.zeros(3)
-        return self.nodes_min[0], self.nodes_max[0]
+        return self.lo[0], self.hi[0]
 
 
 @dataclass(frozen=True)
@@ -193,13 +195,31 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
 
 
 # ---------------------------------------------------------------------------
-# Triangle-triangle intersection (separating-interval test, Moller-style)
+# Triangle-triangle intersection (separating-interval test, Moller 1997)
 
 
-def _signed_dists(n, d, pts, eps):
-    dv = pts @ n + d
-    dv[np.abs(dv) <= eps] = 0.0
-    return dv
+def tri_tri_intersect_batch(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) -> np.ndarray:
+    """Element-wise ``tri_tri_intersect`` over triangle pairs p[i], q[i].
+
+    p and q are (k, 3, 3); returns a (k,) bool array. Every step is
+    element-wise, so a pair's verdict does not depend on the batch it is in.
+    """
+    n1 = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    n2 = _cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+    dp = _plane_dists(p, n2, q[:, 0], eps)  # p's corners against q's plane
+    dq = _plane_dists(q, n1, p[:, 0], eps)
+    hit = _straddles(dp) & _straddles(dq)
+    cand = np.flatnonzero(hit)
+    if len(cand) == 0:
+        return hit
+    # Both triangles cross the other's plane: compare the intervals where
+    # they cross the planes' intersection line, projected on its major axis.
+    axis = np.argmax(np.abs(_cross(n1[cand], n2[cand])), axis=1)
+    rows = cand[:, None]
+    lo1, hi1, ok1 = _crossing_intervals(p[rows, _CORNERS, axis[:, None]], dp[cand])
+    lo2, hi2, ok2 = _crossing_intervals(q[rows, _CORNERS, axis[:, None]], dq[cand])
+    hit[cand] = ok1 & ok2 & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > eps)
+    return hit
 
 
 def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) -> bool:
@@ -208,70 +228,64 @@ def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) -> boo
     Surface contact within eps (including all coplanar overlap) counts as
     non-intersecting.
     """
-    n2 = np.cross(q[1] - q[0], q[2] - q[0])
-    d2 = -float(n2 @ q[0])
-    dp = _signed_dists(n2, d2, p, eps * float(np.linalg.norm(n2)))
-    if (dp >= 0).all() or (dp <= 0).all():
-        return False
-
-    n1 = np.cross(p[1] - p[0], p[2] - p[0])
-    d1 = -float(n1 @ p[0])
-    dq = _signed_dists(n1, d1, q, eps * float(np.linalg.norm(n1)))
-    if (dq >= 0).all() or (dq <= 0).all():
-        return False
-
-    direction = np.cross(n1, n2)
-    axis = int(np.argmax(np.abs(direction)))
-    pp = p[:, axis]
-    pq = q[:, axis]
-    i1 = _crossing_interval(pp, dp)
-    i2 = _crossing_interval(pq, dq)
-    if i1 is None or i2 is None:
-        return False
-    lo = max(i1[0], i2[0])
-    hi = min(i1[1], i2[1])
-    return hi - lo > eps
+    return bool(tri_tri_intersect_batch(p[None], q[None], eps)[0])
 
 
-def _crossing_interval(proj, dv):
-    """Interval where a triangle crosses the other's plane, on the chosen axis.
+def _plane_dists(pts, normal, origin, eps):
+    """Signed distances (k, 3) of each triangle's corners to the plane through
+    ``origin`` with ``normal`` (unnormalised); values within eps of the
+    plane snap to 0."""
+    d = -np.einsum("kj,kj->k", normal, origin)
+    dv = np.einsum("kij,kj->ki", pts, normal) + d[:, None]
+    snap = eps * np.linalg.norm(normal, axis=1)
+    dv[np.abs(dv) <= snap[:, None]] = 0.0
+    return dv
+
+
+def _straddles(dv):
+    """Rows whose corners lie strictly on both sides of the plane."""
+    return ~((dv >= 0).all(axis=1) | (dv <= 0).all(axis=1))
+
+
+def _crossing_intervals(proj, dv):
+    """Per row, the interval where a triangle crosses the other's plane, on
+    the chosen axis: (lo, hi, ok), ok False where a pivot edge is parallel.
 
     The pivot vertex must sit strictly on one side alone (zeros count as the
     majority side), so each pivot edge properly crosses the plane.
     """
-    if dv[0] * dv[1] > 0:
-        alone = 2
-    elif dv[0] * dv[2] > 0:
-        alone = 1
-    elif dv[1] * dv[2] > 0 or dv[0] != 0:
-        alone = 0
-    elif dv[1] != 0:
-        alone = 1
-    else:
-        alone = 2
-    others = [i for i in range(3) if i != alone]
-    pts = []
-    for o in others:
-        denom = dv[alone] - dv[o]
-        if denom == 0.0:
-            return None
-        s = dv[alone] / denom
-        pts.append(proj[alone] + (proj[o] - proj[alone]) * s)
-    a, b = sorted(pts)
-    return a, b
+    d0, d1, d2 = dv[:, 0], dv[:, 1], dv[:, 2]
+    alone = np.select(
+        [d0 * d1 > 0, d0 * d2 > 0, (d1 * d2 > 0) | (d0 != 0), d1 != 0], [2, 1, 0, 1], default=2
+    )
+    rows = np.arange(len(dv))[:, None]
+    order = (alone[:, None] + _CORNERS) % 3  # pivot first, then the other two
+    d = dv[rows, order]
+    x = proj[rows, order]
+    denom = d[:, :1] - d[:, 1:]
+    ok = (denom != 0.0).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts = x[:, :1] + (x[:, 1:] - x[:, :1]) * (d[:, :1] / denom)
+    return pts.min(axis=1), pts.max(axis=1), ok
+
+
+def _cross(u, v):
+    """Cross products of (..., 3) arrays: np.cross's arithmetic, without its
+    per-call axis handling."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Pairwise mesh query
 
 
-def _transform_aabb(tmin, tmax, transform: RigidTransform):
-    """Conservative AABB of a transformed AABB."""
-    center = (tmin + tmax) / 2.0
-    half = (tmax - tmin) / 2.0
-    new_center = transform.apply(center)
-    new_half = np.abs(transform.rotation) @ half
-    return new_center - new_half, new_center + new_half
+def _transform_boxes(lo, hi, rotation, translation):
+    """Conservative AABBs (lo, hi) of boxes (n, 3) or (3,) after a rigid map."""
+    center = ((lo + hi) / 2.0) @ rotation.T + translation
+    half = ((hi - lo) / 2.0) @ np.abs(rotation).T
+    return center - half, center + half
 
 
 def intersects(
@@ -282,39 +296,35 @@ def intersects(
     eps: float = TRI_EPS,
 ) -> bool:
     """True iff the posed meshes properly intersect (or one closed mesh
-    contains the other; containment is only tested when both are closed)."""
+    contains the other; containment is only tested when both are closed).
+
+    The two BVHs are traversed one level at a time: the frontier of
+    (node of a, node of b) pairs is held as arrays, every pair's boxes are
+    tested in one step, and the larger node of each overlapping pair splits.
+    The triangle pairs of all overlapping leaf pairs on a level go through
+    one batched triangle test.
+    """
     if len(a) == 0 or len(b) == 0:
         return False
-    rel = RigidTransform(
-        pose_b.rotation.T @ pose_a.rotation,
-        pose_b.rotation.T @ (pose_a.translation - pose_b.translation),
-    )  # maps a-local into b-local
-
+    rel = relative(pose_b, pose_a)  # maps a-local into b-local
+    rot, trans = rel.rotation, rel.translation
     ta, tb = a.bvh, b.bvh
-    stack = [(0, 0)]
-    margin = eps
-    while stack:
-        na, nb = stack.pop()
-        amin, amax = _transform_aabb(ta.nodes_min[na], ta.nodes_max[na], rel)
-        if (
-            (amin > tb.nodes_max[nb] + margin).any()
-            or (amax < tb.nodes_min[nb] - margin).any()
-        ):
-            continue
-        leaf_a = ta.is_leaf(na)
-        leaf_b = tb.is_leaf(nb)
-        if leaf_a and leaf_b:
-            for ia in ta.leaf_triangles(na):
-                pa = rel.apply(ta.tri_vertices[ia])
-                for ib in tb.leaf_triangles(nb):
-                    if tri_tri_intersect(pa, tb.tri_vertices[ib], eps):
-                        return True
-        elif leaf_a or (not leaf_b and _node_extent(tb, nb) > _node_extent(ta, na)):
-            stack.append((na, tb.nodes_left[nb]))
-            stack.append((na, tb.nodes_right[nb]))
-        else:
-            stack.append((ta.nodes_left[na], nb))
-            stack.append((ta.nodes_right[na], nb))
+    tri_a = ta.tri_vertices @ rot.T + trans
+    na = nb = np.zeros(1, dtype=np.intp)
+    while len(na):
+        amin, amax = _transform_boxes(ta.lo[na], ta.hi[na], rot, trans)
+        overlap = ((amin <= tb.hi[nb] + eps) & (amax >= tb.lo[nb] - eps)).all(axis=1)
+        na, nb = na[overlap], nb[overlap]
+        leaf_a, leaf_b = ta.leaf[na], tb.leaf[nb]
+        both = leaf_a & leaf_b
+        if both.any() and _leaf_pairs_hit(tri_a, ta.leaf_tris[na[both]], tb, nb[both], eps):
+            return True
+        split_b = ~leaf_b & (leaf_a | (tb.extent[nb] > ta.extent[na]))
+        split_a = ~leaf_a & ~split_b
+        a_keep, b_split = na[split_b], nb[split_b]
+        a_split, b_keep = na[split_a], nb[split_a]
+        na = np.concatenate((a_keep, a_keep, ta.left[a_split], ta.right[a_split]))
+        nb = np.concatenate((tb.left[b_split], tb.right[b_split], b_keep, b_keep))
 
     if a.closed and b.closed:
         if point_in_mesh(rel.apply(a.vertices[0]), b):
@@ -325,8 +335,14 @@ def intersects(
     return False
 
 
-def _node_extent(tree: Bvh, node: int) -> float:
-    return float((tree.nodes_max[node] - tree.nodes_min[node]).max())
+def _leaf_pairs_hit(tri_a, tris_a, tb: Bvh, leaves_b, eps) -> bool:
+    """Any hit among the triangle pairs of the given leaf pairs? ``tris_a``
+    holds the padded triangle rows of a's leaves; ``tri_a`` is a's triangles
+    already in b's frame."""
+    tris_b = tb.leaf_tris[leaves_b]
+    ia, ib = np.broadcast_arrays(tris_a[:, :, None], tris_b[:, None, :])
+    real = (ia >= 0) & (ib >= 0)
+    return bool(tri_tri_intersect_batch(tri_a[ia[real]], tb.tri_vertices[ib[real]], eps).any())
 
 
 # Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
@@ -343,14 +359,14 @@ def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
     v0 = tv[:, 0]
     e1 = tv[:, 1] - v0
     e2 = tv[:, 2] - v0
-    h = np.cross(_RAY_DIR[None, :], e2)
+    h = _cross(_RAY_DIR, e2)
     det = np.einsum("ij,ij->i", e1, h)
     ok = np.abs(det) > 1e-12
     inv_det = np.zeros(len(tv))
     inv_det[ok] = 1.0 / det[ok]
     s = point[None, :] - v0
     u = np.einsum("ij,ij->i", s, h) * inv_det
-    qv = np.cross(s, e1)
+    qv = _cross(s, e1)
     v = (qv @ _RAY_DIR) * inv_det
     t = np.einsum("ij,ij->i", e2, qv) * inv_det
     hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
@@ -378,36 +394,21 @@ class CollisionReport:
 
 def world_aabb(mesh: CollisionMesh, pose: RigidTransform):
     tmin, tmax = mesh.bvh.root_bounds
-    return _transform_aabb(tmin, tmax, pose)
+    return _transform_boxes(tmin, tmax, pose.rotation, pose.translation)
 
 
 def check_assembly(instances, ids=None, eps: float = TRI_EPS) -> CollisionReport:
-    """All-pairs collision over (mesh, pose) instances with an AABB sweep
-    broad phase. ``ids`` names the instances in the report (defaults to
-    positional indices)."""
-    n = len(instances)
-    ids = list(ids) if ids is not None else list(range(n))
-    boxes = [world_aabb(m, p) for m, p in instances]
-    order = sorted(range(n), key=lambda i: boxes[i][0][0])
+    """All-pairs collision over (mesh, pose) instances, placed in order
+    through an AssemblyChecker. ``ids`` names the instances in the report
+    (defaults to positional indices)."""
+    ids = list(ids) if ids is not None else list(range(len(instances)))
+    checker = AssemblyChecker(eps)
     pairs = []
-    active: list[int] = []
-    for i in order:
-        imin, imax = boxes[i]
-        active = [j for j in active if boxes[j][1][0] + eps >= imin[0]]
-        for j in active:
-            jmin, jmax = boxes[j]
-            if (imin > jmax + eps).any() or (imax < jmin - eps).any():
-                continue
-            mi, pi = instances[i]
-            mj, pj = instances[j]
-            if intersects(mi, pi, mj, pj, eps):
-                pairs.append(tuple(sorted((i, j))))
-        active.append(i)
-    pairs = sorted(set(pairs))
-    first = min((max(i, j) for i, j in pairs), default=None)
+    for i, (mesh, pose) in enumerate(instances):
+        pairs.extend((j, i) for j in checker.add(mesh, pose, i))
     return CollisionReport(
-        colliding_pairs=tuple((ids[i], ids[j]) for i, j in pairs),
-        first_offender=first,
+        colliding_pairs=tuple((ids[i], ids[j]) for i, j in sorted(pairs)),
+        first_offender=checker.first_offender,
     )
 
 
@@ -446,32 +447,43 @@ class PartColliders:
 class AssemblyChecker:
     """Incremental variant: feed placements one by one.
 
+    The world AABBs of the placed instances live in growable (n, 3) arrays,
+    so the broad phase is one comparison per placement.
+
     Not thread-safe; use one checker per worker.
     """
 
     def __init__(self, eps: float = TRI_EPS):
         self.eps = eps
-        self._placed: list[tuple[CollisionMesh, RigidTransform, object, tuple]] = []
+        self._placed: list[tuple[CollisionMesh, RigidTransform, object]] = []
+        self._lo = np.empty((16, 3))
+        self._hi = np.empty((16, 3))
         self.first_offender: int | None = None
 
     def __len__(self):
         return len(self._placed)
 
     def add(self, mesh: CollisionMesh, pose: RigidTransform, node_id=None):
-        """Place one instance; returns the ids it collides with (may be empty)."""
-        box = world_aabb(mesh, pose)
+        """Place one instance; returns the ids it collides with (may be
+        empty), in placement order."""
+        lo, hi = world_aabb(mesh, pose)
+        step = len(self._placed)
+        near = np.flatnonzero(
+            ((lo <= self._hi[:step] + self.eps) & (hi >= self._lo[:step] - self.eps)).all(axis=1)
+        )
         hits = []
-        for other_mesh, other_pose, other_id, other_box in self._placed:
-            if (box[0] > other_box[1] + self.eps).any() or (
-                box[1] < other_box[0] - self.eps
-            ).any():
-                continue
+        for i in near:
+            other_mesh, other_pose, other_id = self._placed[i]
             if intersects(mesh, pose, other_mesh, other_pose, self.eps):
                 hits.append(other_id)
-        step = len(self._placed)
         if hits and self.first_offender is None:
             self.first_offender = step
-        self._placed.append((mesh, pose, node_id if node_id is not None else step, box))
+        if step == len(self._lo):
+            self._lo = np.concatenate((self._lo, np.empty_like(self._lo)))
+            self._hi = np.concatenate((self._hi, np.empty_like(self._hi)))
+        self._lo[step] = lo
+        self._hi[step] = hi
+        self._placed.append((mesh, pose, node_id if node_id is not None else step))
         return hits
 
 

@@ -13,6 +13,10 @@ class LdrawParseError(BrickIrError):
         self.line = line
 
 
+class GraphParseError(BrickIrError):
+    """Malformed connectivity-graph JSON."""
+
+
 class AnnotationError(BrickIrError):
     """Invalid connector annotation or override."""
 

@@ -34,7 +34,7 @@ import numpy as np
 from .catalog import Catalog
 from .collision import AssemblyChecker
 from .connectors import ConnectorFamily, dof_spec, letter_index
-from .errors import CatalogError, MatchError
+from .errors import CatalogError, GraphParseError, MatchError
 from .geometry import (
     ConnectorFrame,
     QuantizedParams,
@@ -93,11 +93,17 @@ class ConnEdge:
     def from_json_obj(cls, obj) -> "ConnEdge":
         family = ConnectorFamily(obj["family"])
         return cls(
-            (int(obj["a"][0]), obj["a"][1]),
-            (int(obj["b"][0]), obj["b"][1]),
+            (_json_id(obj["a"][0]), obj["a"][1]),
+            (_json_id(obj["b"][0]), obj["b"][1]),
             family,
             params_from_json_obj(family, obj.get("params", {})),
         )
+
+
+def _json_id(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphParseError(f"node id must be an integer, got {value!r}")
+    return value
 
 
 def params_to_json_obj(family: ConnectorFamily, p: QuantizedParams) -> dict:
@@ -175,22 +181,35 @@ class ConnectivityGraph:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ConnectivityGraph":
-        nodes = {}
-        for n in obj.get("nodes", []):
-            pose = RigidTransform(
-                np.array(n["pose"]["rot"], dtype=np.float64).reshape(3, 3),
-                np.array(n["pose"]["t"], dtype=np.float64),
-            )
-            nid = int(n["id"])
-            nodes[nid] = PartInstance(
-                node_id=nid, part_id=n["part"], color=int(n["color"]), pose=pose
-            )
-        edges = [ConnEdge.from_json_obj(e) for e in obj.get("edges", [])]
+        """Rebuild a graph from its JSON object. Malformed input, ids that are
+        not integers and edges naming a missing node raise GraphParseError."""
+        try:
+            nodes = {}
+            for n in obj.get("nodes", []):
+                nid = _json_id(n["id"])
+                pose = RigidTransform(
+                    np.array(n["pose"]["rot"], dtype=np.float64).reshape(3, 3),
+                    np.array(n["pose"]["t"], dtype=np.float64),
+                )
+                nodes[nid] = PartInstance(
+                    node_id=nid, part_id=n["part"], color=int(n["color"]), pose=pose
+                )
+            edges = [ConnEdge.from_json_obj(e) for e in obj.get("edges", [])]
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise GraphParseError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc
+        for e in edges:
+            for node, _ in (e.a, e.b):
+                if node not in nodes:
+                    raise GraphParseError(f"edge endpoint names missing node {node}")
         return cls(nodes, edges)
 
     @classmethod
     def loads(cls, text: str) -> "ConnectivityGraph":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphParseError(f"invalid graph JSON: {exc}") from exc
+        return cls.from_json_obj(obj)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ other line types are ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,8 @@ def decode(source) -> str:
 
 def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
     """Yield LdrawLine records; malformed lines raise in strict mode and are
-    skipped with a warning otherwise."""
+    skipped with a warning otherwise. A non-finite number in a type-1 line
+    raises in both modes: the file is corrupt, not merely loose."""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -116,6 +118,8 @@ def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
                     raise LdrawParseError("non-numeric field in type-1 line", number)
                 _warn(warnings, f"line {number}: skipped non-numeric type-1 line")
                 continue
+            if not all(math.isfinite(v) for v in values):
+                raise LdrawParseError("non-finite number in type-1 line", number)
             name = " ".join(tokens[14:])
             yield LdrawLine(1, number, color=color, values=values, subfile=name)
         elif ltype in (3, 4):

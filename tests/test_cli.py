@@ -260,3 +260,41 @@ def test_check_text_format(workdir, capsys, tmp_path):
     assert run(workdir, "--format", "text", "check", good) == 0
     out = capsys.readouterr().out
     assert "connectivity=2" in out and "collision=2" in out
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["graph", "sample", "serialize", "stats"])
+def test_truncated_graph_json_exit2(workdir, capsys, tmp_path, command):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"nodes": [')
+    assert run(workdir, command, bad) == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("endpoint", [[999, "a"], ["zz", "a"]])
+@pytest.mark.parametrize("command", ["sample", "serialize", "stats"])
+def test_graph_json_bad_edge_endpoint_exit2(workdir, capsys, tmp_path, endpoint, command):
+    graph_out = tmp_path / "g.json"
+    assert run(workdir, "--out", graph_out, "graph", workdir / "stack4.ldr") == 0
+    obj = json.loads(graph_out.read_text())
+    obj["edges"][0]["a"] = endpoint
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(workdir, command, bad) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_nonfinite_ldraw_number_exit2_with_line_number(workdir, capsys, tmp_path):
+    bad = tmp_path / "nan.ldr"
+    bad.write_text(
+        "1 4 0 0 0 1 0 0 0 1 0 0 0 1 3023.dat\n"
+        "1 2 nan -8 0 1 0 0 0 1 0 0 0 1 3023.dat\n"
+    )
+    assert run(workdir, "graph", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brickir.collision import (
     AssemblyChecker,
@@ -14,12 +16,14 @@ from brickir.collision import (
     merge_meshes,
     point_in_mesh,
     tri_tri_intersect,
+    tri_tri_intersect_batch,
 )
+from brickir.demo import build_demo_catalog
 from brickir.errors import BrickIrError
-from brickir.geometry import RigidTransform
+from brickir.geometry import RigidTransform, compose, rotation_about_axis
 
-from conftest import random_rigid
-from oracles import brute_force_intersects
+from conftest import random_rigid, random_rotation
+from oracles import _any_pair_intersects, brute_force_intersects
 
 I = RigidTransform.identity()
 
@@ -127,6 +131,30 @@ def test_tri_tri_basic():
     assert not tri_tri_intersect(p, coplanar)  # coplanar overlap = touching
 
 
+def _triangle_pairs(rng, n):
+    """Random, shared-vertex, coplanar and half-LDU-snapped triangle pairs."""
+    p = rng.uniform(-2.0, 2.0, (4, n, 3, 3))
+    q = rng.uniform(-2.0, 2.0, (4, n, 3, 3))
+    q[1, :, 0] = p[1, :, 0]  # shared vertex
+    w = rng.uniform(-1.0, 2.0, (n, 3, 2))  # coplanar: q spanned by p's edges
+    q[2] = p[2, :, :1] + w[..., :1] * (p[2, :, 1:2] - p[2, :, :1]) + w[..., 1:] * (
+        p[2, :, 2:] - p[2, :, :1]
+    )
+    p[3] = np.round(p[3] * 2.0) / 2.0  # snapped: exact contacts and degenerate slivers
+    q[3] = np.round(q[3] * 2.0) / 2.0
+    return p.reshape(-1, 3, 3), q.reshape(-1, 3, 3)
+
+
+def test_tri_tri_batch_agrees_with_oracle():
+    rng = np.random.default_rng(41)
+    p, q = _triangle_pairs(rng, 1000)
+    got = tri_tri_intersect_batch(p, q)
+    want = [_any_pair_intersects(p[i : i + 1], q[i : i + 1], 1e-6) for i in range(len(p))]
+    assert got.tolist() == want
+    assert 0 < got.sum() < len(p)
+    assert [tri_tri_intersect(p[i], q[i]) for i in range(100)] == want[:100]
+
+
 def _random_box_mesh(rng):
     size = rng.uniform(1.0, 8.0, 3)
     return _mesh(box_mesh(size))
@@ -180,6 +208,133 @@ def test_inset_monotonicity_sampled():
             if previous is False:
                 assert hit is False
             previous = hit
+
+
+def _near_contact_pose(a: CollisionMesh, b: CollisionMesh, gap, tilt_deg, rng):
+    """Pose of b (a at the identity) with b's lowest x a distance ``gap``
+    beyond a's highest x, after a tilt about a random axis."""
+    tilt = rotation_about_axis(rng.normal(size=3), tilt_deg)
+    x = a.vertices[:, 0].max() - (b.vertices @ tilt.T)[:, 0].min() + gap
+    return RigidTransform(tilt, np.array([x, *rng.uniform(-2.0, 2.0, 2)]))
+
+
+def _open(verts_tris) -> CollisionMesh:
+    """The mesh without its last triangle. Open meshes skip the containment
+    test, which at exact face contact is ambiguous: a reference vertex on
+    the other surface is inside or outside depending on the ray direction,
+    and intersects and the oracle cast different rays."""
+    verts, tris = verts_tris
+    return CollisionMesh.build(verts, tris[:-1])
+
+
+_CONTACT_MESHES = [
+    _open(box_mesh((6.0, 4.0, 8.0))),
+    _open(box_mesh((2.0, 9.0, 3.0), center=(0.5, 1.0, -1.0))),
+    _open(icosphere_mesh(3.0, 2)),
+    _open(box_mesh((5.5, 5.5, 5.5))),
+]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(range(len(_CONTACT_MESHES))),
+    st.sampled_from(range(len(_CONTACT_MESHES))),
+    st.floats(-0.5, 0.5),
+    st.sampled_from([0.0, 0.5, 3.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_intersects_matches_oracle_near_contact(seed, ia, ib, gap, tilt_deg):
+    rng = np.random.default_rng(seed)
+    a, b = _CONTACT_MESHES[ia], _CONTACT_MESHES[ib]
+    world = random_rigid(rng, scale=50.0)
+    pa = world
+    pb = compose(world, _near_contact_pose(a, b, gap, tilt_deg, rng))
+    assert intersects(a, pa, b, pb) == brute_force_intersects(a, pa, b, pb)
+
+
+def _box_lattice(nx, ny, size=4.0, pitch=5.0):
+    """nx * ny cubes in one layer: 12 nx ny triangles spread over a plane."""
+    return merge_meshes(
+        [
+            box_mesh((size, size, size), center=(pitch * i, pitch * j, 0.0))
+            for i in range(nx)
+            for j in range(ny)
+        ]
+    )
+
+
+def test_dense_lattices_in_face_contact_agree_with_oracle():
+    # Two 1080-triangle layers stacked face to face: deep BVHs, and every
+    # cube pair overlaps in x/y, so the traversal frontier is wide.
+    lattice = _open(_box_lattice(10, 9))
+    assert len(lattice) >= 1000
+    rng = np.random.default_rng(5)
+    hits = 0
+    for dz, shift in ((4.0, 0.0), (4.0 + 1e-3, 0.3), (4.0 - 0.05, 0.0), (3.9, 2.5), (3.0, 0.7)):
+        world = random_rigid(rng, scale=20.0)
+        pb = compose(world, _trans(shift, shift, dz))
+        got = intersects(lattice, world, lattice, pb)
+        assert got == brute_force_intersects(lattice, world, lattice, pb)
+        hits += got
+    assert 0 < hits < 5
+
+
+def test_dense_spheres_agree_with_oracle():
+    big = _mesh(icosphere_mesh(10.0, 3))
+    small = _mesh(icosphere_mesh(6.0, 2))
+    assert len(big) >= 1000
+    rng = np.random.default_rng(12)
+    hits = 0
+    for _ in range(20):
+        direction = rng.normal(size=3)
+        centre = direction / np.linalg.norm(direction) * rng.uniform(14.5, 16.5)
+        pa = random_rigid(rng, scale=20.0)
+        pb = compose(pa, RigidTransform(random_rotation(rng), centre))
+        got = intersects(big, pa, small, pb)
+        assert got == brute_force_intersects(big, pa, small, pb)
+        hits += got
+    assert 0 < hits < 20
+
+
+@pytest.fixture(scope="module")
+def demo_colliders():
+    return PartColliders.from_catalog(build_demo_catalog(), inset=0.25)
+
+
+@given(
+    st.floats(-0.75, 0.75),
+    st.floats(-0.75, 0.75),
+    st.floats(-15.0, 15.0),
+    st.sampled_from([0.0, 0.5, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_technic_pin_in_channel_matches_oracle(demo_colliders, dx, dy, dz, tilt_deg, seed):
+    # The pin fills the brick's channel face to face in y; the 0.25 LDU
+    # inset leaves 0.5 LDU of play on each side. The pin is opened (see
+    # _open), since dy = +-0.5 puts its faces in exact contact.
+    rng = np.random.default_rng(seed)
+    brick = demo_colliders.mesh("3700")
+    pin = _open((demo_colliders.mesh("3673").vertices, demo_colliders.mesh("3673").triangles))
+    tilt = rotation_about_axis(rng.normal(size=3), tilt_deg)
+    world = random_rigid(rng)
+    pb = compose(world, RigidTransform(tilt, np.array([dx, 12.0 + dy, 10.0 + dz])))
+    assert intersects(brick, world, pin, pb) == brute_force_intersects(brick, world, pin, pb)
+
+
+def test_demo_structures_at_connector_poses_match_oracle(demo_colliders):
+    from brickir.demo import demo_ldr
+    from brickir.ldraw import parse_structure
+
+    cat = build_demo_catalog()
+    for kind in ("mixed", "stack4", "mpd_stack"):
+        inst = parse_structure(demo_ldr(kind), cat)
+        for i in range(len(inst)):
+            for j in range(i):
+                mi, mj = demo_colliders.mesh(inst[i].part_id), demo_colliders.mesh(inst[j].part_id)
+                got = intersects(mi, inst[i].pose, mj, inst[j].pose)
+                assert not got  # demo structures are collision-free
+                assert got == brute_force_intersects(mi, inst[i].pose, mj, inst[j].pose)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +401,41 @@ def test_assembly_checker_incremental():
     assert checker.add(cube, _trans(30, 0, 0), "b") == []
     assert checker.add(cube, _trans(25, 2, 1), "c") == ["b"]
     assert checker.first_offender == 2
+
+
+def test_assembly_checker_matches_plain_loop(demo_colliders):
+    rng = np.random.default_rng(23)
+    meshes = [demo_colliders.mesh(p) for p in ("3700", "3673", "3004", "3024", "3641")]
+    # A row of 1x2 bricks 40 LDU apart, jittered by up to 0.6 LDU: the inset
+    # leaves 0.5 LDU between neighbours, so some overlap by a fraction of an
+    # LDU. Then parts at random poses, which overlap deeply.
+    brick = demo_colliders.mesh("3004")
+    placements = [
+        (brick, _trans(40.0 * k + rng.uniform(-0.6, 0.6), 0, 0), f"r{k}") for k in range(20)
+    ]
+    placements += [
+        (meshes[int(rng.integers(len(meshes)))], random_rigid(rng, scale=30.0), f"n{k}")
+        for k in range(30)
+    ]
+    checker = AssemblyChecker()
+    first = None
+    total = 0
+    for k, (mesh, pose, node) in enumerate(placements):
+        want = [
+            other
+            for other_mesh, other_pose, other in placements[:k]
+            if brute_force_intersects(mesh, pose, other_mesh, other_pose)
+        ]
+        assert checker.add(mesh, pose, node) == want
+        if want and first is None:
+            first = k
+        total += len(want)
+    assert checker.first_offender == first
+    assert len(checker) == len(placements)
+    assert 0 < total < len(placements) * (len(placements) - 1) // 2
+    report = check_assembly([(m, p) for m, p, _ in placements], ids=[n for _, _, n in placements])
+    assert report.first_offender == first
+    assert len(report.colliding_pairs) == total
 
 
 def test_part_colliders_from_catalog():

@@ -9,7 +9,7 @@ import brickir
 from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, demo_ldr, generate_random_path
-from brickir.errors import CatalogError, MatchError
+from brickir.errors import CatalogError, GraphParseError, MatchError
 from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform
 from brickir.graph import (
     ConnEdge,
@@ -383,6 +383,26 @@ def test_graph_json_roundtrip():
     assert [e.to_json_obj() for e in g2.edges] == [e.to_json_obj() for e in g.edges]
     for nid in g.nodes:
         assert g2.nodes[nid].pose.is_close(g.nodes[nid].pose, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda o: o["nodes"][0].pop("pose"),
+        lambda o: o["nodes"][0].update(id=1.5),
+        lambda o: o["nodes"][0]["pose"]["t"].__setitem__(0, float("nan")),
+        lambda o: o["edges"][0].update(family="glue"),
+        lambda o: o["edges"][0].update(b=[7]),
+        lambda o: o["edges"][0].update(a=[999, "a"]),
+        lambda o: o.update(nodes=[1, 2]),
+    ],
+)
+def test_graph_json_malformed_raises_parse_error(mutate):
+    g = generate_random_path(CAT, np.random.default_rng(9), 4).graph
+    obj = g.to_json_obj()
+    mutate(obj)
+    with pytest.raises(GraphParseError):
+        ConnectivityGraph.from_json_obj(obj)
 
 
 @pytest.mark.parametrize("euler", [(0, 90, 0), (45, 90, 0), (123, 270, 0), (0, 90, 45), (359, 89, 181)])
