@@ -102,13 +102,6 @@ def _colliders(args, catalog) -> PartColliders | None:
     return PartColliders.from_catalog(catalog, inset=args.inset)
 
 
-def _pose_obj(pose) -> dict:
-    return {
-        "rot": [float(v) for v in pose.rotation.reshape(9)],
-        "t": [float(v) for v in pose.translation],
-    }
-
-
 def cmd_parse(args) -> int:
     catalog = _load_catalog(args)
     warnings: list[str] = []
@@ -123,7 +116,7 @@ def cmd_parse(args) -> int:
                 "id": i.node_id,
                 "part": i.part_id,
                 "color": i.color,
-                "pose": _pose_obj(i.pose),
+                "pose": i.pose.to_json_obj(),
                 "nonrigid": i.nonrigid,
             }
             for i in instances
@@ -136,7 +129,15 @@ def cmd_parse(args) -> int:
 def _graph_from_input(path, catalog, args) -> graph_mod.ConnectivityGraph:
     text = _read(path)
     if path.endswith(".json"):
-        return graph_mod.ConnectivityGraph.loads(text)
+        g = graph_mod.ConnectivityGraph.loads(text)
+        # every node's part and every edge endpoint's connector must exist:
+        # the catalog lookups raise CatalogError otherwise
+        for inst in g.nodes.values():
+            catalog.part(inst.part_id)
+        for e in g.edges:
+            for node, index in (e.a, e.b):
+                catalog.connector(g.nodes[node].part_id, index)
+        return g
     instances = ldraw.parse_structure(text, catalog, strict=args.strict)
     return graph_mod.match_connectors(instances, catalog, _tolerances(args))
 
@@ -183,7 +184,7 @@ def cmd_execute(args) -> int:
     catalog = _load_catalog(args)
     result = program.parse_program(_read(args.input), catalog, strict=True)
     poses = program.execute(result.program, catalog)
-    _emit(_json_dumps({"poses": {n: _pose_obj(p) for n, p in poses.items()}}), args)
+    _emit(_json_dumps({"poses": {n: p.to_json_obj() for n, p in poses.items()}}), args)
     return EXIT_OK
 
 

@@ -178,7 +178,10 @@ class AnnotatedConnector:
         return cls(obj.get("index", "?"), family, subtype, frame, length)
 
 
-def _sort_key(site):
+def canonical_site_key(site):
+    """Sort key of a ``(family, subtype, frame, axle_length)`` site: sorting
+    a part's sites by it gives their canonical connector indices a, b, ...
+    (local origin x -> y -> z, then family, subtype and axes)."""
     family, subtype, frame, _ = site
     return (
         round(float(frame.origin[0]), 9),
@@ -234,7 +237,7 @@ def annotate_part(
                 length *= axial_scale(ref, entry)
         sites.append((family, subtype, frame, length))
 
-    sites.sort(key=_sort_key)
+    sites.sort(key=canonical_site_key)
 
     if overrides:
         by_index = {letter_id(i): i for i in range(len(sites))}
@@ -276,7 +279,7 @@ def annotate_part(
             else:
                 merged.append(site)
         merged.extend(added)
-        sites = sorted(merged, key=_sort_key)
+        sites = sorted(merged, key=canonical_site_key)
 
     by_origin: dict[tuple, list] = {}
     for site in sites:

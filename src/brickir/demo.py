@@ -12,9 +12,24 @@ import numpy as np
 
 from .catalog import Catalog, PartDef, TriMesh, normalize_part_name
 from .collision import box_mesh, merge_meshes
-from .connectors import AnnotatedConnector, ConnectorFamily, default_rules, dof_spec, letter_id
-from .geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
-from .graph import BuildPath, ConnEdge, ConnectivityGraph, PathStep, canonical_ball_euler, realize_params
+from .connectors import (
+    AnnotatedConnector,
+    ConnectorFamily,
+    canonical_site_key,
+    default_rules,
+    dof_spec,
+    letter_id,
+)
+from .geometry import ConnectorFrame, QuantizedParams, RigidTransform
+from .graph import (
+    BuildPath,
+    ConnEdge,
+    ConnectivityGraph,
+    PathStep,
+    attach_pose,
+    canonical_ball_euler,
+    euler_zyx_matrix,
+)
 from .ldraw import PartInstance
 
 _UP = (0.0, -1.0, 0.0)  # LDraw: -Y is up
@@ -32,9 +47,7 @@ def _conn(subtype, origin, axis, ref=_X, length=None, rules=None):
 
 
 def _part(part_id, name, sites, mesh_parts):
-    from .connectors import _sort_key  # canonical index assignment
-
-    sites = sorted(sites, key=_sort_key)
+    sites = sorted(sites, key=canonical_site_key)
     connectors = tuple(
         AnnotatedConnector(letter_id(i), fam, sub, frame, length)
         for i, (fam, sub, frame, length) in enumerate(sites)
@@ -261,10 +274,8 @@ def generate_random_path(
     root_part = part_ids[int(rng.integers(len(part_ids)))]
     if random_root_pose:
         e = tuple(int(rng.integers(0, 360)) for _ in range(3))
-        from .graph import _euler_zyx_matrix
-
         pose = RigidTransform(
-            _euler_zyx_matrix(*e), rng.integers(-200, 200, size=3).astype(float)
+            euler_zyx_matrix(*e), rng.integers(-200, 200, size=3).astype(float)
         )
     else:
         pose = RigidTransform.identity()
@@ -284,9 +295,9 @@ def generate_random_path(
         family = target_conn.family
         params = _random_params(family, target_conn, new_conn, rng)
 
-        world_target = target_conn.frame.transformed(nodes[target_node].pose)
-        realized = realize_params(world_target, params, family)
-        new_pose = compose(realized.as_transform(), new_conn.frame.as_transform().inverse())
+        new_pose = attach_pose(
+            nodes[target_node].pose, target_conn.frame, new_conn.frame, family, params
+        )
 
         node_id = len(nodes)
         nodes[node_id] = PartInstance(node_id, new_part_id, random_color(), new_pose)

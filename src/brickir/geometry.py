@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,21 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -(rt @ self.translation))
+
+    def to_json_obj(self) -> dict:
+        """``{"rot": row-major 9 floats, "t": 3 floats}``, the pose JSON of
+        every CLI output and of graph files."""
+        return {
+            "rot": [float(v) for v in self.rotation.reshape(9)],
+            "t": [float(v) for v in self.translation],
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "RigidTransform":
+        return cls(
+            np.array(obj["rot"], dtype=np.float64).reshape(3, 3),
+            np.array(obj["t"], dtype=np.float64),
+        )
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (3,) or many points (n, 3)."""
@@ -121,6 +137,37 @@ def rotation_about_axis(axis: np.ndarray, degrees: float) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
 
 
+def unit_axes(principal: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize a principal axis and project the reference axis into the
+    plane perpendicular to it, then normalize that too."""
+    pn = np.linalg.norm(principal)
+    if pn < 1e-9:
+        raise ValueError("zero-length principal axis")
+    p = principal / pn
+    r = reference - (reference @ p) * p
+    rn = np.linalg.norm(r)
+    if rn < 1e-9:
+        raise ValueError("reference axis parallel to principal axis")
+    return p, r / rn
+
+
+def frame_rotation(principal: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The rotation with columns x = reference, y = z cross x, z = principal.
+
+    The cross product is written out: it is np.cross's arithmetic, without
+    the axis handling that makes np.cross slow on single vectors.
+    """
+    z0, z1, z2 = principal.tolist()
+    x0, x1, x2 = reference.tolist()
+    return np.array(
+        [
+            [x0, z1 * x2 - z2 * x1, z0],
+            [x1, z2 * x0 - z0 * x2, z1],
+            [x2, z0 * x1 - z1 * x0, z2],
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class ConnectorFrame:
     """Local rigid frame of one attachment site.
@@ -141,27 +188,29 @@ class ConnectorFrame:
         r = np.asarray(self.reference_axis, dtype=np.float64).reshape(3)
         if not (np.isfinite(o).all() and np.isfinite(p).all() and np.isfinite(r).all()):
             raise ValueError("non-finite connector frame")
-        pn = np.linalg.norm(p)
-        if pn < 1e-9:
-            raise ValueError("zero-length principal axis")
-        p = p / pn
-        r = r - (r @ p) * p
-        rn = np.linalg.norm(r)
-        if rn < 1e-9:
-            raise ValueError("reference axis parallel to principal axis")
-        r = r / rn
+        p, r = unit_axes(p, r)
         for arr in (o, p, r):
             arr.flags.writeable = False
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "principal_axis", p)
         object.__setattr__(self, "reference_axis", r)
 
+    @cached_property
+    def _transform(self) -> RigidTransform:
+        return RigidTransform(frame_rotation(self.principal_axis, self.reference_axis), self.origin)
+
+    @cached_property
+    def _inverse(self) -> RigidTransform:
+        return self._transform.inverse()
+
     def as_transform(self) -> RigidTransform:
-        """Frame as a rigid transform: x column = reference, z = principal."""
-        x = self.reference_axis
-        z = self.principal_axis
-        y = np.cross(z, x)
-        return RigidTransform(np.column_stack([x, y, z]), self.origin)
+        """Frame as a rigid transform: x column = reference, z = principal.
+        Built on first use and kept with the frame."""
+        return self._transform
+
+    def inverse_transform(self) -> RigidTransform:
+        """``as_transform().inverse()``, built on first use and kept."""
+        return self._inverse
 
     @classmethod
     def from_transform(cls, t: RigidTransform) -> "ConnectorFrame":

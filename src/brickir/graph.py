@@ -39,15 +39,19 @@ from .geometry import (
     ConnectorFrame,
     QuantizedParams,
     RigidTransform,
+    frame_rotation,
     quantize_angle,
     quantize_slide,
     relative,
+    unit_axes,
 )
 from .ldraw import PartInstance
 
 # 180-degree rotation about the reference (x) axis: the "flip" of hinge and
 # axle connections.
 FLIP_ROTATION = np.diag([1.0, -1.0, -1.0])
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 _GIMBAL_EPS = 1e-12
 
@@ -93,8 +97,8 @@ class ConnEdge:
     def from_json_obj(cls, obj) -> "ConnEdge":
         family = ConnectorFamily(obj["family"])
         return cls(
-            (_json_id(obj["a"][0]), obj["a"][1]),
-            (_json_id(obj["b"][0]), obj["b"][1]),
+            _json_endpoint(obj["a"]),
+            _json_endpoint(obj["b"]),
             family,
             params_from_json_obj(family, obj.get("params", {})),
         )
@@ -104,6 +108,14 @@ def _json_id(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise GraphParseError(f"node id must be an integer, got {value!r}")
     return value
+
+
+def _json_endpoint(value) -> tuple[int, str]:
+    node, index = value
+    node = _json_id(node)
+    if not isinstance(index, str):
+        raise GraphParseError(f"connector index must be a string, got {index!r}")
+    return node, index
 
 
 def params_to_json_obj(family: ConnectorFamily, p: QuantizedParams) -> dict:
@@ -166,10 +178,7 @@ class ConnectivityGraph:
                     "id": nid,
                     "part": inst.part_id,
                     "color": inst.color,
-                    "pose": {
-                        "rot": [float(v) for v in inst.pose.rotation.reshape(9)],
-                        "t": [float(v) for v in inst.pose.translation],
-                    },
+                    "pose": inst.pose.to_json_obj(),
                 }
                 for nid, inst in sorted(self.nodes.items())
             ],
@@ -182,17 +191,17 @@ class ConnectivityGraph:
     @classmethod
     def from_json_obj(cls, obj) -> "ConnectivityGraph":
         """Rebuild a graph from its JSON object. Malformed input, ids that are
-        not integers and edges naming a missing node raise GraphParseError."""
+        not integers, connector indices that are not strings and edges naming
+        a missing node raise GraphParseError."""
         try:
             nodes = {}
             for n in obj.get("nodes", []):
                 nid = _json_id(n["id"])
-                pose = RigidTransform(
-                    np.array(n["pose"]["rot"], dtype=np.float64).reshape(3, 3),
-                    np.array(n["pose"]["t"], dtype=np.float64),
-                )
                 nodes[nid] = PartInstance(
-                    node_id=nid, part_id=n["part"], color=int(n["color"]), pose=pose
+                    node_id=nid,
+                    part_id=n["part"],
+                    color=int(n["color"]),
+                    pose=RigidTransform.from_json_obj(n["pose"]),
                 )
             edges = [ConnEdge.from_json_obj(e) for e in obj.get("edges", [])]
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -255,7 +264,8 @@ def _rz(deg):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _euler_zyx_matrix(e1, e2, e3) -> np.ndarray:
+def euler_zyx_matrix(e1, e2, e3) -> np.ndarray:
+    """Rotation of the intrinsic Z-Y-X euler angles (degrees) of ball edges."""
     return _rz(e1) @ _ry(e2) @ _rx(e3)
 
 
@@ -276,15 +286,15 @@ def _euler_zyx_angles(r: np.ndarray) -> tuple[float, float, float]:
 def canonical_ball_euler(euler_deg) -> tuple[int, int, int]:
     """The canonical integer triple equivalent to the given one (the fixed
     point of extract-after-realize)."""
-    r = _euler_zyx_matrix(*euler_deg)
+    r = euler_zyx_matrix(*euler_deg)
     a, b, c = _euler_zyx_angles(r)
     return (quantize_angle(a), quantize_angle(b), quantize_angle(c))
 
 
 def _mate_rotation(family: ConnectorFamily, params: QuantizedParams) -> np.ndarray:
     if family == ConnectorFamily.BALL:
-        return _euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
-    base = FLIP_ROTATION if params.flip else np.eye(3)
+        return euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
+    base = FLIP_ROTATION if params.flip else _IDENTITY
     if family == ConnectorFamily.FIXED:
         return base
     return _rz(params.yaw_deg) @ base
@@ -308,17 +318,56 @@ def _validate_params(family: ConnectorFamily, params: QuantizedParams):
             raise MatchError(f"{family.value} connections have no yaw parameter")
 
 
+def _mate(
+    frame_rot: np.ndarray,
+    origin: np.ndarray,
+    family: ConnectorFamily,
+    params: QuantizedParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and origin of the connector mated onto the frame
+    (frame_rot, origin) by quantized parameters, before the axes are
+    renormalized."""
+    _validate_params(family, params)
+    r = _mate_rotation(family, params)
+    t = np.array([0.0, 0.0, float(params.slide_ldu)])
+    return frame_rot @ r, frame_rot @ t + origin
+
+
 def realize_params(
     existing: ConnectorFrame, params: QuantizedParams, family: ConnectorFamily
 ) -> ConnectorFrame:
     """World frame of the mated connector implied by quantized parameters."""
-    family = ConnectorFamily(family)
-    _validate_params(family, params)
-    r = _mate_rotation(family, params)
-    t = np.array([0.0, 0.0, float(params.slide_ldu)])
-    te = existing.as_transform()
-    world = RigidTransform(te.rotation @ r, te.rotation @ t + te.translation)
-    return ConnectorFrame.from_transform(world)
+    rot, origin = _mate(
+        existing.as_transform().rotation, existing.origin, ConnectorFamily(family), params
+    )
+    return ConnectorFrame(origin, rot[:, 2], rot[:, 0])
+
+
+def attach_pose(
+    target_pose: RigidTransform,
+    target_frame: ConnectorFrame,
+    new_frame: ConnectorFrame,
+    family: ConnectorFamily,
+    params: QuantizedParams,
+) -> RigidTransform:
+    """Pose of a part whose connector ``new_frame`` (local) mates by
+    ``params`` onto connector ``target_frame`` (local) of a part at
+    ``target_pose``.
+
+    This is ``realize_params`` on the target's world frame, composed with the
+    new connector's inverse local frame, computed on bare arrays in the same
+    operation order, so the result matches that composition bit for bit. Only
+    the returned pose is built as a (checked) RigidTransform.
+    """
+    rt = target_pose.rotation.T
+    z, x = unit_axes(target_frame.principal_axis @ rt, target_frame.reference_axis @ rt)
+    rot, origin = _mate(
+        frame_rotation(z, x), target_frame.origin @ rt + target_pose.translation, family, params
+    )
+    z, x = unit_axes(rot[:, 2], rot[:, 0])
+    mated = frame_rotation(z, x)
+    inv = new_frame.inverse_transform()
+    return RigidTransform(mated @ inv.rotation, mated @ inv.translation + origin)
 
 
 def _wrap_deg(angle: float) -> float:
@@ -397,7 +446,7 @@ def extract_params(
             euler_deg=(quantize_angle(a), quantize_angle(b), quantize_angle(c))
         )
     flip = bool(r[2, 2] < 0.0)
-    rz = r @ (FLIP_ROTATION if flip else np.eye(3))
+    rz = r @ (FLIP_ROTATION if flip else _IDENTITY)
     yaw = quantize_angle(math.degrees(math.atan2(rz[1, 0], rz[0, 0])))
     if family == ConnectorFamily.STUD:
         return QuantizedParams(yaw_deg=yaw)
@@ -425,7 +474,7 @@ def reverse_params(family: ConnectorFamily, params: QuantizedParams) -> Quantize
         return QuantizedParams(
             yaw_deg=(-params.yaw_deg) % 360, flip=False, slide_ldu=-params.slide_ldu
         )
-    re = _euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
+    re = euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
     a, b, c = _euler_zyx_angles(re.T)
     return QuantizedParams(
         euler_deg=(quantize_angle(a), quantize_angle(b), quantize_angle(c))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from .catalog import Catalog
 from .connectors import ConnectorFamily, dof_spec, letter_id
 from .errors import ProgramError
-from .geometry import QuantizedParams, RigidTransform, compose
-from .graph import BuildPath, realize_params, reverse_params
+from .geometry import QuantizedParams, RigidTransform
+from .graph import BuildPath, attach_pose, reverse_params
 
 FAMILY_NAMES = {f.value: f for f in ConnectorFamily}
 
@@ -58,17 +58,6 @@ class BuildProgram:
 
     def __len__(self):
         return len(self.steps)
-
-    def actions(self):
-        """Group steps into placement actions: (intro, [attaches]) pairs.
-        The root intro is action 1."""
-        groups = []
-        for step in self.steps:
-            if isinstance(step, PartIntro):
-                groups.append((step, []))
-            else:
-                groups[-1][1].append(step)
-        return groups
 
     @property
     def action_count(self) -> int:
@@ -363,57 +352,74 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
 # Execution
 
 
-def execute(program: BuildProgram, catalog: Catalog) -> dict[str, RigidTransform]:
-    """Run a structurally valid program: the root lands at the identity and
-    every attached node's pose satisfies its attach instruction exactly.
+def _placements(program: BuildProgram, catalog: Catalog):
+    """Run a program's steps, yielding ``(intro, part_id, pose)`` as each
+    placement action completes (the root lands at the identity).
 
     A node's pose is fixed by its first attach; further attaches on the same
-    node only claim connectors. Reusing a single-accept connector raises
-    ProgramError('connector-occupied').
+    node only claim connectors. The first failing step raises ProgramError:
+    'unexpected-attach', 'unknown-part', 'target-not-introduced',
+    'connector-occupied' (reusing a single-accept connector) or
+    'missing-attach' (an action that places nothing).
     """
     poses: dict[str, RigidTransform] = {}
     parts: dict[str, str] = {}
     consumed: set[tuple[str, str]] = set()
     rules = catalog.rules
 
-    def claim(node: str, index: str, subtype: str, line: int):
-        key = (node, index)
-        if not rules.is_multi_accept(subtype) and key in consumed:
+    def placed(intro: PartIntro):
+        if intro.node not in poses:
             raise ProgramError(
-                "connector-occupied", f"connector {index!r} of node {node!r} reused", line
+                "missing-attach", f"node {intro.node!r} was never attached", intro.line
             )
-        consumed.add(key)
+        return intro, parts[intro.node], poses[intro.node]
 
-    newest: str | None = None
+    intro = None  # the action in progress
     for step in program.steps:
         if isinstance(step, PartIntro):
+            if intro is not None:
+                yield placed(intro)
             part = catalog.part_by_name(step.part_name)
             if part is None:
                 raise ProgramError("unknown-part", step.part_name, step.line)
             parts[step.node] = part.part_id
-            newest = step.node
-            if len(poses) == 0 and len(parts) == 1:
+            if not poses:
                 poses[step.node] = RigidTransform.identity()
-        else:
-            if newest is None:
+            intro = step
+            continue
+        if intro is None:
+            raise ProgramError("unexpected-attach", "attach before any introduction", step.line)
+        if step.target not in poses:
+            raise ProgramError(
+                "target-not-introduced", f"target {step.target!r} unplaced", step.line
+            )
+        for node, index, subtype in (
+            (step.target, step.target_index, step.target_subtype),
+            (intro.node, step.new_index, step.new_subtype),
+        ):
+            key = (node, index)
+            if key in consumed and not rules.is_multi_accept(subtype):
                 raise ProgramError(
-                    "unexpected-attach", "attach before any introduction", step.line
+                    "connector-occupied", f"connector {index!r} of node {node!r} reused", step.line
                 )
-            if step.target not in poses:
-                raise ProgramError(
-                    "target-not-introduced", f"target {step.target!r} unplaced", step.line
-                )
-            target_frame = catalog.connector(parts[step.target], step.target_index).frame
-            world_target = target_frame.transformed(poses[step.target])
-            claim(step.target, step.target_index, step.target_subtype, step.line)
-            claim(newest, step.new_index, step.new_subtype, step.line)
-            if newest not in poses:
-                realized = realize_params(world_target, step.params, step.family)
-                new_local = catalog.connector(parts[newest], step.new_index).frame
-                poses[newest] = compose(
-                    realized.as_transform(), new_local.as_transform().inverse()
-                )
-    return poses
+            consumed.add(key)
+        if intro.node not in poses:
+            poses[intro.node] = attach_pose(
+                poses[step.target],
+                catalog.connector(parts[step.target], step.target_index).frame,
+                catalog.connector(parts[intro.node], step.new_index).frame,
+                step.family,
+                step.params,
+            )
+    if intro is not None:
+        yield placed(intro)
+
+
+def execute(program: BuildProgram, catalog: Catalog) -> dict[str, RigidTransform]:
+    """Run a structurally valid program: the root lands at the identity and
+    every attached node's pose satisfies its attach instruction exactly.
+    The first invalid step raises ProgramError (codes as in _placements)."""
+    return {intro.node: pose for intro, _, pose in _placements(program, catalog)}
 
 
 # ---------------------------------------------------------------------------
@@ -430,67 +436,23 @@ def validate_prefix(
     collision-free against everything placed before it. Without a collision
     checker the two counts coincide.
     """
-    parse_error = None
+    diagnoses: list[ProgramDiagnosis] = []
     if isinstance(program, str):
         result = parse_program(program, catalog, strict=False)
-        parse_error = result.error
+        if result.error:
+            diagnoses.append(result.error)
         program = result.program
 
     session = collision_checker.session() if collision_checker is not None else None
-    poses: dict[str, RigidTransform] = {}
-    parts: dict[str, str] = {}
-    consumed: set[tuple[str, str]] = set()
-    rules = catalog.rules
-
     connectivity = 0
     collision = 0
-    collision_blocked = False
-    diagnoses: list[ProgramDiagnosis] = [parse_error] if parse_error else []
-
-    def try_claim(node, index, subtype, line):
-        key = (node, index)
-        if not rules.is_multi_accept(subtype) and key in consumed:
-            raise ProgramError(
-                "connector-occupied", f"connector {index!r} of node {node!r} reused", line
-            )
-        consumed.add(key)
-
-    newest = None
-    for intro, attaches in program.actions():
-        try:
-            part = catalog.part_by_name(intro.part_name)
-            if part is None:
-                raise ProgramError("unknown-part", intro.part_name, intro.line)
-            parts[intro.node] = part.part_id
-            newest = intro.node
-            if len(poses) == 0 and len(parts) == 1:
-                poses[intro.node] = RigidTransform.identity()
-            for att in attaches:
-                if att.target not in poses:
-                    raise ProgramError(
-                        "target-not-introduced", f"target {att.target!r} unplaced", att.line
-                    )
-                world_target = (
-                    catalog.connector(parts[att.target], att.target_index)
-                    .frame.transformed(poses[att.target])
-                )
-                try_claim(att.target, att.target_index, att.target_subtype, att.line)
-                try_claim(newest, att.new_index, att.new_subtype, att.line)
-                if newest not in poses:
-                    realized = realize_params(world_target, att.params, att.family)
-                    new_local = catalog.connector(parts[newest], att.new_index).frame
-                    poses[newest] = compose(
-                        realized.as_transform(), new_local.as_transform().inverse()
-                    )
-        except ProgramError as exc:
-            diagnoses.append(ProgramDiagnosis(exc.line or 0, exc.code, str(exc)))
-            break
-        connectivity += 1
-        if session is not None and not collision_blocked:
-            mesh = collision_checker.mesh(parts[intro.node])
-            hit = bool(session.add(mesh, poses[intro.node])) if mesh is not None else False
-            if hit:
-                collision_blocked = True
+    try:
+        for intro, part_id, pose in _placements(program, catalog):
+            connectivity += 1
+            if collision < connectivity - 1:
+                continue  # an earlier placement collided
+            mesh = collision_checker.mesh(part_id) if session is not None else None
+            if mesh is not None and session.add(mesh, pose):
                 diagnoses.append(
                     ProgramDiagnosis(
                         intro.line, "collision", f"placement of {intro.node!r} collides"
@@ -498,8 +460,8 @@ def validate_prefix(
                 )
             else:
                 collision = connectivity
-        elif not collision_blocked:
-            collision = connectivity
+    except ProgramError as exc:
+        diagnoses.append(ProgramDiagnosis(exc.line or 0, exc.code, str(exc)))
 
     first_error = min(diagnoses, key=lambda d: d.line, default=None)
     return ValidityReport(connectivity, collision, first_error)

@@ -276,7 +276,7 @@ def test_truncated_graph_json_exit2(workdir, capsys, tmp_path, command):
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("endpoint", [[999, "a"], ["zz", "a"]])
+@pytest.mark.parametrize("endpoint", [[999, "a"], ["zz", "a"], [0, 5]])
 @pytest.mark.parametrize("command", ["sample", "serialize", "stats"])
 def test_graph_json_bad_edge_endpoint_exit2(workdir, capsys, tmp_path, endpoint, command):
     graph_out = tmp_path / "g.json"
@@ -286,6 +286,35 @@ def test_graph_json_bad_edge_endpoint_exit2(workdir, capsys, tmp_path, endpoint,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     assert run(workdir, command, bad) == 2
+    _assert_one_error_line(capsys)
+
+
+def _stack4_graph_obj(workdir, tmp_path):
+    graph_out = tmp_path / "g.json"
+    assert run(workdir, "--out", graph_out, "graph", workdir / "stack4.ldr") == 0
+    return json.loads(graph_out.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv", [["sample"], ["--seed", "3", "sample"], ["serialize"], ["stats"]]
+)
+def test_graph_json_missing_connector_exit3(workdir, capsys, tmp_path, argv):
+    # with the default seed, sample used to cut the path before the bad edge
+    # and exit 0; stats never looked at connectors
+    obj = _stack4_graph_obj(workdir, tmp_path)
+    obj["edges"][0]["a"][1] = "zz"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(workdir, *argv, bad) == 3
+    _assert_one_error_line(capsys)
+
+
+def test_graph_json_unknown_part_exit3(workdir, capsys, tmp_path):
+    obj = _stack4_graph_obj(workdir, tmp_path)
+    obj["nodes"][0]["part"] = "no-such-part"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(workdir, "stats", bad) == 3
     _assert_one_error_line(capsys)
 
 

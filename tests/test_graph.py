@@ -10,11 +10,12 @@ from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, demo_ldr, generate_random_path
 from brickir.errors import CatalogError, GraphParseError, MatchError
-from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform
+from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
 from brickir.graph import (
     ConnEdge,
     ConnectivityGraph,
     MatchTolerances,
+    attach_pose,
     canonical_ball_euler,
     extract_params,
     match_connectors,
@@ -220,6 +221,31 @@ def test_realize_rejects_out_of_dof_params():
         realize_params(f, QuantizedParams(yaw_deg=5), ConnectorFamily.FIXED)
     with pytest.raises(MatchError):
         realize_params(f, QuantizedParams(), ConnectorFamily.BALL)
+
+
+def test_attach_pose_equals_frame_object_composition():
+    # the kernel reproduces, bit for bit, the object composition it replaced:
+    # realize on the target's world frame, then undo the new local frame
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        pose = random_rigid(rng)
+        fa, fb = (
+            ConnectorFrame(rng.normal(size=3) * 20, rng.normal(size=3), rng.normal(size=3))
+            for _ in range(2)
+        )
+        yaw = int(rng.integers(360))
+        for family, params in (
+            (ConnectorFamily.STUD, QuantizedParams(yaw_deg=yaw)),
+            (ConnectorFamily.HINGE, QuantizedParams(yaw_deg=yaw, flip=True)),
+            (ConnectorFamily.AXLE, QuantizedParams(yaw_deg=yaw, slide_ldu=-3)),
+            (ConnectorFamily.BALL, QuantizedParams(euler_deg=(yaw, 20, 300))),
+            (ConnectorFamily.FIXED, QuantizedParams()),
+        ):
+            got = attach_pose(pose, fa, fb, family, params)
+            realized = realize_params(fa.transformed(pose), params, family)
+            want = compose(realized.as_transform(), fb.as_transform().inverse())
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
 
 
 @st.composite

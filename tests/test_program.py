@@ -11,6 +11,9 @@ from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, co
 from brickir.graph import BuildPath, ConnEdge, ConnectivityGraph, PathStep
 from brickir.ldraw import PartInstance
 from brickir.program import (
+    Attach,
+    BuildProgram,
+    PartIntro,
     execute,
     node_letters,
     parse_program,
@@ -18,6 +21,8 @@ from brickir.program import (
     serialize,
     validate_prefix,
 )
+
+from oracles import replay_path_poses
 
 CAT = build_demo_catalog()
 
@@ -228,6 +233,79 @@ def test_execute_deterministic_bitwise():
     for node in p1:
         assert np.array_equal(p1[node].rotation, p2[node].rotation)
         assert np.array_equal(p1[node].translation, p2[node].translation)
+
+
+def test_execute_matches_oracle_replay_all_families():
+    # the demo generator and the executor share one placement kernel, so
+    # every executed pose is checked against the independent replay
+    rng = np.random.default_rng(515)
+    families = set()
+    for _ in range(60):
+        path = generate_random_path(CAT, rng, int(rng.integers(10, 60)))
+        families |= {s.edge.family for s in path.steps}
+        poses = execute(parse_program(serialize(path, CAT), CAT).program, CAT)
+        replayed = replay_path_poses(path, CAT)
+        root_pose = path.graph.nodes[path.root].pose
+        for nid, letter in node_letters(path).items():
+            got = compose(root_pose, poses[letter])
+            assert np.abs(got.rotation - replayed[nid][:3, :3]).max() <= 1e-9
+            assert np.abs(got.translation - replayed[nid][:3, 3]).max() <= 1e-9
+    assert families == set(ConnectorFamily)
+
+
+def test_roundtrip_exact_both_directions_on_grid_edges():
+    # stud/hinge/axle/fixed parameters reverse exactly on the integer grid, so
+    # paths from several roots rebuild every pose of a matched graph whose
+    # edges are the generator's. Ball edges re-quantize when reversed, and
+    # contacts the matcher finds between parts the generator did not join
+    # lie off the grid in either direction: graphs with either are left out.
+    rng = np.random.default_rng(808)
+    reversed_families = set()
+    checked = 0
+    for _ in range(60):
+        demo = generate_random_path(CAT, rng, int(rng.integers(8, 40)))
+        g = brickir.match_connectors(list(demo.graph.nodes.values()), CAT)
+        ends = {frozenset((e.a, e.b)) for e in g.edges}
+        if any(e.family == ConnectorFamily.BALL for e in g.edges) or ends != {
+            frozenset((e.a, e.b)) for e in demo.graph.edges
+        }:
+            continue
+        checked += 1
+        for root in rng.choice(sorted(g.nodes), size=3, replace=False):
+            path = brickir.sample_path(g, root=int(root), rng=rng)
+            for step in path.steps:
+                if step.edge.a[0] == step.new_node:
+                    reversed_families.add(step.edge.family)
+            poses = execute(parse_program(serialize(path, CAT), CAT).program, CAT)
+            root_pose = g.nodes[path.root].pose
+            for nid, letter in node_letters(path).items():
+                got = compose(root_pose, poses[letter])
+                assert got.max_abs_diff(g.nodes[nid].pose) <= 1e-9
+    assert checked >= 20
+    assert reversed_families == set(ConnectorFamily) - {ConnectorFamily.BALL}
+
+
+def test_attach_before_any_intro():
+    attach = Attach("a", ConnectorFamily.STUD, "stud", "a", "hole", "b", QuantizedParams())
+    program = BuildProgram((attach,))
+    with pytest.raises(ProgramError, match="unexpected-attach"):
+        execute(program, CAT)
+    checker = PartColliders.from_catalog(CAT, inset=0.25)
+    report = validate_prefix(program, CAT, checker)
+    assert (report.connectivity_steps, report.collision_steps) == (0, 0)
+    assert report.first_error.code == "unexpected-attach"
+
+
+def test_action_without_attach():
+    program = BuildProgram(
+        (PartIntro("a", "plate 1x2", "red", 1), PartIntro("b", "plate 1x2", "blue", 2))
+    )
+    with pytest.raises(ProgramError, match="missing-attach"):
+        execute(program, CAT)
+    checker = PartColliders.from_catalog(CAT, inset=0.25)
+    report = validate_prefix(program, CAT, checker)
+    assert (report.connectivity_steps, report.collision_steps) == (1, 1)
+    assert (report.first_error.code, report.first_error.line) == ("missing-attach", 2)
 
 
 def test_roundtrip_geometry_via_matched_graph():
