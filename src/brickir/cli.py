@@ -188,9 +188,13 @@ def cmd_execute(args) -> int:
     return EXIT_OK
 
 
-def _check_one(path, catalog, colliders) -> dict:
-    report = program.validate_prefix(_read(path), catalog, colliders)
-    return report.to_json_obj()
+def _validate_file(path, catalog, colliders):
+    """Validity report of one program file and the number of actions it
+    attempts: its intro-like lines, and at least its valid prefix."""
+    text = _read(path)
+    report = program.validate_prefix(text, catalog, colliders)
+    intro_like = sum(1 for line in text.splitlines() if " | " in line)
+    return report, max(intro_like, report.connectivity_steps)
 
 
 def _map_ordered(fn, items, jobs):
@@ -213,7 +217,8 @@ def cmd_check(args) -> int:
     catalog = _load_catalog(args)
     colliders = _colliders(args, catalog)
     inputs = sorted(args.inputs)
-    reports = _map_ordered(lambda p: _check_one(p, catalog, colliders), inputs, args.jobs)
+    results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
+    reports = [r.to_json_obj() for r, _ in results]
     if args.format == "text":
         _emit("\n".join(_report_line(p, r) for p, r in zip(inputs, reports)) + "\n", args)
     else:
@@ -231,10 +236,6 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _intro_like_lines(text: str) -> int:
-    return sum(1 for line in text.splitlines() if " | " in line)
-
-
 def cmd_eval(args) -> int:
     catalog = _load_catalog(args)
     colliders = _colliders(args, catalog)
@@ -245,18 +246,11 @@ def cmd_eval(args) -> int:
             inputs.extend(sorted(str(f) for f in path.iterdir() if f.is_file()))
         else:
             inputs.append(p)
-
-    def evaluate(path):
-        text = _read(path)
-        report = program.validate_prefix(text, catalog, colliders)
-        return report, _intro_like_lines(text)
-
-    results = _map_ordered(evaluate, inputs, args.jobs)
+    results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
     reports = [r for r, _ in results]
     curve = metrics.survival_curve(reports, "connectivity")
     invalid_flags = []
     for report, attempted in results:
-        attempted = max(attempted, report.connectivity_steps)
         invalid_flags.extend(
             metrics.invalid_flags_from_report(report, attempted, "connectivity")
         )

@@ -424,7 +424,6 @@ def extract_params(
     family: ConnectorFamily,
     tol: MatchTolerances | None = None,
     max_slide: float | None = None,
-    _checked: bool = False,
 ) -> QuantizedParams:
     """Quantized parameters of the connection from frame_a to frame_b.
 
@@ -432,12 +431,14 @@ def extract_params(
     predicate at the given tolerances.
     """
     family = ConnectorFamily(family)
-    tol = tol or MatchTolerances()
     m = relative(frame_a.as_transform(), frame_b.as_transform())
-    r, t = m.rotation, m.translation
-    if not _checked and not _check_pairing(family, r, t, tol, max_slide):
+    if not _check_pairing(family, m.rotation, m.translation, tol or MatchTolerances(), max_slide):
         raise MatchError("not a valid pairing")
+    return _quantize(family, m.rotation, m.translation)
 
+
+def _quantize(family: ConnectorFamily, r: np.ndarray, t: np.ndarray) -> QuantizedParams:
+    """Quantized parameters of a relative connector transform (r, t)."""
     if family == ConnectorFamily.FIXED:
         return QuantizedParams()
     if family == ConnectorFamily.BALL:
@@ -559,7 +560,7 @@ def _resolve_candidates(conns, pairs, catalog: Catalog, tol: MatchTolerances):
         m = relative(frame_i.as_transform(), frame_j.as_transform())
         if not _check_pairing(family, m.rotation, m.translation, tol, max_slide):
             continue
-        params = extract_params(frame_i, frame_j, family, tol, max_slide, _checked=True)
+        params = _quantize(family, m.rotation, m.translation)
         candidates.append(
             (
                 ka,

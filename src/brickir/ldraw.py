@@ -86,8 +86,8 @@ def decode(source) -> str:
 
 def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
     """Yield LdrawLine records; malformed lines raise in strict mode and are
-    skipped with a warning otherwise. A non-finite number in a type-1 line
-    raises in both modes: the file is corrupt, not merely loose."""
+    skipped with a warning otherwise. A non-finite number in a type-1, -3 or
+    -4 line raises in both modes: the file is corrupt, not merely loose."""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -130,13 +130,16 @@ def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
                 _warn(warnings, f"line {number}: skipped short type-{ltype} line")
                 continue
             try:
+                color = int(tokens[1])
                 vals = tuple(float(v) for v in tokens[2:want])
             except ValueError:
                 if strict:
                     raise LdrawParseError(f"non-numeric field in type-{ltype} line", number)
                 _warn(warnings, f"line {number}: skipped non-numeric type-{ltype} line")
                 continue
-            yield LdrawLine(ltype, number, color=int(tokens[1]), values=vals)
+            if not all(math.isfinite(v) for v in vals):
+                raise LdrawParseError(f"non-finite number in type-{ltype} line", number)
+            yield LdrawLine(ltype, number, color=color, values=vals)
         elif ltype in (2, 5):
             continue  # edge/conditional lines: not needed for geometry
         else:
@@ -164,10 +167,10 @@ def is_rigid(m: np.ndarray, tol: float = SCALE_TOL) -> bool:
     return bool(np.abs(_singular_values(m) - 1.0).max() <= tol)
 
 
-def split_mpd(text: str) -> tuple[str, dict[str, list[str]]]:
+def split_mpd(text: str) -> tuple[str, dict[str, str]]:
     """Split an MPD document on ``0 FILE`` / ``0 NOFILE`` delimiters.
 
-    Returns (main file name, {normalized name: lines}). Plain single-file
+    Returns (main file name, {normalized name: text}). Plain single-file
     documents come back as a single entry named '__main__'.
     """
     files: dict[str, list[str]] = {}
@@ -191,11 +194,48 @@ def split_mpd(text: str) -> tuple[str, dict[str, list[str]]]:
         else:
             files[current].append(raw)
     if not order:
-        return "__main__", {"__main__": text.splitlines()}
+        return "__main__", {"__main__": text}
+    main = order[0]
     if any(line.strip() and not line.strip().startswith("0") for line in preamble):
-        files["__main__"] = preamble
-        return "__main__", files
-    return order[0], files
+        main = "__main__"
+        files[main] = preamble
+    return main, {name: "\n".join(lines) for name, lines in files.items()}
+
+
+def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None):
+    """Walk an LDraw document depth-first through its subfile references.
+
+    Yields (line, m, t): type-3/4 lines with the transform of the file they
+    sit in, and type-1 lines whose normalized reference ``leaf`` accepts with
+    their composed transform. Other references are expanded from
+    ``subfiles`` (normalized name -> text). A reference back into ``chain``
+    (the names of the files being expanded, outermost first; the document's
+    own name or None) and nesting deeper than MAX_SUBFILE_DEPTH raise; a
+    reference found nowhere raises in strict mode and is warned about
+    otherwise.
+    """
+    if len(chain) > MAX_SUBFILE_DEPTH + 1:
+        raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
+    if m is None:
+        m, t = np.eye(3), np.zeros(3)
+    for line in iter_lines(decode(text), strict=strict, warnings=warnings):
+        if line.line_type in (3, 4):
+            yield line, m, t
+        if line.line_type != 1:
+            continue
+        lm, lt = _matrix_from_values(line.values)
+        cm, ct = m @ lm, m @ lt + t
+        ref = normalize_name(line.subfile)
+        if leaf(ref):
+            yield line, cm, ct
+        elif ref in subfiles:
+            if ref in chain:
+                raise LdrawParseError(f"recursive subfile reference {line.subfile!r}", line.number)
+            yield from _walk(subfiles[ref], subfiles, leaf, strict, warnings, chain + (ref,), cm, ct)
+        elif strict:
+            raise LdrawParseError(f"unresolvable subfile {line.subfile!r}", line.number)
+        else:
+            _warn(warnings, f"line {line.number}: unresolvable subfile {line.subfile!r}")
 
 
 def parse_structure(source, catalog_parts, strict: bool = False, warnings: list | None = None):
@@ -203,51 +243,29 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
 
     ``catalog_parts`` is any container supporting ``key in parts`` for part
     ids. Submodel references are resolved recursively with composed
-    transforms; instances whose composed matrix is scaled or reflected are
-    flagged nonrigid.
+    transforms, and a submodel shadows a catalog part of the same name;
+    instances whose composed matrix is scaled or reflected are flagged
+    nonrigid.
     """
-    text = decode(source)
-    main, files = split_mpd(text)
+    main, files = split_mpd(decode(source))
     instances: list[PartInstance] = []
-    counter = [0]
 
-    def resolve(lines: list[str], base_m: np.ndarray, base_t: np.ndarray, stack, depth):
-        if depth > MAX_SUBFILE_DEPTH:
-            raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
-        for line in iter_lines("\n".join(lines), strict=strict, warnings=warnings):
-            if line.line_type != 1:
-                continue
-            m, t = _matrix_from_values(line.values)
-            cm = base_m @ m
-            ct = base_m @ t + base_t
-            ref = normalize_name(line.subfile)
-            key = part_key(line.subfile)
-            if ref in files:
-                if ref in stack:
-                    raise LdrawParseError(
-                        f"recursive submodel reference {line.subfile!r}", line.number
-                    )
-                resolve(files[ref], cm, ct, stack | {ref}, depth + 1)
-            elif key in catalog_parts:
-                rigid = is_rigid(cm)
-                pose = RigidTransform(orthonormalize(cm), ct)
-                instances.append(
-                    PartInstance(
-                        node_id=counter[0],
-                        part_id=key,
-                        color=line.color,
-                        pose=pose,
-                        raw=tuple(float(v) for v in np.concatenate([ct, cm.reshape(9)])),
-                        nonrigid=not rigid,
-                    )
-                )
-                counter[0] += 1
-            else:
-                if strict:
-                    raise LdrawParseError(f"unresolvable subfile {line.subfile!r}", line.number)
-                _warn(warnings, f"line {line.number}: unresolvable subfile {line.subfile!r}")
+    def is_part(ref):
+        return ref not in files and part_key(ref) in catalog_parts
 
-    resolve(files[main], np.eye(3), np.zeros(3), frozenset({main}), 0)
+    for line, m, t in _walk(files[main], files, is_part, strict, warnings, (main,)):
+        if line.line_type != 1:
+            continue
+        instances.append(
+            PartInstance(
+                node_id=len(instances),
+                part_id=part_key(line.subfile),
+                color=line.color,
+                pose=RigidTransform(orthonormalize(m), t),
+                raw=tuple(float(v) for v in np.concatenate([t, m.reshape(9)])),
+                nonrigid=not is_rigid(m),
+            )
+        )
     return instances
 
 
@@ -274,44 +292,27 @@ def scan_primitives(part_source, library, primitive_table, warnings: list | None
     frees the scale along the entry's principal axis (recorded so axle
     lengths can be recovered).
     """
-    text = decode(part_source)
     refs: list[PrimitiveRef] = []
-
-    def walk(lines, base_m, base_t, stack, depth):
-        if depth > MAX_SUBFILE_DEPTH:
-            raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
-        for line in iter_lines(lines, warnings=warnings):
-            if line.line_type != 1:
-                continue
-            m, t = _matrix_from_values(line.values)
-            cm = base_m @ m
-            ct = base_m @ t + base_t
-            ref = normalize_name(line.subfile)
-            if ref in primitive_table:
-                entry = primitive_table[ref]
-                scale = tuple(float(np.linalg.norm(cm[:, i])) for i in range(3))
-                if _scale_ok(scale, entry):
-                    refs.append(
-                        PrimitiveRef(
-                            primitive_name=ref,
-                            transform=RigidTransform(orthonormalize(cm), ct),
-                            scale=scale,
-                        )
-                    )
-                else:
-                    _warn(
-                        warnings,
-                        f"line {line.number}: {ref} rejected by scale check {scale} "
-                        "(review: possible non-connector use)",
-                    )
-            elif ref in library:
-                if ref in stack:
-                    raise LdrawParseError("recursive part definition", line.number)
-                walk(decode(library[ref]), cm, ct, stack | {ref}, depth + 1)
-            else:
-                _warn(warnings, f"line {line.number}: unresolvable subfile {line.subfile!r}")
-
-    walk(text, np.eye(3), np.zeros(3), frozenset(), 0)
+    is_primitive = primitive_table.__contains__
+    for line, m, t in _walk(part_source, library, is_primitive, False, warnings):
+        if line.line_type != 1:
+            continue
+        ref = normalize_name(line.subfile)
+        scale = tuple(float(np.linalg.norm(m[:, i])) for i in range(3))
+        if _scale_ok(scale, primitive_table[ref]):
+            refs.append(
+                PrimitiveRef(
+                    primitive_name=ref,
+                    transform=RigidTransform(orthonormalize(m), t),
+                    scale=scale,
+                )
+            )
+        else:
+            _warn(
+                warnings,
+                f"line {line.number}: {ref} rejected by scale check {scale} "
+                "(review: possible non-connector use)",
+            )
     return refs
 
 
@@ -341,43 +342,14 @@ def extract_triangles(part_source, library, warnings: list | None = None):
     transforms so outward orientation survives mirroring. Returns
     (vertices (n,3) float64, triangles (m,3) int).
     """
-    text = decode(part_source)
     verts: list[np.ndarray] = []
     tris: list[tuple[int, int, int]] = []
-
-    def emit(points, flip):
+    for line, m, t in _walk(part_source, library, lambda ref: False, False, warnings):
         base = len(verts)
-        verts.extend(points)
-        order = (0, 2, 1) if flip else (0, 1, 2)
-        if len(points) == 3:
-            tris.append((base + order[0], base + order[1], base + order[2]))
-        else:  # quad -> two triangles
-            if flip:
-                tris.append((base, base + 2, base + 1))
-                tris.append((base, base + 3, base + 2))
-            else:
-                tris.append((base, base + 1, base + 2))
-                tris.append((base, base + 2, base + 3))
-
-    def walk(lines, base_m, base_t, stack, depth):
-        if depth > MAX_SUBFILE_DEPTH:
-            raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
-        flip = np.linalg.det(base_m) < 0
-        for line in iter_lines(lines, warnings=warnings):
-            if line.line_type in (3, 4):
-                pts = np.array(line.values, dtype=np.float64).reshape(-1, 3)
-                emit(list(pts @ base_m.T + base_t), flip)
-            elif line.line_type == 1:
-                m, t = _matrix_from_values(line.values)
-                ref = normalize_name(line.subfile)
-                if ref in library:
-                    if ref in stack:
-                        raise LdrawParseError("recursive part definition", line.number)
-                    walk(decode(library[ref]), base_m @ m, base_m @ t + base_t, stack | {ref}, depth + 1)
-                else:
-                    _warn(warnings, f"line {line.number}: unresolvable subfile {line.subfile!r}")
-
-    walk(text, np.eye(3), np.zeros(3), frozenset(), 0)
+        verts.extend(np.array(line.values, dtype=np.float64).reshape(-1, 3) @ m.T + t)
+        flip = np.linalg.det(m) < 0
+        for a, b, c in [(0, 1, 2)] if line.line_type == 3 else [(0, 1, 2), (0, 2, 3)]:
+            tris.append((base + a, base + c, base + b) if flip else (base + a, base + b, base + c))
     if not verts:
         return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
     return np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64)

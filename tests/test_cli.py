@@ -327,3 +327,19 @@ def test_nonfinite_ldraw_number_exit2_with_line_number(workdir, capsys, tmp_path
     assert run(workdir, "graph", bad) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2:")
+
+
+@pytest.mark.parametrize("command", ["parse", "graph", "check"])
+def test_nonfinite_part_geometry_in_library_catalog_exit2(capsys, tmp_path, command):
+    # the part's triangle would reach the collision mesh as NaN
+    (tmp_path / "lib" / "parts").mkdir(parents=True)
+    (tmp_path / "lib" / "parts" / "3005.dat").write_text(
+        "0 Brick 1 x 1\n3 16 nan 8 -10 10 8 -10 10 8 10\n"
+    )
+    structure = tmp_path / "one.ldr"
+    structure.write_text("1 4 0 0 0 1 0 0 0 1 0 0 0 1 3005.dat\n")
+    prog = tmp_path / "one.bseq"
+    prog.write_text("a brick 1x1 | red\n")
+    target = prog if command == "check" else structure
+    assert main(["--catalog", str(tmp_path / "lib"), command, str(target)]) == 2
+    _assert_one_error_line(capsys)

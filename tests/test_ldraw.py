@@ -6,6 +6,7 @@ from brickir.errors import LdrawParseError
 from brickir.ldraw import (
     extract_triangles,
     instances_to_ldr,
+    iter_lines,
     parse_structure,
     part_description,
     scan_primitives,
@@ -226,3 +227,92 @@ def test_mpd_nested_submodels_compose_three_levels():
     )
     (inst,) = parse_structure(text, PARTS)
     assert np.allclose(inst.pose.translation, [111, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# Subfile walking shared by structures, primitive scans and part triangles
+
+
+def _mpd(*files):
+    return "".join(f"0 FILE {name}\n{body}0 NOFILE\n" for name, body in files)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _mpd(
+            ("main.ldr", f"1 4 0 0 0 {IDENTITY} a.ldr\n"),
+            ("a.ldr", f"1 4 0 0 0 {IDENTITY} b.ldr\n"),
+            ("b.ldr", f"1 4 0 0 0 {IDENTITY} a.ldr\n"),
+        ),
+        _mpd(("main.ldr", f"1 4 0 0 0 {IDENTITY} 3001.dat\n1 4 0 0 0 {IDENTITY} Main.ldr\n")),
+    ],
+    ids=["submodel-cycle", "main-references-itself"],
+)
+def test_parse_structure_detects_reference_cycle(text):
+    with pytest.raises(LdrawParseError, match="recursive subfile reference '.*'"):
+        parse_structure(text, PARTS)
+
+
+def test_parse_structure_depth_limit():
+    files = [(f"d{i}.ldr", f"1 4 0 0 0 {IDENTITY} d{i + 1}.ldr\n") for i in range(70)]
+    text = _mpd(*files, ("d70.ldr", f"1 4 0 0 0 {IDENTITY} 3001.dat\n"))
+    with pytest.raises(LdrawParseError, match="deeper"):
+        parse_structure(text, PARTS)
+
+
+def test_extract_triangles_cycle_and_unresolvable_reference():
+    lib = dict(LIBRARY)
+    lib["a.dat"] = f"0 a\n1 16 0 0 0 {IDENTITY} b.dat\n"
+    lib["b.dat"] = f"0 b\n1 16 0 0 0 {IDENTITY} a.dat\n"
+    with pytest.raises(LdrawParseError, match="line 2: recursive subfile reference 'b.dat'"):
+        extract_triangles(lib["a.dat"], lib)
+    part = f"0 Ghost\n1 16 0 0 0 {IDENTITY} box.dat\n1 16 0 0 0 {IDENTITY} ghost.dat\n"
+    warnings = []
+    _, tris = extract_triangles(part, LIBRARY, warnings=warnings)
+    assert len(tris) == 2
+    assert warnings == ["line 3: unresolvable subfile 'ghost.dat'"]
+
+
+def test_mpd_submodel_shadows_catalog_part_of_same_name():
+    text = _mpd(
+        ("main.ldr", f"1 4 10 0 0 {IDENTITY} 3001.dat\n"),
+        ("3001.dat", f"1 14 0 -8 0 {IDENTITY} 3023.dat\n"),
+    )
+    (inst,) = parse_structure(text, PARTS)
+    assert inst.part_id == "3023"
+    assert inst.color == 14
+    assert np.allclose(inst.pose.translation, [10, -8, 0])
+
+
+def test_primitive_table_entry_shadows_library_file_of_same_name():
+    lib = dict(LIBRARY)
+    lib["stud.dat"] = f"0 stud body\n1 16 0 0 0 {IDENTITY} stud2.dat\n{BOX.splitlines()[1]}\n"
+    part = f"0 One Stud\n1 16 0 -4 0 {IDENTITY} stud.dat\n"
+    (ref,) = scan_primitives(part, lib, PRIMS)
+    assert ref.primitive_name == "stud.dat"
+    # triangle extraction has no primitive table: it expands the same file
+    _, tris = extract_triangles(part, lib)
+    assert len(tris) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "line", ["3 16 {} 0 0 1 0 0 0 0 1", "4 16 0 0 0 1 0 0 1 0 1 0 0 {}"]
+)
+def test_nonfinite_type3_4_number_raises_in_both_modes(line, bad):
+    text = "0 Bad\n" + line.format(bad) + "\n"
+    for strict in (True, False):
+        with pytest.raises(LdrawParseError, match="line 2: non-finite number in type-[34] line"):
+            list(iter_lines(text, strict=strict, warnings=[]))
+    with pytest.raises(LdrawParseError, match="line 2"):
+        extract_triangles(text, LIBRARY)
+
+
+def test_non_numeric_type3_color_is_a_malformed_line():
+    text = "0 Bad\n3 red 0 0 0 1 0 0 0 0 1\n"
+    with pytest.raises(LdrawParseError, match="line 2: non-numeric field in type-3 line"):
+        list(iter_lines(text, strict=True))
+    warnings = []
+    assert len(extract_triangles(text, LIBRARY, warnings=warnings)[1]) == 0
+    assert warnings == ["line 2: skipped non-numeric type-3 line"]
