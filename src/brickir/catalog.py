@@ -24,7 +24,7 @@ from .connectors import (
     default_primitive_table,
     default_rules,
 )
-from .errors import CatalogError
+from .errors import CatalogError, LdrawParseError
 
 
 def normalize_part_name(name: str) -> str:
@@ -203,11 +203,17 @@ def build_catalog_from_library(
     for f in part_files:
         text = f.read_text(errors="replace")
         pid = f.stem.lower()
-        refs = ldraw.scan_primitives(text, library, primitive_table, warnings=warnings)
+        found: list[str] = []
+        try:
+            refs = ldraw.scan_primitives(text, library, primitive_table, warnings=found)
+            verts, tris = ldraw.extract_triangles(text, library, warnings=found)
+        except LdrawParseError as exc:
+            raise LdrawParseError(f"{f.name}: {exc}") from exc
+        if warnings is not None:  # both walks visit the part's lines: report each once
+            warnings.extend(f"{f.name}: {w}" for w in dict.fromkeys(found))
         connectors = tuple(
             annotate_part(pid, refs, primitive_table, overrides.get(pid), rules, report=warnings)
         )
-        verts, tris = ldraw.extract_triangles(text, library, warnings=warnings)
         mesh = TriMesh(verts, tris) if len(tris) else None
         name = normalize_part_name(ldraw.part_description(text) or pid)
         parts[pid] = PartDef(pid, name, connectors, mesh)

@@ -152,13 +152,12 @@ def cmd_graph(args) -> int:
 def cmd_sample(args) -> int:
     catalog = _load_catalog(args)
     corpus = [_graph_from_input(p, catalog, args) for p in sorted(args.inputs)]
-    colliders = _colliders(args, catalog)
     paths = graph_mod.sample_corpus_paths(
         corpus,
         args.count,
         seed=args.seed,
         max_parts=args.max_parts,
-        part_meshes=colliders.meshes if colliders else None,
+        part_meshes=_colliders(args, catalog),
     )
     texts = [program.serialize(p, catalog) for p in paths]
     if args.out:

@@ -3,11 +3,12 @@
 Meshes are inset by moving each vertex inward along its area-weighted
 pseudo-normal, scaled so the incident face planes offset by the requested
 amount (0.25 LDU by default, so legitimately tight-fitting parts stop
-registering as collisions). Assembly checks keep the placed world AABBs in
-arrays and pick near neighbours with one comparison (broad phase). Each near
-pair then runs a level-by-level BVH-vs-BVH traversal whose leaf pairs feed one
-batched separating-interval triangle test (narrow phase); surface contact
-within 1e-6 LDU counts as non-intersecting. Pre-inset meshes may also be
+registering as collisions); PartColliders maps each part id to its mesh.
+An AssemblyChecker keeps the placed world AABBs in arrays and picks near
+neighbours with one comparison (broad phase). Each near pair then runs a
+level-by-level BVH-vs-BVH traversal whose leaf pairs feed one batched
+separating-interval triangle test (narrow phase); surface contact within
+TRI_EPS (1e-6 LDU) counts as non-intersecting. Pre-inset meshes may also be
 supplied directly (offset 0).
 
 CollisionMesh values are immutable after build and safe to share across
@@ -198,7 +199,7 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
 # Triangle-triangle intersection (separating-interval test, Moller 1997)
 
 
-def tri_tri_intersect_batch(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) -> np.ndarray:
+def tri_tri_intersect_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Element-wise ``tri_tri_intersect`` over triangle pairs p[i], q[i].
 
     p and q are (k, 3, 3); returns a (k,) bool array. Every step is
@@ -206,8 +207,8 @@ def tri_tri_intersect_batch(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) 
     """
     n1 = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     n2 = _cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
-    dp = _plane_dists(p, n2, q[:, 0], eps)  # p's corners against q's plane
-    dq = _plane_dists(q, n1, p[:, 0], eps)
+    dp = _plane_dists(p, n2, q[:, 0])  # p's corners against q's plane
+    dq = _plane_dists(q, n1, p[:, 0])
     hit = _straddles(dp) & _straddles(dq)
     cand = np.flatnonzero(hit)
     if len(cand) == 0:
@@ -218,26 +219,26 @@ def tri_tri_intersect_batch(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) 
     rows = cand[:, None]
     lo1, hi1, ok1 = _crossing_intervals(p[rows, _CORNERS, axis[:, None]], dp[cand])
     lo2, hi2, ok2 = _crossing_intervals(q[rows, _CORNERS, axis[:, None]], dq[cand])
-    hit[cand] = ok1 & ok2 & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > eps)
+    hit[cand] = ok1 & ok2 & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > TRI_EPS)
     return hit
 
 
-def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float = TRI_EPS) -> bool:
+def tri_tri_intersect(p: np.ndarray, q: np.ndarray) -> bool:
     """True iff triangles p (3,3) and q (3,3) properly intersect.
 
-    Surface contact within eps (including all coplanar overlap) counts as
-    non-intersecting.
+    Surface contact within TRI_EPS (including all coplanar overlap) counts
+    as non-intersecting.
     """
-    return bool(tri_tri_intersect_batch(p[None], q[None], eps)[0])
+    return bool(tri_tri_intersect_batch(p[None], q[None])[0])
 
 
-def _plane_dists(pts, normal, origin, eps):
+def _plane_dists(pts, normal, origin):
     """Signed distances (k, 3) of each triangle's corners to the plane through
-    ``origin`` with ``normal`` (unnormalised); values within eps of the
+    ``origin`` with ``normal`` (unnormalised); values within TRI_EPS of the
     plane snap to 0."""
     d = -np.einsum("kj,kj->k", normal, origin)
     dv = np.einsum("kij,kj->ki", pts, normal) + d[:, None]
-    snap = eps * np.linalg.norm(normal, axis=1)
+    snap = TRI_EPS * np.linalg.norm(normal, axis=1)
     dv[np.abs(dv) <= snap[:, None]] = 0.0
     return dv
 
@@ -289,11 +290,7 @@ def _transform_boxes(lo, hi, rotation, translation):
 
 
 def intersects(
-    a: CollisionMesh,
-    pose_a: RigidTransform,
-    b: CollisionMesh,
-    pose_b: RigidTransform,
-    eps: float = TRI_EPS,
+    a: CollisionMesh, pose_a: RigidTransform, b: CollisionMesh, pose_b: RigidTransform
 ) -> bool:
     """True iff the posed meshes properly intersect (or one closed mesh
     contains the other; containment is only tested when both are closed).
@@ -313,11 +310,11 @@ def intersects(
     na = nb = np.zeros(1, dtype=np.intp)
     while len(na):
         amin, amax = _transform_boxes(ta.lo[na], ta.hi[na], rot, trans)
-        overlap = ((amin <= tb.hi[nb] + eps) & (amax >= tb.lo[nb] - eps)).all(axis=1)
+        overlap = ((amin <= tb.hi[nb] + TRI_EPS) & (amax >= tb.lo[nb] - TRI_EPS)).all(axis=1)
         na, nb = na[overlap], nb[overlap]
         leaf_a, leaf_b = ta.leaf[na], tb.leaf[nb]
         both = leaf_a & leaf_b
-        if both.any() and _leaf_pairs_hit(tri_a, ta.leaf_tris[na[both]], tb, nb[both], eps):
+        if both.any() and _leaf_pairs_hit(tri_a, ta.leaf_tris[na[both]], tb, nb[both]):
             return True
         split_b = ~leaf_b & (leaf_a | (tb.extent[nb] > ta.extent[na]))
         split_a = ~leaf_a & ~split_b
@@ -335,14 +332,14 @@ def intersects(
     return False
 
 
-def _leaf_pairs_hit(tri_a, tris_a, tb: Bvh, leaves_b, eps) -> bool:
+def _leaf_pairs_hit(tri_a, tris_a, tb: Bvh, leaves_b) -> bool:
     """Any hit among the triangle pairs of the given leaf pairs? ``tris_a``
     holds the padded triangle rows of a's leaves; ``tri_a`` is a's triangles
     already in b's frame."""
     tris_b = tb.leaf_tris[leaves_b]
     ia, ib = np.broadcast_arrays(tris_a[:, :, None], tris_b[:, None, :])
     real = (ia >= 0) & (ib >= 0)
-    return bool(tri_tri_intersect_batch(tri_a[ia[real]], tb.tri_vertices[ib[real]], eps).any())
+    return bool(tri_tri_intersect_batch(tri_a[ia[real]], tb.tri_vertices[ib[real]]).any())
 
 
 # Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
@@ -377,75 +374,28 @@ def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
 # Assembly-level checks
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    """Deduplicated colliding id pairs; ``first_offender`` is the 0-based
-    index of the earliest instance whose placement first created a collision."""
-
-    colliding_pairs: tuple
-    first_offender: int | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "colliding_pairs": [list(p) for p in self.colliding_pairs],
-            "first_offender": self.first_offender,
-        }
-
-
-def world_aabb(mesh: CollisionMesh, pose: RigidTransform):
-    tmin, tmax = mesh.bvh.root_bounds
-    return _transform_boxes(tmin, tmax, pose.rotation, pose.translation)
-
-
-def check_assembly(instances, ids=None, eps: float = TRI_EPS) -> CollisionReport:
-    """All-pairs collision over (mesh, pose) instances, placed in order
-    through an AssemblyChecker. ``ids`` names the instances in the report
-    (defaults to positional indices)."""
-    ids = list(ids) if ids is not None else list(range(len(instances)))
-    checker = AssemblyChecker(eps)
-    pairs = []
-    for i, (mesh, pose) in enumerate(instances):
-        pairs.extend((j, i) for j in checker.add(mesh, pose, i))
-    return CollisionReport(
-        colliding_pairs=tuple((ids[i], ids[j]) for i, j in sorted(pairs)),
-        first_offender=checker.first_offender,
-    )
-
-
-class PartColliders:
-    """Per-part collision meshes plus a factory for incremental sessions.
-
-    The mesh table is immutable and shareable; each validation run gets its
-    own AssemblyChecker session.
-    """
-
-    def __init__(self, meshes: dict, eps: float = TRI_EPS):
-        self.meshes = dict(meshes)
-        self.eps = eps
+class PartColliders(dict):
+    """Part id -> CollisionMesh: the one mesh table that every collision
+    consumer reads. Its meshes are immutable, so the table is shareable;
+    each consumer places parts into its own AssemblyChecker."""
 
     @classmethod
-    def from_catalog(cls, catalog, inset: float = 0.25, eps: float = TRI_EPS) -> "PartColliders":
+    def from_catalog(cls, catalog, inset: float = 0.25) -> "PartColliders":
         """Build inset collision meshes for every catalog part that has
         geometry (inset 0 keeps meshes verbatim, e.g. pre-inset inputs)."""
-        meshes = {}
+        table = cls()
         for pid, part in catalog.parts.items():
             if part.mesh is None or len(part.mesh) == 0:
                 continue
             if inset:
-                meshes[pid] = inset_mesh(part.mesh.vertices, part.mesh.triangles, inset)
+                table[pid] = inset_mesh(part.mesh.vertices, part.mesh.triangles, inset)
             else:
-                meshes[pid] = CollisionMesh.build(part.mesh.vertices, part.mesh.triangles)
-        return cls(meshes, eps)
-
-    def mesh(self, part_id: str) -> CollisionMesh | None:
-        return self.meshes.get(part_id)
-
-    def session(self) -> "AssemblyChecker":
-        return AssemblyChecker(self.eps)
+                table[pid] = CollisionMesh.build(part.mesh.vertices, part.mesh.triangles)
+        return table
 
 
 class AssemblyChecker:
-    """Incremental variant: feed placements one by one.
+    """Incremental collision check: feed placements one by one.
 
     The world AABBs of the placed instances live in growable (n, 3) arrays,
     so the broad phase is one comparison per placement.
@@ -453,31 +403,28 @@ class AssemblyChecker:
     Not thread-safe; use one checker per worker.
     """
 
-    def __init__(self, eps: float = TRI_EPS):
-        self.eps = eps
+    def __init__(self):
         self._placed: list[tuple[CollisionMesh, RigidTransform, object]] = []
         self._lo = np.empty((16, 3))
         self._hi = np.empty((16, 3))
-        self.first_offender: int | None = None
 
     def __len__(self):
         return len(self._placed)
 
     def add(self, mesh: CollisionMesh, pose: RigidTransform, node_id=None):
         """Place one instance; returns the ids it collides with (may be
-        empty), in placement order."""
-        lo, hi = world_aabb(mesh, pose)
+        empty), in placement order. ``node_id`` defaults to the placement's
+        0-based index."""
+        lo, hi = _transform_boxes(*mesh.bvh.root_bounds, pose.rotation, pose.translation)
         step = len(self._placed)
         near = np.flatnonzero(
-            ((lo <= self._hi[:step] + self.eps) & (hi >= self._lo[:step] - self.eps)).all(axis=1)
+            ((lo <= self._hi[:step] + TRI_EPS) & (hi >= self._lo[:step] - TRI_EPS)).all(axis=1)
         )
         hits = []
         for i in near:
             other_mesh, other_pose, other_id = self._placed[i]
-            if intersects(mesh, pose, other_mesh, other_pose, self.eps):
+            if intersects(mesh, pose, other_mesh, other_pose):
                 hits.append(other_id)
-        if hits and self.first_offender is None:
-            self.first_offender = step
         if step == len(self._lo):
             self._lo = np.concatenate((self._lo, np.empty_like(self._lo)))
             self._hi = np.concatenate((self._hi, np.empty_like(self._hi)))

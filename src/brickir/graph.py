@@ -680,29 +680,17 @@ def select_corpus_indices(sizes, count: int, rng: np.random.Generator) -> np.nda
     return rng.choice(len(sizes), size=count, p=w / w.sum())
 
 
-def truncate_on_collision(path: BuildPath, part_meshes, eps=None) -> BuildPath:
+def truncate_on_collision(path: BuildPath, part_meshes) -> BuildPath:
     """Cut a path before the first step whose placement (at its graph pose)
-    collides with the parts already placed. Parts without a mesh never
-    collide."""
+    collides with the parts already placed. Parts without a mesh in
+    ``part_meshes`` (part id -> CollisionMesh) never collide."""
     g = path.graph
-    checker = AssemblyChecker() if eps is None else AssemblyChecker(eps)
-
-    def mesh_for(node):
-        return part_meshes.get(g.nodes[node].part_id)
-
-    root_mesh = mesh_for(path.root)
-    if root_mesh is not None:
-        checker.add(root_mesh, g.nodes[path.root].pose, path.root)
-    kept = []
-    for step in path.steps:
-        mesh = mesh_for(step.new_node)
-        if mesh is not None:
-            if checker.add(mesh, g.nodes[step.new_node].pose, step.new_node):
-                break
-        kept.append(step)
-    if len(kept) == len(path.steps):
-        return path
-    return BuildPath(path.root, kept, graph=g)
+    checker = AssemblyChecker()
+    for i, node in enumerate(path.nodes_in_order()):
+        mesh = part_meshes.get(g.nodes[node].part_id)
+        if mesh is not None and checker.add(mesh, g.nodes[node].pose):
+            return BuildPath(path.root, path.steps[: i - 1], graph=g)  # node i is step i - 1
+    return path
 
 
 def sample_corpus_paths(

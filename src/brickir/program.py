@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 
 from .catalog import Catalog
+from .collision import AssemblyChecker
 from .connectors import ConnectorFamily, dof_spec, letter_id
 from .errors import ProgramError
 from .geometry import QuantizedParams, RigidTransform
@@ -426,15 +427,14 @@ def execute(program: BuildProgram, catalog: Catalog) -> dict[str, RigidTransform
 # Prefix validation
 
 
-def validate_prefix(
-    program, catalog: Catalog, collision_checker=None
-) -> ValidityReport:
+def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityReport:
     """Longest valid action prefix of a program (text or BuildProgram).
 
     connectivity_steps counts actions that parse and execute (the root intro
     is action 1); collision_steps additionally requires each placement to be
-    collision-free against everything placed before it. Without a collision
-    checker the two counts coincide.
+    collision-free against everything placed before it, with the meshes of
+    ``part_meshes`` (part id -> CollisionMesh). Without it the two counts
+    coincide.
     """
     diagnoses: list[ProgramDiagnosis] = []
     if isinstance(program, str):
@@ -443,7 +443,8 @@ def validate_prefix(
             diagnoses.append(result.error)
         program = result.program
 
-    session = collision_checker.session() if collision_checker is not None else None
+    part_meshes = part_meshes or {}
+    checker = AssemblyChecker()
     connectivity = 0
     collision = 0
     try:
@@ -451,8 +452,8 @@ def validate_prefix(
             connectivity += 1
             if collision < connectivity - 1:
                 continue  # an earlier placement collided
-            mesh = collision_checker.mesh(part_id) if session is not None else None
-            if mesh is not None and session.add(mesh, pose):
+            mesh = part_meshes.get(part_id)
+            if mesh is not None and checker.add(mesh, pose):
                 diagnoses.append(
                     ProgramDiagnosis(
                         intro.line, "collision", f"placement of {intro.node!r} collides"

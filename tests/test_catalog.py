@@ -94,6 +94,25 @@ def test_build_catalog_from_library(library_dir):
     assert tile.name == "decorated tile special"  # reserved '|' stripped
 
 
+def test_library_warnings_name_the_part_file_once(tmp_path):
+    # both library walks (connector scan, triangle extraction) see lines 3
+    # and 4; only extraction expands stud.dat, which the library lacks
+    (tmp_path / "parts").mkdir()
+    (tmp_path / "parts" / "3024.dat").write_text(
+        "0 Plate 1 x 1\n"
+        f"1 16 0 0 0 {IDENTITY} stud.dat\n"
+        f"1 16 0 0 0 {IDENTITY} ghost.dat\n"
+        "3 16 a 0 0 1 0 0 0 1 0\n"
+    )
+    warnings = []
+    build_catalog_from_library(tmp_path, warnings=warnings)
+    assert warnings == [
+        "3024.dat: line 3: unresolvable subfile 'ghost.dat'",
+        "3024.dat: line 4: skipped non-numeric type-3 line",
+        "3024.dat: line 2: unresolvable subfile 'stud.dat'",
+    ]
+
+
 def test_catalog_load_dispatches_dir_and_json(library_dir, tmp_path):
     cat = Catalog.load(library_dir)
     assert "3024" in cat

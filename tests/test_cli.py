@@ -1,10 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 import brickir
 from brickir.cli import main
+from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, demo_ldr
+from brickir.geometry import QuantizedParams, RigidTransform
+from brickir.graph import ConnEdge, ConnectivityGraph
+from brickir.ldraw import PartInstance
 from brickir.program import serialize
 
 CAT = build_demo_catalog()
@@ -262,6 +267,40 @@ def test_check_text_format(workdir, capsys, tmp_path):
     assert "connectivity=2" in out and "collision=2" in out
 
 
+def test_no_collision_flag_skips_the_collision_check(workdir, capsys, tmp_path):
+    # c is attached onto a's stud a, where b already sits
+    prog = tmp_path / "overlap.bseq"
+    prog.write_text(
+        "a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n"
+        "c plate 1x2 | red\na stud stud c hole d 0\n"
+    )
+    assert run(workdir, "--format", "text", "check", prog) == 0
+    out = capsys.readouterr().out
+    assert out == f"{prog}: connectivity=3 collision=2 first_error=collision@4\n"
+    assert run(workdir, "--no-collision", "--format", "text", "check", prog) == 0
+    assert capsys.readouterr().out == f"{prog}: connectivity=3 collision=3\n"
+
+
+def test_inset_flag_sets_the_collision_margin(workdir, capsys, tmp_path):
+    # two 40 LDU wide bricks 39.7 LDU apart overlap by 0.3 LDU: the default
+    # 0.25 LDU inset on each side clears that, inset 0 does not
+    nodes = {
+        0: PartInstance(0, "3004", 4, RigidTransform.identity()),
+        1: PartInstance(1, "3004", 4, RigidTransform(np.eye(3), np.array([39.7, 0.0, 0.0]))),
+    }
+    edge = ConnEdge((0, "c"), (1, "b"), ConnectorFamily.STUD, QuantizedParams())
+    graph = tmp_path / "pair.json"
+    graph.write_text(json.dumps(ConnectivityGraph(nodes, [edge]).to_json_obj()))
+
+    def parts_kept(*flags):
+        assert run(workdir, *flags, "sample", graph) == 0
+        (text,) = json.loads(capsys.readouterr().out)["programs"]
+        return text.count(" | ")
+
+    assert parts_kept() == 2
+    assert parts_kept("--inset", 0) == 1
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -342,4 +381,5 @@ def test_nonfinite_part_geometry_in_library_catalog_exit2(capsys, tmp_path, comm
     prog.write_text("a brick 1x1 | red\n")
     target = prog if command == "check" else structure
     assert main(["--catalog", str(tmp_path / "lib"), command, str(target)]) == 2
-    _assert_one_error_line(capsys)
+    err = capsys.readouterr().err
+    assert err == "error: 3005.dat: line 2: non-finite number in type-3 line\n"

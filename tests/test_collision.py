@@ -8,7 +8,6 @@ from brickir.collision import (
     CollisionMesh,
     PartColliders,
     box_mesh,
-    check_assembly,
     icosphere_mesh,
     inset_mesh,
     intersects,
@@ -314,8 +313,8 @@ def test_technic_pin_in_channel_matches_oracle(demo_colliders, dx, dy, dz, tilt_
     # inset leaves 0.5 LDU of play on each side. The pin is opened (see
     # _open), since dy = +-0.5 puts its faces in exact contact.
     rng = np.random.default_rng(seed)
-    brick = demo_colliders.mesh("3700")
-    pin = _open((demo_colliders.mesh("3673").vertices, demo_colliders.mesh("3673").triangles))
+    brick = demo_colliders["3700"]
+    pin = _open((demo_colliders["3673"].vertices, demo_colliders["3673"].triangles))
     tilt = rotation_about_axis(rng.normal(size=3), tilt_deg)
     world = random_rigid(rng)
     pb = compose(world, RigidTransform(tilt, np.array([dx, 12.0 + dy, 10.0 + dz])))
@@ -331,7 +330,7 @@ def test_demo_structures_at_connector_poses_match_oracle(demo_colliders):
         inst = parse_structure(demo_ldr(kind), cat)
         for i in range(len(inst)):
             for j in range(i):
-                mi, mj = demo_colliders.mesh(inst[i].part_id), demo_colliders.mesh(inst[j].part_id)
+                mi, mj = demo_colliders[inst[i].part_id], demo_colliders[inst[j].part_id]
                 got = intersects(mi, inst[i].pose, mj, inst[j].pose)
                 assert not got  # demo structures are collision-free
                 assert got == brute_force_intersects(mi, inst[i].pose, mj, inst[j].pose)
@@ -366,24 +365,21 @@ def test_tight_fit_collides_raw_but_not_after_inset():
 # Assembly checks
 
 
-def test_check_assembly_empty_and_single():
-    assert check_assembly([]).colliding_pairs == ()
-    cube = _mesh(box_mesh((4, 4, 4)))
-    report = check_assembly([(cube, I)])
-    assert report.colliding_pairs == ()
-    assert report.first_offender is None
+def test_assembly_checker_empty_and_single():
+    checker = AssemblyChecker()
+    assert len(checker) == 0
+    assert checker.add(_mesh(box_mesh((4, 4, 4))), I) == []
+    assert len(checker) == 1
 
 
-def test_check_assembly_planted_overlaps():
-    rng = np.random.default_rng(17)
+def test_assembly_checker_planted_overlaps():
     cube = _mesh(box_mesh((20, 20, 20)))
     poses = [_trans(30.0 * i, 0, 0) for i in range(10)]
     poses[4] = _trans(30.0 * 2 + 5, 3, 2)  # overlaps instance 2
     poses[9] = _trans(30.0 * 8 + 7, -4, 1)  # overlaps instance 8
-    instances = [(cube, p) for p in poses]
-    report = check_assembly(instances)
-    assert report.colliding_pairs == ((2, 4), (8, 9))
-    assert report.first_offender == 4
+    checker = AssemblyChecker()
+    pairs = [(j, i) for i, pose in enumerate(poses) for j in checker.add(cube, pose)]
+    assert pairs == [(2, 4), (8, 9)]
     # all-pairs oracle agreement
     oracle_pairs = sorted(
         (i, j)
@@ -391,7 +387,7 @@ def test_check_assembly_planted_overlaps():
         for j in range(i + 1, 10)
         if brute_force_intersects(cube, poses[i], cube, poses[j])
     )
-    assert list(report.colliding_pairs) == oracle_pairs
+    assert sorted(pairs) == oracle_pairs
 
 
 def test_assembly_checker_incremental():
@@ -400,16 +396,15 @@ def test_assembly_checker_incremental():
     assert checker.add(cube, _trans(0, 0, 0), "a") == []
     assert checker.add(cube, _trans(30, 0, 0), "b") == []
     assert checker.add(cube, _trans(25, 2, 1), "c") == ["b"]
-    assert checker.first_offender == 2
 
 
 def test_assembly_checker_matches_plain_loop(demo_colliders):
     rng = np.random.default_rng(23)
-    meshes = [demo_colliders.mesh(p) for p in ("3700", "3673", "3004", "3024", "3641")]
+    meshes = [demo_colliders[p] for p in ("3700", "3673", "3004", "3024", "3641")]
     # A row of 1x2 bricks 40 LDU apart, jittered by up to 0.6 LDU: the inset
     # leaves 0.5 LDU between neighbours, so some overlap by a fraction of an
     # LDU. Then parts at random poses, which overlap deeply.
-    brick = demo_colliders.mesh("3004")
+    brick = demo_colliders["3004"]
     placements = [
         (brick, _trans(40.0 * k + rng.uniform(-0.6, 0.6), 0, 0), f"r{k}") for k in range(20)
     ]
@@ -418,7 +413,6 @@ def test_assembly_checker_matches_plain_loop(demo_colliders):
         for k in range(30)
     ]
     checker = AssemblyChecker()
-    first = None
     total = 0
     for k, (mesh, pose, node) in enumerate(placements):
         want = [
@@ -427,15 +421,9 @@ def test_assembly_checker_matches_plain_loop(demo_colliders):
             if brute_force_intersects(mesh, pose, other_mesh, other_pose)
         ]
         assert checker.add(mesh, pose, node) == want
-        if want and first is None:
-            first = k
         total += len(want)
-    assert checker.first_offender == first
     assert len(checker) == len(placements)
     assert 0 < total < len(placements) * (len(placements) - 1) // 2
-    report = check_assembly([(m, p) for m, p, _ in placements], ids=[n for _, _, n in placements])
-    assert report.first_offender == first
-    assert len(report.colliding_pairs) == total
 
 
 def test_part_colliders_from_catalog():
@@ -443,12 +431,10 @@ def test_part_colliders_from_catalog():
 
     cat = build_demo_catalog()
     colliders = PartColliders.from_catalog(cat, inset=0.25)
-    mesh = colliders.mesh("3024")
-    assert mesh is not None
+    mesh = colliders["3024"]
     assert mesh.source_inset == 0.25
-    assert colliders.mesh("nope") is None
-    session = colliders.session()
-    assert session.add(mesh, I) == []
+    assert colliders.get("nope") is None
+    assert AssemblyChecker().add(mesh, I) == []
 
 
 def test_load_mesh_file_obj_and_npz(tmp_path):

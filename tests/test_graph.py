@@ -387,7 +387,7 @@ def test_collision_truncation_cuts_before_first_colliding_step():
         for i in range(5)
     ]
     g = ConnectivityGraph(nodes, edges)
-    meshes = PartColliders.from_catalog(CAT, inset=0.25).meshes
+    meshes = PartColliders.from_catalog(CAT, inset=0.25)
     path = sample_path(g, root=0, seed=0)  # chain: order is forced
     cut = truncate_on_collision(path, meshes)
     assert len(cut.nodes_in_order()) == 5

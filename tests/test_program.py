@@ -408,7 +408,7 @@ def test_validate_garbage_at_step_seven():
     lines = TEN_VALID.splitlines()
     lines[12] = "!! garbage tokens here"
     text = "\n".join(lines) + "\n"
-    report = validate_prefix(text, CAT, collision_checker=None)
+    report = validate_prefix(text, CAT, part_meshes=None)
     assert report.connectivity_steps == 6
     assert report.collision_steps <= 6
     assert report.first_error is not None
