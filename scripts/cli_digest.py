@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Digest of the CLI's behaviour on a fixed, seeded set of calls.
+
+    python scripts/cli_digest.py
+
+Builds the demo catalog, the demo structures, graph JSON of seeded random
+build paths and seeded random programs (every third one corrupted at one
+line) in a temporary directory, then runs ``brickir.cli.main`` on them:
+parse/graph, sample at three seeds and with --no-collision / --inset 0,
+serialize/execute, eval in json/text/csv, check (and --strict check on an
+overlapping program), stats, and the exit-code cases of the CLI contract.
+
+Each call's exit code, stdout, stderr and --out files are hashed. The script
+prints one line per call (digest, exit code, label) and then the sha256 over
+all calls. Two checkouts that print the same overall digest behave
+byte-identically on these calls.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from brickir.cli import main as cli_main
+from brickir.demo import DEMO_STRUCTURES, build_demo_catalog, generate_random_path
+from brickir.program import serialize
+
+OVERLAP = (
+    "a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n"
+    "c plate 1x2 | red\na stud stud c hole d 0\n"
+)
+
+
+def _write_inputs(root: Path) -> None:
+    catalog = build_demo_catalog()
+    (root / "catalog.json").write_text(catalog.dumps())
+    for name, text in DEMO_STRUCTURES.items():
+        (root / f"{name}.{'mpd' if name.startswith('mpd') else 'ldr'}").write_text(text)
+
+    graphs = root / "graphs"
+    programs = root / "programs"
+    graphs.mkdir()
+    programs.mkdir()
+    rng = np.random.default_rng(20261018)
+    for i in range(30):
+        path = generate_random_path(catalog, rng, int(rng.integers(20, 61)))
+        if i % 3 == 0:
+            (graphs / f"g{i:02d}.json").write_text(path.graph.dumps())
+        lines = serialize(path, catalog).splitlines()
+        if i % 3 == 1:
+            lines[int(rng.integers(1, len(lines)))] = "x stud garbage"
+        (programs / f"p{i:02d}.bseq").write_text("\n".join(lines) + "\n")
+    (root / "overlap.bseq").write_text(OVERLAP)
+    (root / "bad.ldr").write_text("1 4 0 0 0 1 0 0 0 1 3023.dat\n")
+    (root / "nan.ldr").write_text(
+        "1 4 0 0 0 1 0 0 0 1 0 0 0 1 3023.dat\n1 2 nan -8 0 1 0 0 0 1 0 0 0 1 3023.dat\n"
+    )
+    (root / "truncated.json").write_text('{"nodes": [')
+    (root / "bad_program.bseq").write_text("a plate 1x2 | red\nq stud stud a hole b 0\n")
+    lib = root / "lib" / "parts"
+    lib.mkdir(parents=True)
+    (lib / "3005.dat").write_text("0 Brick 1 x 1\n3 16 nan 8 -10 10 8 -10 10 8 10\n")
+    (root / "one.ldr").write_text("1 4 0 0 0 1 0 0 0 1 0 0 0 1 3005.dat\n")
+
+
+def _calls():
+    """(label, argv, --out path or None). Paths are relative to the working
+    directory, so no output names the temporary directory."""
+    cat = ["--catalog", "catalog.json"]
+    graphs = [f"graphs/g{i:02d}.json" for i in range(0, 30, 3)]
+    structures = ["stack4.ldr", "mpd_stack.mpd", "mixed.ldr"]
+    calls = []
+    for s in structures:
+        calls.append((f"parse {s}", cat + ["parse", s], None))
+        calls.append((f"graph {s}", cat + ["--out", f"{s}.json", "graph", s], f"{s}.json"))
+    corpus = graphs + [f"{s}.json" for s in structures]
+    for seed in (1, 2, 3):
+        calls.append((f"sample seed {seed}", cat + ["--seed", str(seed), "sample", *corpus,
+                                                   "--count", "12"], None))
+    calls.append(("sample --no-collision", cat + ["--seed", "1", "--no-collision", "sample",
+                                                   *corpus, "--count", "12"], None))
+    calls.append(("sample --inset 0", cat + ["--seed", "1", "--inset", "0", "sample", *corpus,
+                                              "--count", "12"], None))
+    calls.append(("sample --out", cat + ["--seed", "5", "--out", "sampled", "sample", *graphs[:3],
+                                         "--count", "4"], "sampled"))
+    calls.append(("serialize mixed", cat + ["--seed", "7", "serialize", "mixed.ldr"], None))
+    calls.append(("serialize graph", cat + ["--seed", "8", "--out", "ser.bseq", "serialize",
+                                            graphs[1]], "ser.bseq"))
+    calls.append(("execute", cat + ["execute", "ser.bseq"], None))
+    calls.append(("eval json", cat + ["eval", "programs"], None))
+    calls.append(("eval text", cat + ["--format", "text", "eval", "programs"], None))
+    calls.append(("eval csv", cat + ["--format", "csv", "eval", "programs"], None))
+    calls.append(("eval --no-collision", cat + ["--no-collision", "eval", "programs"], None))
+    calls.append(("eval --inset 0", cat + ["--inset", "0", "eval", "programs"], None))
+    calls.append(("check json", cat + ["--jobs", "1", "check", "programs/p00.bseq",
+                                       "programs/p01.bseq", "overlap.bseq"], None))
+    calls.append(("check text", cat + ["--format", "text", "--inset", "0", "check",
+                                       "programs/p02.bseq", "overlap.bseq"], None))
+    calls.append(("strict check overlap", cat + ["--strict", "check", "overlap.bseq"], None))
+    calls.append(("stats json", cat + ["stats", *corpus], None))
+    calls.append(("stats csv", cat + ["--format", "csv", "stats", *corpus], None))
+    # exit-code contract: 1 I/O, 2 parse, 3 catalog, 4 strict validation
+    calls.append(("missing file", cat + ["parse", "nope.ldr"], None))
+    calls.append(("strict bad ldr", cat + ["--strict", "parse", "bad.ldr"], None))
+    calls.append(("lenient bad ldr", cat + ["parse", "bad.ldr"], None))
+    calls.append(("no catalog", ["parse", "stack4.ldr"], None))
+    calls.append(("non-finite ldraw", cat + ["graph", "nan.ldr"], None))
+    calls.append(("truncated graph", cat + ["serialize", "truncated.json"], None))
+    calls.append(("execute invalid", cat + ["execute", "bad_program.bseq"], None))
+    calls.append(("library non-finite", ["--catalog", "lib", "graph", "one.ldr"], None))
+    return calls
+
+
+def _digest_call(argv, out) -> tuple[int, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    h = hashlib.sha256()
+    for part in (str(code), stdout.getvalue(), stderr.getvalue()):
+        h.update(part.encode())
+        h.update(b"\0")
+    if out is not None:
+        p = Path(out)
+        for f in sorted(p.iterdir()) if p.is_dir() else [p]:
+            h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return code, h.hexdigest()
+
+
+def main() -> int:
+    cwd = os.getcwd()
+    env_catalog = os.environ.pop("BRICKIR_CATALOG", None)
+    overall = hashlib.sha256()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            _write_inputs(Path(tmp))
+            for label, argv, out in _calls():
+                code, digest = _digest_call(argv, out)
+                overall.update(f"{label}\0{digest}\0".encode())
+                print(f"{digest[:16]} {code} {label}")
+    finally:
+        os.chdir(cwd)
+        if env_catalog is not None:
+            os.environ["BRICKIR_CATALOG"] = env_catalog
+    print(f"overall {overall.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

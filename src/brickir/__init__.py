@@ -6,7 +6,7 @@ trees as executable build-sequence programs, run those programs back to
 """
 
 from .catalog import Catalog, PartDef, TriMesh
-from .connectors import AnnotatedConnector, ConnectorFamily, DofSpec, compatible, dof_spec
+from .connectors import AnnotatedConnector, ConnectorFamily, DofSpec, dof_spec
 from .geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose, relative
 from .graph import (
     BuildPath,
@@ -47,7 +47,6 @@ __all__ = [
     "QuantizedParams",
     "RigidTransform",
     "TriMesh",
-    "compatible",
     "compose",
     "dof_spec",
     "execute",

@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ldraw
-from .connectors import (
-    AnnotatedConnector,
-    ConnectorRules,
-    annotate_part,
-    default_primitive_table,
-    default_rules,
-)
+from .connectors import AnnotatedConnector, annotate_part, default_rules
 from .errors import CatalogError, LdrawParseError
 
 
@@ -78,14 +72,20 @@ def _load_default_colors() -> dict[int, str]:
 
 
 class Catalog:
-    """Read-only registry of parts and color names (immutable after load)."""
+    """Read-only registry of parts and color names (immutable after load).
 
-    def __init__(self, parts=None, colors=None, rules: ConnectorRules | None = None):
-        self.parts: dict[str, PartDef] = dict(parts or {})
+    ``rules`` is the shipped connector pairing table; ``warnings`` holds what
+    building the catalog from a part library reported, one line each.
+    """
+
+    warnings: tuple[str, ...] = ()
+
+    def __init__(self, parts, colors=None):
+        self.parts: dict[str, PartDef] = dict(parts)
         self.colors: dict[int, str] = dict(colors) if colors is not None else _load_default_colors()
-        self.rules = rules or default_rules()
+        self.rules = default_rules()
         self._by_name = {normalize_part_name(p.name): p for p in self.parts.values()}
-        self._color_codes = {name: code for code, name in self.colors.items()}
+        self._color_names = set(self.colors.values())
 
     def __contains__(self, part_id: str) -> bool:
         return part_id in self.parts
@@ -111,14 +111,8 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"color code {code} has no registered name") from None
 
-    def color_code(self, name: str) -> int:
-        try:
-            return self._color_codes[name.strip().lower()]
-        except KeyError:
-            raise CatalogError(f"color name {name!r} not registered") from None
-
     def has_color_name(self, name: str) -> bool:
-        return name.strip().lower() in self._color_codes
+        return name.strip().lower() in self._color_names
 
     def to_json_obj(self) -> dict:
         parts = {}
@@ -143,12 +137,11 @@ class Catalog:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=1)
 
     @classmethod
-    def from_json_obj(cls, obj, rules: ConnectorRules | None = None) -> "Catalog":
-        rules = rules or default_rules()
+    def from_json_obj(cls, obj) -> "Catalog":
         parts = {}
         for pid, entry in obj.get("parts", {}).items():
             connectors = tuple(
-                AnnotatedConnector.from_json_obj(c, rules) for c in entry.get("connectors", [])
+                AnnotatedConnector.from_json_obj(c) for c in entry.get("connectors", [])
             )
             mesh = None
             if "mesh" in entry:
@@ -157,7 +150,7 @@ class Catalog:
         colors = _load_default_colors()
         for code, name in obj.get("colors", {}).items():
             colors[int(code)] = name.strip().lower()
-        return cls(parts, colors, rules)
+        return cls(parts, colors)
 
     @classmethod
     def load(cls, path) -> "Catalog":
@@ -167,23 +160,15 @@ class Catalog:
         return cls.from_json_obj(json.loads(p.read_text()))
 
 
-def build_catalog_from_library(
-    library_dir,
-    part_ids=None,
-    overrides=None,
-    primitive_table=None,
-    rules: ConnectorRules | None = None,
-    warnings: list | None = None,
-) -> Catalog:
+def build_catalog_from_library(library_dir, overrides=None) -> Catalog:
     """Scan an LDraw-style library directory into a catalog.
 
     Part files are taken from ``parts/`` (or the directory itself); sub-parts
     and primitives are resolved from ``parts/s``, ``p`` and the same
-    directory. ``overrides`` maps part id -> list of override actions.
+    directory. ``overrides`` maps part id -> list of override actions. The
+    walks' and annotation's warnings land in the catalog's ``warnings``.
     """
     root = Path(library_dir)
-    rules = rules or default_rules()
-    primitive_table = primitive_table if primitive_table is not None else default_primitive_table()
     overrides = overrides or {}
 
     search_dirs = [d for d in (root / "parts", root / "p", root) if d.is_dir()]
@@ -194,27 +179,25 @@ def build_catalog_from_library(
             library.setdefault(key, f.read_text(errors="replace"))
 
     part_dir = root / "parts" if (root / "parts").is_dir() else root
-    part_files = sorted(part_dir.glob("*.dat"))
-    if part_ids is not None:
-        wanted = {pid.lower() for pid in part_ids}
-        part_files = [f for f in part_files if f.stem.lower() in wanted]
-
     parts = {}
-    for f in part_files:
+    warnings: list[str] = []
+    for f in sorted(part_dir.glob("*.dat")):
         text = f.read_text(errors="replace")
         pid = f.stem.lower()
         found: list[str] = []
         try:
-            refs = ldraw.scan_primitives(text, library, primitive_table, warnings=found)
+            refs = ldraw.scan_primitives(text, library, warnings=found)
             verts, tris = ldraw.extract_triangles(text, library, warnings=found)
         except LdrawParseError as exc:
             raise LdrawParseError(f"{f.name}: {exc}") from exc
-        if warnings is not None:  # both walks visit the part's lines: report each once
-            warnings.extend(f"{f.name}: {w}" for w in dict.fromkeys(found))
-        connectors = tuple(
-            annotate_part(pid, refs, primitive_table, overrides.get(pid), rules, report=warnings)
-        )
+        # both walks visit the part's lines: report each once
+        warnings.extend(f"{f.name}: {w}" for w in dict.fromkeys(found))
+        connectors = tuple(annotate_part(pid, refs, overrides.get(pid)))
+        if not connectors:
+            warnings.append(f"{pid}: no connector sites")
         mesh = TriMesh(verts, tris) if len(tris) else None
         name = normalize_part_name(ldraw.part_description(text) or pid)
         parts[pid] = PartDef(pid, name, connectors, mesh)
-    return Catalog(parts, rules=rules)
+    catalog = Catalog(parts)
+    catalog.warnings = tuple(warnings)
+    return catalog

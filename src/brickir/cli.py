@@ -85,7 +85,10 @@ def _load_catalog(args) -> Catalog:
         raise CatalogError("no catalog given: pass --catalog or set BRICKIR_CATALOG")
     if not Path(where).exists():
         raise FileNotFoundError(where)
-    return Catalog.load(where)
+    catalog = Catalog.load(where)
+    for w in catalog.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return catalog
 
 
 def _read(path) -> str:

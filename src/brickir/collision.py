@@ -17,7 +17,6 @@ threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,7 +434,7 @@ class AssemblyChecker:
 
 
 # ---------------------------------------------------------------------------
-# Mesh construction and io helpers
+# Mesh construction helpers
 
 
 def box_mesh(size, center=(0.0, 0.0, 0.0)):
@@ -480,67 +479,3 @@ def merge_meshes(parts):
         tris.append(np.asarray(t, dtype=np.int64) + base)
         base += len(v)
     return np.concatenate(verts), np.concatenate(tris)
-
-
-def icosphere_mesh(radius: float, subdivisions: int = 1, center=(0.0, 0.0, 0.0)):
-    """Geodesic sphere approximation (icosahedron subdivision)."""
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    raw = np.array(
-        [
-            [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
-            [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
-            [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
-        ],
-        dtype=np.float64,
-    )
-    verts = [v / np.linalg.norm(v) for v in raw]
-    tris = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_tris = []
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_tris += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        tris = new_tris
-    v = np.array(verts) * radius + np.asarray(center, dtype=np.float64)
-    return v, np.array(tris, dtype=np.int64)
-
-
-def load_mesh_file(path):
-    """Read an external mesh: OBJ subset (v/f lines, fan-triangulated) or a
-    .npz archive with 'vertices' and 'triangles' arrays."""
-    path = str(path)
-    if path.endswith(".npz"):
-        data = np.load(path)
-        return (
-            np.asarray(data["vertices"], dtype=np.float64),
-            np.asarray(data["triangles"], dtype=np.int64),
-        )
-    verts = []
-    tris = []
-    with open(path) as f:
-        for raw in f:
-            tokens = raw.split()
-            if not tokens:
-                continue
-            if tokens[0] == "v":
-                verts.append([float(x) for x in tokens[1:4]])
-            elif tokens[0] == "f":
-                idx = [int(t.split("/")[0]) - 1 for t in tokens[1:]]
-                for k in range(1, len(idx) - 1):
-                    tris.append([idx[0], idx[k], idx[k + 1]])
-    return np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64)

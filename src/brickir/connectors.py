@@ -73,11 +73,10 @@ def letter_index(s: str) -> int:
 class ConnectorRules:
     """Registered subtypes, their families, pairing table and accept limits."""
 
-    def __init__(self, subtype_family, pairs, multi_accept, version=1):
+    def __init__(self, subtype_family, pairs, multi_accept):
         self.subtype_family = dict(subtype_family)
         self.pairs = {frozenset(p) for p in pairs}
         self.multi_accept = set(multi_accept)
-        self.version = version
         for pair in self.pairs:
             for s in pair:
                 if s not in self.subtype_family:
@@ -94,15 +93,7 @@ class ConnectorRules:
             subtype_family[name] = ConnectorFamily(entry["family"])
             if entry.get("multi_accept"):
                 multi.add(name)
-        return cls(subtype_family, obj["pairs"], multi, obj.get("version", 1))
-
-    @classmethod
-    def load(cls, path=None) -> "ConnectorRules":
-        if path is None:
-            text = resources.files("brickir.data").joinpath("connector_rules.json").read_text()
-        else:
-            text = open(path).read()
-        return cls.from_json_obj(json.loads(text))
+        return cls(subtype_family, obj["pairs"], multi)
 
     def is_registered(self, subtype: str) -> bool:
         return subtype in self.subtype_family
@@ -114,6 +105,8 @@ class ConnectorRules:
             raise AnnotationError(f"unregistered connector subtype {subtype!r}") from None
 
     def compatible(self, a: str, b: str) -> bool:
+        """True iff the two subtypes may pair. Symmetric; unregistered names
+        never pair."""
         if a == b:
             return False
         return frozenset((a, b)) in self.pairs
@@ -124,17 +117,14 @@ class ConnectorRules:
 
 @lru_cache(maxsize=1)
 def default_rules() -> ConnectorRules:
-    return ConnectorRules.load()
-
-
-def compatible(a: str, b: str, rules: ConnectorRules | None = None) -> bool:
-    """True iff the two subtypes may pair. Symmetric; unregistered names
-    never pair."""
-    return (rules or default_rules()).compatible(a, b)
+    """The shipped subtype and pairing table (data/connector_rules.json)."""
+    text = resources.files("brickir.data").joinpath("connector_rules.json").read_text()
+    return ConnectorRules.from_json_obj(json.loads(text))
 
 
 @lru_cache(maxsize=1)
 def default_primitive_table() -> dict:
+    """The shipped connector-primitive table (data/primitives.json)."""
     text = resources.files("brickir.data").joinpath("primitives.json").read_text()
     return json.loads(text)["primitives"]
 
@@ -163,8 +153,8 @@ class AnnotatedConnector:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj, rules: ConnectorRules | None = None) -> "AnnotatedConnector":
-        rules = rules or default_rules()
+    def from_json_obj(cls, obj) -> "AnnotatedConnector":
+        rules = default_rules()
         subtype = obj["subtype"]
         family = ConnectorFamily(obj["family"]) if "family" in obj else rules.family_of(subtype)
         if rules.is_registered(subtype) and rules.family_of(subtype) != family:
@@ -194,14 +184,7 @@ def canonical_site_key(site):
     )
 
 
-def annotate_part(
-    part_id: str,
-    primitive_refs,
-    primitive_table=None,
-    overrides=None,
-    rules: ConnectorRules | None = None,
-    report: list | None = None,
-):
+def annotate_part(part_id: str, primitive_refs, overrides=None):
     """Derive the typed connector list of one part.
 
     Procedurally annotated sites come from the primitive scan; manual
@@ -210,10 +193,8 @@ def annotate_part(
     indices are re-assigned canonically: sites sorted by local origin,
     lexicographic x -> y -> z.
     """
-    from .ldraw import axial_scale  # local import to keep module deps one-way
-
-    rules = rules or default_rules()
-    primitive_table = primitive_table if primitive_table is not None else default_primitive_table()
+    rules = default_rules()
+    primitive_table = default_primitive_table()
 
     sites = []  # (family, subtype, frame, axle_length)
     for ref in primitive_refs:
@@ -233,8 +214,8 @@ def annotate_part(
         length = None
         if "base_length" in entry:
             length = float(entry["base_length"])
-            if entry.get("scale_mode") == "axial":
-                length *= axial_scale(ref, entry)
+            if entry.get("scale_mode") == "axial":  # the scale along the principal axis
+                length *= ref.scale[int(np.argmax(np.abs(entry["principal_axis"])))]
         sites.append((family, subtype, frame, length))
 
     sites.sort(key=canonical_site_key)
@@ -290,10 +271,7 @@ def annotate_part(
                 raise AnnotationError(f"{part_id}: duplicate connector site at {key}")
         group.append(site)
 
-    connectors = [
+    return [
         AnnotatedConnector(letter_id(i), family, subtype, frame, length)
         for i, (family, subtype, frame, length) in enumerate(sites)
     ]
-    if report is not None and not connectors:
-        report.append(f"{part_id}: no connector sites")
-    return connectors

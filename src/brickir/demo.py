@@ -36,10 +36,9 @@ _UP = (0.0, -1.0, 0.0)  # LDraw: -Y is up
 _X = (1.0, 0.0, 0.0)
 
 
-def _conn(subtype, origin, axis, ref=_X, length=None, rules=None):
-    rules = rules or default_rules()
+def _conn(subtype, origin, axis, ref=_X, length=None):
     return (
-        rules.family_of(subtype),
+        default_rules().family_of(subtype),
         subtype,
         ConnectorFrame(np.array(origin, float), np.array(axis, float), np.array(ref, float)),
         length,
@@ -219,10 +218,6 @@ DEMO_STRUCTURES = {
 }
 
 
-def demo_ldr(kind: str = "stack4") -> str:
-    return DEMO_STRUCTURES[kind]
-
-
 def _compat_index(catalog: Catalog):
     """subtype -> [(part_id, connector)] of partners it can pair with."""
     rules = catalog.rules
@@ -256,7 +251,6 @@ def generate_random_path(
     catalog: Catalog,
     rng: np.random.Generator,
     n_parts: int,
-    random_root_pose: bool = True,
 ) -> BuildPath:
     """Grow a random build path with exactly-quantized parameters.
 
@@ -272,13 +266,8 @@ def generate_random_path(
         return colors[int(rng.integers(len(colors)))]
 
     root_part = part_ids[int(rng.integers(len(part_ids)))]
-    if random_root_pose:
-        e = tuple(int(rng.integers(0, 360)) for _ in range(3))
-        pose = RigidTransform(
-            euler_zyx_matrix(*e), rng.integers(-200, 200, size=3).astype(float)
-        )
-    else:
-        pose = RigidTransform.identity()
+    e = tuple(int(rng.integers(0, 360)) for _ in range(3))
+    pose = RigidTransform(euler_zyx_matrix(*e), rng.integers(-200, 200, size=3).astype(float))
 
     nodes = {0: PartInstance(0, root_part, random_color(), pose)}
     edges: list[ConnEdge] = []

@@ -122,21 +122,6 @@ def relative(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     return RigidTransform(rt @ b.rotation, rt @ (b.translation - a.translation))
 
 
-def rotation_about_axis(axis: np.ndarray, degrees: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    ax = np.asarray(axis, dtype=np.float64)
-    ax = ax / np.linalg.norm(ax)
-    theta = math.radians(degrees)
-    k = np.array(
-        [
-            [0.0, -ax[2], ax[1]],
-            [ax[2], 0.0, -ax[0]],
-            [-ax[1], ax[0], 0.0],
-        ]
-    )
-    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
-
-
 def unit_axes(principal: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a principal axis and project the reference axis into the
     plane perpendicular to it, then normalize that too."""
@@ -211,10 +196,6 @@ class ConnectorFrame:
     def inverse_transform(self) -> RigidTransform:
         """``as_transform().inverse()``, built on first use and kept."""
         return self._inverse
-
-    @classmethod
-    def from_transform(cls, t: RigidTransform) -> "ConnectorFrame":
-        return cls(t.translation, t.rotation[:, 2], t.rotation[:, 0])
 
     def transformed(self, t: RigidTransform) -> "ConnectorFrame":
         """This frame expressed after applying transform t."""

@@ -25,6 +25,7 @@ are reentrant.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,9 +75,6 @@ class ConnEdge:
     b: tuple[int, str]
     family: ConnectorFamily
     params: QuantizedParams
-
-    def involves(self, node_id: int) -> bool:
-        return self.a[0] == node_id or self.b[0] == node_id
 
     def other_end(self, node_id: int) -> tuple[int, str]:
         if self.a[0] == node_id:
@@ -132,14 +130,20 @@ def params_to_json_obj(family: ConnectorFamily, p: QuantizedParams) -> dict:
 
 
 def params_from_json_obj(family: ConnectorFamily, obj) -> QuantizedParams:
-    if family == ConnectorFamily.BALL:
-        e = obj.get("euler", (0, 0, 0))
-        return QuantizedParams(euler_deg=(int(e[0]), int(e[1]), int(e[2])))
-    return QuantizedParams(
+    """Read every key present; one that the family has no use for (a stud
+    ``flip``, a hinge ``slide``, a ball ``yaw``) raises GraphParseError."""
+    e = obj.get("euler", (0, 0, 0) if family == ConnectorFamily.BALL else None)
+    params = QuantizedParams(
         yaw_deg=int(obj.get("yaw", 0)),
         flip=bool(obj.get("flip", False)),
         slide_ldu=int(obj.get("slide", 0)),
+        euler_deg=None if e is None else (int(e[0]), int(e[1]), int(e[2])),
     )
+    try:
+        _validate_params(family, params)
+    except MatchError as exc:
+        raise GraphParseError(f"malformed graph JSON: {exc}") from exc
+    return params
 
 
 class ConnectivityGraph:
@@ -240,9 +244,6 @@ class BuildPath:
 
     def nodes_in_order(self) -> list[int]:
         return [self.root] + [s.new_node for s in self.steps]
-
-    def __len__(self):
-        return 1 + len(self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +420,16 @@ def _check_pairing(
 
 
 def extract_params(
-    frame_a: ConnectorFrame,
-    frame_b: ConnectorFrame,
-    family: ConnectorFamily,
-    tol: MatchTolerances | None = None,
-    max_slide: float | None = None,
+    frame_a: ConnectorFrame, frame_b: ConnectorFrame, family: ConnectorFamily
 ) -> QuantizedParams:
     """Quantized parameters of the connection from frame_a to frame_b.
 
     Raises MatchError when the frames do not satisfy the family's matching
-    predicate at the given tolerances.
+    predicate at the default tolerances (axle slide unbounded).
     """
     family = ConnectorFamily(family)
     m = relative(frame_a.as_transform(), frame_b.as_transform())
-    if not _check_pairing(family, m.rotation, m.translation, tol or MatchTolerances(), max_slide):
+    if not _check_pairing(family, m.rotation, m.translation, MatchTolerances(), None):
         raise MatchError("not a valid pairing")
     return _quantize(family, m.rotation, m.translation)
 
@@ -461,8 +458,12 @@ def reverse_params(family: ConnectorFamily, params: QuantizedParams) -> Quantize
 
     Exact on the integer grid for stud/hinge/axle/fixed; ball reversal goes
     through float euler decomposition and re-quantizes (the ZYX triple of an
-    inverted rotation is generally not on the integer grid). Unflipped yaw
-    and slide negate when the edge direction swaps.
+    inverted rotation is generally not on the integer grid). Rounding each
+    angle on its own can err by more than a degree near gimbal lock, so the
+    floor/ceil triple whose rotation is geodesically nearest the exact
+    inverse is taken (the first in floor-before-ceil order on ties), then
+    canonicalized. Unflipped yaw and slide negate when the edge direction
+    swaps.
     """
     family = ConnectorFamily(family)
     if family == ConnectorFamily.FIXED:
@@ -475,11 +476,11 @@ def reverse_params(family: ConnectorFamily, params: QuantizedParams) -> Quantize
         return QuantizedParams(
             yaw_deg=(-params.yaw_deg) % 360, flip=False, slide_ldu=-params.slide_ldu
         )
-    re = euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
-    a, b, c = _euler_zyx_angles(re.T)
-    return QuantizedParams(
-        euler_deg=(quantize_angle(a), quantize_angle(b), quantize_angle(c))
-    )
+    inverse = euler_zyx_matrix(*(params.euler_deg or (0, 0, 0))).T
+    grid = itertools.product(*((math.floor(v), math.ceil(v)) for v in _euler_zyx_angles(inverse)))
+    # trace(C^T R) = 1 + 2 cos(angle between C and R): the largest is nearest
+    nearest = max(grid, key=lambda e: float(np.sum(euler_zyx_matrix(*e) * inverse)))
+    return QuantizedParams(euler_deg=canonical_ball_euler(nearest))
 
 
 # ---------------------------------------------------------------------------

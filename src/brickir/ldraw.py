@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connectors import default_primitive_table
 from .errors import LdrawParseError
 from .geometry import RigidTransform, orthonormalize
 
@@ -157,14 +158,10 @@ def _matrix_from_values(values) -> tuple[np.ndarray, np.ndarray]:
     return m, t
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def is_rigid(m: np.ndarray, tol: float = SCALE_TOL) -> bool:
+def is_rigid(m: np.ndarray) -> bool:
     if np.linalg.det(m) <= 0:
         return False
-    return bool(np.abs(_singular_values(m) - 1.0).max() <= tol)
+    return bool(np.abs(np.linalg.svd(m, compute_uv=False) - 1.0).max() <= SCALE_TOL)
 
 
 def split_mpd(text: str) -> tuple[str, dict[str, str]]:
@@ -269,29 +266,17 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
     return instances
 
 
-def instances_to_ldr(instances, catalog=None) -> str:
-    """Re-serialize instances as type-1 lines (full-precision, lossless)."""
-    lines = []
-    for inst in instances:
-        if inst.raw:
-            vals = inst.raw
-        else:
-            vals = tuple(np.concatenate([inst.pose.translation, inst.pose.rotation.reshape(9)]))
-        nums = " ".join(repr(float(v)) for v in vals)
-        lines.append(f"1 {inst.color} {nums} {inst.part_id}.dat")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def scan_primitives(part_source, library, primitive_table, warnings: list | None = None):
+def scan_primitives(part_source, library, warnings: list | None = None):
     """Walk a part definition depth-first and collect connector-primitive sites.
 
     ``library`` maps normalized subfile names to their text (sub-parts and
-    primitives). A reference is emitted when its terminal name is in
-    ``primitive_table`` and the composed per-axis scale passes the entry's
-    scale mode: 'rigid' requires all axis scales within 1e-3 of 1; 'axial'
-    frees the scale along the entry's principal axis (recorded so axle
-    lengths can be recovered).
+    primitives). A reference is emitted when its terminal name is in the
+    connector-primitive table (data/primitives.json) and the composed
+    per-axis scale passes the entry's scale mode: 'rigid' requires all axis
+    scales within 1e-3 of 1; 'axial' frees the scale along the entry's
+    principal axis (recorded so axle lengths can be recovered).
     """
+    primitive_table = default_primitive_table()
     refs: list[PrimitiveRef] = []
     is_primitive = primitive_table.__contains__
     for line, m, t in _walk(part_source, library, is_primitive, False, warnings):
@@ -327,12 +312,6 @@ def _scale_ok(scale, entry) -> bool:
             abs(scale[i] - 1.0) <= SCALE_TOL for i in range(3) if i != principal_idx
         )
     raise LdrawParseError(f"unknown scale mode {mode!r} in primitive table")
-
-
-def axial_scale(ref: PrimitiveRef, entry) -> float:
-    """Scale factor along the primitive's principal axis."""
-    axis = np.abs(np.asarray(entry["principal_axis"], dtype=np.float64))
-    return float(ref.scale[int(np.argmax(axis))])
 
 
 def extract_triangles(part_source, library, warnings: list | None = None):

@@ -17,16 +17,12 @@ from .connectors import ConnectorFamily
 from .program import ValidityReport
 
 
-def _steps(report: ValidityReport, mode: str) -> int:
-    return report.steps(mode)
-
-
 def mean_valid_steps(reports, mode: str = "connectivity") -> float:
     """Average number of successful build steps until an invalidating step."""
     reports = list(reports)
     if not reports:
         raise ValueError("no reports")
-    return sum(_steps(r, mode) for r in reports) / len(reports)
+    return sum(r.steps(mode) for r in reports) / len(reports)
 
 
 @dataclass(frozen=True)
@@ -39,10 +35,6 @@ class SurvivalCurve:
 
     survivors: tuple
     total: int
-
-    @property
-    def ks(self):
-        return range(len(self.survivors))
 
     def proportion(self, k: int) -> float:
         if k < 0:
@@ -71,7 +63,7 @@ class SurvivalCurve:
 
 def survival_curve(reports, mode: str = "connectivity") -> SurvivalCurve:
     """Survival-at-k over a batch of validity reports."""
-    steps = [_steps(r, mode) for r in reports]
+    steps = [r.steps(mode) for r in reports]
     if not steps:
         raise ValueError("no reports")
     top = max(steps)
@@ -91,7 +83,7 @@ def p_invalid(placement_outcomes) -> float:
 def invalid_flags_from_report(report: ValidityReport, action_count: int, mode: str = "connectivity"):
     """Per-placement invalid flags implied by a report over a sequence with
     ``action_count`` attempted placement actions."""
-    valid = _steps(report, mode)
+    valid = report.steps(mode)
     if action_count < valid:
         raise ValueError("action_count smaller than the report's valid prefix")
     return [False] * valid + [True] * (action_count - valid)

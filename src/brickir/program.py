@@ -18,7 +18,6 @@ Programs are immutable values; execution is a pure function of its inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .catalog import Catalog
@@ -106,9 +105,6 @@ class ValidityReport:
             "first_error": self.first_error.to_json_obj() if self.first_error else None,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -168,25 +164,6 @@ def serialize(path: BuildPath, catalog: Catalog) -> str:
         ] + _params_tokens(edge.family, params)
         lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
-
-
-def render_program(program: BuildProgram) -> str:
-    """Program steps back to text (inverse of parse_program on valid input)."""
-    lines = []
-    for step in program.steps:
-        if isinstance(step, PartIntro):
-            lines.append(f"{step.node} {step.part_name} | {step.color_name}")
-        else:
-            tokens = [
-                step.target,
-                step.family.value,
-                step.target_subtype,
-                step.target_index,
-                step.new_subtype,
-                step.new_index,
-            ] + _params_tokens(step.family, step.params)
-            lines.append(" ".join(tokens))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

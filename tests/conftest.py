@@ -1,13 +1,24 @@
+"""Shared fixtures and the test-only helpers: random rigid motions, a
+geodesic sphere mesh, axis-angle rotations, and text renderers for programs
+and LDraw instances."""
+
+import math
+
 import numpy as np
 import pytest
 
-from brickir.demo import build_demo_catalog
-from brickir.geometry import RigidTransform
+from brickir.demo import DEMO_STRUCTURES, build_demo_catalog
+from brickir.geometry import ConnectorFrame, RigidTransform
+from brickir.program import PartIntro, _params_tokens
 
 
 @pytest.fixture(scope="session")
 def demo_catalog():
     return build_demo_catalog()
+
+
+def demo_ldr(kind: str = "stack4") -> str:
+    return DEMO_STRUCTURES[kind]
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -21,3 +32,93 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def random_rigid(rng: np.random.Generator, scale: float = 100.0) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.uniform(-scale, scale, 3))
+
+
+def rotation_about_axis(axis: np.ndarray, degrees: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis."""
+    ax = np.asarray(axis, dtype=np.float64)
+    ax = ax / np.linalg.norm(ax)
+    theta = math.radians(degrees)
+    k = np.array(
+        [
+            [0.0, -ax[2], ax[1]],
+            [ax[2], 0.0, -ax[0]],
+            [-ax[1], ax[0], 0.0],
+        ]
+    )
+    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+
+
+def frame_from_transform(t: RigidTransform) -> ConnectorFrame:
+    """The connector frame whose ``as_transform()`` is t."""
+    return ConnectorFrame(t.translation, t.rotation[:, 2], t.rotation[:, 0])
+
+
+def icosphere_mesh(radius: float, subdivisions: int = 1):
+    """Geodesic sphere approximation (icosahedron subdivision)."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    raw = np.array(
+        [
+            [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+            [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+            [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+        ],
+        dtype=np.float64,
+    )
+    verts = [v / np.linalg.norm(v) for v in raw]
+    tris = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    for _ in range(subdivisions):
+        cache: dict[tuple[int, int], int] = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_tris = []
+        for a, b, c in tris:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_tris += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        tris = new_tris
+    v = np.array(verts) * radius
+    return v, np.array(tris, dtype=np.int64)
+
+
+def render_program(program) -> str:
+    """Program steps back to text (inverse of parse_program on valid input)."""
+    lines = []
+    for step in program.steps:
+        if isinstance(step, PartIntro):
+            lines.append(f"{step.node} {step.part_name} | {step.color_name}")
+        else:
+            tokens = [
+                step.target,
+                step.family.value,
+                step.target_subtype,
+                step.target_index,
+                step.new_subtype,
+                step.new_index,
+            ] + _params_tokens(step.family, step.params)
+            lines.append(" ".join(tokens))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def instances_to_ldr(instances) -> str:
+    """Re-serialize instances as type-1 lines (full-precision, lossless)."""
+    lines = []
+    for inst in instances:
+        if inst.raw:
+            vals = inst.raw
+        else:
+            vals = tuple(np.concatenate([inst.pose.translation, inst.pose.rotation.reshape(9)]))
+        nums = " ".join(repr(float(v)) for v in vals)
+        lines.append(f"1 {inst.color} {nums} {inst.part_id}.dat")
+    return "\n".join(lines) + ("\n" if lines else "")

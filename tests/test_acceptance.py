@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import brickir
-from brickir.collision import box_mesh, CollisionMesh, icosphere_mesh, inset_mesh, intersects, merge_meshes
+from brickir.collision import box_mesh, CollisionMesh, inset_mesh, intersects, merge_meshes
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.geometry import QuantizedParams, RigidTransform, compose
@@ -41,7 +41,7 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import random_rigid
+from conftest import icosphere_mesh, random_rigid
 from oracles import brute_force_intersects, exhaustive_match, graphs_equal, replay_path_poses
 
 CAT = build_demo_catalog()

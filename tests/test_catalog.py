@@ -25,7 +25,7 @@ def test_catalog_json_roundtrip():
     assert [c.index for c in part.connectors] == ["a", "b", "c", "d"]
     assert len(part.mesh) == 12
     assert again.color_name(4) == "red"
-    assert again.color_code("light grey") == 7
+    assert again.colors[7] == "light grey"
 
 
 def test_catalog_lookup_errors():
@@ -80,8 +80,7 @@ def test_build_catalog_from_library(library_dir):
             }
         ]
     }
-    warnings = []
-    cat = build_catalog_from_library(library_dir, overrides=overrides, warnings=warnings)
+    cat = build_catalog_from_library(library_dir, overrides=overrides)
     assert set(cat.parts) == {"3024", "555"}
     plate = cat.part("3024")
     assert plate.name == "plate 1 x 1"
@@ -104,13 +103,11 @@ def test_library_warnings_name_the_part_file_once(tmp_path):
         f"1 16 0 0 0 {IDENTITY} ghost.dat\n"
         "3 16 a 0 0 1 0 0 0 1 0\n"
     )
-    warnings = []
-    build_catalog_from_library(tmp_path, warnings=warnings)
-    assert warnings == [
+    assert build_catalog_from_library(tmp_path).warnings == (
         "3024.dat: line 3: unresolvable subfile 'ghost.dat'",
         "3024.dat: line 4: skipped non-numeric type-3 line",
         "3024.dat: line 2: unresolvable subfile 'stud.dat'",
-    ]
+    )
 
 
 def test_catalog_load_dispatches_dir_and_json(library_dir, tmp_path):

@@ -6,11 +6,13 @@ import pytest
 import brickir
 from brickir.cli import main
 from brickir.connectors import ConnectorFamily
-from brickir.demo import build_demo_catalog, demo_ldr
+from brickir.demo import build_demo_catalog
 from brickir.geometry import QuantizedParams, RigidTransform
 from brickir.graph import ConnEdge, ConnectivityGraph
 from brickir.ldraw import PartInstance
 from brickir.program import serialize
+
+from conftest import demo_ldr
 
 CAT = build_demo_catalog()
 
@@ -383,3 +385,29 @@ def test_nonfinite_part_geometry_in_library_catalog_exit2(capsys, tmp_path, comm
     assert main(["--catalog", str(tmp_path / "lib"), command, str(target)]) == 2
     err = capsys.readouterr().err
     assert err == "error: 3005.dat: line 2: non-finite number in type-3 line\n"
+
+
+def test_serialize_rejects_params_the_family_lacks_exit2(workdir, capsys, tmp_path):
+    # a stud edge has no flip: it used to be dropped and printed as a plain stud attach
+    obj = _stack4_graph_obj(workdir, tmp_path)
+    obj["edges"][0]["params"]["flip"] = True
+    bad = tmp_path / "flip.json"
+    bad.write_text(json.dumps(obj))
+    assert run(workdir, "serialize", bad) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_library_catalog_warnings_reach_stderr(capsys, tmp_path):
+    (tmp_path / "lib" / "parts").mkdir(parents=True)
+    (tmp_path / "lib" / "parts" / "3024.dat").write_text(
+        "0 Plate 1 x 1\n1 16 0 0 0 1 0 0 0 1 0 0 0 1 ghost.dat\n"
+    )
+    structure = tmp_path / "one.ldr"
+    structure.write_text("1 4 0 0 0 1 0 0 0 1 0 0 0 1 3024.dat\n")
+    assert main(["--catalog", str(tmp_path / "lib"), "parse", str(structure)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: 3024.dat: line 2: unresolvable subfile 'ghost.dat'\n"
+        "warning: 3024: no connector sites\n"
+    )
+    assert [i["part"] for i in json.loads(captured.out)["instances"]] == ["3024"]

@@ -8,10 +8,8 @@ from brickir.collision import (
     CollisionMesh,
     PartColliders,
     box_mesh,
-    icosphere_mesh,
     inset_mesh,
     intersects,
-    load_mesh_file,
     merge_meshes,
     point_in_mesh,
     tri_tri_intersect,
@@ -19,9 +17,9 @@ from brickir.collision import (
 )
 from brickir.demo import build_demo_catalog
 from brickir.errors import BrickIrError
-from brickir.geometry import RigidTransform, compose, rotation_about_axis
+from brickir.geometry import RigidTransform, compose
 
-from conftest import random_rigid, random_rotation
+from conftest import icosphere_mesh, random_rigid, random_rotation, rotation_about_axis
 from oracles import _any_pair_intersects, brute_force_intersects
 
 I = RigidTransform.identity()
@@ -322,7 +320,7 @@ def test_technic_pin_in_channel_matches_oracle(demo_colliders, dx, dy, dz, tilt_
 
 
 def test_demo_structures_at_connector_poses_match_oracle(demo_colliders):
-    from brickir.demo import demo_ldr
+    from conftest import demo_ldr
     from brickir.ldraw import parse_structure
 
     cat = build_demo_catalog()
@@ -435,16 +433,3 @@ def test_part_colliders_from_catalog():
     assert mesh.source_inset == 0.25
     assert colliders.get("nope") is None
     assert AssemblyChecker().add(mesh, I) == []
-
-
-def test_load_mesh_file_obj_and_npz(tmp_path):
-    obj = tmp_path / "tri.obj"
-    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n")
-    verts, tris = load_mesh_file(obj)
-    assert len(verts) == 4
-    assert len(tris) == 2  # quad fan-triangulated
-    npz = tmp_path / "mesh.npz"
-    np.savez(npz, vertices=verts, triangles=tris)
-    verts2, tris2 = load_mesh_file(npz)
-    assert np.array_equal(verts, verts2)
-    assert np.array_equal(tris, tris2)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from brickir.connectors import (
     ConnectorFamily,
     annotate_part,
-    compatible,
-    default_primitive_table,
     default_rules,
     dof_spec,
     letter_id,
@@ -20,7 +18,6 @@ from brickir.geometry import RigidTransform
 from brickir.ldraw import PrimitiveRef
 
 RULES = default_rules()
-PRIMS = default_primitive_table()
 SUBTYPES = sorted(RULES.subtype_family)
 
 
@@ -49,18 +46,18 @@ SUBTYPES = sorted(RULES.subtype_family)
     ],
 )
 def test_compatibility_table(a, b, expected):
-    assert compatible(a, b) is expected
-    assert compatible(b, a) is expected
+    assert RULES.compatible(a, b) is expected
+    assert RULES.compatible(b, a) is expected
 
 
 @given(st.sampled_from(SUBTYPES), st.sampled_from(SUBTYPES))
 def test_compatible_symmetric(a, b):
-    assert compatible(a, b) == compatible(b, a)
+    assert RULES.compatible(a, b) == RULES.compatible(b, a)
 
 
 @given(st.sampled_from(SUBTYPES))
 def test_compatible_irreflexive(s):
-    assert not compatible(s, s)
+    assert not RULES.compatible(s, s)
 
 
 def test_stud_family_pairs_exactly_the_modeled_ones():
@@ -71,7 +68,7 @@ def test_stud_family_pairs_exactly_the_modeled_ones():
         frozenset((a, b))
         for a in stud_subtypes
         for b in stud_subtypes
-        if compatible(a, b)
+        if RULES.compatible(a, b)
     }
     assert found == {
         frozenset(("stud", "hole")),
@@ -120,7 +117,7 @@ def _stud_ref(x, y, z):
 
 
 def test_annotate_two_studs():
-    conns = annotate_part("p", [_stud_ref(10, 0, 0), _stud_ref(-10, 0, 0)], PRIMS)
+    conns = annotate_part("p", [_stud_ref(10, 0, 0), _stud_ref(-10, 0, 0)])
     assert [c.index for c in conns] == ["a", "b"]
     assert all(c.family == ConnectorFamily.STUD and c.subtype == "stud" for c in conns)
     # canonical order: sorted by local coordinates x -> y -> z
@@ -139,7 +136,7 @@ def test_annotate_manual_ball_only():
             "reference_axis": [0, 0, 1],
         }
     ]
-    (conn,) = annotate_part("p", [], PRIMS, overrides)
+    (conn,) = annotate_part("p", [], overrides)
     assert conn.index == "a"
     assert conn.family == ConnectorFamily.BALL
     assert conn.subtype == "towball"
@@ -148,7 +145,7 @@ def test_annotate_manual_ball_only():
 def test_annotate_remove_reindexes_canonically():
     refs = [_stud_ref(x, 0, 0) for x in (30, 10, -10, -30)]
     # provisional canonical indices: a=-30, b=-10, c=10, d=30
-    conns = annotate_part("p", refs, PRIMS, [{"action": "remove", "index": "b"}])
+    conns = annotate_part("p", refs, [{"action": "remove", "index": "b"}])
     assert [c.index for c in conns] == ["a", "b", "c"]
     assert [c.frame.origin[0] for c in conns] == [-30, 10, 30]
 
@@ -156,7 +153,7 @@ def test_annotate_remove_reindexes_canonically():
 def test_annotate_retype():
     refs = [_stud_ref(0, 0, 0)]
     (conn,) = annotate_part(
-        "p", refs, PRIMS, [{"action": "retype", "index": "a", "subtype": "open_stud"}]
+        "p", refs, [{"action": "retype", "index": "a", "subtype": "open_stud"}]
     )
     assert conn.subtype == "open_stud"
     assert conn.family == ConnectorFamily.STUD
@@ -164,12 +161,12 @@ def test_annotate_retype():
 
 def test_annotate_override_unknown_site_errors():
     with pytest.raises(AnnotationError, match="nonexistent"):
-        annotate_part("p", [_stud_ref(0, 0, 0)], PRIMS, [{"action": "remove", "index": "q"}])
+        annotate_part("p", [_stud_ref(0, 0, 0)], [{"action": "remove", "index": "q"}])
 
 
 def test_annotate_duplicate_site_errors():
     with pytest.raises(AnnotationError, match="duplicate"):
-        annotate_part("p", [_stud_ref(0, 0, 0), _stud_ref(0, 0, 0)], PRIMS)
+        annotate_part("p", [_stud_ref(0, 0, 0), _stud_ref(0, 0, 0)])
 
 
 def test_annotation_determinism():
@@ -184,8 +181,8 @@ def test_annotation_determinism():
             "reference_axis": [1, 0, 0],
         },
     ]
-    a = annotate_part("p", refs, PRIMS, overrides)
-    b = annotate_part("p", refs, PRIMS, overrides)
+    a = annotate_part("p", refs, overrides)
+    b = annotate_part("p", refs, overrides)
     dump_a = json.dumps([c.to_json_obj() for c in a], sort_keys=True)
     dump_b = json.dumps([c.to_json_obj() for c in b], sort_keys=True)
     assert dump_a == dump_b

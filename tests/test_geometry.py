@@ -13,10 +13,9 @@ from brickir.geometry import (
     quantize_angle,
     quantize_slide,
     relative,
-    rotation_about_axis,
 )
 
-from conftest import random_rigid
+from conftest import frame_from_transform, random_rigid, rotation_about_axis
 
 
 def test_compose_identity():
@@ -149,7 +148,7 @@ def test_connector_frame_transform_roundtrip():
     rng = np.random.default_rng(6)
     for _ in range(20):
         t = random_rigid(rng)
-        f = ConnectorFrame.from_transform(t)
+        f = frame_from_transform(t)
         assert f.as_transform().is_close(t, tol=1e-9)
         moved = f.transformed(t)
         back = moved.transformed(t.inverse())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import brickir
 from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
-from brickir.demo import build_demo_catalog, demo_ldr, generate_random_path
+from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.errors import CatalogError, GraphParseError, MatchError
 from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
 from brickir.graph import (
@@ -29,7 +29,7 @@ from brickir.graph import (
 from brickir.ldraw import PartInstance
 from brickir.program import serialize
 
-from conftest import random_rigid
+from conftest import demo_ldr, frame_from_transform, random_rigid, rotation_about_axis
 from oracles import exhaustive_match, graphs_equal
 
 CAT = build_demo_catalog()
@@ -267,7 +267,7 @@ def family_and_params(draw):
 def test_extract_realize_roundtrip_exact(fp, seed):
     family, params = fp
     rng = np.random.default_rng(seed)
-    frame = ConnectorFrame.from_transform(random_rigid(rng))
+    frame = frame_from_transform(random_rigid(rng))
     realized = realize_params(frame, params, family)
     assert extract_params(frame, realized, family) == params
 
@@ -277,7 +277,7 @@ def test_extract_realize_roundtrip_exact(fp, seed):
 def test_reverse_params_consistent(fp, seed):
     family, params = fp
     rng = np.random.default_rng(seed)
-    fa = ConnectorFrame.from_transform(random_rigid(rng))
+    fa = frame_from_transform(random_rigid(rng))
     fb = realize_params(fa, params, family)
     back = reverse_params(family, params)
     if family == ConnectorFamily.BALL:
@@ -290,6 +290,41 @@ def test_reverse_params_consistent(fp, seed):
     else:
         assert extract_params(fb, fa, family) == back
         assert reverse_params(family, back) == params
+
+
+def _ball_reversal_error_deg(euler, seed):
+    """Geodesic error (degrees) of a ball edge realized forward and then
+    back over its reversed parameters, and the principal-axis dot product."""
+    params = QuantizedParams(euler_deg=euler)
+    fa = frame_from_transform(random_rigid(np.random.default_rng(seed)))
+    fb = realize_params(fa, params, ConnectorFamily.BALL)
+    fa_again = realize_params(fb, reverse_params(ConnectorFamily.BALL, params), ConnectorFamily.BALL)
+    assert np.abs(fa_again.origin - fa.origin).max() <= 1e-9
+    angle = fa_again.as_transform().rotation_angle_deg_to(fa.as_transform())
+    return angle, fa_again.principal_axis @ fa.principal_axis
+
+
+@pytest.mark.parametrize("euler", [(258, 87, 258), (146, 74, 146)])
+def test_ball_reversal_near_gimbal_lock_examples(euler):
+    # rounding each angle of the inverse on its own misses by more than 1 degree here
+    angle, dot = _ball_reversal_error_deg(euler, 0)
+    assert dot >= np.cos(np.radians(1.0))
+    assert angle <= 1.0
+
+
+@given(
+    st.integers(0, 359),
+    st.sampled_from([90, 270]),
+    st.integers(-10, 10),
+    st.integers(0, 359),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_ball_reversal_within_bound_near_gimbal_lock(yaw, lock, offset, roll, seed):
+    euler = canonical_ball_euler((yaw, (lock + offset) % 360, roll))
+    angle, dot = _ball_reversal_error_deg(euler, seed)
+    assert dot >= np.cos(np.radians(1.0))
+    assert angle <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +456,11 @@ def test_graph_json_roundtrip():
         lambda o: o["edges"][0].update(b=[7]),
         lambda o: o["edges"][0].update(a=[999, "a"]),
         lambda o: o.update(nodes=[1, 2]),
+        # params the edge's family has no use for
+        lambda o: o["edges"][0].update(family="stud", params={"yaw": 0, "flip": True}),
+        lambda o: o["edges"][0].update(family="hinge", params={"yaw": 0, "flip": False, "slide": 4}),
+        lambda o: o["edges"][0].update(family="stud", params={"yaw": 0, "euler": [0, 0, 0]}),
+        lambda o: o["edges"][0].update(family="ball", params={"euler": [0, 0, 0], "yaw": 90}),
     ],
 )
 def test_graph_json_malformed_raises_parse_error(mutate):
@@ -444,7 +484,6 @@ def test_ball_gimbal_and_boundary_cases(euler):
 
 def test_yaw_wraparound_quantization():
     a = _frame()
-    from brickir.geometry import rotation_about_axis
     rot = rotation_about_axis(np.array([0.0, 0.0, 1.0]), 359.7)
     b = ConnectorFrame(a.origin, a.principal_axis, rot @ a.reference_axis)
     assert extract_params(a, b, ConnectorFamily.STUD).yaw_deg == 0

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from brickir.connectors import annotate_part, default_primitive_table
+from brickir.connectors import annotate_part
 from brickir.errors import LdrawParseError
 from brickir.ldraw import (
     extract_triangles,
-    instances_to_ldr,
     iter_lines,
     parse_structure,
     part_description,
     scan_primitives,
 )
+
+from conftest import instances_to_ldr
 
 PARTS = {"3001", "3023"}
 
@@ -129,7 +130,6 @@ TWOSTUD = (
 )
 
 LIBRARY = {"stud.dat": STUD, "box.dat": BOX, "twostud.dat": TWOSTUD}
-PRIMS = default_primitive_table()
 
 
 def test_scan_direct_stud_reference():
@@ -138,7 +138,7 @@ def test_scan_direct_stud_reference():
         f"1 16 0 0 0 {IDENTITY} box.dat\n"
         f"1 16 0 -4 0 {IDENTITY} stud.dat\n"
     )
-    (ref,) = scan_primitives(part, LIBRARY, PRIMS)
+    (ref,) = scan_primitives(part, LIBRARY)
     assert ref.primitive_name == "stud.dat"
     assert np.allclose(ref.transform.translation, [0, -4, 0])
     assert np.allclose(ref.scale, [1, 1, 1])
@@ -146,7 +146,7 @@ def test_scan_direct_stud_reference():
 
 def test_scan_part_without_connector_primitives():
     part = f"0 Plain\n1 16 0 0 0 {IDENTITY} box.dat\n"
-    assert scan_primitives(part, LIBRARY, PRIMS) == []
+    assert scan_primitives(part, LIBRARY) == []
 
 
 def test_scan_nested_subpart_counts_flattened_references():
@@ -155,7 +155,7 @@ def test_scan_nested_subpart_counts_flattened_references():
         f"1 16 0 0 0 {IDENTITY} twostud.dat\n"
         f"1 16 0 0 20 {IDENTITY} twostud.dat\n"
     )
-    refs = scan_primitives(part, LIBRARY, PRIMS)
+    refs = scan_primitives(part, LIBRARY)
     assert len(refs) == 4
     origins = sorted(tuple(r.transform.translation) for r in refs)
     assert origins == [(-5, 0, 0), (-5, 0, 20), (5, 0, 0), (5, 0, 20)]
@@ -164,15 +164,15 @@ def test_scan_nested_subpart_counts_flattened_references():
 def test_scan_rejects_scaled_stud_with_warning():
     part = "0 Scaled\n" "1 16 0 0 0 2 0 0 0 2 0 0 0 2 stud.dat\n"
     warnings = []
-    assert scan_primitives(part, LIBRARY, PRIMS, warnings=warnings) == []
+    assert scan_primitives(part, LIBRARY, warnings=warnings) == []
     assert any("scale" in w for w in warnings)
 
 
 def test_scan_accepts_axially_scaled_axle_and_records_length():
     part = "0 Axle Part\n" "1 16 0 0 0 1 0 0 0 3 0 0 0 1 axle.dat\n"
-    (ref,) = scan_primitives(part, LIBRARY, PRIMS)
+    (ref,) = scan_primitives(part, LIBRARY)
     assert ref.scale[1] == pytest.approx(3.0)
-    (conn,) = annotate_part("axlepart", [ref], PRIMS)
+    (conn,) = annotate_part("axlepart", [ref])
     assert conn.subtype == "axle"
     assert conn.axle_length == pytest.approx(3.0)  # base length 1 x scale 3
 
@@ -182,7 +182,7 @@ def test_scan_detects_reference_cycle():
     lib["a.dat"] = f"0 a\n1 16 0 0 0 {IDENTITY} b.dat\n"
     lib["b.dat"] = f"0 b\n1 16 0 0 0 {IDENTITY} a.dat\n"
     with pytest.raises(LdrawParseError, match="recursive"):
-        scan_primitives(lib["a.dat"], lib, PRIMS)
+        scan_primitives(lib["a.dat"], lib)
 
 
 def test_scan_depth_limit():
@@ -191,7 +191,7 @@ def test_scan_depth_limit():
         lib[f"d{i}.dat"] = f"0 d{i}\n1 16 0 0 0 {IDENTITY} d{i + 1}.dat\n"
     lib["d70.dat"] = "0 bottom\n"
     with pytest.raises(LdrawParseError, match="deeper"):
-        scan_primitives(lib["d0.dat"], lib, PRIMS)
+        scan_primitives(lib["d0.dat"], lib)
 
 
 def test_extract_triangles_splits_quads_and_handles_mirroring():
@@ -289,7 +289,7 @@ def test_primitive_table_entry_shadows_library_file_of_same_name():
     lib = dict(LIBRARY)
     lib["stud.dat"] = f"0 stud body\n1 16 0 0 0 {IDENTITY} stud2.dat\n{BOX.splitlines()[1]}\n"
     part = f"0 One Stud\n1 16 0 -4 0 {IDENTITY} stud.dat\n"
-    (ref,) = scan_primitives(part, lib, PRIMS)
+    (ref,) = scan_primitives(part, lib)
     assert ref.primitive_name == "stud.dat"
     # triangle extraction has no primitive table: it expands the same file
     _, tris = extract_triangles(part, lib)

@@ -5,7 +5,7 @@ import brickir
 from brickir.catalog import Catalog, PartDef
 from brickir.collision import PartColliders
 from brickir.connectors import AnnotatedConnector, ConnectorFamily
-from brickir.demo import build_demo_catalog, demo_ldr, generate_random_path
+from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.errors import CatalogError, ProgramError
 from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
 from brickir.graph import BuildPath, ConnEdge, ConnectivityGraph, PathStep
@@ -17,11 +17,11 @@ from brickir.program import (
     execute,
     node_letters,
     parse_program,
-    render_program,
     serialize,
     validate_prefix,
 )
 
+from conftest import demo_ldr, render_program
 from oracles import replay_path_poses
 
 CAT = build_demo_catalog()
