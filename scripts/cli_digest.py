@@ -7,8 +7,11 @@ Builds the demo catalog, the demo structures, graph JSON of seeded random
 build paths and seeded random programs (every third one corrupted at one
 line) in a temporary directory, then runs ``brickir.cli.main`` on them:
 parse/graph, sample at three seeds and with --no-collision / --inset 0,
-serialize/execute, eval in json/text/csv, check (and --strict check on an
-overlapping program), stats, and the exit-code cases of the CLI contract.
+serialize/execute, execute of every uncorrupted program, eval in
+json/text/csv and with --jobs 1 / --jobs 2, check (with --jobs 2, and
+--strict check on an overlapping program), stats, and the exit-code cases of
+the CLI contract. The --jobs 2 calls run the thread pool, and with it
+concurrent first lookups in the shared collision-mesh table, on any machine.
 
 Each call's exit code, stdout, stderr and --out files are hashed. The script
 prints one line per call (digest, exit code, label) and then the sha256 over
@@ -94,15 +97,23 @@ def _calls():
     calls.append(("serialize graph", cat + ["--seed", "8", "--out", "ser.bseq", "serialize",
                                             graphs[1]], "ser.bseq"))
     calls.append(("execute", cat + ["execute", "ser.bseq"], None))
+    for i in range(30):
+        if i % 3 != 1:  # uncorrupted: poses over all five families
+            calls.append((f"execute p{i:02d}", cat + ["execute", f"programs/p{i:02d}.bseq"], None))
     calls.append(("eval json", cat + ["eval", "programs"], None))
     calls.append(("eval text", cat + ["--format", "text", "eval", "programs"], None))
     calls.append(("eval csv", cat + ["--format", "csv", "eval", "programs"], None))
     calls.append(("eval --no-collision", cat + ["--no-collision", "eval", "programs"], None))
     calls.append(("eval --inset 0", cat + ["--inset", "0", "eval", "programs"], None))
+    calls.append(("eval --jobs 1", cat + ["--jobs", "1", "eval", "programs"], None))
+    calls.append(("eval --jobs 2", cat + ["--jobs", "2", "eval", "programs"], None))
     calls.append(("check json", cat + ["--jobs", "1", "check", "programs/p00.bseq",
                                        "programs/p01.bseq", "overlap.bseq"], None))
     calls.append(("check text", cat + ["--format", "text", "--inset", "0", "check",
                                        "programs/p02.bseq", "overlap.bseq"], None))
+    programs = [f"programs/p{i:02d}.bseq" for i in range(30)]
+    calls.append(("check --jobs 2", cat + ["--jobs", "2", "check", *programs, "overlap.bseq"],
+                  None))
     calls.append(("strict check overlap", cat + ["--strict", "check", "overlap.bseq"], None))
     calls.append(("stats json", cat + ["stats", *corpus], None))
     calls.append(("stats csv", cat + ["--format", "csv", "stats", *corpus], None))

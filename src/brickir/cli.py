@@ -250,12 +250,10 @@ def cmd_eval(args) -> int:
             inputs.append(p)
     results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
     reports = [r for r, _ in results]
-    curve = metrics.survival_curve(reports, "connectivity")
+    curve = metrics.survival_curve(reports)
     invalid_flags = []
     for report, attempted in results:
-        invalid_flags.extend(
-            metrics.invalid_flags_from_report(report, attempted, "connectivity")
-        )
+        invalid_flags.extend(metrics.invalid_flags_from_report(report, attempted))
     aggregate = {
         "mean_connectivity_steps": metrics.mean_valid_steps(reports, "connectivity"),
         "mean_collision_steps": metrics.mean_valid_steps(reports, "collision"),

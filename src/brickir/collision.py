@@ -11,12 +11,17 @@ separating-interval triangle test (narrow phase); surface contact within
 TRI_EPS (1e-6 LDU) counts as non-intersecting. Pre-inset meshes may also be
 supplied directly (offset 0).
 
+Everything that depends on a mesh alone (node centres and half-extents, the
+TRI_EPS-expanded node bounds, the ray-parity terms of every triangle) is
+computed once when its BVH is built, so a query does only per-pose work.
+
 CollisionMesh values are immutable after build and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +32,10 @@ from .geometry import RigidTransform, relative
 TRI_EPS = 1e-6
 DEGENERATE_AREA = 1e-9
 _CORNERS = np.arange(3)
+
+# Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
+_RAY_DIR = np.array([0.57735026, 0.51449576, 0.63245553])
+_RAY_DIR = _RAY_DIR / np.linalg.norm(_RAY_DIR)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +51,11 @@ class Bvh:
     ``leaf`` the leaf mask, ``extent`` the largest side of each box and
     ``leaf_tris`` an (N, LEAF_SIZE) table of triangle indices padded with -1
     (all -1 on internal nodes).
+
+    Mesh-only query terms are kept too: ``center``/``half`` of every node box,
+    the bounds widened by TRI_EPS (``lo_eps``/``hi_eps``), and per triangle
+    the Moller-Trumbore terms of the fixed parity ray (``ray_v0``,
+    ``ray_e1``, ``ray_e2``, ``ray_h``, ``ray_ok``, ``ray_inv_det``).
     """
 
     LEAF_SIZE = 4
@@ -86,15 +100,30 @@ class Bvh:
         self.leaf = self.left < 0
         self.extent = (self.hi - self.lo).max(axis=1)
         self.leaf_tris = leaf_tris[:count]
-        for arr in (self.lo, self.hi, self.left, self.right, self.leaf, self.extent):
-            arr.flags.writeable = False
-        self.leaf_tris.flags.writeable = False
+        self.center = (self.lo + self.hi) / 2.0
+        self.half = (self.hi - self.lo) / 2.0
+        self.lo_eps = self.lo - TRI_EPS
+        self.hi_eps = self.hi + TRI_EPS
+        v0 = tri_vertices[:, 0]
+        e1 = tri_vertices[:, 1] - v0
+        e2 = tri_vertices[:, 2] - v0
+        h = _cross(_RAY_DIR, e2)
+        det = np.einsum("ij,ij->i", e1, h)
+        ok = np.abs(det) > 1e-12
+        inv_det = np.zeros(m)
+        inv_det[ok] = 1.0 / det[ok]
+        self.ray_v0, self.ray_e1, self.ray_e2 = v0, e1, e2
+        self.ray_h, self.ray_ok, self.ray_inv_det = h, ok, inv_det
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     @property
-    def root_bounds(self):
+    def root_box(self):
+        """Centre and half-extents of the root box (zeros when empty)."""
         if not len(self.lo):
             return np.zeros(3), np.zeros(3)
-        return self.lo[0], self.hi[0]
+        return self.center[0], self.half[0]
 
 
 @dataclass(frozen=True)
@@ -104,33 +133,39 @@ class CollisionMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     bvh: Bvh = field(repr=False)
-    source_inset: float = 0.0
     closed: bool = False
 
     @classmethod
-    def build(cls, vertices, triangles, source_inset: float = 0.0) -> "CollisionMesh":
+    def build(cls, vertices, triangles) -> "CollisionMesh":
         v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
         t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        if len(t) and (t.min() < 0 or t.max() >= len(v)):
-            raise BrickIrError("triangle index out of range")
+        _check_indices(v, t)
         v.flags.writeable = False
         t.flags.writeable = False
-        return cls(v, t, Bvh(v[t]), source_inset, _is_closed(t))
+        return cls(v, t, Bvh(v[t]), _is_closed(t))
 
     def __len__(self):
         return len(self.triangles)
 
 
+def _check_indices(v: np.ndarray, t: np.ndarray) -> None:
+    if len(t) and (t.min() < 0 or t.max() >= len(v)):
+        raise BrickIrError("triangle index out of range")
+
+
 def _is_closed(triangles: np.ndarray) -> bool:
-    """Closed iff every undirected edge is shared by exactly two triangles."""
+    """Closed iff every undirected edge is shared by exactly two triangles.
+
+    Each edge (a, b), (b, c), (c, a) becomes one integer key min * n + max;
+    the sorted keys' run lengths are the per-edge triangle counts."""
     if len(triangles) == 0:
         return False
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(u), int(v)) if u < v else (int(v), int(u))
-            counts[key] = counts.get(key, 0) + 1
-    return all(n == 2 for n in counts.values())
+    u = triangles.ravel()
+    w = triangles[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(u, w), np.maximum(u, w)
+    keys = np.sort(lo * (int(hi.max()) + 1) + hi)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return bool((np.diff(starts, append=len(keys)) == 2).all())
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +180,20 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     the requested offset (exactly, when the incident normals are balanced --
     e.g. a 20-LDU cube insets to a 19.5-LDU cube). Degenerate triangles are
     dropped; on open meshes boundary vertices just use their incident faces.
+
+    The per-vertex sums accumulate corner 0, 1, 2 of every triangle in
+    triangle order (one bincount over the corner-major index list), so they
+    equal sequential np.add.at sums bit for bit.
     """
     v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if len(t) == 0 or len(v) == 0:
         raise BrickIrError("empty mesh")
+    _check_indices(v, t)
 
     e1 = v[t[:, 1]] - v[t[:, 0]]
     e2 = v[t[:, 2]] - v[t[:, 0]]
-    cross = np.cross(e1, e2)  # |cross| = 2 * area, direction = face normal
+    cross = _cross(e1, e2)  # |cross| = 2 * area, direction = face normal
     areas2 = np.linalg.norm(cross, axis=1)
     keep = areas2 > 2.0 * DEGENERATE_AREA
     t = t[keep]
@@ -162,11 +202,11 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     if len(t) == 0:
         raise BrickIrError("mesh has no non-degenerate triangles")
 
-    normal_sum = np.zeros_like(v)
-    area_sum = np.zeros(len(v))
-    for corner in range(3):
-        np.add.at(normal_sum, t[:, corner], cross)
-        np.add.at(area_sum, t[:, corner], areas2)
+    corners = t.T.ravel()
+    area_sum = np.bincount(corners, np.tile(areas2, 3), len(v))
+    normal_sum = np.stack(
+        [np.bincount(corners, np.tile(cross[:, k], 3), len(v)) for k in range(3)], axis=1
+    )
 
     norms = np.linalg.norm(normal_sum, axis=1)
     used = area_sum > 0
@@ -184,14 +224,16 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     # Drop triangles the inset collapsed, then unused vertices.
     e1 = new_v[t[:, 1]] - new_v[t[:, 0]]
     e2 = new_v[t[:, 2]] - new_v[t[:, 0]]
-    areas2 = np.linalg.norm(np.cross(e1, e2), axis=1)
+    areas2 = np.linalg.norm(_cross(e1, e2), axis=1)
     t = t[areas2 > 2.0 * DEGENERATE_AREA]
     if len(t) == 0:
         raise BrickIrError("inset collapsed the entire mesh")
-    used_idx = np.unique(t)
+    used = np.zeros(len(new_v), dtype=bool)
+    used[t] = True
+    used_idx = np.flatnonzero(used)
     remap = np.full(len(new_v), -1, dtype=np.int64)
     remap[used_idx] = np.arange(len(used_idx))
-    return CollisionMesh.build(new_v[used_idx], remap[t], source_inset=offset)
+    return CollisionMesh.build(new_v[used_idx], remap[t])
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +323,11 @@ def _cross(u, v):
 # Pairwise mesh query
 
 
-def _transform_boxes(lo, hi, rotation, translation):
-    """Conservative AABBs (lo, hi) of boxes (n, 3) or (3,) after a rigid map."""
-    center = ((lo + hi) / 2.0) @ rotation.T + translation
-    half = ((hi - lo) / 2.0) @ np.abs(rotation).T
+def _transform_boxes(center, half, rotation, translation):
+    """Conservative AABBs (lo, hi) of boxes given by their centres and
+    half-extents, (n, 3) or (3,), after a rigid map."""
+    center = center @ rotation.T + translation
+    half = half @ np.abs(rotation).T
     return center - half, center + half
 
 
@@ -306,10 +349,10 @@ def intersects(
     rot, trans = rel.rotation, rel.translation
     ta, tb = a.bvh, b.bvh
     tri_a = ta.tri_vertices @ rot.T + trans
+    box_lo, box_hi = _transform_boxes(ta.center, ta.half, rot, trans)  # all of a's, in b's frame
     na = nb = np.zeros(1, dtype=np.intp)
     while len(na):
-        amin, amax = _transform_boxes(ta.lo[na], ta.hi[na], rot, trans)
-        overlap = ((amin <= tb.hi[nb] + TRI_EPS) & (amax >= tb.lo[nb] - TRI_EPS)).all(axis=1)
+        overlap = ((box_lo[na] <= tb.hi_eps[nb]) & (box_hi[na] >= tb.lo_eps[nb])).all(axis=1)
         na, nb = na[overlap], nb[overlap]
         leaf_a, leaf_b = ta.leaf[na], tb.leaf[nb]
         both = leaf_a & leaf_b
@@ -341,31 +384,20 @@ def _leaf_pairs_hit(tri_a, tris_a, tb: Bvh, leaves_b) -> bool:
     return bool(tri_tri_intersect_batch(tri_a[ia[real]], tb.tri_vertices[ib[real]]).any())
 
 
-# Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
-_RAY_DIR = np.array([0.57735026, 0.51449576, 0.63245553])
-_RAY_DIR = _RAY_DIR / np.linalg.norm(_RAY_DIR)
-
-
 def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
-    """Ray-parity containment test (reliable only for closed meshes)."""
-    tv = mesh.bvh.tri_vertices
-    if len(tv) == 0:
+    """Ray-parity containment test (reliable only for closed meshes).
+    Moller-Trumbore over all triangles, vectorized; the terms that depend on
+    the mesh alone come from its BVH."""
+    bvh = mesh.bvh
+    if len(bvh.tri_vertices) == 0:
         return False
-    # Moller-Trumbore over all triangles, vectorized.
-    v0 = tv[:, 0]
-    e1 = tv[:, 1] - v0
-    e2 = tv[:, 2] - v0
-    h = _cross(_RAY_DIR, e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(det) > 1e-12
-    inv_det = np.zeros(len(tv))
-    inv_det[ok] = 1.0 / det[ok]
-    s = point[None, :] - v0
-    u = np.einsum("ij,ij->i", s, h) * inv_det
-    qv = _cross(s, e1)
+    inv_det = bvh.ray_inv_det
+    s = point[None, :] - bvh.ray_v0
+    u = np.einsum("ij,ij->i", s, bvh.ray_h) * inv_det
+    qv = _cross(s, bvh.ray_e1)
     v = (qv @ _RAY_DIR) * inv_det
-    t = np.einsum("ij,ij->i", e2, qv) * inv_det
-    hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
+    t = np.einsum("ij,ij->i", bvh.ray_e2, qv) * inv_det
+    hits = bvh.ray_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
     return bool(hits.sum() % 2 == 1)
 
 
@@ -375,37 +407,64 @@ def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
 
 class PartColliders(dict):
     """Part id -> CollisionMesh: the one mesh table that every collision
-    consumer reads. Its meshes are immutable, so the table is shareable;
-    each consumer places parts into its own AssemblyChecker."""
+    consumer reads. A part's mesh is built on its first lookup and kept;
+    builds run under a lock, so threads sharing the table build each mesh
+    once. Meshes are immutable, so the table is shareable; each consumer
+    places parts into its own AssemblyChecker.
+
+    ``get`` returns None (or its default) for an unknown part and for a part
+    without geometry; ``table[part_id]`` raises KeyError for both. A mesh that
+    cannot be built raises from the lookup that needs it."""
+
+    def __init__(self, catalog, inset: float):
+        super().__init__()
+        self._catalog = catalog
+        self._inset = inset
+        self._lock = threading.Lock()
 
     @classmethod
     def from_catalog(cls, catalog, inset: float = 0.25) -> "PartColliders":
-        """Build inset collision meshes for every catalog part that has
-        geometry (inset 0 keeps meshes verbatim, e.g. pre-inset inputs)."""
-        table = cls()
-        for pid, part in catalog.parts.items():
-            if part.mesh is None or len(part.mesh) == 0:
-                continue
-            if inset:
-                table[pid] = inset_mesh(part.mesh.vertices, part.mesh.triangles, inset)
-            else:
-                table[pid] = CollisionMesh.build(part.mesh.vertices, part.mesh.triangles)
-        return table
+        """The table of inset collision meshes for the catalog's parts that
+        have geometry (inset 0 keeps meshes verbatim, e.g. pre-inset inputs).
+        Nothing is built until a part is looked up."""
+        return cls(catalog, inset)
+
+    def __missing__(self, part_id):
+        mesh = self.get(part_id)
+        if mesh is None:
+            raise KeyError(part_id)
+        return mesh
+
+    def get(self, part_id, default=None):
+        mesh = dict.get(self, part_id)
+        if mesh is not None:
+            return mesh
+        part = self._catalog.parts.get(part_id)
+        if part is None or part.mesh is None or len(part.mesh) == 0:
+            return default
+        with self._lock:
+            mesh = dict.get(self, part_id)
+            if mesh is None:
+                v, t = part.mesh.vertices, part.mesh.triangles
+                mesh = inset_mesh(v, t, self._inset) if self._inset else CollisionMesh.build(v, t)
+                self[part_id] = mesh
+        return mesh
 
 
 class AssemblyChecker:
     """Incremental collision check: feed placements one by one.
 
-    The world AABBs of the placed instances live in growable (n, 3) arrays,
-    so the broad phase is one comparison per placement.
+    The world AABBs of the placed instances, widened by TRI_EPS when they
+    are stored, live in growable (n, 3) arrays, so the broad phase is one
+    comparison per placement.
 
     Not thread-safe; use one checker per worker.
     """
 
     def __init__(self):
         self._placed: list[tuple[CollisionMesh, RigidTransform, object]] = []
-        self._lo = np.empty((16, 3))
-        self._hi = np.empty((16, 3))
+        self._lo_eps = np.empty((16, 3))
+        self._hi_eps = np.empty((16, 3))
 
     def __len__(self):
         return len(self._placed)
@@ -414,21 +473,21 @@ class AssemblyChecker:
         """Place one instance; returns the ids it collides with (may be
         empty), in placement order. ``node_id`` defaults to the placement's
         0-based index."""
-        lo, hi = _transform_boxes(*mesh.bvh.root_bounds, pose.rotation, pose.translation)
+        lo, hi = _transform_boxes(*mesh.bvh.root_box, pose.rotation, pose.translation)
         step = len(self._placed)
         near = np.flatnonzero(
-            ((lo <= self._hi[:step] + TRI_EPS) & (hi >= self._lo[:step] - TRI_EPS)).all(axis=1)
+            ((lo <= self._hi_eps[:step]) & (hi >= self._lo_eps[:step])).all(axis=1)
         )
         hits = []
         for i in near:
             other_mesh, other_pose, other_id = self._placed[i]
             if intersects(mesh, pose, other_mesh, other_pose):
                 hits.append(other_id)
-        if step == len(self._lo):
-            self._lo = np.concatenate((self._lo, np.empty_like(self._lo)))
-            self._hi = np.concatenate((self._hi, np.empty_like(self._hi)))
-        self._lo[step] = lo
-        self._hi[step] = hi
+        if step == len(self._lo_eps):
+            self._lo_eps = np.concatenate((self._lo_eps, np.empty_like(self._lo_eps)))
+            self._hi_eps = np.concatenate((self._hi_eps, np.empty_like(self._hi_eps)))
+        self._lo_eps[step] = lo - TRI_EPS
+        self._hi_eps[step] = hi + TRI_EPS
         self._placed.append((mesh, pose, node_id if node_id is not None else step))
         return hits
 
@@ -438,9 +497,10 @@ class AssemblyChecker:
 
 
 def box_mesh(size, center=(0.0, 0.0, 0.0)):
-    """Axis-aligned box with the alternating (tetrahedral) triangulation,
-    whose corner pseudo-normals are exact space diagonals -- box insets are
-    then exact. Returns (vertices, triangles)."""
+    """Axis-aligned box with the alternating (tetrahedral) triangulation.
+    On a cube the corner pseudo-normals are exact space diagonals, so cube
+    insets are exact; unequal sides shrink by unequal amounts.
+    Returns (vertices, triangles)."""
     half = np.asarray(size, dtype=np.float64) / 2.0
     c = np.asarray(center, dtype=np.float64)
     corners = np.array(

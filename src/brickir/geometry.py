@@ -16,6 +16,9 @@ import numpy as np
 # Re-orthonormalize whenever a composed rotation drifts past this.
 ORTHONORMAL_TOL = 1e-9
 
+_IDENTITY3 = np.eye(3)
+_IDENTITY3.flags.writeable = False
+
 
 def orthonormalize(rotation: np.ndarray) -> np.ndarray:
     """Project a near-rotation matrix onto SO(3) (polar decomposition via SVD)."""
@@ -28,7 +31,7 @@ def orthonormalize(rotation: np.ndarray) -> np.ndarray:
 def orthonormality_error(rotation: np.ndarray) -> float:
     """Max-abs deviation of R^T R from the identity."""
     r = np.asarray(rotation, dtype=np.float64)
-    return float(np.abs(r.T @ r - np.eye(3)).max())
+    return float(np.abs(r.T @ r - _IDENTITY3).max())
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,12 @@ class RigidTransform:
     Construction repairs small orthonormality drift (> 1e-9) by polar
     projection and rejects matrices that are not within re-projection
     distance of a proper rotation (non-finite or det <= 0).
+
+    The orthonormality error is measured first. When it is finite and within
+    ORTHONORMAL_TOL, the rotation is finite and |det| is within 1e-8 of 1, so
+    the sign of the scalar triple product decides det > 0 exactly and no
+    LAPACK determinant is needed; any other matrix takes the full sequence
+    (finite check, determinant, re-projection).
     """
 
     rotation: np.ndarray
@@ -46,12 +55,20 @@ class RigidTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not (np.isfinite(r).all() and np.isfinite(t).all()):
-            raise ValueError("non-finite transform")
-        if np.linalg.det(r) <= 0:
-            raise ValueError("rotation must have positive determinant")
-        if orthonormality_error(r) > ORTHONORMAL_TOL:
-            r = orthonormalize(r)
+        err = np.abs(r.T @ r - _IDENTITY3).max()  # orthonormality_error(r)
+        if err <= ORTHONORMAL_TOL:
+            if not all(map(math.isfinite, t.tolist())):
+                raise ValueError("non-finite transform")
+            (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+            if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
+                raise ValueError("rotation must have positive determinant")
+        else:
+            if not (np.isfinite(r).all() and np.isfinite(t).all()):
+                raise ValueError("non-finite transform")
+            if np.linalg.det(r) <= 0:
+                raise ValueError("rotation must have positive determinant")
+            if err > ORTHONORMAL_TOL:
+                r = orthonormalize(r)
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -124,13 +141,20 @@ def relative(a: RigidTransform, b: RigidTransform) -> RigidTransform:
 
 def unit_axes(principal: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a principal axis and project the reference axis into the
-    plane perpendicular to it, then normalize that too."""
-    pn = np.linalg.norm(principal)
+    plane perpendicular to it, then normalize that too.
+
+    The norms are np.linalg.norm's arithmetic on a 1-D float vector (the
+    square root of the raveled vector's dot with itself), without its
+    dispatch; math.sqrt and np.sqrt are both correctly rounded, so they agree.
+    """
+    x = principal.ravel(order="K")
+    pn = math.sqrt(x.dot(x))
     if pn < 1e-9:
         raise ValueError("zero-length principal axis")
     p = principal / pn
     r = reference - (reference @ p) * p
-    rn = np.linalg.norm(r)
+    x = r.ravel(order="K")
+    rn = math.sqrt(x.dot(x))
     if rn < 1e-9:
         raise ValueError("reference axis parallel to principal axis")
     return p, r / rn

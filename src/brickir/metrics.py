@@ -61,9 +61,10 @@ class SurvivalCurve:
         return buf.getvalue()
 
 
-def survival_curve(reports, mode: str = "connectivity") -> SurvivalCurve:
-    """Survival-at-k over a batch of validity reports."""
-    steps = [r.steps(mode) for r in reports]
+def survival_curve(reports) -> SurvivalCurve:
+    """Survival-at-k of the connectivity steps over a batch of validity
+    reports."""
+    steps = [r.connectivity_steps for r in reports]
     if not steps:
         raise ValueError("no reports")
     top = max(steps)
@@ -80,10 +81,10 @@ def p_invalid(placement_outcomes) -> float:
     return sum(1 for o in outcomes if o) / len(outcomes)
 
 
-def invalid_flags_from_report(report: ValidityReport, action_count: int, mode: str = "connectivity"):
-    """Per-placement invalid flags implied by a report over a sequence with
-    ``action_count`` attempted placement actions."""
-    valid = report.steps(mode)
+def invalid_flags_from_report(report: ValidityReport, action_count: int):
+    """Per-placement connectivity-invalid flags implied by a report over a
+    sequence with ``action_count`` attempted placement actions."""
+    valid = report.connectivity_steps
     if action_count < valid:
         raise ValueError("action_count smaller than the report's valid prefix")
     return [False] * valid + [True] * (action_count - valid)

@@ -420,7 +420,8 @@ def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityRepo
             diagnoses.append(result.error)
         program = result.program
 
-    part_meshes = part_meshes or {}
+    if part_meshes is None:  # not ``or``: a lazy table is empty, hence falsy, until used
+        part_meshes = {}
     checker = AssemblyChecker()
     connectivity = 0
     collision = 0

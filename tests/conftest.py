@@ -1,12 +1,18 @@
 """Shared fixtures and the test-only helpers: random rigid motions, a
-geodesic sphere mesh, axis-angle rotations, and text renderers for programs
-and LDraw instances."""
+geodesic sphere mesh, axis-angle rotations, text renderers for programs
+and LDraw instances, a catalog with an uninsettable mesh, and a counter of
+collision-mesh builds."""
 
 import math
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from brickir import collision
+from brickir.collision import box_mesh
 from brickir.demo import DEMO_STRUCTURES, build_demo_catalog
 from brickir.geometry import ConnectorFrame, RigidTransform
 from brickir.program import PartIntro, _params_tokens
@@ -122,3 +128,30 @@ def instances_to_ldr(instances) -> str:
         nums = " ".join(repr(float(v)) for v in vals)
         lines.append(f"1 {inst.color} {nums} {inst.part_id}.dat")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def catalog_obj_with_collapsing_mesh(part_id: str) -> dict:
+    """The demo catalog's JSON object with the mesh of ``part_id`` replaced by
+    a 0.5 LDU cube, which the default 0.25 LDU inset collapses to a point."""
+    obj = build_demo_catalog().to_json_obj()
+    verts, tris = box_mesh((0.5, 0.5, 0.5))
+    obj["parts"][part_id]["mesh"] = {"vertices": verts.tolist(), "triangles": tris.tolist()}
+    return obj
+
+
+def count_inset_builds(monkeypatch, delay: float = 0.0) -> Counter:
+    """Patch ``collision.inset_mesh`` to count its calls per source vertex
+    array (one per catalog part), sleeping ``delay`` seconds in each build
+    to widen the window in which concurrent lookups race."""
+    builds: Counter = Counter()
+    lock = threading.Lock()
+    real = collision.inset_mesh
+
+    def counting(vertices, triangles, offset):
+        with lock:
+            builds[id(vertices)] += 1
+        time.sleep(delay)
+        return real(vertices, triangles, offset)
+
+    monkeypatch.setattr(collision, "inset_mesh", counting)
+    return builds

@@ -4,15 +4,19 @@ Everything here recomputes results from first principles, without touching
 the production spatial hash, BVH traversal or executor internals: the
 matcher oracle enumerates every connector pair with broadcast numpy, the
 collision oracle tests every triangle pair, and the pose oracle replays a
-build path with plain homogeneous 4x4 matrix arithmetic.
+build path with plain homogeneous 4x4 matrix arithmetic. The reference
+copies at the end are earlier, plainer versions of fast paths that must
+match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from brickir.collision import DEGENERATE_AREA
 from brickir.connectors import ConnectorFamily
-from brickir.geometry import QuantizedParams
+from brickir.errors import BrickIrError
+from brickir.geometry import ORTHONORMAL_TOL, QuantizedParams, orthonormalize
 from brickir.graph import ConnEdge, ConnectivityGraph
 
 
@@ -345,3 +349,84 @@ def replay_path_poses(path, catalog) -> dict:
         world_conn = poses[target] @ _frame_hom(t_part) @ rel
         poses[step.new_node] = world_conn @ np.linalg.inv(_frame_hom(n_part))
     return poses
+
+
+# ---------------------------------------------------------------------------
+# Reference copies: the per-edge dict loop, np.add.at inset and LAPACK
+# determinant check that the vectorized code replaced
+
+
+def reference_is_closed(triangles: np.ndarray) -> bool:
+    """Closed iff every undirected edge is shared by exactly two triangles."""
+    if len(triangles) == 0:
+        return False
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (int(u), int(v)) if u < v else (int(v), int(u))
+            counts[key] = counts.get(key, 0) + 1
+    return all(n == 2 for n in counts.values())
+
+
+def reference_inset_mesh(vertices, triangles, offset: float):
+    """``inset_mesh`` as it was, returning (vertices, triangles, closed)."""
+    v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    if len(t) == 0 or len(v) == 0:
+        raise BrickIrError("empty mesh")
+
+    e1 = v[t[:, 1]] - v[t[:, 0]]
+    e2 = v[t[:, 2]] - v[t[:, 0]]
+    cross = np.cross(e1, e2)  # |cross| = 2 * area, direction = face normal
+    areas2 = np.linalg.norm(cross, axis=1)
+    keep = areas2 > 2.0 * DEGENERATE_AREA
+    t = t[keep]
+    cross = cross[keep]
+    areas2 = areas2[keep]
+    if len(t) == 0:
+        raise BrickIrError("mesh has no non-degenerate triangles")
+
+    normal_sum = np.zeros_like(v)
+    area_sum = np.zeros(len(v))
+    for corner in range(3):
+        np.add.at(normal_sum, t[:, corner], cross)
+        np.add.at(area_sum, t[:, corner], areas2)
+
+    norms = np.linalg.norm(normal_sum, axis=1)
+    used = area_sum > 0
+    displacement = np.zeros_like(v)
+    if offset != 0.0:
+        c = np.ones(len(v))
+        c[used] = norms[used] / area_sum[used]
+        c = np.clip(c, 0.1, 1.0)  # guard against runaway moves at spikes
+        unit = np.zeros_like(v)
+        ok = norms > 1e-12
+        unit[ok] = normal_sum[ok] / norms[ok][:, None]
+        displacement = -(offset / c)[:, None] * unit
+    new_v = v + displacement
+
+    # Drop triangles the inset collapsed, then unused vertices.
+    e1 = new_v[t[:, 1]] - new_v[t[:, 0]]
+    e2 = new_v[t[:, 2]] - new_v[t[:, 0]]
+    areas2 = np.linalg.norm(np.cross(e1, e2), axis=1)
+    t = t[areas2 > 2.0 * DEGENERATE_AREA]
+    if len(t) == 0:
+        raise BrickIrError("inset collapsed the entire mesh")
+    used_idx = np.unique(t)
+    remap = np.full(len(new_v), -1, dtype=np.int64)
+    remap[used_idx] = np.arange(len(used_idx))
+    return new_v[used_idx], remap[t], reference_is_closed(remap[t])
+
+
+def reference_rigid_check(rotation, translation):
+    """``RigidTransform``'s construction check as it was: the stored
+    (rotation, translation), or the ValueError it raised."""
+    r = np.asarray(rotation, dtype=np.float64).reshape(3, 3)
+    t = np.asarray(translation, dtype=np.float64).reshape(3)
+    if not (np.isfinite(r).all() and np.isfinite(t).all()):
+        raise ValueError("non-finite transform")
+    if np.linalg.det(r) <= 0:
+        raise ValueError("rotation must have positive determinant")
+    if float(np.abs(r.T @ r - np.eye(3)).max()) > ORTHONORMAL_TOL:
+        r = orthonormalize(r)
+    return r, t

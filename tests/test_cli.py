@@ -1,18 +1,22 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brickir
 from brickir.cli import main
 from brickir.connectors import ConnectorFamily
-from brickir.demo import build_demo_catalog
+from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.geometry import QuantizedParams, RigidTransform
 from brickir.graph import ConnEdge, ConnectivityGraph
 from brickir.ldraw import PartInstance
 from brickir.program import serialize
 
-from conftest import demo_ldr
+from conftest import catalog_obj_with_collapsing_mesh, count_inset_builds, demo_ldr
 
 CAT = build_demo_catalog()
 
@@ -411,3 +415,98 @@ def test_library_catalog_warnings_reach_stderr(capsys, tmp_path):
         "warning: 3024: no connector sites\n"
     )
     assert [i["part"] for i in json.loads(captured.out)["instances"]] == ["3024"]
+
+
+# ---------------------------------------------------------------------------
+# Collision meshes built on first use
+
+
+def test_eval_builds_only_the_meshes_it_places(capsys, tmp_path):
+    path = tmp_path / "collapsing.json"  # "plate 1x1" (3024) cannot be inset
+    path.write_text(json.dumps(catalog_obj_with_collapsing_mesh("3024")))
+    catalog = str(path)
+    without = tmp_path / "without.bseq"
+    without.write_text("a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n")
+    assert main(["--catalog", catalog, "eval", str(without)]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][str(without)]
+    assert report["connectivity_steps"] == 2
+    placing = tmp_path / "placing.bseq"
+    placing.write_text("a plate 1x1 | red\n")
+    assert main(["--catalog", catalog, "eval", str(placing)]) == 1
+    assert capsys.readouterr().err == "error: inset collapsed the entire mesh\n"
+    assert main(["--catalog", catalog, "--strict", "eval", str(placing)]) == 4
+    _assert_one_error_line(capsys)
+    assert main(["--catalog", catalog, "--no-collision", "eval", str(placing)]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_jobs_2_builds_each_mesh_once(workdir, capsys, tmp_path, monkeypatch, command):
+    builds = count_inset_builds(monkeypatch, delay=0.005)
+    text = serialize(generate_random_path(CAT, np.random.default_rng(3), 12), CAT)
+    files = []
+    for k in range(6):  # the same program six times: both workers race for every part
+        files.append(tmp_path / f"p{k}.bseq")
+        files[-1].write_text(text)
+    assert run(workdir, "--jobs", 2, command, *files) == 0
+    capsys.readouterr()
+    assert builds and set(builds.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under fuzzed programs
+
+_FUZZ_BASES = [
+    serialize(generate_random_path(CAT, np.random.default_rng(seed), n), CAT)
+    for seed, n in ((1, 6), (2, 12), (5, 20))
+]
+_LINE_MUTATIONS = ("drop_line", "swap_lines", "dup_line")
+_TOKEN_MUTATIONS = ("drop_token", "swap_tokens", "dup_token", "insert_int", "ball_triple")
+_INTS = st.integers(-(10**12), 10**12)
+
+
+@st.composite
+def _mutated_programs(draw):
+    lines = draw(st.sampled_from(_FUZZ_BASES)).splitlines()
+    ops = st.sampled_from(_LINE_MUTATIONS + _TOKEN_MUTATIONS)
+    for op in draw(st.lists(ops, min_size=1, max_size=4)):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        if op == "drop_line":
+            del lines[i]
+        elif op == "swap_lines":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        elif op == "dup_line":
+            lines.insert(i, lines[i])
+        elif op == "drop_token":
+            del tokens[j]
+        elif op == "swap_tokens":
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        elif op == "dup_token":
+            tokens.insert(j, tokens[j])
+        elif op == "insert_int":
+            tokens.insert(j, str(draw(_INTS)))
+        else:  # the last three tokens become any integer triple
+            tokens[-3:] = [str(draw(_INTS)) for _ in range(3)]
+        if op in _TOKEN_MUTATIONS:
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_mutated_programs())
+def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
+    program_file = workdir / "fuzzed.bseq"
+    program_file.write_text(text)
+    for argv in (["check", program_file], ["--strict", "check", program_file],
+                 ["eval", program_file]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(workdir, *argv)  # an escaping exception fails the test
+        assert 0 <= code <= 4
+        assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,25 @@ from brickir.collision import (
     tri_tri_intersect,
     tri_tri_intersect_batch,
 )
+from brickir.catalog import Catalog
 from brickir.demo import build_demo_catalog
 from brickir.errors import BrickIrError
 from brickir.geometry import RigidTransform, compose
 
-from conftest import icosphere_mesh, random_rigid, random_rotation, rotation_about_axis
-from oracles import _any_pair_intersects, brute_force_intersects
+from conftest import (
+    catalog_obj_with_collapsing_mesh,
+    count_inset_builds,
+    icosphere_mesh,
+    random_rigid,
+    random_rotation,
+    rotation_about_axis,
+)
+from oracles import (
+    _any_pair_intersects,
+    brute_force_intersects,
+    reference_inset_mesh,
+    reference_is_closed,
+)
 
 I = RigidTransform.identity()
 
@@ -40,7 +56,6 @@ def _trans(x, y, z):
 def test_inset_cube_closed_form():
     verts, tris = box_mesh((20.0, 20.0, 20.0))
     out = inset_mesh(verts, tris, 0.25)
-    assert out.source_inset == 0.25
     expected = box_mesh((19.5, 19.5, 19.5))[0]
     got = np.array(sorted(map(tuple, out.vertices)))
     want = np.array(sorted(map(tuple, expected)))
@@ -74,6 +89,75 @@ def test_inset_drops_degenerate_triangles():
     out = inset_mesh(verts, tris, 0.1)
     assert len(out.triangles) == 12
     assert len(out.vertices) == 8
+
+
+def _same_inset(verts, tris, offset) -> bool:
+    """Assert inset_mesh equals the reference copy (same arrays and closed
+    flag, or the same BrickIrError); True when both raised."""
+    try:
+        want_v, want_t, want_closed = reference_inset_mesh(verts, tris, offset)
+    except BrickIrError as exc:
+        with pytest.raises(BrickIrError) as got:
+            inset_mesh(verts, tris, offset)
+        assert str(got.value) == str(exc)
+        return True
+    out = inset_mesh(verts, tris, offset)
+    assert out.vertices.dtype == want_v.dtype and np.array_equal(out.vertices, want_v)
+    assert out.triangles.dtype == want_t.dtype and np.array_equal(out.triangles, want_t)
+    assert out.closed == want_closed
+    return False
+
+
+@pytest.mark.parametrize("offset", [0.25, 0.0])
+def test_inset_matches_reference_on_demo_parts(offset):
+    for part in build_demo_catalog().parts.values():
+        assert not _same_inset(part.mesh.vertices, part.mesh.triangles, offset)
+
+
+def _random_mesh(rng, k):
+    """One of six seeded mesh kinds: closed boxes, jittered spheres, open
+    unions of boxes, index soups with degenerate triangles, collinear and
+    duplicate vertices, and boxes small enough for the inset to collapse."""
+    offset = float(rng.choice([0.0, 0.25, rng.uniform(0.01, 3.0)]))
+    kind = k % 6
+    if kind == 0:
+        verts, tris = box_mesh(rng.uniform(0.2, 40.0, 3), rng.uniform(-20.0, 20.0, 3))
+    elif kind == 1:
+        verts, tris = icosphere_mesh(rng.uniform(0.5, 15.0), int(rng.integers(0, 3)))
+        verts = verts + rng.normal(0.0, 0.05, verts.shape)
+    elif kind == 2:
+        verts, tris = merge_meshes(
+            [box_mesh(rng.uniform(1.0, 20.0, 3), rng.uniform(-5.0, 5.0, 3)) for _ in range(2)]
+        )
+        tris = tris[rng.random(len(tris)) < 0.7]  # may drop every triangle
+    elif kind == 3:
+        n = int(rng.integers(3, 30))
+        verts = rng.uniform(-10.0, 10.0, (n, 3))
+        tris = rng.integers(0, n, (int(rng.integers(1, 40)), 3))
+    elif kind == 4:
+        line = np.outer(rng.uniform(-5.0, 5.0, 6), rng.normal(size=3))
+        bv, bt = box_mesh(rng.uniform(0.5, 10.0, 3))
+        verts = np.vstack([line, line[:2], bv])
+        tris = rng.integers(0, 8, (int(rng.integers(1, 10)), 3))  # degenerate only
+        if rng.random() < 0.5:
+            tris = np.vstack([tris, bt + 8])
+    else:  # a cube of side 2 * offset insets to a point
+        offset = float(rng.uniform(0.1, 1.0))
+        verts, tris = box_mesh(np.full(3, 2.0 * offset), rng.uniform(-5.0, 5.0, 3))
+    return verts, tris, offset
+
+
+def test_inset_matches_reference_on_random_meshes():
+    rng = np.random.default_rng(20261018)
+    raised = closed = 0
+    for k in range(200):
+        verts, tris, offset = _random_mesh(rng, k)
+        raised += _same_inset(verts, tris, offset)
+        if len(tris):
+            flag = CollisionMesh.build(verts, tris).closed
+            assert flag == reference_is_closed(np.asarray(tris))
+            closed += flag
+    assert 20 < raised < 180 and 20 < closed < 180  # both outcomes are exercised
 
 
 def test_closed_flag():
@@ -430,6 +514,57 @@ def test_part_colliders_from_catalog():
     cat = build_demo_catalog()
     colliders = PartColliders.from_catalog(cat, inset=0.25)
     mesh = colliders["3024"]
-    assert mesh.source_inset == 0.25
+    source = cat.part("3024").mesh
+    want = inset_mesh(source.vertices, source.triangles, 0.25)
+    assert np.array_equal(mesh.vertices, want.vertices)
+    assert np.array_equal(mesh.triangles, want.triangles)
+    lo, hi = source.vertices.min(axis=0), source.vertices.max(axis=0)
+    assert (mesh.vertices.min(axis=0) > lo).all() and (mesh.vertices.max(axis=0) < hi).all()
     assert colliders.get("nope") is None
     assert AssemblyChecker().add(mesh, I) == []
+
+
+def test_part_colliders_build_on_first_lookup():
+    obj = catalog_obj_with_collapsing_mesh("3023")
+    del obj["parts"]["3024"]["mesh"]
+    table = PartColliders.from_catalog(Catalog.from_json_obj(obj), inset=0.25)
+    assert len(table) == 0 and not table  # nothing is built up front
+    assert table.get("3024") is None  # no geometry
+    assert table.get("nope") is None  # unknown id
+    assert table.get("nope", "x") == "x"
+    with pytest.raises(KeyError):
+        table["3024"]
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(BrickIrError, match="inset collapsed the entire mesh"):
+            table.get("3023")
+    mesh = table["3004"]
+    assert table.get("3004") is mesh and table["3004"] is mesh
+    assert list(table) == ["3004"]
+
+
+def test_part_colliders_concurrent_first_lookups_build_once(monkeypatch):
+    """More threads than cores, switching often, all looking up every part:
+    a build outside the lock would count twice."""
+    cat = build_demo_catalog()
+    builds = count_inset_builds(monkeypatch)
+    table = PartColliders.from_catalog(cat, inset=0.25)
+    ids = sorted(cat.parts)
+    seen = []
+
+    def worker(k):
+        seen.append([table.get(pid) for pid in ids[k:] + ids[:k]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    assert len(builds) == len(ids) and set(builds.values()) == {1}
+    for meshes in seen:  # every thread got the one stored mesh of each part
+        assert {id(m) for m in meshes} == {id(table[pid]) for pid in ids}

@@ -15,7 +15,8 @@ from brickir.geometry import (
     relative,
 )
 
-from conftest import frame_from_transform, random_rigid, rotation_about_axis
+from conftest import frame_from_transform, random_rigid, random_rotation, rotation_about_axis
+from oracles import reference_rigid_check
 
 
 def test_compose_identity():
@@ -153,3 +154,39 @@ def test_connector_frame_transform_roundtrip():
         moved = f.transformed(t)
         back = moved.transformed(t.inverse())
         assert back.is_close(f, tol=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["rotation", "reflection", "scaled", "huge", "bad_r", "bad_t"]),
+    exponent=st.floats(-12.0, -6.0),
+)
+def test_rigid_transform_check_matches_reference(seed, kind, exponent):
+    """The fast orthonormality-first check raises the same error as the
+    earlier finite/det/reproject sequence, or stores bit-identical arrays."""
+    rng = np.random.default_rng(seed)
+    r = random_rotation(rng) + rng.standard_normal((3, 3)) * 10.0**exponent
+    t = rng.uniform(-100.0, 100.0, 3)
+    bad = rng.choice([np.nan, np.inf, -np.inf])
+    if kind == "reflection":
+        r = r @ np.diag([1.0, 1.0, -1.0])
+    elif kind == "scaled":
+        r = r * rng.choice([1.0 + 10.0**exponent, 1.0 - 10.0**exponent, rng.uniform(0.1, 10.0)])
+    elif kind == "huge":
+        r = r * 10.0 ** rng.uniform(150.0, 300.0)
+    elif kind == "bad_r":
+        r[rng.integers(3), rng.integers(3)] = bad
+    elif kind == "bad_t":
+        t[rng.integers(3)] = bad
+    with np.errstate(over="ignore", invalid="ignore"):  # "huge" overflows in both
+        try:
+            want_r, want_t = reference_rigid_check(r.copy(), t.copy())
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                RigidTransform(r.copy(), t.copy())
+            assert str(got.value) == str(exc)
+            return
+        got = RigidTransform(r.copy(), t.copy())
+    assert got.rotation.tobytes() == want_r.tobytes()
+    assert got.translation.tobytes() == want_t.tobytes()
