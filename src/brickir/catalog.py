@@ -8,7 +8,6 @@ load from a JSON file or are built from an LDraw part library directory
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -22,10 +21,8 @@ from .connectors import AnnotatedConnector, annotate_part, default_rules
 from .errors import CatalogError, LdrawParseError
 
 
-@functools.lru_cache(maxsize=4096)
 def normalize_part_name(name: str) -> str:
-    """Lowercase, collapse whitespace, strip the reserved '|' separator.
-    Memoized: programs look up the same few raw names once per action."""
+    """Lowercase, collapse whitespace, strip the reserved '|' separator."""
     return re.sub(r"\s+", " ", name.replace("|", " ")).strip().lower()
 
 

@@ -93,17 +93,16 @@ class Bvh:
 
         if m:
             build(np.arange(m))
-        self.lo = lo[:count]
-        self.hi = hi[:count]
+        lo, hi = lo[:count], hi[:count]
         self.left = left[:count]
         self.right = right[:count]
         self.leaf = self.left < 0
-        self.extent = (self.hi - self.lo).max(axis=1)
+        self.extent = (hi - lo).max(axis=1)
         self.leaf_tris = leaf_tris[:count]
-        self.center = (self.lo + self.hi) / 2.0
-        self.half = (self.hi - self.lo) / 2.0
-        self.lo_eps = self.lo - TRI_EPS
-        self.hi_eps = self.hi + TRI_EPS
+        self.center = (lo + hi) / 2.0
+        self.half = (hi - lo) / 2.0
+        self.lo_eps = lo - TRI_EPS
+        self.hi_eps = hi + TRI_EPS
         v0 = tri_vertices[:, 0]
         e1 = tri_vertices[:, 1] - v0
         e2 = tri_vertices[:, 2] - v0
@@ -121,7 +120,7 @@ class Bvh:
     @property
     def root_box(self):
         """Centre and half-extents of the root box (zeros when empty)."""
-        if not len(self.lo):
+        if not len(self.center):
             return np.zeros(3), np.zeros(3)
         return self.center[0], self.half[0]
 
@@ -405,7 +404,7 @@ def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
 # Assembly-level checks
 
 
-class PartColliders(dict):
+class PartColliders:
     """Part id -> CollisionMesh: the one mesh table that every collision
     consumer reads. A part's mesh is built on its first lookup and kept;
     builds run under a lock, so threads sharing the table build each mesh
@@ -417,9 +416,9 @@ class PartColliders(dict):
     cannot be built raises from the lookup that needs it."""
 
     def __init__(self, catalog, inset: float):
-        super().__init__()
         self._catalog = catalog
         self._inset = inset
+        self._meshes: dict = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -429,25 +428,25 @@ class PartColliders(dict):
         Nothing is built until a part is looked up."""
         return cls(catalog, inset)
 
-    def __missing__(self, part_id):
+    def __getitem__(self, part_id) -> CollisionMesh:
         mesh = self.get(part_id)
         if mesh is None:
             raise KeyError(part_id)
         return mesh
 
     def get(self, part_id, default=None):
-        mesh = dict.get(self, part_id)
+        mesh = self._meshes.get(part_id)
         if mesh is not None:
             return mesh
         part = self._catalog.parts.get(part_id)
         if part is None or part.mesh is None or len(part.mesh) == 0:
             return default
         with self._lock:
-            mesh = dict.get(self, part_id)
+            mesh = self._meshes.get(part_id)
             if mesh is None:
                 v, t = part.mesh.vertices, part.mesh.triangles
                 mesh = inset_mesh(v, t, self._inset) if self._inset else CollisionMesh.build(v, t)
-                self[part_id] = mesh
+                self._meshes[part_id] = mesh
         return mesh
 
 

@@ -25,7 +25,6 @@ are reentrant.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -52,7 +51,6 @@ from .ldraw import PartInstance
 # 180-degree rotation about the reference (x) axis: the "flip" of hinge and
 # axle connections.
 FLIP_ROTATION = np.diag([1.0, -1.0, -1.0])
-FLIP_ROTATION.flags.writeable = False
 _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
 
@@ -330,20 +328,10 @@ def _mate(
     """Rotation and origin of the connector mated onto the frame
     (frame_rot, origin) by quantized parameters, before the axes are
     renormalized."""
-    r, t = _mate_terms(family, params)
-    return frame_rot @ r, frame_rot @ t + origin
-
-
-@functools.lru_cache(maxsize=4096)
-def _mate_terms(family: ConnectorFamily, params: QuantizedParams) -> tuple[np.ndarray, np.ndarray]:
-    """The validated mate rotation and slide vector of (family, params), as
-    read-only arrays. Invalid params raise and are not cached."""
     _validate_params(family, params)
     r = _mate_rotation(family, params)
     t = np.array([0.0, 0.0, float(params.slide_ldu)])
-    r.flags.writeable = False
-    t.flags.writeable = False
-    return r, t
+    return frame_rot @ r, frame_rot @ t + origin
 
 
 def realize_params(

@@ -420,8 +420,7 @@ def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityRepo
             diagnoses.append(result.error)
         program = result.program
 
-    if part_meshes is None:  # not ``or``: a lazy table is empty, hence falsy, until used
-        part_meshes = {}
+    part_meshes = part_meshes or {}
     checker = AssemblyChecker()
     connectivity = 0
     collision = 0

@@ -524,11 +524,13 @@ def test_part_colliders_from_catalog():
     assert AssemblyChecker().add(mesh, I) == []
 
 
-def test_part_colliders_build_on_first_lookup():
+def test_part_colliders_build_on_first_lookup(monkeypatch):
     obj = catalog_obj_with_collapsing_mesh("3023")
     del obj["parts"]["3024"]["mesh"]
+    builds = count_inset_builds(monkeypatch)
     table = PartColliders.from_catalog(Catalog.from_json_obj(obj), inset=0.25)
-    assert len(table) == 0 and not table  # nothing is built up front
+    assert not builds  # nothing is built up front
+    assert table  # always truthy, so ``table or {}`` keeps it
     assert table.get("3024") is None  # no geometry
     assert table.get("nope") is None  # unknown id
     assert table.get("nope", "x") == "x"
@@ -539,7 +541,7 @@ def test_part_colliders_build_on_first_lookup():
             table.get("3023")
     mesh = table["3004"]
     assert table.get("3004") is mesh and table["3004"] is mesh
-    assert list(table) == ["3004"]
+    assert sorted(builds.values()) == [1, 2]  # 3004 once; the failed 3023 build twice
 
 
 def test_part_colliders_concurrent_first_lookups_build_once(monkeypatch):
