@@ -8,10 +8,12 @@ build paths and seeded random programs (every third one corrupted at one
 line) in a temporary directory, then runs ``brickir.cli.main`` on them:
 parse/graph, sample at three seeds and with --no-collision / --inset 0,
 serialize/execute, execute of every uncorrupted program, eval in
-json/text/csv and with --jobs 1 / --jobs 2, check (with --jobs 2, and
---strict check on an overlapping program), stats, and the exit-code cases of
+json/text/csv and with --jobs 1 / --jobs 2, check (with --jobs 2, with
+--no-collision, and --strict check on an overlapping program), eval
+--no-collision through the --jobs 2 pool, stats, and the exit-code cases of
 the CLI contract. The --jobs 2 calls run the thread pool, and with it
 concurrent first lookups in the shared collision-mesh table, on any machine.
+The --no-collision calls run the executor without reading a single pose.
 
 Each call's exit code, stdout, stderr and --out files are hashed. The script
 prints one line per call (digest, exit code, label) and then the sha256 over
@@ -114,6 +116,10 @@ def _calls():
     programs = [f"programs/p{i:02d}.bseq" for i in range(30)]
     calls.append(("check --jobs 2", cat + ["--jobs", "2", "check", *programs, "overlap.bseq"],
                   None))
+    calls.append(("check --no-collision", cat + ["--no-collision", "check", *programs,
+                                                 "overlap.bseq"], None))
+    calls.append(("eval --no-collision --jobs 2", cat + ["--no-collision", "--jobs", "2", "eval",
+                                                          "programs"], None))
     calls.append(("strict check overlap", cat + ["--strict", "check", "overlap.bseq"], None))
     calls.append(("stats json", cat + ["stats", *corpus], None))
     calls.append(("stats csv", cat + ["--format", "csv", "stats", *corpus], None))

@@ -237,6 +237,10 @@ class ConnectorFrame:
         )
 
 
+# Largest slide magnitude: every integer up to 2**53 is exact in float64.
+MAX_SLIDE_LDU = 2**53
+
+
 @dataclass(frozen=True)
 class QuantizedParams:
     """Integer-grid edge parameters. Which fields are meaningful depends on
@@ -250,6 +254,8 @@ class QuantizedParams:
     def __post_init__(self):
         if not 0 <= self.yaw_deg < 360:
             raise ValueError(f"yaw out of range [0, 360): {self.yaw_deg}")
+        if abs(self.slide_ldu) > MAX_SLIDE_LDU:
+            raise ValueError("slide out of range [-2**53, 2**53] LDU")
         if self.euler_deg is not None:
             e = tuple(int(v) for v in self.euler_deg)
             if any(not 0 <= v < 360 for v in e):

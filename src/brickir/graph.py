@@ -194,9 +194,9 @@ class ConnectivityGraph:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ConnectivityGraph":
-        """Rebuild a graph from its JSON object. Malformed input, ids that are
-        not integers, connector indices that are not strings and edges naming
-        a missing node raise GraphParseError."""
+        """Rebuild a graph from its JSON object. Malformed input (an infinite
+        number included), ids that are not integers, connector indices that
+        are not strings and edges naming a missing node raise GraphParseError."""
         try:
             nodes = {}
             for n in obj.get("nodes", []):
@@ -208,7 +208,7 @@ class ConnectivityGraph:
                     pose=RigidTransform.from_json_obj(n["pose"]),
                 )
             edges = [ConnEdge.from_json_obj(e) for e in obj.get("edges", [])]
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise GraphParseError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc
         for e in edges:
             for node, _ in (e.a, e.b):

@@ -9,7 +9,6 @@ verified downstream.
 from __future__ import annotations
 
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,13 +34,6 @@ class SurvivalCurve:
 
     survivors: tuple
     total: int
-
-    def proportion(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k >= len(self.survivors):
-            return 0.0
-        return self.survivors[k] / self.total
 
     def proportions(self) -> list[float]:
         return [s / self.total for s in self.survivors]
@@ -128,9 +120,6 @@ class DatasetStats:
                 for pid, (rf, sp) in sorted(self.part_frequency.items())
             },
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -19,6 +19,7 @@ Programs are immutable values; execution is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .catalog import Catalog
 from .collision import AssemblyChecker
@@ -55,13 +56,6 @@ class BuildProgram:
     """Ordered build steps; the first step introduces the root."""
 
     steps: tuple
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def action_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, PartIntro))
 
 
 @dataclass(frozen=True)
@@ -331,26 +325,44 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
 
 
 def _placements(program: BuildProgram, catalog: Catalog):
-    """Run a program's steps, yielding ``(intro, part_id, pose)`` as each
-    placement action completes (the root lands at the identity).
+    """Run a program's steps, yielding ``(intro, part_id, place)`` as each
+    placement action completes. ``place()`` returns the node's pose: the root
+    lands at the identity, every other node at its first attach. Further
+    attaches on the same node only claim connectors.
 
-    A node's pose is fixed by its first attach; further attaches on the same
-    node only claim connectors. The first failing step raises ProgramError:
-    'unexpected-attach', 'unknown-part', 'target-not-introduced',
-    'connector-occupied' (reusing a single-accept connector) or
-    'missing-attach' (an action that places nothing).
+    Every check is eager, but a pose is computed on the first ``place()`` and
+    then kept. A pose is built from its target's pose, so callers must place
+    in order: each placement they read needs every earlier one placed first
+    (``execute`` places all, ``validate_prefix`` the collision-checked
+    prefix). The first failing step raises ProgramError: 'unexpected-attach',
+    'unknown-part', 'target-not-introduced', 'connector-occupied' (reusing a
+    single-accept connector) or 'missing-attach' (an action that places
+    nothing).
     """
+    fixed_by: dict[str, Attach | None] = {}  # node -> the attach that fixes its pose
     poses: dict[str, RigidTransform] = {}
     parts: dict[str, str] = {}
     consumed: set[tuple[str, str]] = set()
     rules = catalog.rules
 
+    def place(node: str) -> RigidTransform:
+        if node not in poses:
+            step = fixed_by[node]
+            poses[node] = RigidTransform.identity() if step is None else attach_pose(
+                poses[step.target],
+                catalog.connector(parts[step.target], step.target_index).frame,
+                catalog.connector(parts[node], step.new_index).frame,
+                step.family,
+                step.params,
+            )
+        return poses[node]
+
     def placed(intro: PartIntro):
-        if intro.node not in poses:
+        if intro.node not in fixed_by:
             raise ProgramError(
                 "missing-attach", f"node {intro.node!r} was never attached", intro.line
             )
-        return intro, parts[intro.node], poses[intro.node]
+        return intro, parts[intro.node], partial(place, intro.node)
 
     intro = None  # the action in progress
     for step in program.steps:
@@ -361,13 +373,13 @@ def _placements(program: BuildProgram, catalog: Catalog):
             if part is None:
                 raise ProgramError("unknown-part", step.part_name, step.line)
             parts[step.node] = part.part_id
-            if not poses:
-                poses[step.node] = RigidTransform.identity()
+            if not fixed_by:
+                fixed_by[step.node] = None
             intro = step
             continue
         if intro is None:
             raise ProgramError("unexpected-attach", "attach before any introduction", step.line)
-        if step.target not in poses:
+        if step.target not in fixed_by:
             raise ProgramError(
                 "target-not-introduced", f"target {step.target!r} unplaced", step.line
             )
@@ -381,14 +393,7 @@ def _placements(program: BuildProgram, catalog: Catalog):
                     "connector-occupied", f"connector {index!r} of node {node!r} reused", step.line
                 )
             consumed.add(key)
-        if intro.node not in poses:
-            poses[intro.node] = attach_pose(
-                poses[step.target],
-                catalog.connector(parts[step.target], step.target_index).frame,
-                catalog.connector(parts[intro.node], step.new_index).frame,
-                step.family,
-                step.params,
-            )
+        fixed_by.setdefault(intro.node, step)
     if intro is not None:
         yield placed(intro)
 
@@ -397,7 +402,7 @@ def execute(program: BuildProgram, catalog: Catalog) -> dict[str, RigidTransform
     """Run a structurally valid program: the root lands at the identity and
     every attached node's pose satisfies its attach instruction exactly.
     The first invalid step raises ProgramError (codes as in _placements)."""
-    return {intro.node: pose for intro, _, pose in _placements(program, catalog)}
+    return {intro.node: place() for intro, _, place in _placements(program, catalog)}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +416,8 @@ def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityRepo
     is action 1); collision_steps additionally requires each placement to be
     collision-free against everything placed before it, with the meshes of
     ``part_meshes`` (part id -> CollisionMesh). Without it the two counts
-    coincide.
+    coincide and no pose is computed. With it, poses are computed in
+    placement order up to the first collision, and none after it.
     """
     diagnoses: list[ProgramDiagnosis] = []
     if isinstance(program, str):
@@ -425,19 +431,21 @@ def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityRepo
     connectivity = 0
     collision = 0
     try:
-        for intro, part_id, pose in _placements(program, catalog):
+        for intro, part_id, place in _placements(program, catalog):
             connectivity += 1
             if collision < connectivity - 1:
                 continue  # an earlier placement collided
-            mesh = part_meshes.get(part_id)
-            if mesh is not None and checker.add(mesh, pose):
-                diagnoses.append(
-                    ProgramDiagnosis(
-                        intro.line, "collision", f"placement of {intro.node!r} collides"
+            if part_meshes:
+                pose = place()  # even without a mesh: a later part may attach to it
+                mesh = part_meshes.get(part_id)
+                if mesh is not None and checker.add(mesh, pose):
+                    diagnoses.append(
+                        ProgramDiagnosis(
+                            intro.line, "collision", f"placement of {intro.node!r} collides"
+                        )
                     )
-                )
-            else:
-                collision = connectivity
+                    continue
+            collision = connectivity
     except ProgramError as exc:
         diagnoses.append(ProgramDiagnosis(exc.line or 0, exc.code, str(exc)))
 

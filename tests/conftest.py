@@ -1,8 +1,10 @@
 """Shared fixtures and the test-only helpers: random rigid motions, a
 geodesic sphere mesh, axis-angle rotations, text renderers for programs
-and LDraw instances, a catalog with an uninsettable mesh, and a counter of
+and LDraw instances, a program's action count, a survival proportion, a
+canonical stats dump, a catalog with an uninsettable mesh, and a counter of
 collision-mesh builds."""
 
+import json
 import math
 import threading
 import time
@@ -115,6 +117,25 @@ def render_program(program) -> str:
             ] + _params_tokens(step.family, step.params)
             lines.append(" ".join(tokens))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def action_count(program) -> int:
+    """Placement actions of a BuildProgram: its part introductions."""
+    return sum(1 for s in program.steps if isinstance(s, PartIntro))
+
+
+def survival_proportion(curve, k: int) -> float:
+    """Share of a SurvivalCurve's sequences valid for at least k actions."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k >= len(curve.survivors):
+        return 0.0
+    return curve.survivors[k] / curve.total
+
+
+def stats_json(stats) -> str:
+    """DatasetStats as canonical JSON (sorted keys, compact)."""
+    return json.dumps(stats.to_json_obj(), sort_keys=True)
 
 
 def instances_to_ldr(instances) -> str:

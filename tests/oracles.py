@@ -6,18 +6,20 @@ matcher oracle enumerates every connector pair with broadcast numpy, the
 collision oracle tests every triangle pair, and the pose oracle replays a
 build path with plain homogeneous 4x4 matrix arithmetic. The reference
 copies at the end are earlier, plainer versions of fast paths that must
-match them bit for bit.
+match them bit for bit: the mesh inset, the transform check, and the eager
+executor, which computes every pose as its attach completes.
 """
 
 import math
 
 import numpy as np
 
-from brickir.collision import DEGENERATE_AREA
+from brickir.collision import DEGENERATE_AREA, AssemblyChecker
 from brickir.connectors import ConnectorFamily
-from brickir.errors import BrickIrError
-from brickir.geometry import ORTHONORMAL_TOL, QuantizedParams, orthonormalize
-from brickir.graph import ConnEdge, ConnectivityGraph
+from brickir.errors import BrickIrError, ProgramError
+from brickir.geometry import ORTHONORMAL_TOL, QuantizedParams, RigidTransform, orthonormalize
+from brickir.graph import ConnEdge, ConnectivityGraph, attach_pose
+from brickir.program import PartIntro, ProgramDiagnosis, ValidityReport, parse_program
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,8 @@ def replay_path_poses(path, catalog) -> dict:
 
 # ---------------------------------------------------------------------------
 # Reference copies: the per-edge dict loop, np.add.at inset and LAPACK
-# determinant check that the vectorized code replaced
+# determinant check that the vectorized code replaced, and the eager executor
+# that the deferred poses replaced
 
 
 def reference_is_closed(triangles: np.ndarray) -> bool:
@@ -430,3 +433,107 @@ def reference_rigid_check(rotation, translation):
     if float(np.abs(r.T @ r - np.eye(3)).max()) > ORTHONORMAL_TOL:
         r = orthonormalize(r)
     return r, t
+
+
+def reference_placements(program, catalog):
+    """Run a program's steps, yielding ``(intro, part_id, pose)`` as each
+    placement action completes (the root lands at the identity).
+
+    A node's pose is fixed by its first attach; further attaches on the same
+    node only claim connectors. The first failing step raises ProgramError:
+    'unexpected-attach', 'unknown-part', 'target-not-introduced',
+    'connector-occupied' (reusing a single-accept connector) or
+    'missing-attach' (an action that places nothing).
+    """
+    poses: dict[str, RigidTransform] = {}
+    parts: dict[str, str] = {}
+    consumed: set[tuple[str, str]] = set()
+    rules = catalog.rules
+
+    def placed(intro: PartIntro):
+        if intro.node not in poses:
+            raise ProgramError(
+                "missing-attach", f"node {intro.node!r} was never attached", intro.line
+            )
+        return intro, parts[intro.node], poses[intro.node]
+
+    intro = None  # the action in progress
+    for step in program.steps:
+        if isinstance(step, PartIntro):
+            if intro is not None:
+                yield placed(intro)
+            part = catalog.part_by_name(step.part_name)
+            if part is None:
+                raise ProgramError("unknown-part", step.part_name, step.line)
+            parts[step.node] = part.part_id
+            if not poses:
+                poses[step.node] = RigidTransform.identity()
+            intro = step
+            continue
+        if intro is None:
+            raise ProgramError("unexpected-attach", "attach before any introduction", step.line)
+        if step.target not in poses:
+            raise ProgramError(
+                "target-not-introduced", f"target {step.target!r} unplaced", step.line
+            )
+        for node, index, subtype in (
+            (step.target, step.target_index, step.target_subtype),
+            (intro.node, step.new_index, step.new_subtype),
+        ):
+            key = (node, index)
+            if key in consumed and not rules.is_multi_accept(subtype):
+                raise ProgramError(
+                    "connector-occupied", f"connector {index!r} of node {node!r} reused", step.line
+                )
+            consumed.add(key)
+        if intro.node not in poses:
+            poses[intro.node] = attach_pose(
+                poses[step.target],
+                catalog.connector(parts[step.target], step.target_index).frame,
+                catalog.connector(parts[intro.node], step.new_index).frame,
+                step.family,
+                step.params,
+            )
+    if intro is not None:
+        yield placed(intro)
+
+
+def reference_validate_prefix(program, catalog, part_meshes=None) -> ValidityReport:
+    """Longest valid action prefix of a program (text or BuildProgram).
+
+    connectivity_steps counts actions that parse and execute (the root intro
+    is action 1); collision_steps additionally requires each placement to be
+    collision-free against everything placed before it, with the meshes of
+    ``part_meshes`` (part id -> CollisionMesh). Without it the two counts
+    coincide.
+    """
+    diagnoses: list[ProgramDiagnosis] = []
+    if isinstance(program, str):
+        result = parse_program(program, catalog, strict=False)
+        if result.error:
+            diagnoses.append(result.error)
+        program = result.program
+
+    part_meshes = part_meshes or {}
+    checker = AssemblyChecker()
+    connectivity = 0
+    collision = 0
+    try:
+        for intro, part_id, pose in reference_placements(program, catalog):
+            connectivity += 1
+            if collision < connectivity - 1:
+                continue  # an earlier placement collided
+            mesh = part_meshes.get(part_id)
+            if mesh is not None and checker.add(mesh, pose):
+                diagnoses.append(
+                    ProgramDiagnosis(
+                        intro.line, "collision", f"placement of {intro.node!r} collides"
+                    )
+                )
+            else:
+                collision = connectivity
+    except ProgramError as exc:
+        diagnoses.append(ProgramDiagnosis(exc.line or 0, exc.code, str(exc)))
+
+    first_error = min(diagnoses, key=lambda d: d.line, default=None)
+    return ValidityReport(connectivity, collision, first_error)

@@ -41,7 +41,7 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import icosphere_mesh, random_rigid
+from conftest import icosphere_mesh, random_rigid, survival_proportion
 from oracles import brute_force_intersects, exhaustive_match, graphs_equal, replay_path_poses
 
 CAT = build_demo_catalog()
@@ -263,9 +263,9 @@ def test_criterion_5_metric_arithmetic():
         reports = [ValidityReport(s, s, None) for s in (3, 5, 7)]
         assert mean_valid_steps(reports) == 5.0
         curve = survival_curve(reports)
-        assert curve.proportion(0) == 1.0
-        assert curve.proportion(5) == pytest.approx(2 / 3)
-        assert curve.proportion(8) == 0.0
+        assert survival_proportion(curve, 0) == 1.0
+        assert survival_proportion(curve, 5) == pytest.approx(2 / 3)
+        assert survival_proportion(curve, 8) == 0.0
         assert p_invalid([True] * 4 + [False] * 12) == 0.25
 
         rng = np.random.default_rng(55)

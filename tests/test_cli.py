@@ -401,6 +401,73 @@ def test_serialize_rejects_params_the_family_lacks_exit2(workdir, capsys, tmp_pa
     _assert_one_error_line(capsys)
 
 
+AXLE_PROGRAM = "a technic brick 1x2 | red\nb technic pin | black\na axle pin_socket c pin a 0 {}\n"
+_SLIDES_OUT_OF_RANGE = [10**400, -(10**400), 2**53 + 1]
+
+
+def _run_captured(workdir, *argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(workdir, *argv)  # an escaping exception fails the test
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("slide", _SLIDES_OUT_OF_RANGE, ids=["1e400", "-1e400", "2**53+1"])
+def test_slide_out_of_range_is_bad_params(workdir, tmp_path, slide):
+    # a slide past 2**53 used to be accepted; past float range, float()
+    # raised OverflowError out of check, eval and execute
+    prog = tmp_path / "slide.bseq"
+    prog.write_text(AXLE_PROGRAM.format(slide))
+    for argv, want_code in (
+        (["check", prog], 0),
+        (["--no-collision", "check", prog], 0),
+        (["--strict", "check", prog], 4),
+        (["eval", prog], 0),
+    ):
+        code, out, err = _run_captured(workdir, *argv)
+        assert code == want_code, argv
+        assert err == ""
+        report = json.loads(out)["reports"][str(prog)]
+        assert report["connectivity_steps"] == report["collision_steps"] == 1
+        assert report["first_error"]["code"] == "bad-params"
+        assert report["first_error"]["line"] == 3
+    code, out, err = _run_captured(workdir, "execute", prog)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: bad-params: slide out of range [-2**53, 2**53] LDU\n"
+
+
+def test_slide_at_the_bound_is_accepted(workdir, tmp_path):
+    prog = tmp_path / "slide.bseq"
+    prog.write_text(AXLE_PROGRAM.format(-(2**53)))
+    code, out, err = _run_captured(workdir, "execute", prog)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["poses"]["b"]["t"][2] == pytest.approx(-(2.0**53), rel=1e-14)
+
+
+def _axle_graph_json(slide_token: str) -> str:
+    poses = brickir.execute(brickir.parse_program(AXLE_PROGRAM.format(0), CAT).program, CAT)
+    nodes = {i: PartInstance(i, pid, 4, poses[n]) for i, (n, pid) in enumerate(
+        (("a", "3700"), ("b", "3673")))}
+    edge = ConnEdge((0, "c"), (1, "a"), ConnectorFamily.AXLE, QuantizedParams())
+    text = ConnectivityGraph(nodes, [edge]).dumps()
+    assert text.count('"slide": 0') == 1
+    return text.replace('"slide": 0', f'"slide": {slide_token}')
+
+
+@pytest.mark.parametrize("slide", [str(s) for s in _SLIDES_OUT_OF_RANGE] + ["1e400"],
+                         ids=["1e400", "-1e400", "2**53+1", "float-1e400"])
+def test_graph_json_slide_out_of_range_exit2(workdir, capsys, tmp_path, slide):
+    good = tmp_path / "good.json"
+    good.write_text(_axle_graph_json("0"))
+    assert run(workdir, "serialize", good) == 0
+    assert " axle " in capsys.readouterr().out
+    bad = tmp_path / "slide.json"
+    bad.write_text(_axle_graph_json(slide))
+    assert run(workdir, "serialize", bad) == 2
+    _assert_one_error_line(capsys)
+
+
 def test_library_catalog_warnings_reach_stderr(capsys, tmp_path):
     (tmp_path / "lib" / "parts").mkdir(parents=True)
     (tmp_path / "lib" / "parts" / "3024.dat").write_text(

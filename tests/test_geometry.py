@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from brickir.geometry import (
     ConnectorFrame,
+    QuantizedParams,
     RigidTransform,
     compose,
     orthonormality_error,
@@ -111,6 +112,16 @@ def test_quantize_rejects_non_finite(bad):
         quantize_angle(bad)
     with pytest.raises(ValueError, match="non-finite"):
         quantize_slide(bad)
+
+
+def test_slide_bound_is_the_exact_float_range():
+    # every integer up to 2**53 converts to float64 exactly; past it, slides
+    # would round, and past ~1.8e308 float() overflows
+    for ok in (2**53, -(2**53), 0):
+        assert float(QuantizedParams(slide_ldu=ok).slide_ldu) == ok
+    for bad in (2**53 + 1, -(2**53) - 1, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="slide out of range"):
+            QuantizedParams(slide_ldu=bad)
 
 
 @given(st.integers(-10_000, 10_000))

@@ -17,6 +17,8 @@ from brickir.metrics import (
 )
 from brickir.program import ValidityReport
 
+from conftest import stats_json, survival_proportion
+
 
 def _report(conn, coll=None):
     return ValidityReport(conn, coll if coll is not None else conn, None)
@@ -41,11 +43,11 @@ def test_mean_valid_steps_modes_and_errors():
 
 def test_survival_curve_cases():
     curve = survival_curve([_report(3), _report(5), _report(7)])
-    assert curve.proportion(0) == 1.0
-    assert curve.proportion(5) == pytest.approx(2 / 3)
-    assert curve.proportion(7) == pytest.approx(1 / 3)
-    assert curve.proportion(8) == 0.0
-    assert curve.proportion(99) == 0.0
+    assert survival_proportion(curve, 0) == 1.0
+    assert survival_proportion(curve, 5) == pytest.approx(2 / 3)
+    assert survival_proportion(curve, 7) == pytest.approx(1 / 3)
+    assert survival_proportion(curve, 8) == 0.0
+    assert survival_proportion(curve, 99) == 0.0
     props = curve.proportions()
     assert all(a >= b for a, b in zip(props, props[1:]))
     with pytest.raises(ValueError):
@@ -151,9 +153,9 @@ def test_dataset_stats_permutation_invariant():
         parts = [(f"p{rng.integers(4)}", int(rng.integers(3))) for _ in range(n)]
         fams = [list(ConnectorFamily)[int(rng.integers(5))] for _ in range(n - 1)]
         corpus.append(_graph(parts, fams))
-    a = dataset_stats(corpus).dumps()
+    a = stats_json(dataset_stats(corpus))
     order = rng.permutation(len(corpus))
-    b = dataset_stats([corpus[i] for i in order]).dumps()
+    b = stats_json(dataset_stats([corpus[i] for i in order]))
     assert a == b
 
 

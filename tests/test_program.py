@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import brickir
+from brickir import program as program_module
 from brickir.catalog import Catalog, PartDef
 from brickir.collision import PartColliders
 from brickir.connectors import AnnotatedConnector, ConnectorFamily
@@ -21,8 +24,8 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import demo_ldr, render_program
-from oracles import replay_path_poses
+from conftest import action_count, demo_ldr, render_program
+from oracles import reference_placements, reference_validate_prefix, replay_path_poses
 
 CAT = build_demo_catalog()
 
@@ -96,7 +99,7 @@ def test_serialize_parse_render_byte_identical():
 def test_parse_empty_program():
     result = parse_program("", CAT)
     assert result.error is None
-    assert len(result.program) == 0
+    assert result.program.steps == ()
 
 
 VALID = (
@@ -111,7 +114,7 @@ VALID = (
 def test_parse_valid_program():
     result = parse_program(VALID, CAT)
     assert result.error is None
-    assert result.program.action_count == 3
+    assert action_count(result.program) == 3
 
 
 CORRUPTIONS = [
@@ -144,7 +147,7 @@ def test_parse_error_codes_and_prefix_lengths(line_idx, new_line, code, actions)
     assert result.error is not None
     assert result.error.code == code
     assert result.error.line == line_idx + 1
-    assert result.program.action_count == actions
+    assert action_count(result.program) == actions
     with pytest.raises(ProgramError):
         parse_program(text, CAT, strict=True)
 
@@ -152,14 +155,14 @@ def test_parse_error_codes_and_prefix_lengths(line_idx, new_line, code, actions)
 def test_parse_attach_before_intro_prefix_is_empty():
     result = parse_program("a stud stud a hole b 0\n", CAT)
     assert result.error.code == "unexpected-attach"
-    assert len(result.program) == 0
+    assert result.program.steps == ()
 
 
 def test_parse_trailing_unattached_intro():
     text = "a plate 1x2 | red\nb plate 1x2 | blue\n"
     result = parse_program(text, CAT)
     assert result.error.code == "missing-attach"
-    assert result.program.action_count == 1
+    assert action_count(result.program) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,7 @@ def test_multi_attach_on_one_node():
     )
     result = parse_program(text, CAT)
     assert result.error is None
-    assert result.program.action_count == 2
+    assert action_count(result.program) == 2
     poses = execute(result.program, CAT)
     assert np.allclose(poses["b"].translation, [0, -8, 0])
     report = validate_prefix(text, CAT)
@@ -472,3 +475,134 @@ def test_validate_prefix_accepts_program_objects():
     program = parse_program(TEN_VALID, CAT).program
     report = validate_prefix(program, CAT)
     assert (report.connectivity_steps, report.collision_steps) == (10, 10)
+
+
+# ---------------------------------------------------------------------------
+# Deferred poses: computed only where a collision check or execute reads them
+
+MESHES = PartColliders.from_catalog(CAT, inset=0.25)
+
+
+def _count_attach_poses(monkeypatch) -> list:
+    """Record every ``attach_pose`` call the executor makes (the reference
+    executor in oracles.py binds its own name and is not counted)."""
+    calls = []
+    real = program_module.attach_pose
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(program_module, "attach_pose", counting)
+    return calls
+
+
+def _demo_texts(seed: int, count: int, lo: int, hi: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [
+        serialize(generate_random_path(CAT, rng, int(rng.integers(lo, hi))), CAT)
+        for _ in range(count)
+    ]
+
+
+def test_poses_are_computed_only_up_to_the_first_collision(monkeypatch):
+    calls = _count_attach_poses(monkeypatch)
+    colliding = 0
+    for text in [TEN_VALID] + _demo_texts(31, 16, 20, 60):
+        program = parse_program(text, CAT, strict=True).program
+        n = action_count(program)
+        expected = reference_validate_prefix(program, CAT, MESHES)
+        calls.clear()
+        assert validate_prefix(program, CAT, MESHES) == expected
+        if expected.first_error is None:
+            assert len(calls) == n - 1
+        else:
+            # the first collision is at action k: the root is the identity,
+            # actions 2..k are placed, and nothing after k
+            assert expected.first_error.code == "collision"
+            k = expected.collision_steps + 1
+            assert k < n
+            assert len(calls) == k - 1
+            colliding += 1
+        calls.clear()
+        report = validate_prefix(program, CAT, part_meshes=None)
+        assert (report.connectivity_steps, report.collision_steps) == (n, n)
+        assert calls == []
+        execute(program, CAT)
+        assert len(calls) == n - 1
+    assert colliding >= 8
+
+
+_TEXT_CORRUPTIONS = ("garbage", "bad-params", "unknown-part", "bad-target", "reuse", "drop-line")
+_STEP_CORRUPTIONS = ("step-unknown-part", "step-drop-intro", "step-drop-attach", "step-retarget")
+
+
+def _corrupted(text: str, rng: np.random.Generator):
+    """The program text, or its parsed BuildProgram, with one line corrupted.
+    Text corruptions reach the parser's checks; step corruptions are made on
+    the parsed steps, so they reach the executor's own checks."""
+    lines = text.splitlines()
+    kind = (_TEXT_CORRUPTIONS + _STEP_CORRUPTIONS)[int(rng.integers(10))]
+    i = int(rng.integers(1, len(lines)))
+    if kind.startswith("step-"):
+        steps = list(parse_program(text, CAT, strict=True).program.steps)
+        step = steps[i]
+        if kind == "step-unknown-part" and isinstance(step, PartIntro):
+            steps[i] = PartIntro(step.node, "mystery widget", step.color_name, step.line)
+        elif kind == "step-retarget" and isinstance(step, Attach):
+            later = [s.node for s in steps[i:] if isinstance(s, PartIntro)]
+            steps[i] = replace(step, target=later[0] if later else "zz")
+        elif kind == "step-drop-attach" and isinstance(step, Attach):
+            del steps[i]
+        else:  # drop the step, an intro for "step-drop-intro"
+            del steps[i]
+        return BuildProgram(tuple(steps))
+    tokens = lines[i].split()
+    intro = " | " in lines[i]
+    if kind == "garbage":
+        lines[i] = "%% not a step %%"
+    elif kind == "bad-params" and not intro:
+        lines[i] = " ".join(tokens[:-1] + ["banana"])
+    elif kind == "unknown-part" and intro:
+        lines[i] = f"{tokens[0]} mystery widget | {lines[i].split(' | ')[1]}"
+    elif kind == "bad-target" and not intro:
+        lines[i] = " ".join(["zz"] + tokens[1:])
+    elif kind == "reuse":
+        attaches = [line for line in lines[:i] if " | " not in line]
+        lines.insert(i, attaches[int(rng.integers(len(attaches)))] if attaches else lines[i])
+    else:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _pose_bytes(poses) -> dict:
+    return {n: (p.rotation.tobytes(), p.translation.tobytes()) for n, p in poses.items()}
+
+
+def test_deferred_poses_match_the_eager_executor():
+    """Reports, poses and errors equal those of the eager executor (a verbatim
+    copy in oracles.py) on seeded demo programs, 60% corrupted at one line."""
+    rng = np.random.default_rng(909)
+    texts = _demo_texts(910, 320, 5, 60)
+    corrupted = set(rng.permutation(len(texts))[: round(0.6 * len(texts))].tolist())
+    # a table without the plates: parts without a mesh are placed all the same
+    partial = {pid: MESHES[pid] for pid in CAT.parts if pid not in ("3023", "3024")}
+    colliding = 0
+    for i, text in enumerate(texts):
+        program = _corrupted(text, rng) if i in corrupted else text
+        for meshes in (MESHES, partial, None):
+            got = validate_prefix(program, CAT, meshes).to_json_obj()
+            assert got == reference_validate_prefix(program, CAT, meshes).to_json_obj()
+            if meshes is MESHES:
+                colliding += got["collision_steps"] < got["connectivity_steps"]
+        if isinstance(program, str):
+            program = parse_program(program, CAT).program
+        try:
+            expected = {intro.node: pose for intro, _, pose in reference_placements(program, CAT)}
+        except ProgramError as exc:
+            with pytest.raises(ProgramError) as raised:
+                execute(program, CAT)
+            assert (raised.value.code, raised.value.line) == (exc.code, exc.line)
+        else:
+            assert _pose_bytes(execute(program, CAT)) == _pose_bytes(expected)
+    assert colliding >= 100
