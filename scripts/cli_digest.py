@@ -10,9 +10,12 @@ parse/graph, sample at three seeds and with --no-collision / --inset 0,
 serialize/execute, execute of every uncorrupted program, eval in
 json/text/csv and with --jobs 1 / --jobs 2, check (with --jobs 2, with
 --no-collision, and --strict check on an overlapping program), eval
---no-collision through the --jobs 2 pool, stats, and the exit-code cases of
-the CLI contract. The --jobs 2 calls run the thread pool, and with it
-concurrent first lookups in the shared collision-mesh table, on any machine.
+--no-collision through the --jobs 2 pool, check, --strict check, eval (with
+and without collision) and execute of seeded programs that reuse a connector
+(some with a syntax error after the reuse, in a later action or in the same
+one), stats, and the exit-code cases of the CLI contract. The --jobs 2 calls
+run the thread pool, and with it concurrent first lookups in the shared
+collision-mesh table, on any machine.
 The --no-collision calls run the executor without reading a single pose.
 
 Each call's exit code, stdout, stderr and --out files are hashed. The script
@@ -63,6 +66,20 @@ def _write_inputs(root: Path) -> None:
             lines[int(rng.integers(1, len(lines)))] = "x stud garbage"
         (programs / f"p{i:02d}.bseq").write_text("\n".join(lines) + "\n")
     (root / "overlap.bseq").write_text(OVERLAP)
+    reuse = root / "reuse"
+    reuse.mkdir()
+    rng = np.random.default_rng(20261019)
+    for i in range(9):
+        lines = serialize(generate_random_path(catalog, rng, int(rng.integers(8, 30))),
+                          catalog).splitlines()
+        attaches = [j for j, line in enumerate(lines) if " | " not in line]
+        j = attaches[int(rng.integers(len(attaches)))]
+        lines.insert(j + 1, lines[j])  # a second attach claims the same connectors
+        if i % 3 == 1:  # a syntax error in a later action, if there is one
+            lines.append("x stud garbage")
+        elif i % 3 == 2:  # a syntax error in the reusing action
+            lines.insert(j + 2, "x stud garbage")
+        (reuse / f"r{i}.bseq").write_text("\n".join(lines) + "\n")
     (root / "bad.ldr").write_text("1 4 0 0 0 1 0 0 0 1 3023.dat\n")
     (root / "nan.ldr").write_text(
         "1 4 0 0 0 1 0 0 0 1 0 0 0 1 3023.dat\n1 2 nan -8 0 1 0 0 0 1 0 0 0 1 3023.dat\n"
@@ -121,6 +138,13 @@ def _calls():
     calls.append(("eval --no-collision --jobs 2", cat + ["--no-collision", "--jobs", "2", "eval",
                                                           "programs"], None))
     calls.append(("strict check overlap", cat + ["--strict", "check", "overlap.bseq"], None))
+    reused = [f"reuse/r{i}.bseq" for i in range(9)]
+    calls.append(("check reuse", cat + ["check", *reused], None))
+    calls.append(("strict check reuse", cat + ["--strict", "check", *reused], None))
+    calls.append(("eval reuse", cat + ["eval", "reuse"], None))
+    calls.append(("eval reuse --no-collision", cat + ["--no-collision", "eval", "reuse"], None))
+    for r in reused:
+        calls.append((f"execute {r}", cat + ["execute", r], None))
     calls.append(("stats json", cat + ["stats", *corpus], None))
     calls.append(("stats csv", cat + ["--format", "csv", "stats", *corpus], None))
     # exit-code contract: 1 I/O, 2 parse, 3 catalog, 4 strict validation

@@ -13,7 +13,7 @@ import numpy as np
 
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.geometry import compose
-from brickir.program import execute, node_letters, parse_program, serialize
+from brickir.program import execute, node_letters, serialize
 
 
 def main():
@@ -34,9 +34,7 @@ def main():
         path = generate_random_path(catalog, rng, n)
         parts_total += len(path.nodes_in_order())
         text = serialize(path, catalog)
-        result = parse_program(text, catalog)
-        assert result.error is None, result.error
-        poses = execute(result.program, catalog)
+        poses = execute(text, catalog)
         letters = node_letters(path)
         root_pose = path.graph.nodes[path.root].pose
         for nid, letter in letters.items():

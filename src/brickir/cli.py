@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -184,8 +185,7 @@ def cmd_serialize(args) -> int:
 
 def cmd_execute(args) -> int:
     catalog = _load_catalog(args)
-    result = program.parse_program(_read(args.input), catalog, strict=True)
-    poses = program.execute(result.program, catalog)
+    poses = program.execute(_read(args.input), catalog)
     _emit(_json_dumps({"poses": {n: p.to_json_obj() for n, p in poses.items()}}), args)
     return EXIT_OK
 
@@ -294,8 +294,24 @@ _COMMANDS = {
 }
 
 
+# numeric flags: (dest, test, requirement); a value that fails exits 2
+_NUMBER_RULES = (
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("max_parts", lambda v: v >= 1, ">= 1"),
+    ("count", lambda v: v >= 0, ">= 0"),
+    ("pos_tol", math.isfinite, "finite"),
+    ("axis_tol", math.isfinite, "finite"),
+    ("inset", math.isfinite, "finite"),
+)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for dest, ok, rule in _NUMBER_RULES:  # one argparse error line, as for a non-number
+        value = getattr(args, dest, None)  # only sample has --count
+        if value is not None and not ok(value):
+            parser.error(f"argument --{dest.replace('_', '-')}: must be {rule}, got {value}")
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

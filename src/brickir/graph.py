@@ -146,6 +146,19 @@ def params_from_json_obj(family: ConnectorFamily, obj) -> QuantizedParams:
     return params
 
 
+def _reachable(adj, start: int) -> set[int]:
+    """Nodes connected to ``start`` in an adjacency map."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        u = todo.pop()
+        for v, _ in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
 class ConnectivityGraph:
     """Nodes (placed instances) plus realized connector edges."""
 
@@ -164,16 +177,7 @@ class ConnectivityGraph:
         return adj
 
     def component(self, start: int) -> set[int]:
-        adj = self.adjacency()
-        seen = {start}
-        todo = [start]
-        while todo:
-            u = todo.pop()
-            for v, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return seen
+        return _reachable(self.adjacency(), start)
 
     def to_json_obj(self) -> dict:
         return {
@@ -327,8 +331,7 @@ def _mate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotation and origin of the connector mated onto the frame
     (frame_rot, origin) by quantized parameters, before the axes are
-    renormalized."""
-    _validate_params(family, params)
+    renormalized. The params must suit the family (``_validate_params``)."""
     r = _mate_rotation(family, params)
     t = np.array([0.0, 0.0, float(params.slide_ldu)])
     return frame_rot @ r, frame_rot @ t + origin
@@ -338,9 +341,9 @@ def realize_params(
     existing: ConnectorFrame, params: QuantizedParams, family: ConnectorFamily
 ) -> ConnectorFrame:
     """World frame of the mated connector implied by quantized parameters."""
-    rot, origin = _mate(
-        existing.as_transform().rotation, existing.origin, ConnectorFamily(family), params
-    )
+    family = ConnectorFamily(family)
+    _validate_params(family, params)
+    rot, origin = _mate(existing.as_transform().rotation, existing.origin, family, params)
     return ConnectorFrame(origin, rot[:, 2], rot[:, 0])
 
 
@@ -654,8 +657,8 @@ def sample_path(
     if max_parts is not None and max_parts < 1:
         raise ValueError("max_parts must be >= 1")
 
-    comp = g.component(root)
     adj = g.adjacency()
+    comp = _reachable(adj, root)
     parent = _wilson_tree(adj, root, comp, rng)
 
     children: dict[int, list[int]] = {n: [] for n in comp}

@@ -85,6 +85,11 @@ def decode(source) -> str:
     return source
 
 
+# numbers after the color: a type-1 placement (position + 3x3 matrix), and
+# the vertices of a triangle or quad
+_NUMBER_COUNTS = {1: 12, 3: 9, 4: 12}
+
+
 def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
     """Yield LdrawLine records; malformed lines raise in strict mode and are
     skipped with a warning otherwise. A non-finite number in a type-1, -3 or
@@ -103,44 +108,32 @@ def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
             continue
         if ltype == 0:
             yield LdrawLine(0, number, text=line[1:].strip())
-        elif ltype == 1:
-            if len(tokens) < 15:
-                if strict:
-                    raise LdrawParseError(
-                        f"type-1 line has {len(tokens) - 1} fields, expected 14", number
-                    )
-                _warn(warnings, f"line {number}: skipped malformed type-1 line")
-                continue
-            try:
-                color = int(tokens[1])
-                values = tuple(float(v) for v in tokens[2:14])
-            except ValueError:
-                if strict:
-                    raise LdrawParseError("non-numeric field in type-1 line", number)
-                _warn(warnings, f"line {number}: skipped non-numeric type-1 line")
-                continue
-            if not all(math.isfinite(v) for v in values):
-                raise LdrawParseError("non-finite number in type-1 line", number)
-            name = " ".join(tokens[14:])
-            yield LdrawLine(1, number, color=color, values=values, subfile=name)
-        elif ltype in (3, 4):
-            want = 1 + 1 + ltype * 3  # type token + color + vertices
+        elif ltype in _NUMBER_COUNTS:
+            end = 2 + _NUMBER_COUNTS[ltype]  # type token + color + numbers
+            want = end + (ltype == 1)  # a type-1 line ends in its subfile name
             if len(tokens) < want:
                 if strict:
-                    raise LdrawParseError(f"type-{ltype} line too short", number)
-                _warn(warnings, f"line {number}: skipped short type-{ltype} line")
+                    raise LdrawParseError(
+                        f"type-1 line has {len(tokens) - 1} fields, expected 14"
+                        if ltype == 1
+                        else f"type-{ltype} line too short",
+                        number,
+                    )
+                what = "malformed" if ltype == 1 else "short"
+                _warn(warnings, f"line {number}: skipped {what} type-{ltype} line")
                 continue
             try:
                 color = int(tokens[1])
-                vals = tuple(float(v) for v in tokens[2:want])
+                values = tuple(float(v) for v in tokens[2:end])
             except ValueError:
                 if strict:
                     raise LdrawParseError(f"non-numeric field in type-{ltype} line", number)
                 _warn(warnings, f"line {number}: skipped non-numeric type-{ltype} line")
                 continue
-            if not all(math.isfinite(v) for v in vals):
+            if not all(math.isfinite(v) for v in values):
                 raise LdrawParseError(f"non-finite number in type-{ltype} line", number)
-            yield LdrawLine(ltype, number, color=color, values=vals)
+            subfile = " ".join(tokens[end:]) if ltype == 1 else None
+            yield LdrawLine(ltype, number, color=color, values=values, subfile=subfile)
         elif ltype in (2, 5):
             continue  # edge/conditional lines: not needed for geometry
         else:

@@ -34,6 +34,7 @@ FAMILY_NAMES = {f.value: f for f in ConnectorFamily}
 @dataclass(frozen=True)
 class PartIntro:
     node: str
+    part_id: str
     part_name: str
     color_name: str
     line: int = field(default=0, compare=False)
@@ -224,9 +225,9 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                 if not newest_attached:
                     fail("missing-attach", f"node {newest!r} was never attached", number)
                 complete = len(steps)  # the previous action is done
-                left, _, color_name = line.partition(" | ")
+                left, color_name = map(str.strip, line.split(" | ", 1))
                 tokens = left.split()
-                if len(tokens) < 2 or not color_name.strip():
+                if len(tokens) < 2 or not color_name:
                     fail("malformed-line", "intro needs '<id> <part name> | <color>'", number)
                 node_id = tokens[0]
                 part_name = " ".join(tokens[1:])
@@ -239,13 +240,13 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                 part = catalog.part_by_name(part_name)
                 if part is None:
                     fail("unknown-part", f"part name {part_name!r} not in catalog", number)
-                if not catalog.has_color_name(color_name.strip()):
-                    fail("unknown-color", f"color {color_name.strip()!r} not registered", number)
+                if not catalog.has_color_name(color_name):
+                    fail("unknown-color", f"color {color_name!r} not registered", number)
                 newest_attached = not introduced  # root completes at its intro
                 introduced[node_id] = part.part_id
                 newest = node_id
                 steps.append(
-                    PartIntro(node_id, part.name, color_name.strip().lower(), line=number)
+                    PartIntro(node_id, part.part_id, part.name, color_name.lower(), number)
                 )
             else:
                 tokens = line.split()
@@ -325,19 +326,18 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
 
 
 def _placements(program: BuildProgram, catalog: Catalog):
-    """Run a program's steps, yielding ``(intro, part_id, place)`` as each
-    placement action completes. ``place()`` returns the node's pose: the root
-    lands at the identity, every other node at its first attach. Further
+    """Place the steps of a parsed program, yielding ``(intro, place)`` as
+    each placement action completes. ``place()`` returns the node's pose: the
+    root lands at the identity, every other node at its first attach. Further
     attaches on the same node only claim connectors.
 
-    Every check is eager, but a pose is computed on the first ``place()`` and
-    then kept. A pose is built from its target's pose, so callers must place
-    in order: each placement they read needs every earlier one placed first
-    (``execute`` places all, ``validate_prefix`` the collision-checked
-    prefix). The first failing step raises ProgramError: 'unexpected-attach',
-    'unknown-part', 'target-not-introduced', 'connector-occupied' (reusing a
-    single-accept connector) or 'missing-attach' (an action that places
-    nothing).
+    The parser has checked every other rule, so the one check left here is
+    'connector-occupied' (reusing a single-accept connector), which raises
+    ProgramError at the reusing attach. A pose is computed on the first
+    ``place()`` and then kept. It is built from its target's pose, so callers
+    must place in order: each placement they read needs every earlier one
+    placed first (``execute`` places all, ``validate_prefix`` the
+    collision-checked prefix).
     """
     fixed_by: dict[str, Attach | None] = {}  # node -> the attach that fixes its pose
     poses: dict[str, RigidTransform] = {}
@@ -357,32 +357,16 @@ def _placements(program: BuildProgram, catalog: Catalog):
             )
         return poses[node]
 
-    def placed(intro: PartIntro):
-        if intro.node not in fixed_by:
-            raise ProgramError(
-                "missing-attach", f"node {intro.node!r} was never attached", intro.line
-            )
-        return intro, parts[intro.node], partial(place, intro.node)
-
     intro = None  # the action in progress
     for step in program.steps:
         if isinstance(step, PartIntro):
-            if intro is not None:
-                yield placed(intro)
-            part = catalog.part_by_name(step.part_name)
-            if part is None:
-                raise ProgramError("unknown-part", step.part_name, step.line)
-            parts[step.node] = part.part_id
-            if not fixed_by:
-                fixed_by[step.node] = None
+            if intro is None:
+                fixed_by[step.node] = None  # the root
+            else:
+                yield intro, partial(place, intro.node)
+            parts[step.node] = step.part_id
             intro = step
             continue
-        if intro is None:
-            raise ProgramError("unexpected-attach", "attach before any introduction", step.line)
-        if step.target not in fixed_by:
-            raise ProgramError(
-                "target-not-introduced", f"target {step.target!r} unplaced", step.line
-            )
         for node, index, subtype in (
             (step.target, step.target_index, step.target_subtype),
             (intro.node, step.new_index, step.new_subtype),
@@ -395,22 +379,23 @@ def _placements(program: BuildProgram, catalog: Catalog):
             consumed.add(key)
         fixed_by.setdefault(intro.node, step)
     if intro is not None:
-        yield placed(intro)
+        yield intro, partial(place, intro.node)
 
 
-def execute(program: BuildProgram, catalog: Catalog) -> dict[str, RigidTransform]:
-    """Run a structurally valid program: the root lands at the identity and
-    every attached node's pose satisfies its attach instruction exactly.
-    The first invalid step raises ProgramError (codes as in _placements)."""
-    return {intro.node: place() for intro, _, place in _placements(program, catalog)}
+def execute(text: str, catalog: Catalog) -> dict[str, RigidTransform]:
+    """Run program text: the root lands at the identity and every attached
+    node's pose satisfies its attach instruction exactly. The first invalid
+    line raises ProgramError (the parser's codes, or 'connector-occupied')."""
+    program = parse_program(text, catalog, strict=True).program
+    return {intro.node: place() for intro, place in _placements(program, catalog)}
 
 
 # ---------------------------------------------------------------------------
 # Prefix validation
 
 
-def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityReport:
-    """Longest valid action prefix of a program (text or BuildProgram).
+def validate_prefix(text: str, catalog: Catalog, part_meshes=None) -> ValidityReport:
+    """Longest valid action prefix of program text.
 
     connectivity_steps counts actions that parse and execute (the root intro
     is action 1); collision_steps additionally requires each placement to be
@@ -419,25 +404,20 @@ def validate_prefix(program, catalog: Catalog, part_meshes=None) -> ValidityRepo
     coincide and no pose is computed. With it, poses are computed in
     placement order up to the first collision, and none after it.
     """
-    diagnoses: list[ProgramDiagnosis] = []
-    if isinstance(program, str):
-        result = parse_program(program, catalog, strict=False)
-        if result.error:
-            diagnoses.append(result.error)
-        program = result.program
-
+    result = parse_program(text, catalog, strict=False)
+    diagnoses = [result.error] if result.error else []
     part_meshes = part_meshes or {}
     checker = AssemblyChecker()
     connectivity = 0
     collision = 0
     try:
-        for intro, part_id, place in _placements(program, catalog):
+        for intro, place in _placements(result.program, catalog):
             connectivity += 1
             if collision < connectivity - 1:
                 continue  # an earlier placement collided
             if part_meshes:
                 pose = place()  # even without a mesh: a later part may attach to it
-                mesh = part_meshes.get(part_id)
+                mesh = part_meshes.get(intro.part_id)
                 if mesh is not None and checker.add(mesh, pose):
                     diagnoses.append(
                         ProgramDiagnosis(

@@ -87,7 +87,7 @@ def test_criterion_1_geometry_roundtrip():
             text = serialize(path, CAT)
             result = parse_program(text, CAT)
             assert result.error is None
-            poses = execute(result.program, CAT)
+            poses = execute(text, CAT)
             letters = node_letters(path)
             root_pose = path.graph.nodes[path.root].pose
             for nid, letter in letters.items():

@@ -446,7 +446,7 @@ def test_slide_at_the_bound_is_accepted(workdir, tmp_path):
 
 
 def _axle_graph_json(slide_token: str) -> str:
-    poses = brickir.execute(brickir.parse_program(AXLE_PROGRAM.format(0), CAT).program, CAT)
+    poses = brickir.execute(AXLE_PROGRAM.format(0), CAT)
     nodes = {i: PartInstance(i, pid, 4, poses[n]) for i, (n, pid) in enumerate(
         (("a", "3700"), ("b", "3673")))}
     edge = ConnEdge((0, "c"), (1, "a"), ConnectorFamily.AXLE, QuantizedParams())
@@ -577,3 +577,71 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
         assert 0 <= code <= 4
         assert "Traceback" not in err.getvalue()
         assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-parts", "0", "serialize", "{ldr}"], "argument --max-parts: must be >= 1, got 0"),
+    (["sample", "{ldr}", "--count", "-1"], "argument --count: must be >= 0, got -1"),
+    (["--seed", "-1", "serialize", "{ldr}"], "argument --seed: must be >= 0, got -1"),
+    (["--axis-tol", "inf", "graph", "{ldr}"], "argument --axis-tol: must be finite, got inf"),
+    (["--pos-tol", "nan", "graph", "{ldr}"], "argument --pos-tol: must be finite, got nan"),
+    (["--inset", "nan", "eval", "{prog}"], "argument --inset: must be finite, got nan"),
+    (["--inset=-inf", "check", "{prog}"], "argument --inset: must be finite, got -inf"),
+], ids=["max-parts-0", "count-negative", "seed-negative", "axis-tol-inf", "pos-tol-nan",
+        "inset-nan", "inset-minus-inf"])
+def test_bad_numeric_flags_exit2(workdir, capsys, tmp_path, argv, message):
+    prog = tmp_path / "p.bseq"
+    prog.write_text(AXLE_PROGRAM.format(0))
+    paths = {"{ldr}": str(workdir / "stack4.ldr"), "{prog}": str(prog)}
+    with pytest.raises(SystemExit) as exited:
+        run(workdir, *[paths.get(a, a) for a in argv])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"brickir: error: {message}"
+    ]
+
+
+def test_numeric_flags_at_their_bounds_are_accepted(workdir, capsys):
+    ldr = workdir / "stack4.ldr"
+    assert run(workdir, "--seed", "0", "--max-parts", "1", "serialize", ldr) == 0
+    assert capsys.readouterr().out.count("\n") == 1  # the root intro only
+    assert run(workdir, "sample", ldr, "--count", "0") == 0
+    assert json.loads(capsys.readouterr().out) == {"programs": []}
+
+
+# actions 1-2 are valid; action 3 (c) reuses stud 'a' of node 'a' at line 5
+_REUSE = (
+    "a plate 1x2 | red\n"
+    "b plate 1x2 | blue\n"
+    "a stud stud a hole b 0\n"
+    "c plate 1x2 | green\n"
+    "a stud stud a hole b 0\n"
+)
+
+
+@pytest.mark.parametrize("command", [["check"], ["--no-collision", "check"]])
+def test_connector_reuse_and_syntax_error_precedence(workdir, tmp_path, command):
+    # the parser checks every line's own rules and the executor the connector
+    # occupancy, so a reuse before a later action's syntax error is what check
+    # reports, while execute stops at the syntax error; a syntax error in the
+    # reusing action itself drops that action before the executor sees it
+    later = tmp_path / "later.bseq"
+    later.write_text(_REUSE + "d plate 1x2 | yellow\nc stud stud a hole\n")
+    same = tmp_path / "same.bseq"
+    same.write_text(_REUSE + "%% not a step %%\nd plate 1x2 | yellow\nc stud stud a hole b 0\n")
+    for prog, first_error in ((later, ("connector-occupied", 5)),
+                              (same, ("malformed-line", 6))):
+        code, out, err = _run_captured(workdir, *command, prog)
+        assert (code, err) == (0, "")
+        report = json.loads(out)["reports"][str(prog)]
+        assert report["connectivity_steps"] == report["collision_steps"] == 2
+        assert (report["first_error"]["code"], report["first_error"]["line"]) == first_error
+    code, out, err = _run_captured(workdir, "execute", later)
+    assert (code, out) == (2, "")
+    assert err == "error: line 7: malformed-line: attach needs at least 6 tokens\n"
+    code, out, err = _run_captured(workdir, "execute", same)
+    assert (code, out) == (2, "")
+    assert err == "error: line 6: malformed-line: attach needs at least 6 tokens\n"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,9 +12,6 @@ from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, co
 from brickir.graph import BuildPath, ConnEdge, ConnectivityGraph, PathStep
 from brickir.ldraw import PartInstance
 from brickir.program import (
-    Attach,
-    BuildProgram,
-    PartIntro,
     execute,
     node_letters,
     parse_program,
@@ -170,8 +165,7 @@ def test_parse_trailing_unattached_intro():
 
 
 def test_execute_single_part_identity():
-    result = parse_program("a plate 1x2 | red\n", CAT)
-    poses = execute(result.program, CAT)
+    poses = execute("a plate 1x2 | red\n", CAT)
     assert set(poses) == {"a"}
     assert poses["a"].is_close(RigidTransform.identity(), tol=0.0)
 
@@ -203,9 +197,10 @@ def test_execute_fixed_chain_closed_form():
         cur = chr(ord("a") + i)
         lines.append(f"{cur} chain link | red")
         lines.append(f"{prev} fixed on b in a")
-    result = parse_program("\n".join(lines) + "\n", cat)
+    text = "\n".join(lines) + "\n"
+    result = parse_program(text, cat)
     assert result.error is None
-    poses = execute(result.program, cat)
+    poses = execute(text, cat)
     for i in range(k):
         expected = np.array([0.0, 0.0, 10.0 * i])
         assert np.array_equal(poses[chr(ord("a") + i)].translation, expected)
@@ -223,16 +218,15 @@ def test_execute_connector_occupied():
     result = parse_program(text, CAT)
     assert result.error is None  # structurally fine; occupancy is execution-time
     with pytest.raises(ProgramError, match="connector-occupied"):
-        execute(result.program, CAT)
+        execute(text, CAT)
 
 
 def test_execute_deterministic_bitwise():
     rng = np.random.default_rng(21)
     path = generate_random_path(CAT, rng, 25)
     text = serialize(path, CAT)
-    program = parse_program(text, CAT).program
-    p1 = execute(program, CAT)
-    p2 = execute(program, CAT)
+    p1 = execute(text, CAT)
+    p2 = execute(text, CAT)
     for node in p1:
         assert np.array_equal(p1[node].rotation, p2[node].rotation)
         assert np.array_equal(p1[node].translation, p2[node].translation)
@@ -246,7 +240,7 @@ def test_execute_matches_oracle_replay_all_families():
     for _ in range(60):
         path = generate_random_path(CAT, rng, int(rng.integers(10, 60)))
         families |= {s.edge.family for s in path.steps}
-        poses = execute(parse_program(serialize(path, CAT), CAT).program, CAT)
+        poses = execute(serialize(path, CAT), CAT)
         replayed = replay_path_poses(path, CAT)
         root_pose = path.graph.nodes[path.root].pose
         for nid, letter in node_letters(path).items():
@@ -279,7 +273,7 @@ def test_roundtrip_exact_both_directions_on_grid_edges():
             for step in path.steps:
                 if step.edge.a[0] == step.new_node:
                     reversed_families.add(step.edge.family)
-            poses = execute(parse_program(serialize(path, CAT), CAT).program, CAT)
+            poses = execute(serialize(path, CAT), CAT)
             root_pose = g.nodes[path.root].pose
             for nid, letter in node_letters(path).items():
                 got = compose(root_pose, poses[letter])
@@ -288,35 +282,12 @@ def test_roundtrip_exact_both_directions_on_grid_edges():
     assert reversed_families == set(ConnectorFamily) - {ConnectorFamily.BALL}
 
 
-def test_attach_before_any_intro():
-    attach = Attach("a", ConnectorFamily.STUD, "stud", "a", "hole", "b", QuantizedParams())
-    program = BuildProgram((attach,))
-    with pytest.raises(ProgramError, match="unexpected-attach"):
-        execute(program, CAT)
-    checker = PartColliders.from_catalog(CAT, inset=0.25)
-    report = validate_prefix(program, CAT, checker)
-    assert (report.connectivity_steps, report.collision_steps) == (0, 0)
-    assert report.first_error.code == "unexpected-attach"
-
-
-def test_action_without_attach():
-    program = BuildProgram(
-        (PartIntro("a", "plate 1x2", "red", 1), PartIntro("b", "plate 1x2", "blue", 2))
-    )
-    with pytest.raises(ProgramError, match="missing-attach"):
-        execute(program, CAT)
-    checker = PartColliders.from_catalog(CAT, inset=0.25)
-    report = validate_prefix(program, CAT, checker)
-    assert (report.connectivity_steps, report.collision_steps) == (1, 1)
-    assert (report.first_error.code, report.first_error.line) == ("missing-attach", 2)
-
-
 def test_roundtrip_geometry_via_matched_graph():
     insts = brickir.parse_structure(demo_ldr("stack4"), CAT)
     g = brickir.match_connectors(insts, CAT)
     path = brickir.sample_path(g, root=0, seed=5)
     text = serialize(path, CAT)
-    poses = execute(parse_program(text, CAT).program, CAT)
+    poses = execute(text, CAT)
     letters = node_letters(path)
     root_pose = g.nodes[path.root].pose
     for nid, letter in letters.items():
@@ -341,7 +312,7 @@ def test_roundtrip_bound_over_mixed_corpus():
             text = serialize(path, CAT)
             result = parse_program(text, CAT)
             assert result.error is None
-            poses = execute(result.program, CAT)
+            poses = execute(text, CAT)
             letters = node_letters(path)
             depth = {path.root: 0}
             for step in path.steps:
@@ -465,16 +436,10 @@ def test_multi_attach_on_one_node():
     result = parse_program(text, CAT)
     assert result.error is None
     assert action_count(result.program) == 2
-    poses = execute(result.program, CAT)
+    poses = execute(text, CAT)
     assert np.allclose(poses["b"].translation, [0, -8, 0])
     report = validate_prefix(text, CAT)
     assert report.connectivity_steps == 2
-
-
-def test_validate_prefix_accepts_program_objects():
-    program = parse_program(TEN_VALID, CAT).program
-    report = validate_prefix(program, CAT)
-    assert (report.connectivity_steps, report.collision_steps) == (10, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +478,7 @@ def test_poses_are_computed_only_up_to_the_first_collision(monkeypatch):
         n = action_count(program)
         expected = reference_validate_prefix(program, CAT, MESHES)
         calls.clear()
-        assert validate_prefix(program, CAT, MESHES) == expected
+        assert validate_prefix(text, CAT, MESHES) == expected
         if expected.first_error is None:
             assert len(calls) == n - 1
         else:
@@ -525,38 +490,51 @@ def test_poses_are_computed_only_up_to_the_first_collision(monkeypatch):
             assert len(calls) == k - 1
             colliding += 1
         calls.clear()
-        report = validate_prefix(program, CAT, part_meshes=None)
+        report = validate_prefix(text, CAT, part_meshes=None)
         assert (report.connectivity_steps, report.collision_steps) == (n, n)
         assert calls == []
-        execute(program, CAT)
+        execute(text, CAT)
         assert len(calls) == n - 1
     assert colliding >= 8
 
 
-_TEXT_CORRUPTIONS = ("garbage", "bad-params", "unknown-part", "bad-target", "reuse", "drop-line")
-_STEP_CORRUPTIONS = ("step-unknown-part", "step-drop-intro", "step-drop-attach", "step-retarget")
+def test_part_names_are_looked_up_by_the_parser_only(monkeypatch):
+    # the parser resolves each intro's part once; the executor reads the id
+    calls = []
+    real = Catalog.part_by_name
+
+    def counting(self, name):
+        calls.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(Catalog, "part_by_name", counting)
+    reuse = TEN_VALID.replace("c stud stud a hole b 0\n", "a stud stud a hole b 0\n", 1)
+    for text in [TEN_VALID, reuse] + _demo_texts(41, 6, 5, 40):
+        intros = [line.split(" | ")[0].split(maxsplit=1)[1] for line in text.splitlines()
+                  if " | " in line]
+        for meshes in (MESHES, None):
+            calls.clear()
+            validate_prefix(text, CAT, meshes)
+            assert calls == intros
+        program = parse_program(text, CAT).program
+        calls.clear()
+        try:
+            for _, place in program_module._placements(program, CAT):
+                place()
+        except ProgramError:
+            assert text is reuse
+        assert calls == []
+    assert validate_prefix(reuse, CAT).first_error.code == "connector-occupied"
 
 
-def _corrupted(text: str, rng: np.random.Generator):
-    """The program text, or its parsed BuildProgram, with one line corrupted.
-    Text corruptions reach the parser's checks; step corruptions are made on
-    the parsed steps, so they reach the executor's own checks."""
+_CORRUPTIONS = ("garbage", "bad-params", "unknown-part", "bad-target", "reuse", "drop-line")
+
+
+def _corrupted(text: str, rng: np.random.Generator) -> str:
+    """The program text with one line corrupted."""
     lines = text.splitlines()
-    kind = (_TEXT_CORRUPTIONS + _STEP_CORRUPTIONS)[int(rng.integers(10))]
+    kind = _CORRUPTIONS[int(rng.integers(len(_CORRUPTIONS)))]
     i = int(rng.integers(1, len(lines)))
-    if kind.startswith("step-"):
-        steps = list(parse_program(text, CAT, strict=True).program.steps)
-        step = steps[i]
-        if kind == "step-unknown-part" and isinstance(step, PartIntro):
-            steps[i] = PartIntro(step.node, "mystery widget", step.color_name, step.line)
-        elif kind == "step-retarget" and isinstance(step, Attach):
-            later = [s.node for s in steps[i:] if isinstance(s, PartIntro)]
-            steps[i] = replace(step, target=later[0] if later else "zz")
-        elif kind == "step-drop-attach" and isinstance(step, Attach):
-            del steps[i]
-        else:  # drop the step, an intro for "step-drop-intro"
-            del steps[i]
-        return BuildProgram(tuple(steps))
     tokens = lines[i].split()
     intro = " | " in lines[i]
     if kind == "garbage":
@@ -589,20 +567,29 @@ def test_deferred_poses_match_the_eager_executor():
     partial = {pid: MESHES[pid] for pid in CAT.parts if pid not in ("3023", "3024")}
     colliding = 0
     for i, text in enumerate(texts):
-        program = _corrupted(text, rng) if i in corrupted else text
+        if i in corrupted:
+            text = _corrupted(text, rng)
         for meshes in (MESHES, partial, None):
-            got = validate_prefix(program, CAT, meshes).to_json_obj()
-            assert got == reference_validate_prefix(program, CAT, meshes).to_json_obj()
+            got = validate_prefix(text, CAT, meshes).to_json_obj()
+            assert got == reference_validate_prefix(text, CAT, meshes).to_json_obj()
             if meshes is MESHES:
                 colliding += got["collision_steps"] < got["connectivity_steps"]
-        if isinstance(program, str):
-            program = parse_program(program, CAT).program
+        result = parse_program(text, CAT)
+        if result.error:
+            # execute stops at the parse error; the valid prefix is then run
+            # as a program of its own
+            with pytest.raises(ProgramError) as raised:
+                execute(text, CAT)
+            assert (raised.value.code, raised.value.line) == (result.error.code, result.error.line)
+            last = result.program.steps[-1].line if result.program.steps else 0
+            text = "".join(text.splitlines(keepends=True)[:last])
+        program = parse_program(text, CAT, strict=True).program
         try:
             expected = {intro.node: pose for intro, _, pose in reference_placements(program, CAT)}
         except ProgramError as exc:
             with pytest.raises(ProgramError) as raised:
-                execute(program, CAT)
+                execute(text, CAT)
             assert (raised.value.code, raised.value.line) == (exc.code, exc.line)
         else:
-            assert _pose_bytes(execute(program, CAT)) == _pose_bytes(expected)
+            assert _pose_bytes(execute(text, CAT)) == _pose_bytes(expected)
     assert colliding >= 100
