@@ -13,7 +13,10 @@ json/text/csv and with --jobs 1 / --jobs 2, check (with --jobs 2, with
 --no-collision through the --jobs 2 pool, check, --strict check, eval (with
 and without collision) and execute of seeded programs that reuse a connector
 (some with a syntax error after the reuse, in a later action or in the same
-one), stats, and the exit-code cases of the CLI contract. The --jobs 2 calls
+one), stats, and the exit-code cases of the CLI contract: among them a latin-1
+.ldr (decoded, exit 0), non-UTF-8 program text and graph JSON (exit 2),
+malformed catalogs (exit 3) and negative --pos-tol, --axis-tol and --inset
+(exit 2, argparse's usage and error lines). The --jobs 2 calls
 run the thread pool, and with it concurrent first lookups in the shared
 collision-mesh table, on any machine.
 The --no-collision calls run the executor without reading a single pose.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -90,6 +94,28 @@ def _write_inputs(root: Path) -> None:
     lib.mkdir(parents=True)
     (lib / "3005.dat").write_text("0 Brick 1 x 1\n3 16 nan 8 -10 10 8 -10 10 8 10\n")
     (root / "one.ldr").write_text("1 4 0 0 0 1 0 0 0 1 0 0 0 1 3005.dat\n")
+    (root / "latin1.ldr").write_bytes(b"0 K\xf6lner Dom\n" + DEMO_STRUCTURES["stack4"].encode())
+    (root / "latin1.bseq").write_bytes(b"a plate 1x2 | r\xf6d\n")
+    (root / "latin1.json").write_bytes(b'{"nodes": [], "edges": [], "note": "\xf6"}')
+    (root / "two_plates.bseq").write_text(OVERLAP.split("c plate")[0])
+    good = catalog.to_json_obj()
+    first = good["parts"]["3023"]["connectors"][0]
+    bad_catalogs = {
+        "truncated": "{",
+        "list": "[]",
+        "nameless": {**good, "parts": {"3023": {"connectors": []}}},
+        "origin": {**good, "parts": {"3023": {"name": "p", "connectors": [
+            {**first, "origin": "a"}]}}},
+        "color": {**good, "colors": {"x": "mauve"}},
+        "subtype": {**good, "parts": {"3023": {"name": "p", "connectors": [
+            {"subtype": "no-such-subtype", "origin": [0, 0, 0], "principal_axis": [0, -1, 0],
+             "reference_axis": [1, 0, 0]}]}}},
+    }
+    for name, obj in bad_catalogs.items():
+        text = obj if isinstance(obj, str) else json.dumps(obj)
+        (root / f"catalog_{name}.json").write_text(text)
+    (root / "catalog_latin1.json").write_bytes(
+        catalog.dumps().replace('"red"', '"r\\u00f6d"').encode().replace(b"\\u00f6", b"\xf6"))
 
 
 def _calls():
@@ -156,13 +182,27 @@ def _calls():
     calls.append(("truncated graph", cat + ["serialize", "truncated.json"], None))
     calls.append(("execute invalid", cat + ["execute", "bad_program.bseq"], None))
     calls.append(("library non-finite", ["--catalog", "lib", "graph", "one.ldr"], None))
+    calls.append(("latin-1 ldr parse", cat + ["parse", "latin1.ldr"], None))
+    calls.append(("latin-1 ldr graph", cat + ["graph", "latin1.ldr"], None))
+    for command in ("check", "eval", "execute"):
+        calls.append((f"non-utf-8 program {command}", cat + [command, "latin1.bseq"], None))
+    calls.append(("non-utf-8 graph json", cat + ["stats", "latin1.json"], None))
+    for name in ("truncated", "list", "nameless", "origin", "color", "subtype", "latin1"):
+        calls.append((f"malformed catalog {name}", ["--catalog", f"catalog_{name}.json", "parse",
+                                                     "stack4.ldr"], None))
+    calls.append(("negative --pos-tol", cat + ["--pos-tol", "-1", "graph", "stack4.ldr"], None))
+    calls.append(("negative --axis-tol", cat + ["--axis-tol", "-5", "graph", "stack4.ldr"], None))
+    calls.append(("negative --inset", cat + ["--inset", "-1", "check", "two_plates.bseq"], None))
     return calls
 
 
 def _digest_call(argv, out) -> tuple[int, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
     h = hashlib.sha256()
     for part in (str(code), stdout.getvalue(), stderr.getvalue()):
         h.update(part.encode())
@@ -177,6 +217,8 @@ def _digest_call(argv, out) -> tuple[int, str]:
 def main() -> int:
     cwd = os.getcwd()
     env_catalog = os.environ.pop("BRICKIR_CATALOG", None)
+    env_columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to the terminal width
     overall = hashlib.sha256()
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -190,6 +232,10 @@ def main() -> int:
         os.chdir(cwd)
         if env_catalog is not None:
             os.environ["BRICKIR_CATALOG"] = env_catalog
+        if env_columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = env_columns
     print(f"overall {overall.hexdigest()}")
     return 0
 

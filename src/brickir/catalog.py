@@ -138,26 +138,37 @@ class Catalog:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Catalog":
+        """Rebuild a catalog from its JSON object. Malformed input (a part
+        without a name, a value of the wrong type, a color code that is not an
+        integer) raises CatalogError; an invalid annotation AnnotationError."""
         parts = {}
-        for pid, entry in obj.get("parts", {}).items():
-            connectors = tuple(
-                AnnotatedConnector.from_json_obj(c) for c in entry.get("connectors", [])
-            )
-            mesh = None
-            if "mesh" in entry:
-                mesh = TriMesh(entry["mesh"]["vertices"], entry["mesh"]["triangles"])
-            parts[pid] = PartDef(pid, normalize_part_name(entry["name"]), connectors, mesh)
         colors = _load_default_colors()
-        for code, name in obj.get("colors", {}).items():
-            colors[int(code)] = name.strip().lower()
+        try:
+            for pid, entry in obj.get("parts", {}).items():
+                connectors = tuple(
+                    AnnotatedConnector.from_json_obj(c) for c in entry.get("connectors", [])
+                )
+                mesh = None
+                if "mesh" in entry:
+                    mesh = TriMesh(entry["mesh"]["vertices"], entry["mesh"]["triangles"])
+                parts[pid] = PartDef(pid, normalize_part_name(entry["name"]), connectors, mesh)
+            for code, name in obj.get("colors", {}).items():
+                colors[int(code)] = name.strip().lower()
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise CatalogError(f"malformed catalog JSON: {type(exc).__name__}: {exc}") from exc
         return cls(parts, colors)
 
     @classmethod
     def load(cls, path) -> "Catalog":
+        """A catalog JSON file (UTF-8) or an LDraw library directory."""
         p = Path(path)
         if p.is_dir():
             return build_catalog_from_library(p)
-        return cls.from_json_obj(json.loads(p.read_text()))
+        try:
+            obj = json.loads(p.read_text(encoding="utf-8"))
+        except (RecursionError, ValueError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise CatalogError(f"invalid catalog JSON: {exc}") from exc
+        return cls.from_json_obj(obj)
 
 
 def build_catalog_from_library(library_dir, overrides=None) -> Catalog:
@@ -176,13 +187,13 @@ def build_catalog_from_library(library_dir, overrides=None) -> Catalog:
     for d in search_dirs:
         for f in sorted(d.rglob("*.dat")):
             key = ldraw.normalize_name(str(f.relative_to(d)))
-            library.setdefault(key, f.read_text(errors="replace"))
+            library.setdefault(key, ldraw.decode(f.read_bytes()))
 
     part_dir = root / "parts" if (root / "parts").is_dir() else root
     parts = {}
     warnings: list[str] = []
     for f in sorted(part_dir.glob("*.dat")):
-        text = f.read_text(errors="replace")
+        text = ldraw.decode(f.read_bytes())
         pid = f.stem.lower()
         found: list[str] = []
         try:

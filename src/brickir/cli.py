@@ -20,7 +20,15 @@ from . import graph as graph_mod
 from . import ldraw, metrics, program
 from .catalog import Catalog
 from .collision import PartColliders
-from .errors import BrickIrError, CatalogError, GraphParseError, LdrawParseError, ProgramError
+from .errors import (
+    AnnotationError,
+    BrickIrError,
+    CatalogError,
+    EncodingError,
+    GraphParseError,
+    LdrawParseError,
+    ProgramError,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -93,7 +101,12 @@ def _load_catalog(args) -> Catalog:
 
 
 def _read(path) -> str:
-    return Path(path).read_text()
+    """Program text or graph JSON, both UTF-8 by spec. (LDraw files are read
+    as bytes: ``ldraw.decode`` falls back to latin-1.)"""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _tolerances(args) -> graph_mod.MatchTolerances:
@@ -110,7 +123,7 @@ def cmd_parse(args) -> int:
     catalog = _load_catalog(args)
     warnings: list[str] = []
     instances = ldraw.parse_structure(
-        _read(args.input), catalog, strict=args.strict, warnings=warnings
+        Path(args.input).read_bytes(), catalog, strict=args.strict, warnings=warnings
     )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -131,9 +144,8 @@ def cmd_parse(args) -> int:
 
 
 def _graph_from_input(path, catalog, args) -> graph_mod.ConnectivityGraph:
-    text = _read(path)
     if path.endswith(".json"):
-        g = graph_mod.ConnectivityGraph.loads(text)
+        g = graph_mod.ConnectivityGraph.loads(_read(path))
         # every node's part and every edge endpoint's connector must exist:
         # the catalog lookups raise CatalogError otherwise
         for inst in g.nodes.values():
@@ -142,7 +154,7 @@ def _graph_from_input(path, catalog, args) -> graph_mod.ConnectivityGraph:
             for node, index in (e.a, e.b):
                 catalog.connector(g.nodes[node].part_id, index)
         return g
-    instances = ldraw.parse_structure(text, catalog, strict=args.strict)
+    instances = ldraw.parse_structure(Path(path).read_bytes(), catalog, strict=args.strict)
     return graph_mod.match_connectors(instances, catalog, _tolerances(args))
 
 
@@ -302,6 +314,9 @@ _NUMBER_RULES = (
     ("pos_tol", math.isfinite, "finite"),
     ("axis_tol", math.isfinite, "finite"),
     ("inset", math.isfinite, "finite"),
+    ("pos_tol", lambda v: v >= 0, ">= 0"),
+    ("axis_tol", lambda v: v >= 0, ">= 0"),
+    ("inset", lambda v: v >= 0, ">= 0"),
 )
 
 
@@ -317,10 +332,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (GraphParseError, LdrawParseError, ProgramError) as exc:
+    except (EncodingError, GraphParseError, LdrawParseError, ProgramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CatalogError as exc:
+    except (AnnotationError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CATALOG
     except BrickIrError as exc:

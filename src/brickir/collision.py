@@ -413,9 +413,9 @@ class PartColliders:
     once. Meshes are immutable, so the table is shareable; each consumer
     places parts into its own AssemblyChecker.
 
-    ``get`` returns None (or its default) for an unknown part and for a part
-    without geometry; ``table[part_id]`` raises KeyError for both. A mesh that
-    cannot be built raises from the lookup that needs it."""
+    ``get`` returns None for an unknown part and for a part without
+    geometry. A mesh that cannot be built raises from the lookup that needs
+    it."""
 
     def __init__(self, catalog, inset: float):
         self._catalog = catalog
@@ -430,19 +430,13 @@ class PartColliders:
         Nothing is built until a part is looked up."""
         return cls(catalog, inset)
 
-    def __getitem__(self, part_id) -> CollisionMesh:
-        mesh = self.get(part_id)
-        if mesh is None:
-            raise KeyError(part_id)
-        return mesh
-
-    def get(self, part_id, default=None):
+    def get(self, part_id) -> CollisionMesh | None:
         mesh = self._meshes.get(part_id)
         if mesh is not None:
             return mesh
         part = self._catalog.parts.get(part_id)
         if part is None or part.mesh is None or len(part.mesh) == 0:
-            return default
+            return None
         with self._lock:
             mesh = self._meshes.get(part_id)
             if mesh is None:

@@ -17,6 +17,10 @@ class GraphParseError(BrickIrError):
     """Malformed connectivity-graph JSON."""
 
 
+class EncodingError(BrickIrError):
+    """Input bytes that are not text in the encoding their format requires."""
+
+
 class AnnotationError(BrickIrError):
     """Invalid connector annotation or override."""
 

@@ -28,12 +28,6 @@ def orthonormalize(rotation: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def orthonormality_error(rotation: np.ndarray) -> float:
-    """Max-abs deviation of R^T R from the identity."""
-    r = np.asarray(rotation, dtype=np.float64)
-    return float(np.abs(r.T @ r - _IDENTITY3).max())
-
-
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid transform ``x -> rotation @ x + translation`` (LDU).
@@ -55,7 +49,7 @@ class RigidTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        err = np.abs(r.T @ r - _IDENTITY3).max()  # orthonormality_error(r)
+        err = np.abs(r.T @ r - _IDENTITY3).max()
         if err <= ORTHONORMAL_TOL:
             if not all(map(math.isfinite, t.tolist())):
                 raise ValueError("non-finite transform")

@@ -116,16 +116,35 @@ def _json_endpoint(value) -> tuple[int, str]:
     return node, index
 
 
+def param_values(family: ConnectorFamily, p: QuantizedParams) -> list[int]:
+    """The family's integers in program-token order: the yaw or the three
+    euler angles (``DofSpec.rotational_dof`` of them), then the slide."""
+    dof = dof_spec(family)
+    angles = list(p.euler_deg or (0, 0, 0)) if dof.rotational_dof == 3 else [p.yaw_deg]
+    return angles[: dof.rotational_dof] + [p.slide_ldu] * dof.has_slide
+
+
+def params_from_values(family: ConnectorFamily, values, flip: bool = False) -> QuantizedParams:
+    """Inverse of ``param_values``: angles are taken mod 360, and ``flip`` is
+    kept only where the family has one. An out-of-range slide raises
+    ValueError."""
+    dof = dof_spec(family)
+    n = dof.rotational_dof
+    angles = tuple(v % 360 for v in values[:n])
+    if n == 3:
+        return QuantizedParams(euler_deg=angles)
+    slide = values[n] if dof.has_slide else 0
+    return QuantizedParams(angles[0] if angles else 0, flip and dof.has_flip, slide)
+
+
 def params_to_json_obj(family: ConnectorFamily, p: QuantizedParams) -> dict:
-    if family == ConnectorFamily.BALL:
-        return {"euler": list(p.euler_deg or (0, 0, 0))}
-    if family == ConnectorFamily.FIXED:
-        return {}
-    obj = {"yaw": p.yaw_deg}
-    if family in (ConnectorFamily.HINGE, ConnectorFamily.AXLE):
+    dof = dof_spec(family)
+    values = param_values(family, p)
+    if dof.rotational_dof == 3:
+        return {"euler": values}
+    obj = dict(zip(["yaw"] * dof.rotational_dof + ["slide"] * dof.has_slide, values))
+    if dof.has_flip:
         obj["flip"] = p.flip
-    if family == ConnectorFamily.AXLE:
-        obj["slide"] = p.slide_ldu
     return obj
 
 
@@ -176,9 +195,6 @@ class ConnectivityGraph:
             adj[e.b[0]].append((e.a[0], e))
         return adj
 
-    def component(self, start: int) -> set[int]:
-        return _reachable(self.adjacency(), start)
-
     def to_json_obj(self) -> dict:
         return {
             "nodes": [
@@ -224,7 +240,7 @@ class ConnectivityGraph:
     def loads(cls, text: str) -> "ConnectivityGraph":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise GraphParseError(f"invalid graph JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 
@@ -244,7 +260,7 @@ class BuildPath:
 
     root: int
     steps: list[PathStep]
-    graph: ConnectivityGraph | None = field(default=None, repr=False)
+    graph: ConnectivityGraph = field(repr=False)
 
     def nodes_in_order(self) -> list[int]:
         return [self.root] + [s.new_node for s in self.steps]
@@ -439,46 +455,33 @@ def extract_params(
 
 def _quantize(family: ConnectorFamily, r: np.ndarray, t: np.ndarray) -> QuantizedParams:
     """Quantized parameters of a relative connector transform (r, t)."""
-    if family == ConnectorFamily.FIXED:
-        return QuantizedParams()
+    flip = bool(r[2, 2] < 0.0)  # kept only by the families that have a flip
     if family == ConnectorFamily.BALL:
-        a, b, c = _euler_zyx_angles(r)
-        return QuantizedParams(
-            euler_deg=(quantize_angle(a), quantize_angle(b), quantize_angle(c))
-        )
-    flip = bool(r[2, 2] < 0.0)
-    rz = r @ (FLIP_ROTATION if flip else _IDENTITY)
-    yaw = quantize_angle(math.degrees(math.atan2(rz[1, 0], rz[0, 0])))
-    if family == ConnectorFamily.STUD:
-        return QuantizedParams(yaw_deg=yaw)
-    if family == ConnectorFamily.HINGE:
-        return QuantizedParams(yaw_deg=yaw, flip=flip)
-    return QuantizedParams(yaw_deg=yaw, flip=flip, slide_ldu=quantize_slide(float(t[2])))
+        values = [quantize_angle(v) for v in _euler_zyx_angles(r)]
+    else:
+        rz = r @ (FLIP_ROTATION if flip else _IDENTITY)
+        yaw = quantize_angle(math.degrees(math.atan2(rz[1, 0], rz[0, 0])))
+        values = [yaw, quantize_slide(float(t[2]))]
+    return params_from_values(family, values, flip)
 
 
 def reverse_params(family: ConnectorFamily, params: QuantizedParams) -> QuantizedParams:
     """Parameters of the same edge traversed in the opposite direction.
 
-    Exact on the integer grid for stud/hinge/axle/fixed; ball reversal goes
-    through float euler decomposition and re-quantizes (the ZYX triple of an
-    inverted rotation is generally not on the integer grid). Rounding each
-    angle on its own can err by more than a degree near gimbal lock, so the
-    floor/ceil triple whose rotation is geodesically nearest the exact
-    inverse is taken (the first in floor-before-ceil order on ties), then
-    canonicalized. Unflipped yaw and slide negate when the edge direction
-    swaps.
+    Exact on the integer grid for stud/hinge/axle/fixed: a flipped edge is
+    its own inverse (yaw and slide survive); otherwise yaw and slide negate.
+    Ball reversal goes through float euler decomposition and re-quantizes
+    (the ZYX triple of an inverted rotation is generally not on the integer
+    grid). Rounding each angle on its own can err by more than a degree near
+    gimbal lock, so the floor/ceil triple whose rotation is geodesically
+    nearest the exact inverse is taken (the first in floor-before-ceil order
+    on ties), then canonicalized.
     """
     family = ConnectorFamily(family)
-    if family == ConnectorFamily.FIXED:
+    if params.flip:
         return params
-    if family == ConnectorFamily.STUD:
-        return QuantizedParams(yaw_deg=(-params.yaw_deg) % 360)
-    if family in (ConnectorFamily.HINGE, ConnectorFamily.AXLE):
-        if params.flip:
-            return params  # flipping is its own inverse: yaw and slide survive
-        return QuantizedParams(
-            yaw_deg=(-params.yaw_deg) % 360, flip=False, slide_ldu=-params.slide_ldu
-        )
+    if family != ConnectorFamily.BALL:
+        return params_from_values(family, [-v for v in param_values(family, params)])
     inverse = euler_zyx_matrix(*(params.euler_deg or (0, 0, 0))).T
     grid = itertools.product(*((math.floor(v), math.ceil(v)) for v in _euler_zyx_angles(inverse)))
     # trace(C^T R) = 1 + 2 cos(angle between C and R): the largest is nearest

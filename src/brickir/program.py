@@ -26,7 +26,7 @@ from .collision import AssemblyChecker
 from .connectors import ConnectorFamily, dof_spec, letter_id
 from .errors import ProgramError
 from .geometry import QuantizedParams, RigidTransform
-from .graph import BuildPath, attach_pose, reverse_params
+from .graph import BuildPath, attach_pose, param_values, params_from_values, reverse_params
 
 FAMILY_NAMES = {f.value: f for f in ConnectorFamily}
 
@@ -111,21 +111,11 @@ def node_letters(path: BuildPath) -> dict[int, str]:
 
 
 def _params_tokens(family: ConnectorFamily, params: QuantizedParams) -> list[str]:
-    if family == ConnectorFamily.FIXED:
-        return []
-    if family == ConnectorFamily.BALL:
-        return [str(v) for v in (params.euler_deg or (0, 0, 0))]
-    tokens = ["flip"] if params.flip else []
-    tokens.append(str(params.yaw_deg))
-    if family == ConnectorFamily.AXLE:
-        tokens.append(str(params.slide_ldu))
-    return tokens
+    return ["flip"] * params.flip + [str(v) for v in param_values(family, params)]
 
 
 def serialize(path: BuildPath, catalog: Catalog) -> str:
     """Emit a build path as program text (one step per line, LF endings)."""
-    if path.graph is None:
-        raise ProgramError("unbound-path", "path has no backing graph")
     g = path.graph
     letters = node_letters(path)
     lines = []
@@ -167,17 +157,9 @@ def serialize(path: BuildPath, catalog: Catalog) -> str:
 
 def _parse_params(family: ConnectorFamily, tokens: list[str], line: int) -> QuantizedParams:
     dof = dof_spec(family)
-    flip = False
-    if dof.has_flip and tokens and tokens[0] == "flip":
-        flip = True
-        tokens = tokens[1:]
-    expected = {
-        ConnectorFamily.STUD: 1,
-        ConnectorFamily.HINGE: 1,
-        ConnectorFamily.AXLE: 2,
-        ConnectorFamily.BALL: 3,
-        ConnectorFamily.FIXED: 0,
-    }[family]
+    flip = dof.has_flip and tokens[:1] == ["flip"]
+    tokens = tokens[flip:]
+    expected = dof.rotational_dof + dof.has_slide
     if len(tokens) != expected:
         raise ProgramError(
             "bad-params", f"{family.value} attach takes {expected} value(s)", line
@@ -187,14 +169,7 @@ def _parse_params(family: ConnectorFamily, tokens: list[str], line: int) -> Quan
     except ValueError:
         raise ProgramError("bad-params", f"non-integer parameter in {tokens}", line) from None
     try:
-        if family == ConnectorFamily.BALL:
-            e = tuple(v % 360 for v in values)
-            return QuantizedParams(euler_deg=e)  # type: ignore[arg-type]
-        if family == ConnectorFamily.FIXED:
-            return QuantizedParams()
-        yaw = values[0] % 360
-        slide = values[1] if family == ConnectorFamily.AXLE else 0
-        return QuantizedParams(yaw_deg=yaw, flip=flip, slide_ldu=slide)
+        return params_from_values(family, values, flip)
     except ValueError as exc:
         raise ProgramError("bad-params", str(exc), line) from None
 

@@ -1,8 +1,8 @@
 """Shared fixtures and the test-only helpers: random rigid motions, a
 geodesic sphere mesh, axis-angle rotations, text renderers for programs
-and LDraw instances, a program's action count, a survival proportion, a
-canonical stats dump, a catalog with an uninsettable mesh, and a counter of
-collision-mesh builds."""
+and LDraw instances, a graph component, a rotation's orthonormality error,
+a program's action count, a survival proportion, a canonical stats dump, a
+catalog with an uninsettable mesh, and a counter of collision-mesh builds."""
 
 import json
 import math
@@ -17,7 +17,8 @@ from brickir import collision
 from brickir.collision import box_mesh
 from brickir.demo import DEMO_STRUCTURES, build_demo_catalog
 from brickir.geometry import ConnectorFrame, RigidTransform
-from brickir.program import PartIntro, _params_tokens
+from brickir.graph import param_values
+from brickir.program import PartIntro
 
 
 @pytest.fixture(scope="session")
@@ -114,9 +115,29 @@ def render_program(program) -> str:
                 step.target_index,
                 step.new_subtype,
                 step.new_index,
-            ] + _params_tokens(step.family, step.params)
+            ] + ["flip"] * step.params.flip
+            tokens += [str(v) for v in param_values(step.family, step.params)]
             lines.append(" ".join(tokens))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def component(g, start: int) -> set[int]:
+    """Nodes of a ConnectivityGraph connected to ``start``."""
+    seen, todo = {start}, [start]
+    while todo:
+        u = todo.pop()
+        for e in g.edges:
+            for x, y in ((e.a[0], e.b[0]), (e.b[0], e.a[0])):
+                if x == u and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return seen
+
+
+def orthonormality_error(rotation) -> float:
+    """Max-abs deviation of R^T R from the identity."""
+    r = np.asarray(rotation, dtype=np.float64)
+    return float(np.abs(r.T @ r - np.eye(3)).max())
 
 
 def action_count(program) -> int:

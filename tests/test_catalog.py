@@ -110,6 +110,23 @@ def test_library_warnings_name_the_part_file_once(tmp_path):
     )
 
 
+def test_library_part_files_decode_like_ldraw_structures(tmp_path):
+    # one LDraw decoder: UTF-8, else latin-1 (the description used to read
+    # U+FFFD for a latin-1 byte)
+    (tmp_path / "parts").mkdir()
+    for pid, description in (("3024", "Plättchen 1 x 1"), ("3070", "Fliese 1 x 1 grün")):
+        data = f"0 {description}\n1 16 0 0 0 {IDENTITY} stud.dat\n"
+        (tmp_path / "parts" / f"{pid}.dat").write_bytes(
+            data.encode("latin-1" if pid == "3024" else "utf-8")
+        )
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "stud.dat").write_bytes(b"0 Stud \xb7 latin-1\n")
+    cat = build_catalog_from_library(tmp_path)
+    assert cat.part("3024").name == "plättchen 1 x 1"
+    assert cat.part("3070").name == "fliese 1 x 1 grün"
+    assert [c.subtype for c in cat.part("3024").connectors] == ["stud"]
+
+
 def test_catalog_load_dispatches_dir_and_json(library_dir, tmp_path):
     cat = Catalog.load(library_dir)
     assert "3024" in cat

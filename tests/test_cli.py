@@ -321,6 +321,14 @@ def test_truncated_graph_json_exit2(workdir, capsys, tmp_path, command):
     _assert_one_error_line(capsys)
 
 
+def test_deeply_nested_graph_json_exit2(workdir, capsys, tmp_path):
+    # json raises RecursionError here, which used to escape as a traceback
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert run(workdir, "stats", bad) == 2
+    _assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("endpoint", [[999, "a"], ["zz", "a"], [0, 5]])
 @pytest.mark.parametrize("command", ["sample", "serialize", "stats"])
 def test_graph_json_bad_edge_endpoint_exit2(workdir, capsys, tmp_path, endpoint, command):
@@ -361,6 +369,74 @@ def test_graph_json_unknown_part_exit3(workdir, capsys, tmp_path):
     bad.write_text(json.dumps(obj))
     assert run(workdir, "stats", bad) == 3
     _assert_one_error_line(capsys)
+
+
+_TWO_PLATES = "a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "graph"])
+def test_latin1_ldraw_structure_is_decoded(workdir, capsys, tmp_path, command):
+    # LDraw text falls back from UTF-8 to latin-1, so a latin-1 byte in a
+    # comment changes nothing; it used to end in a UnicodeDecodeError traceback
+    latin1 = tmp_path / "latin1.ldr"
+    latin1.write_bytes(b"0 K\xf6lner Dom\n" + demo_ldr("stack4").encode())
+    assert run(workdir, command, workdir / "stack4.ldr") == 0
+    want = capsys.readouterr().out
+    assert run(workdir, command, latin1) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+@pytest.mark.parametrize("command, name, data", [
+    ("check", "p.bseq", _TWO_PLATES.encode() + b"\xf6\n"),
+    ("eval", "p.bseq", b"a plate 1x2 | r\xf6d\n"),
+    ("execute", "p.bseq", _TWO_PLATES.replace("red", "r\xf6d").encode("latin-1")),
+    ("stats", "g.json", b'{"nodes": [], "edges": [], "note": "\xf6"}'),
+    ("serialize", "g.json", b"\xff\xfe{}"),
+], ids=["check", "eval", "execute", "stats", "serialize-utf16-bom"])
+def test_non_utf8_program_or_graph_json_exit2(workdir, tmp_path, command, name, data):
+    # program text and graph JSON are UTF-8 by spec
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, out, err = _run_captured(workdir, command, bad)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+
+
+def _catalog_text(edit) -> str:
+    obj = CAT.to_json_obj()
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _set_first_connector(key, value):
+    def edit(obj):
+        connector = obj["parts"]["3023"]["connectors"][0]
+        connector[key] = value
+        if key == "subtype":  # its family is then looked up in the rules
+            del connector["family"]
+    return edit
+
+
+@pytest.mark.parametrize("data", [
+    b"{",
+    b"[]",
+    _catalog_text(lambda obj: obj["parts"]["3023"].pop("name")).encode(),
+    _catalog_text(_set_first_connector("origin", "a")).encode(),
+    _catalog_text(lambda obj: obj["colors"].update(x="mauve")).encode(),
+    _catalog_text(_set_first_connector("family", "spring")).encode(),
+    _catalog_text(lambda obj: obj["parts"]["3023"]["mesh"].update(triangles=[[0, 1]])).encode(),
+    _catalog_text(_set_first_connector("subtype", "no-such-subtype")).encode(),
+    CAT.dumps().replace('"red"', '"r\\u00f6d"').encode().replace(b"\\u00f6", b"\xf6"),
+    b"[" * 100_000,
+], ids=["truncated", "list", "part-without-name", "origin-a", "color-code-x", "unknown-family",
+        "short-triangle", "unregistered-subtype", "latin1", "deeply-nested"])
+def test_malformed_catalog_json_exit3(workdir, capsys, tmp_path, data):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_bytes(data)
+    assert main(["--catalog", str(catalog), "parse", str(workdir / "stack4.ldr")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_nonfinite_ldraw_number_exit2_with_line_number(workdir, capsys, tmp_path):
@@ -587,8 +663,12 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
     (["--pos-tol", "nan", "graph", "{ldr}"], "argument --pos-tol: must be finite, got nan"),
     (["--inset", "nan", "eval", "{prog}"], "argument --inset: must be finite, got nan"),
     (["--inset=-inf", "check", "{prog}"], "argument --inset: must be finite, got -inf"),
+    (["--pos-tol", "-1", "graph", "{ldr}"], "argument --pos-tol: must be >= 0, got -1.0"),
+    (["--axis-tol", "-5", "graph", "{ldr}"], "argument --axis-tol: must be >= 0, got -5.0"),
+    (["--inset", "-1", "check", "{prog}"], "argument --inset: must be >= 0, got -1.0"),
 ], ids=["max-parts-0", "count-negative", "seed-negative", "axis-tol-inf", "pos-tol-nan",
-        "inset-nan", "inset-minus-inf"])
+        "inset-nan", "inset-minus-inf", "pos-tol-negative", "axis-tol-negative",
+        "inset-negative"])
 def test_bad_numeric_flags_exit2(workdir, capsys, tmp_path, argv, message):
     prog = tmp_path / "p.bseq"
     prog.write_text(AXLE_PROGRAM.format(0))
@@ -604,12 +684,19 @@ def test_bad_numeric_flags_exit2(workdir, capsys, tmp_path, argv, message):
     ]
 
 
-def test_numeric_flags_at_their_bounds_are_accepted(workdir, capsys):
+def test_numeric_flags_at_their_bounds_are_accepted(workdir, capsys, tmp_path):
     ldr = workdir / "stack4.ldr"
     assert run(workdir, "--seed", "0", "--max-parts", "1", "serialize", ldr) == 0
     assert capsys.readouterr().out.count("\n") == 1  # the root intro only
     assert run(workdir, "sample", ldr, "--count", "0") == 0
     assert json.loads(capsys.readouterr().out) == {"programs": []}
+    assert run(workdir, "--pos-tol", "0", "--axis-tol", "0", "graph", ldr) == 0
+    assert len(json.loads(capsys.readouterr().out)["nodes"]) == 4
+    prog = tmp_path / "two.bseq"
+    prog.write_text(_TWO_PLATES)
+    assert run(workdir, "--inset", "0", "check", prog) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][str(prog)]
+    assert report == {"connectivity_steps": 2, "collision_steps": 2, "first_error": None}
 
 
 # actions 1-2 are valid; action 3 (c) reuses stud 'a' of node 'a' at line 5

@@ -395,8 +395,8 @@ def test_technic_pin_in_channel_matches_oracle(demo_colliders, dx, dy, dz, tilt_
     # inset leaves 0.5 LDU of play on each side. The pin is opened (see
     # _open), since dy = +-0.5 puts its faces in exact contact.
     rng = np.random.default_rng(seed)
-    brick = demo_colliders["3700"]
-    pin = _open((demo_colliders["3673"].vertices, demo_colliders["3673"].triangles))
+    brick = demo_colliders.get("3700")
+    pin = _open((demo_colliders.get("3673").vertices, demo_colliders.get("3673").triangles))
     tilt = rotation_about_axis(rng.normal(size=3), tilt_deg)
     world = random_rigid(rng)
     pb = compose(world, RigidTransform(tilt, np.array([dx, 12.0 + dy, 10.0 + dz])))
@@ -412,7 +412,7 @@ def test_demo_structures_at_connector_poses_match_oracle(demo_colliders):
         inst = parse_structure(demo_ldr(kind), cat)
         for i in range(len(inst)):
             for j in range(i):
-                mi, mj = demo_colliders[inst[i].part_id], demo_colliders[inst[j].part_id]
+                mi, mj = demo_colliders.get(inst[i].part_id), demo_colliders.get(inst[j].part_id)
                 got = intersects(mi, inst[i].pose, mj, inst[j].pose)
                 assert not got  # demo structures are collision-free
                 assert got == brute_force_intersects(mi, inst[i].pose, mj, inst[j].pose)
@@ -482,11 +482,11 @@ def test_assembly_checker_incremental():
 
 def test_assembly_checker_matches_plain_loop(demo_colliders):
     rng = np.random.default_rng(23)
-    meshes = [demo_colliders[p] for p in ("3700", "3673", "3004", "3024", "3641")]
+    meshes = [demo_colliders.get(p) for p in ("3700", "3673", "3004", "3024", "3641")]
     # A row of 1x2 bricks 40 LDU apart, jittered by up to 0.6 LDU: the inset
     # leaves 0.5 LDU between neighbours, so some overlap by a fraction of an
     # LDU. Then parts at random poses, which overlap deeply.
-    brick = demo_colliders["3004"]
+    brick = demo_colliders.get("3004")
     placements = [
         (brick, _trans(40.0 * k + rng.uniform(-0.6, 0.6), 0, 0), f"r{k}") for k in range(20)
     ]
@@ -513,7 +513,7 @@ def test_part_colliders_from_catalog():
 
     cat = build_demo_catalog()
     colliders = PartColliders.from_catalog(cat, inset=0.25)
-    mesh = colliders["3024"]
+    mesh = colliders.get("3024")
     source = cat.part("3024").mesh
     want = inset_mesh(source.vertices, source.triangles, 0.25)
     assert np.array_equal(mesh.vertices, want.vertices)
@@ -533,14 +533,11 @@ def test_part_colliders_build_on_first_lookup(monkeypatch):
     assert table  # always truthy, so ``table or {}`` keeps it
     assert table.get("3024") is None  # no geometry
     assert table.get("nope") is None  # unknown id
-    assert table.get("nope", "x") == "x"
-    with pytest.raises(KeyError):
-        table["3024"]
     for _ in range(2):  # a failed build is not cached
         with pytest.raises(BrickIrError, match="inset collapsed the entire mesh"):
             table.get("3023")
-    mesh = table["3004"]
-    assert table.get("3004") is mesh and table["3004"] is mesh
+    mesh = table.get("3004")
+    assert mesh is not None and table.get("3004") is mesh
     assert sorted(builds.values()) == [1, 2]  # 3004 once; the failed 3023 build twice
 
 
@@ -569,4 +566,4 @@ def test_part_colliders_concurrent_first_lookups_build_once(monkeypatch):
     assert not any(t.is_alive() for t in threads) and len(seen) == 8
     assert len(builds) == len(ids) and set(builds.values()) == {1}
     for meshes in seen:  # every thread got the one stored mesh of each part
-        assert {id(m) for m in meshes} == {id(table[pid]) for pid in ids}
+        assert {id(m) for m in meshes} == {id(table.get(pid)) for pid in ids}

@@ -10,13 +10,18 @@ from brickir.geometry import (
     QuantizedParams,
     RigidTransform,
     compose,
-    orthonormality_error,
     quantize_angle,
     quantize_slide,
     relative,
 )
 
-from conftest import frame_from_transform, random_rigid, random_rotation, rotation_about_axis
+from conftest import (
+    frame_from_transform,
+    orthonormality_error,
+    random_rigid,
+    random_rotation,
+    rotation_about_axis,
+)
 from oracles import reference_rigid_check
 
 

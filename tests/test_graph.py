@@ -19,6 +19,10 @@ from brickir.graph import (
     canonical_ball_euler,
     extract_params,
     match_connectors,
+    param_values,
+    params_from_json_obj,
+    params_from_values,
+    params_to_json_obj,
     realize_params,
     reverse_params,
     sample_corpus_paths,
@@ -27,7 +31,7 @@ from brickir.graph import (
     truncate_on_collision,
 )
 from brickir.ldraw import PartInstance
-from brickir.program import serialize
+from brickir.program import _params_tokens, _parse_params, serialize
 
 from conftest import demo_ldr, frame_from_transform, random_rigid, rotation_about_axis
 from oracles import exhaustive_match, graphs_equal
@@ -290,6 +294,37 @@ def test_reverse_params_consistent(fp, seed):
     else:
         assert extract_params(fb, fa, family) == back
         assert reverse_params(family, back) == params
+
+
+@given(family_and_params())
+@settings(max_examples=300, deadline=None)
+def test_param_codec_roundtrip(fp):
+    family, params = fp
+    values = param_values(family, params)
+    assert params_from_values(family, values, params.flip) == params
+    assert _parse_params(family, _params_tokens(family, params), 1) == params
+    assert params_from_json_obj(family, params_to_json_obj(family, params)) == params
+
+
+@pytest.mark.parametrize("family, params, tokens, obj, wrapped", [
+    (ConnectorFamily.STUD, QuantizedParams(yaw_deg=90), ["90"], {"yaw": 90}, [-270]),
+    (ConnectorFamily.HINGE, QuantizedParams(yaw_deg=270, flip=True), ["flip", "270"],
+     {"yaw": 270, "flip": True}, [-90]),
+    (ConnectorFamily.AXLE, QuantizedParams(yaw_deg=15, slide_ldu=-8), ["15", "-8"],
+     {"yaw": 15, "flip": False, "slide": -8}, [375, -8]),
+    (ConnectorFamily.BALL, QuantizedParams(euler_deg=(10, 20, 300)), ["10", "20", "300"],
+     {"euler": [10, 20, 300]}, [370, -340, 660]),
+    (ConnectorFamily.FIXED, QuantizedParams(), [], {}, []),
+], ids=["stud", "hinge", "axle", "ball", "fixed"])
+def test_param_codec_examples(family, params, tokens, obj, wrapped):
+    assert _params_tokens(family, params) == tokens
+    assert params_to_json_obj(family, params) == obj
+    values = [int(t) for t in tokens if t != "flip"]
+    assert param_values(family, params) == values
+    # angles are taken mod 360, and a flip is kept only where the family has one
+    assert params_from_values(family, wrapped, params.flip) == params
+    has_flip = family in (ConnectorFamily.HINGE, ConnectorFamily.AXLE)
+    assert params_from_values(family, values, True).flip == has_flip
 
 
 def _ball_reversal_error_deg(euler, seed):

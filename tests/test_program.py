@@ -19,7 +19,7 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import action_count, demo_ldr, render_program
+from conftest import action_count, component, demo_ldr, render_program
 from oracles import reference_placements, reference_validate_prefix, replay_path_poses
 
 CAT = build_demo_catalog()
@@ -305,7 +305,7 @@ def test_roundtrip_bound_over_mixed_corpus():
     for root in sorted(g.nodes):
         if root in seen:
             continue
-        comp = g.component(root)
+        comp = component(g, root)
         seen |= comp
         for seed in range(4):
             path = brickir.sample_path(g, root=root, seed=seed)
@@ -564,7 +564,7 @@ def test_deferred_poses_match_the_eager_executor():
     texts = _demo_texts(910, 320, 5, 60)
     corrupted = set(rng.permutation(len(texts))[: round(0.6 * len(texts))].tolist())
     # a table without the plates: parts without a mesh are placed all the same
-    partial = {pid: MESHES[pid] for pid in CAT.parts if pid not in ("3023", "3024")}
+    partial = {pid: MESHES.get(pid) for pid in CAT.parts if pid not in ("3023", "3024")}
     colliding = 0
     for i, text in enumerate(texts):
         if i in corrupted:
