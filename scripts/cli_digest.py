@@ -15,8 +15,12 @@ and without collision) and execute of seeded programs that reuse a connector
 (some with a syntax error after the reuse, in a later action or in the same
 one), stats, and the exit-code cases of the CLI contract: among them a latin-1
 .ldr (decoded, exit 0), non-UTF-8 program text and graph JSON (exit 2),
-malformed catalogs (exit 3) and negative --pos-tol, --axis-tol and --inset
-(exit 2, argparse's usage and error lines). The --jobs 2 calls
+malformed catalogs (exit 3: among them an unregistered subtype with a
+family key, and a missing or repeated connector index), negative --pos-tol,
+--axis-tol and --inset (exit 2, argparse's usage and error lines) and insets
+that flatten or turn the plates inside out (exit 1). It also runs graph on
+seeded perturbations of mixed.ldr, turned and moved around each family's
+match tolerances, at the default and at zero tolerances. The --jobs 2 calls
 run the thread pool, and with it concurrent first lookups in the shared
 collision-mesh table, on any machine.
 The --no-collision calls run the executor without reading a single pose.
@@ -48,6 +52,40 @@ OVERLAP = (
     "a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n"
     "c plate 1x2 | red\na stud stud c hole d 0\n"
 )
+
+
+PERTURBED = 8
+
+
+def _rotation(axis, degrees: float) -> np.ndarray:
+    """Rodrigues rotation about an axis."""
+    x, y, z = np.asarray(axis, float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    a = np.radians(degrees)
+    return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)
+
+
+def _perturbed_mixed(rng) -> str:
+    """mixed.ldr (one connection of every family) with about half its parts
+    turned by an angle around the 2-degree axis tolerance or a flip, or moved
+    by a distance around the 1-LDU position tolerance or an axle slide."""
+    lines = []
+    for line in DEMO_STRUCTURES["mixed"].splitlines():
+        if rng.random() < 0.5:
+            lines.append(line)
+            continue
+        fields = line.split()
+        pos = np.array(fields[2:5], float)
+        rot = np.array(fields[5:14], float).reshape(3, 3)
+        axis = rng.normal(size=3) if rng.random() < 0.5 else np.eye(3)[int(rng.integers(3))]
+        angle = [0.0, 1.9, 2.1, 180.0, rng.uniform(0.0, 5.0)][int(rng.integers(5))]
+        step = rng.normal(size=3)
+        step *= [0.0, 0.9, 1.1, rng.uniform(0.0, 2.0), rng.uniform(-30.0, 30.0)][
+            int(rng.integers(5))] / np.linalg.norm(step)
+        rot = _rotation(axis, angle) @ rot
+        numbers = " ".join(f"{v:.17g}" for v in [*(pos + step), *rot.ravel()])
+        lines.append(f"{fields[0]} {fields[1]} {numbers} {fields[14]}")
+    return "\n".join(lines) + "\n"
 
 
 def _write_inputs(root: Path) -> None:
@@ -98,6 +136,9 @@ def _write_inputs(root: Path) -> None:
     (root / "latin1.bseq").write_bytes(b"a plate 1x2 | r\xf6d\n")
     (root / "latin1.json").write_bytes(b'{"nodes": [], "edges": [], "note": "\xf6"}')
     (root / "two_plates.bseq").write_text(OVERLAP.split("c plate")[0])
+    rng = np.random.default_rng(20261020)
+    for i in range(PERTURBED):
+        (root / f"mixed_p{i}.ldr").write_text(_perturbed_mixed(rng))
     good = catalog.to_json_obj()
     first = good["parts"]["3023"]["connectors"][0]
     bad_catalogs = {
@@ -110,6 +151,12 @@ def _write_inputs(root: Path) -> None:
         "subtype": {**good, "parts": {"3023": {"name": "p", "connectors": [
             {"subtype": "no-such-subtype", "origin": [0, 0, 0], "principal_axis": [0, -1, 0],
              "reference_axis": [1, 0, 0]}]}}},
+        "subtype-with-family": {**good, "parts": {"3023": {"name": "p", "connectors": [
+            {**first, "subtype": "no-such-subtype"}]}}},
+        "index-missing": {**good, "parts": {"3023": {"name": "p", "connectors": [
+            {k: v for k, v in first.items() if k != "index"}]}}},
+        "index-repeated": {**good, "parts": {"3023": {"name": "p", "connectors": [
+            first, {**good["parts"]["3023"]["connectors"][1], "index": first["index"]}]}}},
     }
     for name, obj in bad_catalogs.items():
         text = obj if isinstance(obj, str) else json.dumps(obj)
@@ -171,6 +218,10 @@ def _calls():
     calls.append(("eval reuse --no-collision", cat + ["--no-collision", "eval", "reuse"], None))
     for r in reused:
         calls.append((f"execute {r}", cat + ["execute", r], None))
+    for i in range(PERTURBED):
+        calls.append((f"graph mixed_p{i}", cat + ["graph", f"mixed_p{i}.ldr"], None))
+        calls.append((f"graph mixed_p{i} zero tolerances", cat + [
+            "--pos-tol", "0", "--axis-tol", "0", "graph", f"mixed_p{i}.ldr"], None))
     calls.append(("stats json", cat + ["stats", *corpus], None))
     calls.append(("stats csv", cat + ["--format", "csv", "stats", *corpus], None))
     # exit-code contract: 1 I/O, 2 parse, 3 catalog, 4 strict validation
@@ -187,12 +238,16 @@ def _calls():
     for command in ("check", "eval", "execute"):
         calls.append((f"non-utf-8 program {command}", cat + [command, "latin1.bseq"], None))
     calls.append(("non-utf-8 graph json", cat + ["stats", "latin1.json"], None))
-    for name in ("truncated", "list", "nameless", "origin", "color", "subtype", "latin1"):
+    for name in ("truncated", "list", "nameless", "origin", "color", "subtype", "latin1",
+                 "subtype-with-family", "index-missing", "index-repeated"):
         calls.append((f"malformed catalog {name}", ["--catalog", f"catalog_{name}.json", "parse",
                                                      "stack4.ldr"], None))
     calls.append(("negative --pos-tol", cat + ["--pos-tol", "-1", "graph", "stack4.ldr"], None))
     calls.append(("negative --axis-tol", cat + ["--axis-tol", "-5", "graph", "stack4.ldr"], None))
     calls.append(("negative --inset", cat + ["--inset", "-1", "check", "two_plates.bseq"], None))
+    for inset in ("3", "3.5", "1e6"):  # a sheet at 3 LDU, turned inside out beyond
+        calls.append((f"--inset {inset}", cat + ["--inset", inset, "check", "two_plates.bseq"],
+                      None))
     return calls
 
 

@@ -140,7 +140,9 @@ class Catalog:
     def from_json_obj(cls, obj) -> "Catalog":
         """Rebuild a catalog from its JSON object. Malformed input (a part
         without a name, a value of the wrong type, a color code that is not an
-        integer) raises CatalogError; an invalid annotation AnnotationError."""
+        integer, a connector index that is missing, not a letter id or repeated
+        within its part) raises CatalogError; an invalid annotation
+        AnnotationError."""
         parts = {}
         colors = _load_default_colors()
         try:
@@ -156,6 +158,14 @@ class Catalog:
                 colors[int(code)] = name.strip().lower()
         except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CatalogError(f"malformed catalog JSON: {type(exc).__name__}: {exc}") from exc
+        for pid, part in parts.items():
+            seen = set()
+            for c in part.connectors:
+                if not (isinstance(c.index, str) and re.fullmatch("[a-z]+", c.index)):
+                    raise CatalogError(f"part {pid!r}: connector index {c.index!r} is not a letter")
+                if c.index in seen:
+                    raise CatalogError(f"part {pid!r}: connector index {c.index!r} repeats")
+                seen.add(c.index)
         return cls(parts, colors)
 
     @classmethod

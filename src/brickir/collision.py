@@ -181,6 +181,8 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     the requested offset (exactly, when the incident normals are balanced --
     e.g. a 20-LDU cube insets to a 19.5-LDU cube). Degenerate triangles are
     dropped; on open meshes boundary vertices just use their incident faces.
+    An inset that collapses every face, or turns the mesh inside out
+    (``_inside_out``), raises BrickIrError.
 
     The per-vertex sums accumulate corner 0, 1, 2 of every triangle in
     triangle order (one bincount over the corner-major index list), so they
@@ -225,9 +227,10 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     # Drop triangles the inset collapsed, then unused vertices.
     e1 = new_v[t[:, 1]] - new_v[t[:, 0]]
     e2 = new_v[t[:, 2]] - new_v[t[:, 0]]
-    areas2 = np.linalg.norm(_cross(e1, e2), axis=1)
-    t = t[areas2 > 2.0 * DEGENERATE_AREA]
-    if len(t) == 0:
+    new_cross = _cross(e1, e2)
+    kept = np.linalg.norm(new_cross, axis=1) > 2.0 * DEGENERATE_AREA
+    t = t[kept]
+    if len(t) == 0 or _inside_out(v, new_v, t, cross[kept], new_cross[kept]):
         raise BrickIrError("inset collapsed the entire mesh")
     used = np.zeros(len(new_v), dtype=bool)
     used[t] = True
@@ -235,6 +238,17 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     remap = np.full(len(new_v), -1, dtype=np.int64)
     remap[used_idx] = np.arange(len(used_idx))
     return CollisionMesh.build(new_v[used_idx], remap[t])
+
+
+def _inside_out(v, new_v, t, cross, new_cross) -> bool:
+    """True when an inset went through the part: a kept face's normal turned
+    around, or a closed mesh's signed volume changed sign (moving every
+    vertex through the opposite side on all three axes keeps each normal)."""
+    if (np.einsum("ij,ij->i", new_cross, cross) < 0.0).any():
+        return True
+    before = np.einsum("ij,ij->", v[t[:, 0]], cross)  # 6x the signed volume when closed
+    after = np.einsum("ij,ij->", new_v[t[:, 0]], new_cross)
+    return bool(before * after < 0.0) and _is_closed(t)
 
 
 # ---------------------------------------------------------------------------

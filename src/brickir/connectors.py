@@ -45,7 +45,7 @@ DOF_SPECS = {
 
 
 def dof_spec(family: ConnectorFamily) -> DofSpec:
-    return DOF_SPECS[ConnectorFamily(family)]
+    return DOF_SPECS[family]  # a member or its value: a str enum hashes as its value
 
 
 def letter_id(n: int) -> str:
@@ -154,18 +154,28 @@ class AnnotatedConnector:
 
     @classmethod
     def from_json_obj(cls, obj) -> "AnnotatedConnector":
-        rules = default_rules()
+        """A connector from its JSON object; the index is read as given (the
+        catalog checks it)."""
         subtype = obj["subtype"]
-        family = ConnectorFamily(obj["family"]) if "family" in obj else rules.family_of(subtype)
-        if rules.is_registered(subtype) and rules.family_of(subtype) != family:
-            raise AnnotationError(f"subtype {subtype!r} is not in family {family.value!r}")
+        family = _site_family(subtype, obj)
         frame = ConnectorFrame(
             np.array(obj["origin"], dtype=np.float64),
             np.array(obj["principal_axis"], dtype=np.float64),
             np.array(obj["reference_axis"], dtype=np.float64),
         )
         length = obj.get("axle_length")
-        return cls(obj.get("index", "?"), family, subtype, frame, length)
+        return cls(obj.get("index"), family, subtype, frame, length)
+
+
+def _site_family(subtype: str, obj) -> ConnectorFamily:
+    """The family of a registered subtype. A ``family`` key in ``obj`` is
+    parsed first and must name that family; an unregistered subtype raises
+    AnnotationError."""
+    declared = ConnectorFamily(obj["family"]) if "family" in obj else None
+    family = default_rules().family_of(subtype)
+    if declared not in (None, family):
+        raise AnnotationError(f"subtype {subtype!r} is not in family {declared.value!r}")
+    return family
 
 
 def canonical_site_key(site):
@@ -229,7 +239,7 @@ def annotate_part(part_id: str, primitive_refs, overrides=None):
             action = ov.get("action")
             if action == "add":
                 subtype = ov["subtype"]
-                family = ConnectorFamily(ov["family"]) if "family" in ov else rules.family_of(subtype)
+                family = _site_family(subtype, ov)
                 frame = ConnectorFrame(
                     np.array(ov["origin"], dtype=np.float64),
                     np.array(ov["principal_axis"], dtype=np.float64),
@@ -255,7 +265,7 @@ def annotate_part(part_id: str, primitive_refs, overrides=None):
             if i in retyped:
                 ov = retyped[i]
                 subtype = ov.get("subtype", site[1])
-                family = ConnectorFamily(ov["family"]) if "family" in ov else rules.family_of(subtype)
+                family = _site_family(subtype, ov)
                 merged.append((family, subtype, site[2], ov.get("axle_length", site[3])))
             else:
                 merged.append(site)

@@ -14,7 +14,6 @@ from .catalog import Catalog, PartDef, TriMesh, normalize_part_name
 from .collision import box_mesh, merge_meshes
 from .connectors import (
     AnnotatedConnector,
-    ConnectorFamily,
     canonical_site_key,
     default_rules,
     dof_spec,
@@ -232,10 +231,10 @@ def _compat_index(catalog: Catalog):
 
 def _random_params(family, target_conn, new_conn, rng) -> QuantizedParams:
     dof = dof_spec(family)
-    if family == ConnectorFamily.BALL:
+    if dof.rotational_dof == 3:
         raw = tuple(int(rng.integers(0, 360)) for _ in range(3))
         return QuantizedParams(euler_deg=canonical_ball_euler(raw))
-    if family == ConnectorFamily.FIXED:
+    if dof.rotational_dof == 0:
         return QuantizedParams()
     yaw = int(rng.integers(0, 360))
     flip = bool(rng.integers(2)) if dof.has_flip else False

@@ -151,7 +151,7 @@ def params_to_json_obj(family: ConnectorFamily, p: QuantizedParams) -> dict:
 def params_from_json_obj(family: ConnectorFamily, obj) -> QuantizedParams:
     """Read every key present; one that the family has no use for (a stud
     ``flip``, a hinge ``slide``, a ball ``yaw``) raises GraphParseError."""
-    e = obj.get("euler", (0, 0, 0) if family == ConnectorFamily.BALL else None)
+    e = obj.get("euler", (0, 0, 0) if dof_spec(family).rotational_dof == 3 else None)
     params = QuantizedParams(
         yaw_deg=int(obj.get("yaw", 0)),
         flip=bool(obj.get("flip", False)),
@@ -313,10 +313,11 @@ def canonical_ball_euler(euler_deg) -> tuple[int, int, int]:
 
 
 def _mate_rotation(family: ConnectorFamily, params: QuantizedParams) -> np.ndarray:
-    if family == ConnectorFamily.BALL:
+    dof = dof_spec(family)
+    if dof.rotational_dof == 3:
         return euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
     base = FLIP_ROTATION if params.flip else _IDENTITY
-    if family == ConnectorFamily.FIXED:
+    if dof.rotational_dof == 0:
         return base
     return _rz(params.yaw_deg) @ base
 
@@ -327,11 +328,11 @@ def _validate_params(family: ConnectorFamily, params: QuantizedParams):
         raise MatchError(f"{family.value} connections have no flip parameter")
     if params.slide_ldu and not dof.has_slide:
         raise MatchError(f"{family.value} connections have no slide parameter")
-    if family == ConnectorFamily.BALL:
+    if dof.rotational_dof == 3:
         if params.euler_deg is None:
-            raise MatchError("ball connections need an euler triple")
+            raise MatchError(f"{family.value} connections need an euler triple")
         if params.yaw_deg:
-            raise MatchError("ball connections carry euler angles, not yaw")
+            raise MatchError(f"{family.value} connections carry euler angles, not yaw")
     else:
         if params.euler_deg is not None:
             raise MatchError(f"{family.value} connections have no euler triple")
@@ -407,35 +408,28 @@ def _check_pairing(
     tol: MatchTolerances,
     max_slide: float | None,
 ) -> bool:
-    """Family-aware matching predicate on the relative connector transform.
-
-    Ball joints are exempt from the axis-alignment requirement (their three
-    rotational DOF make any relative rotation representable); families
-    without a flip DOF require the canonical anti-parallel polarity; fixed
-    connections additionally require zero yaw within tolerance.
-    """
-    cos_axis = math.cos(math.radians(tol.axis_deg))
-    dist = float(np.linalg.norm(t))
-    align = float(r[2, 2])
-    if family == ConnectorFamily.BALL:
-        return dist <= tol.position
-    if family == ConnectorFamily.STUD:
-        return dist <= tol.position and align >= cos_axis
-    if family == ConnectorFamily.FIXED:
-        if dist > tol.position or align < cos_axis:
+    """Matching predicate on the relative connector transform, by ``DofSpec``:
+    a slide bounds the on-axis offset by ``max_slide`` (when given) and the
+    off-axis one by the position tolerance, three rotational DOF skip the axis
+    test, a flip accepts either polarity, and zero rotational DOF pin the yaw."""
+    dof = dof_spec(family)
+    if dof.has_slide:
+        dist = math.hypot(float(t[0]), float(t[1]))
+        if max_slide is not None and abs(float(t[2])) > max_slide + tol.position:
             return False
+    else:
+        dist = float(np.linalg.norm(t))
+    if dist > tol.position:
+        return False
+    if dof.rotational_dof == 3:
+        return True
+    align = float(r[2, 2])
+    if (abs(align) if dof.has_flip else align) < math.cos(math.radians(tol.axis_deg)):
+        return False
+    if dof.rotational_dof == 0:
         yaw = math.degrees(math.atan2(r[1, 0], r[0, 0]))
         return abs(_wrap_deg(yaw)) <= tol.axis_deg
-    if family == ConnectorFamily.HINGE:
-        return dist <= tol.position and abs(align) >= cos_axis
-    if family == ConnectorFamily.AXLE:
-        perp = math.hypot(float(t[0]), float(t[1]))
-        if perp > tol.position or abs(align) < cos_axis:
-            return False
-        if max_slide is None:
-            return True
-        return abs(float(t[2])) <= max_slide + tol.position
-    raise MatchError(f"unknown family {family!r}")
+    return True
 
 
 def extract_params(
@@ -456,7 +450,7 @@ def extract_params(
 def _quantize(family: ConnectorFamily, r: np.ndarray, t: np.ndarray) -> QuantizedParams:
     """Quantized parameters of a relative connector transform (r, t)."""
     flip = bool(r[2, 2] < 0.0)  # kept only by the families that have a flip
-    if family == ConnectorFamily.BALL:
+    if dof_spec(family).rotational_dof == 3:
         values = [quantize_angle(v) for v in _euler_zyx_angles(r)]
     else:
         rz = r @ (FLIP_ROTATION if flip else _IDENTITY)
@@ -480,7 +474,7 @@ def reverse_params(family: ConnectorFamily, params: QuantizedParams) -> Quantize
     family = ConnectorFamily(family)
     if params.flip:
         return params
-    if family != ConnectorFamily.BALL:
+    if dof_spec(family).rotational_dof != 3:
         return params_from_values(family, [-v for v in param_values(family, params)])
     inverse = euler_zyx_matrix(*(params.euler_deg or (0, 0, 0))).T
     grid = itertools.product(*((math.floor(v), math.ceil(v)) for v in _euler_zyx_angles(inverse)))
@@ -499,8 +493,9 @@ def _connector_reach(connector) -> float:
     return 0.0
 
 
-def _endpoint_key(node_id: int, index: str) -> tuple[int, int]:
-    return (node_id, letter_index(index))
+def _endpoint_key(conn) -> tuple[int, int]:
+    """Canonical order of a ``(node_id, connector, ...)`` endpoint."""
+    return (conn[0], letter_index(conn[1].index))
 
 
 def _collect_world_connectors(instances, catalog: Catalog):
@@ -527,16 +522,11 @@ def _candidate_pairs(conns, tol: MatchTolerances):
         pad = tol.position + reach
         lo = np.floor((frame.origin - pad) / cell).astype(int)
         hi = np.floor((frame.origin + pad) / cell).astype(int)
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for cz in range(lo[2], hi[2] + 1):
-                    grid.setdefault((cx, cy, cz), []).append(i)
+        for key in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            grid.setdefault(key, []).append(i)
     pairs = set()
-    for bucket in grid.values():
-        for ai in range(len(bucket)):
-            for bi in range(ai + 1, len(bucket)):
-                i, j = bucket[ai], bucket[bi]
-                pairs.add((i, j) if i < j else (j, i))
+    for bucket in grid.values():  # ids ascend within a bucket
+        pairs.update(itertools.combinations(bucket, 2))
     return pairs
 
 
@@ -544,37 +534,26 @@ def _resolve_candidates(conns, pairs, catalog: Catalog, tol: MatchTolerances):
     """Narrow phase plus deterministic degree-constraint resolution."""
     rules = catalog.rules
     candidates = []
+    keys = [_endpoint_key(c) for c in conns]
     for i, j in pairs:
-        node_i, conn_i, frame_i, _ = conns[i]
-        node_j, conn_j, frame_j, _ = conns[j]
-        if node_i == node_j:
+        if keys[j] < keys[i]:
+            i, j = j, i  # canonical direction: the smaller (node, connector) endpoint is 'a'
+        node_a, conn_a, frame_a, reach_a = conns[i]
+        node_b, conn_b, frame_b, reach_b = conns[j]
+        if node_a == node_b or not rules.compatible(conn_a.subtype, conn_b.subtype):
             continue
-        if not rules.compatible(conn_i.subtype, conn_j.subtype):
-            continue
-        # canonical direction: smaller (node, connector) endpoint is 'a'
-        ka = _endpoint_key(node_i, conn_i.index)
-        kb = _endpoint_key(node_j, conn_j.index)
-        if kb < ka:
-            (node_i, conn_i, frame_i), (node_j, conn_j, frame_j) = (
-                (node_j, conn_j, frame_j),
-                (node_i, conn_i, frame_i),
-            )
-            ka, kb = kb, ka
-        family = conn_i.family
-        max_slide = None
-        if dof_spec(family).has_slide:
-            max_slide = ((conn_i.axle_length or 0.0) + (conn_j.axle_length or 0.0)) / 2.0
-        m = relative(frame_i.as_transform(), frame_j.as_transform())
-        if not _check_pairing(family, m.rotation, m.translation, tol, max_slide):
+        family = conn_a.family
+        m = relative(frame_a.as_transform(), frame_b.as_transform())
+        if not _check_pairing(family, m.rotation, m.translation, tol, reach_a + reach_b):
             continue
         params = _quantize(family, m.rotation, m.translation)
         candidates.append(
             (
-                ka,
-                kb,
-                ConnEdge((node_i, conn_i.index), (node_j, conn_j.index), family, params),
-                rules.is_multi_accept(conn_i.subtype),
-                rules.is_multi_accept(conn_j.subtype),
+                keys[i],
+                keys[j],
+                ConnEdge((node_a, conn_a.index), (node_b, conn_b.index), family, params),
+                rules.is_multi_accept(conn_a.subtype),
+                rules.is_multi_accept(conn_b.subtype),
             )
         )
 

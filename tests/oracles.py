@@ -6,8 +6,9 @@ matcher oracle enumerates every connector pair with broadcast numpy, the
 collision oracle tests every triangle pair, and the pose oracle replays a
 build path with plain homogeneous 4x4 matrix arithmetic. The reference
 copies at the end are earlier, plainer versions of fast paths that must
-match them bit for bit: the mesh inset, the transform check, and the eager
-executor, which computes every pose as its attach completes.
+match them bit for bit: the mesh inset, the transform check, the eager
+executor, which computes every pose as its attach completes, and the
+connector pairing predicate.
 """
 
 import math
@@ -16,9 +17,9 @@ import numpy as np
 
 from brickir.collision import DEGENERATE_AREA, AssemblyChecker
 from brickir.connectors import ConnectorFamily
-from brickir.errors import BrickIrError, ProgramError
+from brickir.errors import BrickIrError, MatchError, ProgramError
 from brickir.geometry import ORTHONORMAL_TOL, QuantizedParams, RigidTransform, orthonormalize
-from brickir.graph import ConnEdge, ConnectivityGraph, attach_pose
+from brickir.graph import ConnEdge, ConnectivityGraph, MatchTolerances, attach_pose
 from brickir.program import PartIntro, ProgramDiagnosis, ValidityReport, parse_program
 
 
@@ -355,8 +356,9 @@ def replay_path_poses(path, catalog) -> dict:
 
 # ---------------------------------------------------------------------------
 # Reference copies: the per-edge dict loop, np.add.at inset and LAPACK
-# determinant check that the vectorized code replaced, and the eager executor
-# that the deferred poses replaced
+# determinant check that the vectorized code replaced, the eager executor
+# that the deferred poses replaced, and the per-family pairing predicate that
+# the DofSpec rules replaced
 
 
 def reference_is_closed(triangles: np.ndarray) -> bool:
@@ -537,3 +539,52 @@ def reference_validate_prefix(program, catalog, part_meshes=None) -> ValidityRep
 
     first_error = min(diagnoses, key=lambda d: d.line, default=None)
     return ValidityReport(connectivity, collision, first_error)
+
+
+def _wrap_deg(angle: float) -> float:
+    """Wrap to (-180, 180]."""
+    a = math.fmod(angle, 360.0)
+    if a > 180.0:
+        a -= 360.0
+    elif a <= -180.0:
+        a += 360.0
+    return a
+
+
+def reference_check_pairing(
+    family: ConnectorFamily,
+    r: np.ndarray,
+    t: np.ndarray,
+    tol: MatchTolerances,
+    max_slide: float | None,
+) -> bool:
+    """``_check_pairing`` as it was, one branch per family: the family-aware
+    matching predicate on the relative connector transform.
+
+    Ball joints are exempt from the axis-alignment requirement (their three
+    rotational DOF make any relative rotation representable); families
+    without a flip DOF require the canonical anti-parallel polarity; fixed
+    connections additionally require zero yaw within tolerance.
+    """
+    cos_axis = math.cos(math.radians(tol.axis_deg))
+    dist = float(np.linalg.norm(t))
+    align = float(r[2, 2])
+    if family == ConnectorFamily.BALL:
+        return dist <= tol.position
+    if family == ConnectorFamily.STUD:
+        return dist <= tol.position and align >= cos_axis
+    if family == ConnectorFamily.FIXED:
+        if dist > tol.position or align < cos_axis:
+            return False
+        yaw = math.degrees(math.atan2(r[1, 0], r[0, 0]))
+        return abs(_wrap_deg(yaw)) <= tol.axis_deg
+    if family == ConnectorFamily.HINGE:
+        return dist <= tol.position and abs(align) >= cos_axis
+    if family == ConnectorFamily.AXLE:
+        perp = math.hypot(float(t[0]), float(t[1]))
+        if perp > tol.position or abs(align) < cos_axis:
+            return False
+        if max_slide is None:
+            return True
+        return abs(float(t[2])) <= max_slide + tol.position
+    raise MatchError(f"unknown family {family!r}")

@@ -428,8 +428,14 @@ def _set_first_connector(key, value):
     _catalog_text(_set_first_connector("subtype", "no-such-subtype")).encode(),
     CAT.dumps().replace('"red"', '"r\\u00f6d"').encode().replace(b"\\u00f6", b"\xf6"),
     b"[" * 100_000,
+    _catalog_text(lambda obj: obj["parts"]["3023"]["connectors"][0].pop("index")).encode(),
+    _catalog_text(_set_first_connector("index", "b")).encode(),
+    _catalog_text(_set_first_connector("index", "A")).encode(),
+    _catalog_text(lambda obj: obj["parts"]["3023"]["connectors"][0].update(
+        subtype="no-such-subtype")).encode(),
 ], ids=["truncated", "list", "part-without-name", "origin-a", "color-code-x", "unknown-family",
-        "short-triangle", "unregistered-subtype", "latin1", "deeply-nested"])
+        "short-triangle", "unregistered-subtype", "latin1", "deeply-nested", "index-missing",
+        "index-repeated", "index-not-a-letter", "unregistered-subtype-with-family"])
 def test_malformed_catalog_json_exit3(workdir, capsys, tmp_path, data):
     catalog = tmp_path / "catalog.json"
     catalog.write_bytes(data)
@@ -697,6 +703,16 @@ def test_numeric_flags_at_their_bounds_are_accepted(workdir, capsys, tmp_path):
     assert run(workdir, "--inset", "0", "check", prog) == 0
     report = json.loads(capsys.readouterr().out)["reports"][str(prog)]
     assert report == {"connectivity_steps": 2, "collision_steps": 2, "first_error": None}
+
+
+@pytest.mark.parametrize("inset", ["3.5", "1e6"])
+def test_inset_through_the_part_exit1(workdir, tmp_path, inset):
+    # the 8-LDU-high plate 1x2 flattens to a sheet at 3 LDU and turns faces
+    # around beyond; at 1e6 its volume changes sign
+    prog = tmp_path / "two.bseq"
+    prog.write_text(_TWO_PLATES)
+    code, out, err = _run_captured(workdir, "--inset", inset, "check", prog)
+    assert (code, out, err) == (1, "", "error: inset collapsed the entire mesh\n")
 
 
 # actions 1-2 are valid; action 3 (c) reuses stud 'a' of node 'a' at line 5

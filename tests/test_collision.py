@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,27 +92,52 @@ def test_inset_drops_degenerate_triangles():
     assert len(out.vertices) == 8
 
 
-def _same_inset(verts, tris, offset) -> bool:
+def _normals(v, t):
+    return np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+
+
+def _reference_inside_out(verts, tris, want_v, want_t, want_closed) -> bool:
+    """True when the reference inset kept every face of the source mesh (its
+    offset-0 copy) and turned a face's normal around, or changed the sign of
+    a closed mesh's signed volume."""
+    src_v, src_t, _ = reference_inset_mesh(verts, tris, 0.0)
+    if not np.array_equal(src_t, want_t):
+        return False
+    before, after = _normals(src_v, src_t), _normals(want_v, want_t)
+    if (np.sum(before * after, axis=1) < 0.0).any():
+        return True
+    volumes = np.sum(src_v[src_t[:, 0]] * before), np.sum(want_v[want_t[:, 0]] * after)
+    return want_closed and volumes[0] * volumes[1] < 0.0
+
+
+def _same_inset(verts, tris, offset) -> str | None:
     """Assert inset_mesh equals the reference copy (same arrays and closed
-    flag, or the same BrickIrError); True when both raised."""
+    flag, or the same BrickIrError), or raises the collapse error where the
+    reference turned the mesh inside out. Returns which of the two raised:
+    "both", "inside out" or None."""
     try:
-        want_v, want_t, want_closed = reference_inset_mesh(verts, tris, offset)
+        want = reference_inset_mesh(verts, tris, offset)
     except BrickIrError as exc:
         with pytest.raises(BrickIrError) as got:
             inset_mesh(verts, tris, offset)
         assert str(got.value) == str(exc)
-        return True
+        return "both"
+    if _reference_inside_out(verts, tris, *want):
+        with pytest.raises(BrickIrError, match="^inset collapsed the entire mesh$"):
+            inset_mesh(verts, tris, offset)
+        return "inside out"
+    want_v, want_t, want_closed = want
     out = inset_mesh(verts, tris, offset)
     assert out.vertices.dtype == want_v.dtype and np.array_equal(out.vertices, want_v)
     assert out.triangles.dtype == want_t.dtype and np.array_equal(out.triangles, want_t)
     assert out.closed == want_closed
-    return False
+    return None
 
 
 @pytest.mark.parametrize("offset", [0.25, 0.0])
 def test_inset_matches_reference_on_demo_parts(offset):
     for part in build_demo_catalog().parts.values():
-        assert not _same_inset(part.mesh.vertices, part.mesh.triangles, offset)
+        assert _same_inset(part.mesh.vertices, part.mesh.triangles, offset) is None
 
 
 def _random_mesh(rng, k):
@@ -149,15 +175,28 @@ def _random_mesh(rng, k):
 
 def test_inset_matches_reference_on_random_meshes():
     rng = np.random.default_rng(20261018)
-    raised = closed = 0
+    raised = Counter()
+    closed = 0
     for k in range(200):
         verts, tris, offset = _random_mesh(rng, k)
-        raised += _same_inset(verts, tris, offset)
+        raised[_same_inset(verts, tris, offset)] += 1
         if len(tris):
             flag = CollisionMesh.build(verts, tris).closed
             assert flag == reference_is_closed(np.asarray(tris))
             closed += flag
-    assert 20 < raised < 180 and 20 < closed < 180  # both outcomes are exercised
+    # both outcomes are exercised, and insets that turn a mesh inside out
+    assert 20 < raised["both"] + raised["inside out"] < 180 and 20 < closed < 180
+    assert raised["inside out"] >= 5
+
+
+@pytest.mark.parametrize("offset", [3.0, 5.0, 1e6])
+def test_inset_through_the_part_raises(offset):
+    # the 8-LDU-high plate 1x1 turns a face around at 3 LDU; at 1e6 every
+    # vertex passes through the opposite side and only its volume changes sign
+    mesh = build_demo_catalog().part("3024").mesh
+    assert inset_mesh(mesh.vertices, mesh.triangles, 2.0).closed
+    with pytest.raises(BrickIrError, match="^inset collapsed the entire mesh$"):
+        inset_mesh(mesh.vertices, mesh.triangles, offset)
 
 
 def test_closed_flag():

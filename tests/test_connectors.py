@@ -159,6 +159,26 @@ def test_annotate_retype():
     assert conn.family == ConnectorFamily.STUD
 
 
+_ADD = {"action": "add", "origin": [0, 4, 0], "principal_axis": [0, 1, 0],
+        "reference_axis": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("override,message", [
+    ({**_ADD, "family": "stud", "subtype": "no-such-subtype"},
+     "unregistered connector subtype 'no-such-subtype'"),
+    ({**_ADD, "family": "axle", "subtype": "hole"}, "subtype 'hole' is not in family 'axle'"),
+    ({"action": "retype", "index": "a", "family": "stud", "subtype": "no-such-subtype"},
+     "unregistered connector subtype 'no-such-subtype'"),
+    ({"action": "retype", "index": "a", "family": "hinge"},
+     "subtype 'stud' is not in family 'hinge'"),
+], ids=["add-unregistered", "add-other-family", "retype-unregistered", "retype-other-family"])
+def test_annotate_override_family_comes_from_the_subtype(override, message):
+    # an explicit family must name the registered subtype's family
+    with pytest.raises(AnnotationError) as exc:
+        annotate_part("p", [_stud_ref(0, 0, 0)], [override])
+    assert str(exc.value) == message
+
+
 def test_annotate_override_unknown_site_errors():
     with pytest.raises(AnnotationError, match="nonexistent"):
         annotate_part("p", [_stud_ref(0, 0, 0)], [{"action": "remove", "index": "q"}])

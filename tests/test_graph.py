@@ -15,6 +15,7 @@ from brickir.graph import (
     ConnEdge,
     ConnectivityGraph,
     MatchTolerances,
+    _check_pairing,
     attach_pose,
     canonical_ball_euler,
     extract_params,
@@ -34,7 +35,7 @@ from brickir.ldraw import PartInstance
 from brickir.program import _params_tokens, _parse_params, serialize
 
 from conftest import demo_ldr, frame_from_transform, random_rigid, rotation_about_axis
-from oracles import exhaustive_match, graphs_equal
+from oracles import exhaustive_match, graphs_equal, reference_check_pairing
 
 CAT = build_demo_catalog()
 TOL = MatchTolerances()
@@ -161,6 +162,61 @@ def test_rigid_invariance_small():
             ConnectivityGraph({}, g1.edges), ConnectivityGraph({}, g2.edges)
         )
         assert text1 == text2
+
+
+_EPS = [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05]
+
+
+def _near_boundary_transform(rng, tol: MatchTolerances, max_slide):
+    """A relative transform (r, t) whose distance, axis angle (either
+    polarity), yaw and slide each sit at a tolerance boundary, plus or minus
+    a small step, or anywhere around it."""
+    def step():
+        return float(rng.choice(_EPS))
+
+    pos = tol.position
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    reach = (5.0 if max_slide is None else max_slide) + pos
+    mode = int(rng.integers(4))
+    if mode == 0:  # the full distance at the position tolerance
+        t = (pos + step()) * u
+    elif mode == 1:  # the off-axis distance at it, anywhere along the axis
+        d = pos + step()
+        t = np.array([d * np.cos(phi), d * np.sin(phi), rng.uniform(-reach - 1.0, reach + 1.0)])
+    elif mode == 2:  # the slide at max_slide + position
+        d = rng.uniform(0.0, pos)
+        t = np.array([d * np.cos(phi), d * np.sin(phi), rng.choice([-1, 1]) * (reach + step())])
+    else:
+        t = rng.uniform(-1.5, 1.5, 3) * (pos + 1.0)
+    tilts = [tol.axis_deg + step(), 180.0 - tol.axis_deg + step(), 0.0, 180.0,
+             rng.uniform(0.0, 180.0)]
+    yaws = [tol.axis_deg + step(), -tol.axis_deg + step(), 0.0, rng.uniform(-180.0, 180.0)]
+    tilt = tilts[int(rng.integers(len(tilts)))]
+    yaw = yaws[int(rng.integers(len(yaws)))]
+    horizontal = np.array([np.cos(phi), np.sin(phi), 0.0])
+    r = rotation_about_axis(horizontal, tilt) @ rotation_about_axis(np.array([0, 0, 1.0]), yaw)
+    return r, t
+
+
+@pytest.mark.parametrize("position,axis_deg", [(0.0, 0.0), (1.0, 2.0), (2.5, 7.0)],
+                         ids=["zero", "defaults", "wide"])
+def test_check_pairing_matches_the_per_family_reference(position, axis_deg):
+    # the DofSpec rules give the verdicts of the per-family branches they
+    # replaced, on transforms drawn at every tolerance boundary
+    tol = MatchTolerances(position, axis_deg)
+    rng = np.random.default_rng(20261019)
+    verdicts = {family: Counter() for family in ConnectorFamily}
+    for _ in range(4000):
+        family = list(ConnectorFamily)[int(rng.integers(5))]
+        max_slide = [None, 0.0, float(rng.uniform(0.0, 30.0))][int(rng.integers(3))]
+        r, t = _near_boundary_transform(rng, tol, max_slide)
+        want = reference_check_pairing(family, r, t, tol, max_slide)
+        assert _check_pairing(family, r, t, tol, max_slide) == want, (family, r, t, max_slide)
+        verdicts[family][want] += 1
+    for family, seen in verdicts.items():
+        assert seen[True] and seen[False], (family, seen)
 
 
 # ---------------------------------------------------------------------------
