@@ -3,7 +3,7 @@
 A catalog maps part ids to their display name, triangle mesh and annotated
 connector list, plus an LDraw color-code <-> lowercase-name table. Catalogs
 load from a JSON file or are built from an LDraw part library directory
-(procedural primitive scan + manual overrides).
+(procedural primitive scan).
 """
 
 from __future__ import annotations
@@ -181,16 +181,16 @@ class Catalog:
         return cls.from_json_obj(obj)
 
 
-def build_catalog_from_library(library_dir, overrides=None) -> Catalog:
+def build_catalog_from_library(library_dir) -> Catalog:
     """Scan an LDraw-style library directory into a catalog.
 
     Part files are taken from ``parts/`` (or the directory itself); sub-parts
     and primitives are resolved from ``parts/s``, ``p`` and the same
-    directory. ``overrides`` maps part id -> list of override actions. The
-    walks' and annotation's warnings land in the catalog's ``warnings``.
+    directory. Each part's connectors come from its primitive scan
+    (``annotate_part``). The walks' and annotation's warnings land in the
+    catalog's ``warnings``.
     """
     root = Path(library_dir)
-    overrides = overrides or {}
 
     search_dirs = [d for d in (root / "parts", root / "p", root) if d.is_dir()]
     library: dict[str, str] = {}
@@ -213,7 +213,7 @@ def build_catalog_from_library(library_dir, overrides=None) -> Catalog:
             raise LdrawParseError(f"{f.name}: {exc}") from exc
         # both walks visit the part's lines: report each once
         warnings.extend(f"{f.name}: {w}" for w in dict.fromkeys(found))
-        connectors = tuple(annotate_part(pid, refs, overrides.get(pid)))
+        connectors = annotate_part(pid, refs)
         if not connectors:
             warnings.append(f"{pid}: no connector sites")
         mesh = TriMesh(verts, tris) if len(tris) else None

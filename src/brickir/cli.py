@@ -310,6 +310,7 @@ _COMMANDS = {
 _NUMBER_RULES = (
     ("seed", lambda v: v >= 0, ">= 0"),
     ("max_parts", lambda v: v >= 1, ">= 1"),
+    ("jobs", lambda v: v >= 1, ">= 1"),
     ("count", lambda v: v >= 0, ">= 0"),
     ("pos_tol", math.isfinite, "finite"),
     ("axis_tol", math.isfinite, "finite"),

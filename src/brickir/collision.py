@@ -471,17 +471,16 @@ class AssemblyChecker:
     """
 
     def __init__(self):
-        self._placed: list[tuple[CollisionMesh, RigidTransform, object]] = []
+        self._placed: list[tuple[CollisionMesh, RigidTransform]] = []
         self._lo_eps = np.empty((16, 3))
         self._hi_eps = np.empty((16, 3))
 
     def __len__(self):
         return len(self._placed)
 
-    def add(self, mesh: CollisionMesh, pose: RigidTransform, node_id=None):
-        """Place one instance; returns the ids it collides with (may be
-        empty), in placement order. ``node_id`` defaults to the placement's
-        0-based index."""
+    def add(self, mesh: CollisionMesh, pose: RigidTransform) -> list[int]:
+        """Place one instance; returns the 0-based placement indices it
+        collides with (may be empty), in placement order."""
         lo, hi = _transform_boxes(*mesh.bvh.root_box, pose.rotation, pose.translation)
         step = len(self._placed)
         near = np.flatnonzero(
@@ -489,15 +488,15 @@ class AssemblyChecker:
         )
         hits = []
         for i in near:
-            other_mesh, other_pose, other_id = self._placed[i]
+            other_mesh, other_pose = self._placed[i]
             if intersects(mesh, pose, other_mesh, other_pose):
-                hits.append(other_id)
+                hits.append(int(i))
         if step == len(self._lo_eps):
             self._lo_eps = np.concatenate((self._lo_eps, np.empty_like(self._lo_eps)))
             self._hi_eps = np.concatenate((self._hi_eps, np.empty_like(self._hi_eps)))
         self._lo_eps[step] = lo - TRI_EPS
         self._hi_eps[step] = hi + TRI_EPS
-        self._placed.append((mesh, pose, node_id if node_id is not None else step))
+        self._placed.append((mesh, pose))
         return hits
 
 

@@ -178,10 +178,9 @@ def _site_family(subtype: str, obj) -> ConnectorFamily:
     return family
 
 
-def canonical_site_key(site):
-    """Sort key of a ``(family, subtype, frame, axle_length)`` site: sorting
-    a part's sites by it gives their canonical connector indices a, b, ...
-    (local origin x -> y -> z, then family, subtype and axes)."""
+def _site_key(site):
+    """Sort key of a ``(family, subtype, frame, axle_length)`` site: local
+    origin x -> y -> z, then family, subtype and axes."""
     family, subtype, frame, _ = site
     return (
         round(float(frame.origin[0]), 9),
@@ -194,15 +193,29 @@ def canonical_site_key(site):
     )
 
 
-def annotate_part(part_id: str, primitive_refs, overrides=None):
-    """Derive the typed connector list of one part.
+def index_sites(part_id: str, sites) -> tuple[AnnotatedConnector, ...]:
+    """A part's connectors with their canonical indices: the
+    ``(family, subtype, frame, axle_length)`` sites sorted by ``_site_key``
+    get the letter ids a, b, ... Two sites with the same frame raise
+    AnnotationError."""
+    sites = sorted(sites, key=_site_key)
+    by_origin: dict[tuple, list] = {}
+    for site in sites:
+        key = tuple(round(float(v), 9) for v in site[2].origin)
+        group = by_origin.setdefault(key, [])
+        for other in group:
+            if other[2].is_close(site[2], tol=1e-9):
+                raise AnnotationError(f"{part_id}: duplicate connector site at {key}")
+        group.append(site)
+    return tuple(
+        AnnotatedConnector(letter_id(i), family, subtype, frame, length)
+        for i, (family, subtype, frame, length) in enumerate(sites)
+    )
 
-    Procedurally annotated sites come from the primitive scan; manual
-    overrides may then add, remove or retype sites (remove/retype reference
-    the provisional canonical index assigned to the scanned sites). Final
-    indices are re-assigned canonically: sites sorted by local origin,
-    lexicographic x -> y -> z.
-    """
+
+def annotate_part(part_id: str, primitive_refs) -> tuple[AnnotatedConnector, ...]:
+    """Derive the typed connector list of one part from the primitive scan,
+    with canonical indices (``index_sites``)."""
     rules = default_rules()
     primitive_table = default_primitive_table()
 
@@ -227,61 +240,4 @@ def annotate_part(part_id: str, primitive_refs, overrides=None):
             if entry.get("scale_mode") == "axial":  # the scale along the principal axis
                 length *= ref.scale[int(np.argmax(np.abs(entry["principal_axis"])))]
         sites.append((family, subtype, frame, length))
-
-    sites.sort(key=canonical_site_key)
-
-    if overrides:
-        by_index = {letter_id(i): i for i in range(len(sites))}
-        removed = set()
-        retyped = {}
-        added = []
-        for ov in overrides:
-            action = ov.get("action")
-            if action == "add":
-                subtype = ov["subtype"]
-                family = _site_family(subtype, ov)
-                frame = ConnectorFrame(
-                    np.array(ov["origin"], dtype=np.float64),
-                    np.array(ov["principal_axis"], dtype=np.float64),
-                    np.array(ov["reference_axis"], dtype=np.float64),
-                )
-                added.append((family, subtype, frame, ov.get("axle_length")))
-            elif action in ("remove", "retype"):
-                idx = ov.get("index")
-                if idx not in by_index:
-                    raise AnnotationError(
-                        f"{part_id}: override {action} references nonexistent site {idx!r}"
-                    )
-                if action == "remove":
-                    removed.add(by_index[idx])
-                else:
-                    retyped[by_index[idx]] = ov
-            else:
-                raise AnnotationError(f"{part_id}: unknown override action {action!r}")
-        merged = []
-        for i, site in enumerate(sites):
-            if i in removed:
-                continue
-            if i in retyped:
-                ov = retyped[i]
-                subtype = ov.get("subtype", site[1])
-                family = _site_family(subtype, ov)
-                merged.append((family, subtype, site[2], ov.get("axle_length", site[3])))
-            else:
-                merged.append(site)
-        merged.extend(added)
-        sites = sorted(merged, key=canonical_site_key)
-
-    by_origin: dict[tuple, list] = {}
-    for site in sites:
-        key = tuple(round(float(v), 9) for v in site[2].origin)
-        group = by_origin.setdefault(key, [])
-        for other in group:
-            if other[2].is_close(site[2], tol=1e-9):
-                raise AnnotationError(f"{part_id}: duplicate connector site at {key}")
-        group.append(site)
-
-    return [
-        AnnotatedConnector(letter_id(i), family, subtype, frame, length)
-        for i, (family, subtype, frame, length) in enumerate(sites)
-    ]
+    return index_sites(part_id, sites)

@@ -12,13 +12,7 @@ import numpy as np
 
 from .catalog import Catalog, PartDef, TriMesh, normalize_part_name
 from .collision import box_mesh, merge_meshes
-from .connectors import (
-    AnnotatedConnector,
-    canonical_site_key,
-    default_rules,
-    dof_spec,
-    letter_id,
-)
+from .connectors import AnnotatedConnector, default_rules, dof_spec, index_sites
 from .geometry import ConnectorFrame, QuantizedParams, RigidTransform
 from .graph import (
     BuildPath,
@@ -45,13 +39,8 @@ def _conn(subtype, origin, axis, ref=_X, length=None):
 
 
 def _part(part_id, name, sites, mesh_parts):
-    sites = sorted(sites, key=canonical_site_key)
-    connectors = tuple(
-        AnnotatedConnector(letter_id(i), fam, sub, frame, length)
-        for i, (fam, sub, frame, length) in enumerate(sites)
-    )
     mesh = TriMesh(*merge_meshes(mesh_parts)) if mesh_parts else None
-    return PartDef(part_id, normalize_part_name(name), connectors, mesh)
+    return PartDef(part_id, normalize_part_name(name), index_sites(part_id, sites), mesh)
 
 
 def _studs_and_holes(positions, depth):

@@ -51,6 +51,7 @@ def library_dir(tmp_path):
     (root / "parts").mkdir(parents=True)
     (root / "p").mkdir()
     (root / "p" / "stud.dat").write_text("0 stud primitive\n")
+    (root / "p" / "stud4.dat").write_text("0 tube primitive\n")
     (root / "p" / "box8.dat").write_text(
         "0 box top\n"
         "4 16 -10 0 -10 -10 0 10 10 0 10 10 0 -10\n"
@@ -58,6 +59,7 @@ def library_dir(tmp_path):
     )
     (root / "parts" / "3024.dat").write_text(
         "0 Plate 1 x 1\n"
+        f"1 16 0 8 0 {IDENTITY} stud4.dat\n"
         f"1 16 0 0 0 {IDENTITY} box8.dat\n"
         f"1 16 0 0 0 {IDENTITY} stud.dat\n"
     )
@@ -69,22 +71,12 @@ def library_dir(tmp_path):
 
 
 def test_build_catalog_from_library(library_dir):
-    overrides = {
-        "3024": [
-            {
-                "action": "add",
-                "subtype": "hole",
-                "origin": [0, 8, 0],
-                "principal_axis": [0, -1, 0],
-                "reference_axis": [1, 0, 0],
-            }
-        ]
-    }
-    cat = build_catalog_from_library(library_dir, overrides=overrides)
+    cat = build_catalog_from_library(library_dir)
     assert set(cat.parts) == {"3024", "555"}
     plate = cat.part("3024")
     assert plate.name == "plate 1 x 1"
-    assert [(c.index, c.subtype) for c in plate.connectors] == [("a", "stud"), ("b", "hole")]
+    # the tube comes first in the file, the stud first in canonical order
+    assert [(c.index, c.subtype) for c in plate.connectors] == [("a", "stud"), ("b", "tube")]
     assert np.allclose(plate.connectors[0].frame.origin, [0, 0, 0])
     assert np.allclose(plate.connectors[1].frame.origin, [0, 8, 0])
     assert len(plate.mesh) == 4  # two quads

@@ -424,6 +424,7 @@ def _set_first_connector(key, value):
     _catalog_text(_set_first_connector("origin", "a")).encode(),
     _catalog_text(lambda obj: obj["colors"].update(x="mauve")).encode(),
     _catalog_text(_set_first_connector("family", "spring")).encode(),
+    _catalog_text(_set_first_connector("family", "axle")).encode(),
     _catalog_text(lambda obj: obj["parts"]["3023"]["mesh"].update(triangles=[[0, 1]])).encode(),
     _catalog_text(_set_first_connector("subtype", "no-such-subtype")).encode(),
     CAT.dumps().replace('"red"', '"r\\u00f6d"').encode().replace(b"\\u00f6", b"\xf6"),
@@ -434,8 +435,9 @@ def _set_first_connector(key, value):
     _catalog_text(lambda obj: obj["parts"]["3023"]["connectors"][0].update(
         subtype="no-such-subtype")).encode(),
 ], ids=["truncated", "list", "part-without-name", "origin-a", "color-code-x", "unknown-family",
-        "short-triangle", "unregistered-subtype", "latin1", "deeply-nested", "index-missing",
-        "index-repeated", "index-not-a-letter", "unregistered-subtype-with-family"])
+        "family-not-the-subtypes", "short-triangle", "unregistered-subtype", "latin1",
+        "deeply-nested", "index-missing", "index-repeated", "index-not-a-letter",
+        "unregistered-subtype-with-family"])
 def test_malformed_catalog_json_exit3(workdir, capsys, tmp_path, data):
     catalog = tmp_path / "catalog.json"
     catalog.write_bytes(data)
@@ -663,6 +665,8 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
 
 @pytest.mark.parametrize("argv, message", [
     (["--max-parts", "0", "serialize", "{ldr}"], "argument --max-parts: must be >= 1, got 0"),
+    (["--jobs", "0", "eval", "{prog}"], "argument --jobs: must be >= 1, got 0"),
+    (["--jobs", "-3", "check", "{prog}"], "argument --jobs: must be >= 1, got -3"),
     (["sample", "{ldr}", "--count", "-1"], "argument --count: must be >= 0, got -1"),
     (["--seed", "-1", "serialize", "{ldr}"], "argument --seed: must be >= 0, got -1"),
     (["--axis-tol", "inf", "graph", "{ldr}"], "argument --axis-tol: must be finite, got inf"),
@@ -672,9 +676,9 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
     (["--pos-tol", "-1", "graph", "{ldr}"], "argument --pos-tol: must be >= 0, got -1.0"),
     (["--axis-tol", "-5", "graph", "{ldr}"], "argument --axis-tol: must be >= 0, got -5.0"),
     (["--inset", "-1", "check", "{prog}"], "argument --inset: must be >= 0, got -1.0"),
-], ids=["max-parts-0", "count-negative", "seed-negative", "axis-tol-inf", "pos-tol-nan",
-        "inset-nan", "inset-minus-inf", "pos-tol-negative", "axis-tol-negative",
-        "inset-negative"])
+], ids=["max-parts-0", "jobs-0", "jobs-negative", "count-negative", "seed-negative",
+        "axis-tol-inf", "pos-tol-nan", "inset-nan", "inset-minus-inf", "pos-tol-negative",
+        "axis-tol-negative", "inset-negative"])
 def test_bad_numeric_flags_exit2(workdir, capsys, tmp_path, argv, message):
     prog = tmp_path / "p.bseq"
     prog.write_text(AXLE_PROGRAM.format(0))

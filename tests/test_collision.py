@@ -514,9 +514,9 @@ def test_assembly_checker_planted_overlaps():
 def test_assembly_checker_incremental():
     cube = _mesh(box_mesh((20, 20, 20)))
     checker = AssemblyChecker()
-    assert checker.add(cube, _trans(0, 0, 0), "a") == []
-    assert checker.add(cube, _trans(30, 0, 0), "b") == []
-    assert checker.add(cube, _trans(25, 2, 1), "c") == ["b"]
+    assert checker.add(cube, _trans(0, 0, 0)) == []
+    assert checker.add(cube, _trans(30, 0, 0)) == []
+    assert checker.add(cube, _trans(25, 2, 1)) == [1]
 
 
 def test_assembly_checker_matches_plain_loop(demo_colliders):
@@ -526,22 +526,19 @@ def test_assembly_checker_matches_plain_loop(demo_colliders):
     # leaves 0.5 LDU between neighbours, so some overlap by a fraction of an
     # LDU. Then parts at random poses, which overlap deeply.
     brick = demo_colliders.get("3004")
-    placements = [
-        (brick, _trans(40.0 * k + rng.uniform(-0.6, 0.6), 0, 0), f"r{k}") for k in range(20)
-    ]
+    placements = [(brick, _trans(40.0 * k + rng.uniform(-0.6, 0.6), 0, 0)) for k in range(20)]
     placements += [
-        (meshes[int(rng.integers(len(meshes)))], random_rigid(rng, scale=30.0), f"n{k}")
-        for k in range(30)
+        (meshes[int(rng.integers(len(meshes)))], random_rigid(rng, scale=30.0)) for _ in range(30)
     ]
     checker = AssemblyChecker()
     total = 0
-    for k, (mesh, pose, node) in enumerate(placements):
+    for k, (mesh, pose) in enumerate(placements):
         want = [
-            other
-            for other_mesh, other_pose, other in placements[:k]
+            j
+            for j, (other_mesh, other_pose) in enumerate(placements[:k])
             if brute_force_intersects(mesh, pose, other_mesh, other_pose)
         ]
-        assert checker.add(mesh, pose, node) == want
+        assert checker.add(mesh, pose) == want
         total += len(want)
     assert len(checker) == len(placements)
     assert 0 < total < len(placements) * (len(placements) - 1) // 2

@@ -6,15 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brickir.connectors import (
+    AnnotatedConnector,
     ConnectorFamily,
     annotate_part,
     default_rules,
     dof_spec,
+    index_sites,
     letter_id,
     letter_index,
 )
 from brickir.errors import AnnotationError
-from brickir.geometry import RigidTransform
+from brickir.geometry import ConnectorFrame, RigidTransform
 from brickir.ldraw import PrimitiveRef
 
 RULES = default_rules()
@@ -125,63 +127,43 @@ def test_annotate_two_studs():
     assert conns[1].frame.origin[0] == 10
 
 
-def test_annotate_manual_ball_only():
-    overrides = [
-        {
-            "action": "add",
-            "family": "ball",
-            "subtype": "towball",
-            "origin": [0, 4, 0],
-            "principal_axis": [1, 0, 0],
-            "reference_axis": [0, 0, 1],
-        }
+def test_index_sites_orders_by_origin_then_family_and_subtype():
+    up, x = np.array([0.0, -1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+
+    def site(subtype, origin, axis=up):
+        frame = ConnectorFrame(np.array(origin, float), axis, x)
+        return (RULES.family_of(subtype), subtype, frame, None)
+
+    sites = [
+        site("stud", (0, 8, 0)),
+        site("hole", (0, 0, 0), -up),
+        site("axle_socket", (0, 0, 0), np.array([0.0, 0.0, 1.0])),
+        site("stud", (0, 0, 0)),
+        site("stud", (-10, 8, 0)),
     ]
-    (conn,) = annotate_part("p", [], overrides)
-    assert conn.index == "a"
-    assert conn.family == ConnectorFamily.BALL
-    assert conn.subtype == "towball"
+    assert [(c.index, c.subtype, c.frame.origin.tolist()) for c in index_sites("p", sites)] == [
+        ("a", "stud", [-10, 8, 0]),
+        ("b", "axle_socket", [0, 0, 0]),  # same origin: by family, then subtype
+        ("c", "hole", [0, 0, 0]),
+        ("d", "stud", [0, 0, 0]),
+        ("e", "stud", [0, 8, 0]),
+    ]
 
 
-def test_annotate_remove_reindexes_canonically():
-    refs = [_stud_ref(x, 0, 0) for x in (30, 10, -10, -30)]
-    # provisional canonical indices: a=-30, b=-10, c=10, d=30
-    conns = annotate_part("p", refs, [{"action": "remove", "index": "b"}])
-    assert [c.index for c in conns] == ["a", "b", "c"]
-    assert [c.frame.origin[0] for c in conns] == [-30, 10, 30]
+_JSON_SITE = {"index": "a", "origin": [0, 4, 0], "principal_axis": [0, 1, 0],
+              "reference_axis": [1, 0, 0]}
 
 
-def test_annotate_retype():
-    refs = [_stud_ref(0, 0, 0)]
-    (conn,) = annotate_part(
-        "p", refs, [{"action": "retype", "index": "a", "subtype": "open_stud"}]
-    )
-    assert conn.subtype == "open_stud"
-    assert conn.family == ConnectorFamily.STUD
-
-
-_ADD = {"action": "add", "origin": [0, 4, 0], "principal_axis": [0, 1, 0],
-        "reference_axis": [1, 0, 0]}
-
-
-@pytest.mark.parametrize("override,message", [
-    ({**_ADD, "family": "stud", "subtype": "no-such-subtype"},
+@pytest.mark.parametrize("obj,message", [
+    ({**_JSON_SITE, "family": "stud", "subtype": "no-such-subtype"},
      "unregistered connector subtype 'no-such-subtype'"),
-    ({**_ADD, "family": "axle", "subtype": "hole"}, "subtype 'hole' is not in family 'axle'"),
-    ({"action": "retype", "index": "a", "family": "stud", "subtype": "no-such-subtype"},
-     "unregistered connector subtype 'no-such-subtype'"),
-    ({"action": "retype", "index": "a", "family": "hinge"},
-     "subtype 'stud' is not in family 'hinge'"),
-], ids=["add-unregistered", "add-other-family", "retype-unregistered", "retype-other-family"])
-def test_annotate_override_family_comes_from_the_subtype(override, message):
+    ({**_JSON_SITE, "family": "axle", "subtype": "hole"}, "subtype 'hole' is not in family 'axle'"),
+], ids=["unregistered", "other-family"])
+def test_connector_json_family_comes_from_the_subtype(obj, message):
     # an explicit family must name the registered subtype's family
     with pytest.raises(AnnotationError) as exc:
-        annotate_part("p", [_stud_ref(0, 0, 0)], [override])
+        AnnotatedConnector.from_json_obj(obj)
     assert str(exc.value) == message
-
-
-def test_annotate_override_unknown_site_errors():
-    with pytest.raises(AnnotationError, match="nonexistent"):
-        annotate_part("p", [_stud_ref(0, 0, 0)], [{"action": "remove", "index": "q"}])
 
 
 def test_annotate_duplicate_site_errors():
@@ -191,18 +173,8 @@ def test_annotate_duplicate_site_errors():
 
 def test_annotation_determinism():
     refs = [_stud_ref(x, y, 0) for x in (10, -10) for y in (0, 8)]
-    overrides = [
-        {"action": "remove", "index": "c"},
-        {
-            "action": "add",
-            "subtype": "hole",
-            "origin": [0, 8, 0],
-            "principal_axis": [0, 1, 0],
-            "reference_axis": [1, 0, 0],
-        },
-    ]
-    a = annotate_part("p", refs, overrides)
-    b = annotate_part("p", refs, overrides)
+    a = annotate_part("p", refs)
+    b = annotate_part("p", refs[::-1])
     dump_a = json.dumps([c.to_json_obj() for c in a], sort_keys=True)
     dump_b = json.dumps([c.to_json_obj() for c in b], sort_keys=True)
     assert dump_a == dump_b
