@@ -18,7 +18,9 @@ one), stats, and the exit-code cases of the CLI contract: among them a latin-1
 malformed catalogs (exit 3: among them an unregistered subtype with a
 family key, and a missing or repeated connector index), negative --pos-tol,
 --axis-tol and --inset (exit 2, argparse's usage and error lines) and insets
-that flatten or turn the plates inside out (exit 1). It also runs graph on
+that flatten or turn the plates inside out (exit 1), eval of a directory
+without files and sample of a graph without nodes (exit 1), and parse and
+graph of MPDs whose composed transforms overflow (exit 2). It also runs graph on
 seeded perturbations of mixed.ldr, turned and moved around each family's
 match tolerances, at the default and at zero tolerances. The --jobs 2 calls
 run the thread pool, and with it concurrent first lookups in the shared
@@ -136,6 +138,17 @@ def _write_inputs(root: Path) -> None:
     (root / "latin1.bseq").write_bytes(b"a plate 1x2 | r\xf6d\n")
     (root / "latin1.json").write_bytes(b'{"nodes": [], "edges": [], "note": "\xf6"}')
     (root / "two_plates.bseq").write_text(OVERLAP.split("c plate")[0])
+    (root / "no_programs").mkdir()
+    (root / "node_less.json").write_text('{"nodes": [], "edges": []}')
+    scaled = " ".join(["1e200", "0", "0", "0"] * 2 + ["1e200"])
+    (root / "overflow_matrix.mpd").write_text(  # 1e200 * 1e200 on the diagonal
+        f"0 FILE main.ldr\n1 4 0 0 0 {scaled} sub.ldr\n"
+        f"0 FILE sub.ldr\n1 4 0 0 0 {scaled} 3023.dat\n"
+    )
+    (root / "overflow_translation.mpd").write_text(  # 1e10 * 1e300 in x
+        "0 FILE main.ldr\n1 4 1e300 1e300 1e300 1e10 0 0 0 1 0 0 0 1 sub.ldr\n"
+        "0 FILE sub.ldr\n1 4 1e300 1e300 1e300 1 0 0 0 1 0 0 0 1 3023.dat\n"
+    )
     rng = np.random.default_rng(20261020)
     for i in range(PERTURBED):
         (root / f"mixed_p{i}.ldr").write_text(_perturbed_mixed(rng))
@@ -248,6 +261,11 @@ def _calls():
     for inset in ("3", "3.5", "1e6"):  # a sheet at 3 LDU, turned inside out beyond
         calls.append((f"--inset {inset}", cat + ["--inset", inset, "check", "two_plates.bseq"],
                       None))
+    calls.append(("eval of a directory without files", cat + ["eval", "no_programs"], None))
+    calls.append(("sample node-less graph", cat + ["sample", "node_less.json"], None))
+    calls.append(("overflowing matrix parse", cat + ["parse", "overflow_matrix.mpd"], None))
+    calls.append(("overflowing translation graph", cat + ["graph", "overflow_translation.mpd"],
+                  None))
     return calls
 
 

@@ -260,6 +260,8 @@ def cmd_eval(args) -> int:
             inputs.extend(sorted(str(f) for f in path.iterdir() if f.is_file()))
         else:
             inputs.append(p)
+    if not inputs:
+        raise OSError(f"no program files in {', '.join(sorted(args.inputs))}")
     results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
     reports = [r for r, _ in results]
     curve = metrics.survival_curve(reports)

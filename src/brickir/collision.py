@@ -5,7 +5,8 @@ pseudo-normal (0.25 LDU by default, so legitimately tight-fitting parts stop
 registering as collisions). The incident face planes move by exactly that
 amount only where the incident normals are balanced, as on a cube; the
 20x8x20 LDU plate 3024 shrinks by 0.136, 0.341 and 0.136 LDU per side at
-0.25. PartColliders maps each part id to its mesh.
+0.25. A CollisionMesh holds the mesh together with its bounding-volume
+hierarchy (BVH); PartColliders maps each part id to its mesh.
 An AssemblyChecker keeps the placed world AABBs in arrays and picks near
 neighbours with one comparison (broad phase). Each near pair then runs a
 level-by-level BVH-vs-BVH traversal whose leaf pairs feed one batched
@@ -13,18 +14,16 @@ separating-interval triangle test (narrow phase); surface contact within
 TRI_EPS (1e-6 LDU) counts as non-intersecting. Pre-inset meshes may also be
 supplied directly (offset 0).
 
-Everything that depends on a mesh alone (node centres and half-extents, the
-TRI_EPS-expanded node bounds, the ray-parity terms of every triangle) is
-computed once when its BVH is built, so a query does only per-pose work.
-
-CollisionMesh values are immutable after build and safe to share across
-threads.
+Everything that depends on a mesh alone (its BVH nodes' centres and
+half-extents, the TRI_EPS-expanded node bounds, the ray-parity terms of every
+triangle) is computed once when the CollisionMesh is built, so a query does
+only per-pose work. A CollisionMesh has at least one triangle; its arrays are
+read-only, so it is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,32 +40,40 @@ _RAY_DIR = _RAY_DIR / np.linalg.norm(_RAY_DIR)
 
 
 # ---------------------------------------------------------------------------
-# BVH
+# Collision mesh
 
 
-class Bvh:
-    """Static axis-aligned bounding-volume hierarchy over triangles, stored as
-    flat per-node arrays so traversals can gather many nodes at once.
+class CollisionMesh:
+    """Triangle mesh prepared for collision queries (optionally inset),
+    holding a static axis-aligned bounding-volume hierarchy over its
+    triangles as flat per-node arrays, so traversals can gather many nodes
+    at once. Build one with ``CollisionMesh.build``.
 
-    Node 0 is the root (nodes are numbered in preorder). ``lo``/``hi`` are
-    (N, 3) node bounds, ``left``/``right`` child indices (-1 at leaves),
-    ``leaf`` the leaf mask, ``extent`` the largest side of each box and
-    ``leaf_tris`` an (N, LEAF_SIZE) table of triangle indices padded with -1
-    (all -1 on internal nodes).
+    ``vertices`` (n, 3) and ``triangles`` (m, 3) are the mesh,
+    ``tri_vertices`` its (m, 3, 3) triangle corners, and ``closed`` is True
+    iff every undirected edge is shared by exactly two triangles.
+
+    BVH node 0 is the root (nodes are numbered in preorder). ``left``/``right``
+    are child indices (-1 at leaves), ``leaf`` the leaf mask, ``extent`` the
+    largest side of each box and ``leaf_tris`` an (N, LEAF_SIZE) table of
+    triangle indices padded with -1 (all -1 on internal nodes).
 
     Mesh-only query terms are kept too: ``center``/``half`` of every node box,
     the bounds widened by TRI_EPS (``lo_eps``/``hi_eps``), and per triangle
     the Moller-Trumbore terms of the fixed parity ray (``ray_v0``,
     ``ray_e1``, ``ray_e2``, ``ray_h``, ``ray_ok``, ``ray_inv_det``).
+    Every array is read-only.
     """
 
     LEAF_SIZE = 4
 
-    def __init__(self, tri_vertices: np.ndarray):
-        # tri_vertices: (m, 3, 3) triangle corner coordinates
-        self.tri_vertices = tri_vertices
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
+        self.vertices = vertices
+        self.triangles = triangles
+        self.closed = _is_closed(triangles)
+        self.tri_vertices = tri_vertices = vertices[triangles]
         m = len(tri_vertices)
-        cap = max(2 * m - 1, 0)  # a binary tree over m triangles has < 2m nodes
+        cap = 2 * m - 1  # a binary tree over m triangles has < 2m nodes
         lo = np.zeros((cap, 3))
         hi = np.zeros((cap, 3))
         left = np.full(cap, -1, dtype=np.intp)
@@ -93,8 +100,7 @@ class Bvh:
             right[node] = build(idx[med[half:]])
             return node
 
-        if m:
-            build(np.arange(m))
+        build(np.arange(m))
         lo, hi = lo[:count], hi[:count]
         self.left = left[:count]
         self.right = right[:count]
@@ -119,38 +125,21 @@ class Bvh:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
-    @property
-    def root_box(self):
-        """Centre and half-extents of the root box (zeros when empty)."""
-        if not len(self.center):
-            return np.zeros(3), np.zeros(3)
-        return self.center[0], self.half[0]
-
-
-@dataclass(frozen=True)
-class CollisionMesh:
-    """Triangle mesh prepared for collision queries (optionally inset)."""
-
-    vertices: np.ndarray
-    triangles: np.ndarray
-    bvh: Bvh = field(repr=False)
-    closed: bool = False
-
     @classmethod
     def build(cls, vertices, triangles) -> "CollisionMesh":
         v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
         t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        if len(t) == 0:
+            raise BrickIrError("empty mesh")
         _check_indices(v, t)
-        v.flags.writeable = False
-        t.flags.writeable = False
-        return cls(v, t, Bvh(v[t]), _is_closed(t))
+        return cls(v, t)
 
     def __len__(self):
         return len(self.triangles)
 
 
 def _check_indices(v: np.ndarray, t: np.ndarray) -> None:
-    if len(t) and (t.min() < 0 or t.max() >= len(v)):
+    if t.min() < 0 or t.max() >= len(v):
         raise BrickIrError("triangle index out of range")
 
 
@@ -159,8 +148,6 @@ def _is_closed(triangles: np.ndarray) -> bool:
 
     Each edge (a, b), (b, c), (c, a) becomes one integer key min * n + max;
     the sorted keys' run lengths are the per-edge triangle counts."""
-    if len(triangles) == 0:
-        return False
     u = triangles.ravel()
     w = triangles[:, [1, 2, 0]].ravel()
     lo, hi = np.minimum(u, w), np.maximum(u, w)
@@ -358,27 +345,24 @@ def intersects(
     The triangle pairs of all overlapping leaf pairs on a level go through
     one batched triangle test.
     """
-    if len(a) == 0 or len(b) == 0:
-        return False
     rel = relative(pose_b, pose_a)  # maps a-local into b-local
     rot, trans = rel.rotation, rel.translation
-    ta, tb = a.bvh, b.bvh
-    tri_a = ta.tri_vertices @ rot.T + trans
-    box_lo, box_hi = _transform_boxes(ta.center, ta.half, rot, trans)  # all of a's, in b's frame
+    tri_a = a.tri_vertices @ rot.T + trans
+    box_lo, box_hi = _transform_boxes(a.center, a.half, rot, trans)  # all of a's, in b's frame
     na = nb = np.zeros(1, dtype=np.intp)
     while len(na):
-        overlap = ((box_lo[na] <= tb.hi_eps[nb]) & (box_hi[na] >= tb.lo_eps[nb])).all(axis=1)
+        overlap = ((box_lo[na] <= b.hi_eps[nb]) & (box_hi[na] >= b.lo_eps[nb])).all(axis=1)
         na, nb = na[overlap], nb[overlap]
-        leaf_a, leaf_b = ta.leaf[na], tb.leaf[nb]
+        leaf_a, leaf_b = a.leaf[na], b.leaf[nb]
         both = leaf_a & leaf_b
-        if both.any() and _leaf_pairs_hit(tri_a, ta.leaf_tris[na[both]], tb, nb[both]):
+        if both.any() and _leaf_pairs_hit(tri_a, a.leaf_tris[na[both]], b, nb[both]):
             return True
-        split_b = ~leaf_b & (leaf_a | (tb.extent[nb] > ta.extent[na]))
+        split_b = ~leaf_b & (leaf_a | (b.extent[nb] > a.extent[na]))
         split_a = ~leaf_a & ~split_b
         a_keep, b_split = na[split_b], nb[split_b]
         a_split, b_keep = na[split_a], nb[split_a]
-        na = np.concatenate((a_keep, a_keep, ta.left[a_split], ta.right[a_split]))
-        nb = np.concatenate((tb.left[b_split], tb.right[b_split], b_keep, b_keep))
+        na = np.concatenate((a_keep, a_keep, a.left[a_split], a.right[a_split]))
+        nb = np.concatenate((b.left[b_split], b.right[b_split], b_keep, b_keep))
 
     if a.closed and b.closed:
         if point_in_mesh(rel.apply(a.vertices[0]), b):
@@ -389,30 +373,27 @@ def intersects(
     return False
 
 
-def _leaf_pairs_hit(tri_a, tris_a, tb: Bvh, leaves_b) -> bool:
+def _leaf_pairs_hit(tri_a, tris_a, b: CollisionMesh, leaves_b) -> bool:
     """Any hit among the triangle pairs of the given leaf pairs? ``tris_a``
     holds the padded triangle rows of a's leaves; ``tri_a`` is a's triangles
     already in b's frame."""
-    tris_b = tb.leaf_tris[leaves_b]
+    tris_b = b.leaf_tris[leaves_b]
     ia, ib = np.broadcast_arrays(tris_a[:, :, None], tris_b[:, None, :])
     real = (ia >= 0) & (ib >= 0)
-    return bool(tri_tri_intersect_batch(tri_a[ia[real]], tb.tri_vertices[ib[real]]).any())
+    return bool(tri_tri_intersect_batch(tri_a[ia[real]], b.tri_vertices[ib[real]]).any())
 
 
 def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
     """Ray-parity containment test (reliable only for closed meshes).
     Moller-Trumbore over all triangles, vectorized; the terms that depend on
-    the mesh alone come from its BVH."""
-    bvh = mesh.bvh
-    if len(bvh.tri_vertices) == 0:
-        return False
-    inv_det = bvh.ray_inv_det
-    s = point[None, :] - bvh.ray_v0
-    u = np.einsum("ij,ij->i", s, bvh.ray_h) * inv_det
-    qv = _cross(s, bvh.ray_e1)
+    the mesh alone are precomputed on it."""
+    inv_det = mesh.ray_inv_det
+    s = point[None, :] - mesh.ray_v0
+    u = np.einsum("ij,ij->i", s, mesh.ray_h) * inv_det
+    qv = _cross(s, mesh.ray_e1)
     v = (qv @ _RAY_DIR) * inv_det
-    t = np.einsum("ij,ij->i", bvh.ray_e2, qv) * inv_det
-    hits = bvh.ray_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
+    t = np.einsum("ij,ij->i", mesh.ray_e2, qv) * inv_det
+    hits = mesh.ray_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
     return bool(hits.sum() % 2 == 1)
 
 
@@ -481,7 +462,7 @@ class AssemblyChecker:
     def add(self, mesh: CollisionMesh, pose: RigidTransform) -> list[int]:
         """Place one instance; returns the 0-based placement indices it
         collides with (may be empty), in placement order."""
-        lo, hi = _transform_boxes(*mesh.bvh.root_box, pose.rotation, pose.translation)
+        lo, hi = _transform_boxes(mesh.center[0], mesh.half[0], pose.rotation, pose.translation)
         step = len(self._placed)
         near = np.flatnonzero(
             ((lo <= self._hi_eps[:step]) & (hi >= self._lo_eps[:step])).all(axis=1)
@@ -503,38 +484,27 @@ class AssemblyChecker:
 # ---------------------------------------------------------------------------
 # Mesh construction helpers
 
+# Box corner i has bits 2, 1, 0 of i as its x, y, z. Each face is split along
+# the diagonal of its two even-parity corners, and every triangle winds outward.
+_BOX_CORNERS = np.array(
+    [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=np.float64
+)
+_BOX_TRIANGLES = np.array(
+    [[0, 1, 3], [0, 3, 2], [5, 4, 6], [5, 6, 7], [0, 5, 1], [0, 4, 5],
+     [3, 6, 2], [3, 7, 6], [0, 2, 6], [0, 6, 4], [3, 1, 5], [3, 5, 7]],
+    dtype=np.int64,
+)
+
 
 def box_mesh(size, center=(0.0, 0.0, 0.0)):
-    """Axis-aligned box with the alternating (tetrahedral) triangulation.
-    On a cube the corner pseudo-normals are exact space diagonals, so cube
-    insets are exact; unequal sides shrink by unequal amounts.
-    Returns (vertices, triangles)."""
+    """Axis-aligned box of positive size with the alternating (tetrahedral)
+    triangulation, wound outward. On a cube the corner pseudo-normals are
+    exact space diagonals, so cube insets are exact; unequal sides shrink by
+    unequal amounts. Returns (vertices, triangles)."""
     half = np.asarray(size, dtype=np.float64) / 2.0
     c = np.asarray(center, dtype=np.float64)
-    corners = np.array(
-        [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=np.float64
-    )
-    verts = c + (corners - 0.5) * 2.0 * half
-
-    def parity(i):
-        return (i & 1) ^ ((i >> 1) & 1) ^ ((i >> 2) & 1)
-
-    tris = []
-    for axis in range(3):
-        for side in (0, 1):
-            face = [i for i in range(8) if ((i >> (2 - axis)) & 1) == side]
-            evens = [i for i in face if parity(i) == 0]
-            odds = [i for i in face if parity(i) == 1]
-            d0, d1 = evens
-            outward = np.zeros(3)
-            outward[axis] = 1.0 if side else -1.0
-            for o in odds:
-                tri = [d0, o, d1]
-                n = np.cross(verts[tri[1]] - verts[tri[0]], verts[tri[2]] - verts[tri[0]])
-                if n @ outward < 0:
-                    tri = [d0, d1, o]
-                tris.append(tri)
-    return verts, np.array(tris, dtype=np.int64)
+    verts = c + (_BOX_CORNERS - 0.5) * 2.0 * half
+    return verts, _BOX_TRIANGLES.copy()
 
 
 def merge_meshes(parts):

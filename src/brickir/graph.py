@@ -663,6 +663,8 @@ def select_corpus_indices(sizes, count: int, rng: np.random.Generator) -> np.nda
     if len(sizes) == 0:
         raise MatchError("empty corpus")
     w = np.sqrt(np.asarray(sizes, dtype=np.float64))
+    if not w.sum():
+        raise MatchError("empty graph")  # every graph has no nodes: no weights to draw by
     return rng.choice(len(sizes), size=count, p=w / w.sum())
 
 

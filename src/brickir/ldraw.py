@@ -200,9 +200,9 @@ def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None)
     their composed transform. Other references are expanded from
     ``subfiles`` (normalized name -> text). A reference back into ``chain``
     (the names of the files being expanded, outermost first; the document's
-    own name or None) and nesting deeper than MAX_SUBFILE_DEPTH raise; a
-    reference found nowhere raises in strict mode and is warned about
-    otherwise.
+    own name or None), nesting deeper than MAX_SUBFILE_DEPTH and a composed
+    transform that overflows raise; a reference found nowhere raises in
+    strict mode and is warned about otherwise.
     """
     if len(chain) > MAX_SUBFILE_DEPTH + 1:
         raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
@@ -214,7 +214,10 @@ def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None)
         if line.line_type != 1:
             continue
         lm, lt = _matrix_from_values(line.values)
-        cm, ct = m @ lm, m @ lt + t
+        with np.errstate(over="ignore", invalid="ignore"):
+            cm, ct = m @ lm, m @ lt + t
+        if not (np.isfinite(cm).all() and np.isfinite(ct).all()):
+            raise LdrawParseError("non-finite composed transform", line.number)
         ref = normalize_name(line.subfile)
         if leaf(ref):
             yield line, cm, ct

@@ -2,7 +2,8 @@
 geodesic sphere mesh, axis-angle rotations, text renderers for programs
 and LDraw instances, a graph component, a rotation's orthonormality error,
 a program's action count, a survival proportion, a canonical stats dump, a
-catalog with an uninsettable mesh, and a counter of collision-mesh builds."""
+catalog with an uninsettable mesh, a counter of collision-mesh builds, and
+LDraw files whose composed transforms overflow."""
 
 import json
 import math
@@ -19,6 +20,20 @@ from brickir.demo import DEMO_STRUCTURES, build_demo_catalog
 from brickir.geometry import ConnectorFrame, RigidTransform
 from brickir.graph import param_values
 from brickir.program import PartIntro
+
+
+# every number is finite, but the composed matrix or translation at line 1
+# of sub.ldr is not
+OVERFLOWING_MPDS = {
+    "matrix": (
+        "0 FILE main.ldr\n1 4 0 0 0 1e200 0 0 0 1e200 0 0 0 1e200 sub.ldr\n"
+        "0 FILE sub.ldr\n1 4 0 0 0 1e200 0 0 0 1e200 0 0 0 1e200 3023.dat\n"
+    ),
+    "translation": (
+        "0 FILE main.ldr\n1 4 1e300 1e300 1e300 1e10 0 0 0 1 0 0 0 1 sub.ldr\n"
+        "0 FILE sub.ldr\n1 4 1e300 1e300 1e300 1 0 0 0 1 0 0 0 1 3023.dat\n"
+    ),
+}
 
 
 @pytest.fixture(scope="session")

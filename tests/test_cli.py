@@ -16,7 +16,12 @@ from brickir.graph import ConnEdge, ConnectivityGraph
 from brickir.ldraw import PartInstance
 from brickir.program import serialize
 
-from conftest import catalog_obj_with_collapsing_mesh, count_inset_builds, demo_ldr
+from conftest import (
+    OVERFLOWING_MPDS,
+    catalog_obj_with_collapsing_mesh,
+    count_inset_builds,
+    demo_ldr,
+)
 
 CAT = build_demo_catalog()
 
@@ -494,6 +499,28 @@ def _run_captured(workdir, *argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(workdir, *argv)  # an escaping exception fails the test
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, name, data, code, message", [
+    (["eval"], "none", None, 1, "no program files in {}"),
+    (["--strict", "eval"], "none", None, 1, "no program files in {}"),
+    (["sample"], "nodes.json", '{"nodes": [], "edges": []}', 1, "empty graph"),
+    (["--strict", "sample"], "nodes.json", '{"nodes": [], "edges": []}', 4, "empty graph"),
+    (["parse"], "m.mpd", OVERFLOWING_MPDS["matrix"], 2, "line 1: non-finite composed transform"),
+    (["graph"], "t.mpd", OVERFLOWING_MPDS["translation"], 2,
+     "line 1: non-finite composed transform"),
+], ids=["eval-empty-dir", "strict-eval-empty-dir", "sample-node-less", "strict-sample-node-less",
+        "parse-matrix-overflow", "graph-translation-overflow"])
+def test_degenerate_inputs_exit_with_one_error_line(workdir, tmp_path, argv, name, data, code,
+                                                    message):
+    target = tmp_path / name
+    if data is None:
+        target.mkdir()  # a directory without files
+    else:
+        target.write_text(data)
+    got = _run_captured(workdir, *argv, target)
+    assert got == (code, "", f"error: {message.format(target)}\n")
 
 
 @pytest.mark.parametrize("slide", _SLIDES_OUT_OF_RANGE, ids=["1e400", "-1e400", "2**53+1"])

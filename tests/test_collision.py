@@ -81,6 +81,16 @@ def test_inset_sphere_radius_bound():
 def test_inset_empty_mesh_errors():
     with pytest.raises(BrickIrError, match="empty"):
         inset_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int), 0.25)
+    with pytest.raises(BrickIrError, match="^empty mesh$"):
+        CollisionMesh.build(np.zeros((8, 3)), np.zeros((0, 3), dtype=int))
+
+
+def test_mesh_arrays_are_read_only():
+    verts, tris = box_mesh((4.0, 6.0, 8.0))
+    for mesh in (CollisionMesh.build(verts, tris), inset_mesh(verts, tris, 0.25)):
+        arrays = {k: a for k, a in vars(mesh).items() if isinstance(a, np.ndarray)}
+        assert {"vertices", "triangles", "tri_vertices", "center", "ray_inv_det"} <= arrays.keys()
+        assert not any(a.flags.writeable for a in arrays.values())
 
 
 def test_inset_drops_degenerate_triangles():

@@ -484,6 +484,11 @@ def test_select_corpus_indices_sqrt_weights_quick():
     assert abs(freq[1] - 2 / 3) < 0.02
 
 
+def test_select_corpus_indices_of_node_less_graphs_raises():
+    with pytest.raises(MatchError, match="^empty graph$"):
+        select_corpus_indices([0, 0], 5, np.random.default_rng(0))
+
+
 def test_sample_corpus_paths_empty_corpus():
     with pytest.raises(MatchError, match="empty"):
         sample_corpus_paths([], 5, seed=0)

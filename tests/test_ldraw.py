@@ -11,7 +11,7 @@ from brickir.ldraw import (
     scan_primitives,
 )
 
-from conftest import instances_to_ldr
+from conftest import OVERFLOWING_MPDS, instances_to_ldr
 
 PARTS = {"3001", "3023"}
 
@@ -259,6 +259,14 @@ def test_parse_structure_depth_limit():
     text = _mpd(*files, ("d70.ldr", f"1 4 0 0 0 {IDENTITY} 3001.dat\n"))
     with pytest.raises(LdrawParseError, match="deeper"):
         parse_structure(text, PARTS)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", OVERFLOWING_MPDS)
+def test_overflowing_composed_transform_raises_in_both_modes(name):
+    for strict in (True, False):
+        with pytest.raises(LdrawParseError, match="^line 1: non-finite composed transform$"):
+            parse_structure(OVERFLOWING_MPDS[name], PARTS, strict=strict)
 
 
 def test_extract_triangles_cycle_and_unresolvable_reference():
