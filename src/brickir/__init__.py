@@ -13,9 +13,7 @@ from .graph import (
     ConnEdge,
     ConnectivityGraph,
     MatchTolerances,
-    extract_params,
     match_connectors,
-    realize_params,
     sample_corpus_paths,
     sample_path,
 )
@@ -50,11 +48,9 @@ __all__ = [
     "compose",
     "dof_spec",
     "execute",
-    "extract_params",
     "match_connectors",
     "parse_program",
     "parse_structure",
-    "realize_params",
     "relative",
     "sample_corpus_paths",
     "sample_path",

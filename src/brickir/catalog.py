@@ -26,6 +26,11 @@ def normalize_part_name(name: str) -> str:
     return re.sub(r"\s+", " ", name.replace("|", " ")).strip().lower()
 
 
+# Largest mesh coordinate, in LDU: far beyond any part, and small enough that
+# the collision arithmetic (squared cross products) cannot overflow.
+MESH_COORD_MAX = 1e6
+
+
 @dataclass(frozen=True)
 class TriMesh:
     """Indexed triangle soup in part-local LDU coordinates."""
@@ -38,6 +43,8 @@ class TriMesh:
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise CatalogError("triangle index out of range")
+        if not (np.abs(v) <= MESH_COORD_MAX).all():  # NaN fails too
+            raise CatalogError(f"mesh vertex beyond {MESH_COORD_MAX:g} LDU or not finite")
         v.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)

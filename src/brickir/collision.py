@@ -9,16 +9,34 @@ amount only where the incident normals are balanced, as on a cube; the
 hierarchy (BVH); PartColliders maps each part id to its mesh.
 An AssemblyChecker keeps the placed world AABBs in arrays and picks near
 neighbours with one comparison (broad phase). Each near pair then runs a
-level-by-level BVH-vs-BVH traversal whose leaf pairs feed one batched
-separating-interval triangle test (narrow phase); surface contact within
-TRI_EPS (1e-6 LDU) counts as non-intersecting. Pre-inset meshes may also be
-supplied directly (offset 0).
+level-by-level BVH-vs-BVH traversal (narrow phase). The triangle pairs of
+its overlapping leaf pairs are filtered by their triangle boxes, and the
+survivors feed one batched separating-interval triangle test; surface
+contact within TRI_EPS (1e-6 LDU) counts as non-intersecting. Two closed
+meshes also collide when a vertex of one lies inside the other: a ray-parity
+test, which a vertex outside the other mesh's box skips. Pre-inset meshes
+may also be supplied directly (offset 0).
+
+A mesh of at most ONE_LEAF_MAX (64) triangles, as every demo part is, is
+a single leaf: for parts that small a tree walk costs more than it prunes,
+and the triangle-box filter prunes instead. Larger meshes keep a
+median-split tree with LEAF_SIZE (4) triangles per leaf.
+
+The filter loses no hit of the exact triangle test: that test reports a hit
+only when the two triangles' crossing segments, on the line where their
+planes meet, overlap by more than TRI_EPS, and such segments share points
+of both triangles, so the two boxes overlap. The computed test snaps
+corners within TRI_EPS of the other plane onto it, and between two nearly
+coplanar triangles (planes within about 1e-5 rad of parallel) the snapped
+corner can put its crossing segment where the triangle has none. Such a
+false hit can lie between triangles whose boxes are apart, and the filter
+drops it.
 
 Everything that depends on a mesh alone (its BVH nodes' centres and
-half-extents, the TRI_EPS-expanded node bounds, the ray-parity terms of every
-triangle) is computed once when the CollisionMesh is built, so a query does
-only per-pose work. A CollisionMesh has at least one triangle; its arrays are
-read-only, so it is safe to share across threads.
+half-extents, the TRI_EPS-expanded node and triangle bounds, the ray-parity
+terms of every triangle) is computed once when the CollisionMesh is built,
+so a query does only per-pose work. A CollisionMesh has at least one
+triangle; its arrays are read-only, so it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -55,17 +73,22 @@ class CollisionMesh:
 
     BVH node 0 is the root (nodes are numbered in preorder). ``left``/``right``
     are child indices (-1 at leaves), ``leaf`` the leaf mask, ``extent`` the
-    largest side of each box and ``leaf_tris`` an (N, LEAF_SIZE) table of
-    triangle indices padded with -1 (all -1 on internal nodes).
+    largest side of each box and ``leaf_tris`` a table of triangle indices
+    padded with -1 (all -1 on internal nodes). A mesh of at most
+    ONE_LEAF_MAX triangles is one leaf, node 0, whose ``leaf_tris`` row
+    holds all its triangles; a larger mesh is split at the median centroid
+    along the longest box side until at most LEAF_SIZE triangles are left.
 
     Mesh-only query terms are kept too: ``center``/``half`` of every node box,
-    the bounds widened by TRI_EPS (``lo_eps``/``hi_eps``), and per triangle
-    the Moller-Trumbore terms of the fixed parity ray (``ray_v0``,
-    ``ray_e1``, ``ray_e2``, ``ray_h``, ``ray_ok``, ``ray_inv_det``).
-    Every array is read-only.
+    the node bounds widened by TRI_EPS (``lo_eps``/``hi_eps``), and per
+    triangle its widened box (``tri_lo_eps``/``tri_hi_eps``, which filter
+    triangle pairs before the triangle test) and the Moller-Trumbore terms
+    of the fixed parity ray (``ray_v0``, ``ray_e1``, ``ray_e2``, ``ray_h``,
+    ``ray_ok``, ``ray_inv_det``). Every array is read-only.
     """
 
     LEAF_SIZE = 4
+    ONE_LEAF_MAX = 64
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         self.vertices = vertices
@@ -73,12 +96,13 @@ class CollisionMesh:
         self.closed = _is_closed(triangles)
         self.tri_vertices = tri_vertices = vertices[triangles]
         m = len(tri_vertices)
+        leaf_size = m if m <= self.ONE_LEAF_MAX else self.LEAF_SIZE
         cap = 2 * m - 1  # a binary tree over m triangles has < 2m nodes
         lo = np.zeros((cap, 3))
         hi = np.zeros((cap, 3))
         left = np.full(cap, -1, dtype=np.intp)
         right = np.full(cap, -1, dtype=np.intp)
-        leaf_tris = np.full((cap, self.LEAF_SIZE), -1, dtype=np.intp)
+        leaf_tris = np.full((cap, leaf_size), -1, dtype=np.intp)
         centroids = tri_vertices.mean(axis=1)
         tmin = tri_vertices.min(axis=1)
         tmax = tri_vertices.max(axis=1)
@@ -90,7 +114,7 @@ class CollisionMesh:
             count += 1
             lo[node] = tmin[idx].min(axis=0)
             hi[node] = tmax[idx].max(axis=0)
-            if len(idx) <= self.LEAF_SIZE:
+            if len(idx) <= leaf_size:
                 leaf_tris[node, : len(idx)] = idx
                 return node
             axis = int(np.argmax(hi[node] - lo[node]))
@@ -111,6 +135,8 @@ class CollisionMesh:
         self.half = (hi - lo) / 2.0
         self.lo_eps = lo - TRI_EPS
         self.hi_eps = hi + TRI_EPS
+        self.tri_lo_eps = tmin - TRI_EPS
+        self.tri_hi_eps = tmax + TRI_EPS
         v0 = tri_vertices[:, 0]
         e1 = tri_vertices[:, 1] - v0
         e2 = tri_vertices[:, 2] - v0
@@ -342,21 +368,26 @@ def intersects(
     The two BVHs are traversed one level at a time: the frontier of
     (node of a, node of b) pairs is held as arrays, every pair's boxes are
     tested in one step, and the larger node of each overlapping pair splits.
-    The triangle pairs of all overlapping leaf pairs on a level go through
-    one batched triangle test.
+    The triangle pairs of all overlapping leaf pairs on a level are filtered
+    by their triangle boxes, and the survivors go through one batched
+    triangle test. a's triangles and their boxes are put in b's frame once,
+    when the traversal first reaches a leaf pair.
     """
     rel = relative(pose_b, pose_a)  # maps a-local into b-local
     rot, trans = rel.rotation, rel.translation
-    tri_a = a.tri_vertices @ rot.T + trans
     box_lo, box_hi = _transform_boxes(a.center, a.half, rot, trans)  # all of a's, in b's frame
+    posed = None
     na = nb = np.zeros(1, dtype=np.intp)
     while len(na):
         overlap = ((box_lo[na] <= b.hi_eps[nb]) & (box_hi[na] >= b.lo_eps[nb])).all(axis=1)
         na, nb = na[overlap], nb[overlap]
         leaf_a, leaf_b = a.leaf[na], b.leaf[nb]
         both = leaf_a & leaf_b
-        if both.any() and _leaf_pairs_hit(tri_a, a.leaf_tris[na[both]], b, nb[both]):
-            return True
+        if both.any():
+            if posed is None:
+                posed = _posed_triangles(a, rot, trans)
+            if _leaf_pairs_hit(posed, a.leaf_tris[na[both]], b, nb[both]):
+                return True
         split_b = ~leaf_b & (leaf_a | (b.extent[nb] > a.extent[na]))
         split_a = ~leaf_a & ~split_b
         a_keep, b_split = na[split_b], nb[split_b]
@@ -373,20 +404,40 @@ def intersects(
     return False
 
 
-def _leaf_pairs_hit(tri_a, tris_a, b: CollisionMesh, leaves_b) -> bool:
+def _posed_triangles(a: CollisionMesh, rot, trans):
+    """a's triangles mapped by (rot, trans), with their boxes (lo, hi). The
+    boxes take element-wise minima and maxima over the three corners, which
+    is cheaper than a reduction along the corner axis."""
+    tri = a.tri_vertices @ rot.T + trans
+    c0, c1, c2 = tri[:, 0], tri[:, 1], tri[:, 2]
+    return tri, np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
+
+
+def _leaf_pairs_hit(posed, tris_a, b: CollisionMesh, leaves_b) -> bool:
     """Any hit among the triangle pairs of the given leaf pairs? ``tris_a``
-    holds the padded triangle rows of a's leaves; ``tri_a`` is a's triangles
-    already in b's frame."""
+    holds the padded triangle rows of a's leaves; ``posed`` is a's triangles
+    and their boxes, already in b's frame. Only the pairs whose boxes overlap
+    b's TRI_EPS-widened triangle boxes reach the triangle test."""
+    tri_a, lo_a, hi_a = posed
     tris_b = b.leaf_tris[leaves_b]
     ia, ib = np.broadcast_arrays(tris_a[:, :, None], tris_b[:, None, :])
     real = (ia >= 0) & (ib >= 0)
-    return bool(tri_tri_intersect_batch(tri_a[ia[real]], b.tri_vertices[ib[real]]).any())
+    ia, ib = ia[real], ib[real]
+    near = ((lo_a[ia] <= b.tri_hi_eps[ib]) & (hi_a[ia] >= b.tri_lo_eps[ib])).all(axis=1)
+    if not near.any():
+        return False
+    ia, ib = ia[near], ib[near]
+    return bool(tri_tri_intersect_batch(tri_a[ia], b.tri_vertices[ib]).any())
 
 
 def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
     """Ray-parity containment test (reliable only for closed meshes).
     Moller-Trumbore over all triangles, vectorized; the terms that depend on
-    the mesh alone are precomputed on it."""
+    the mesh alone are precomputed on it. A point outside the mesh's
+    TRI_EPS-widened box is outside without a ray: the ray from such a point
+    crosses a closed mesh an even number of times."""
+    if ((point < mesh.lo_eps[0]) | (point > mesh.hi_eps[0])).any():
+        return False
     inv_det = mesh.ray_inv_det
     s = point[None, :] - mesh.ray_v0
     u = np.einsum("ij,ij->i", s, mesh.ray_h) * inv_det

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import AnnotationError
 from .geometry import ConnectorFrame
 
+# Longest axle length a catalog may declare, in LDU (50 studs, longer than any
+# part): the matcher's spatial hash pads a connector's box by half of it on
+# every side, so its cell walk grows with the cube of the length.
+AXLE_LENGTH_MAX = 1000.0
+
 
 class ConnectorFamily(str, Enum):
     STUD = "stud"
@@ -164,6 +169,14 @@ class AnnotatedConnector:
             np.array(obj["reference_axis"], dtype=np.float64),
         )
         length = obj.get("axle_length")
+        if length is not None and not (
+            isinstance(length, (int, float))
+            and not isinstance(length, bool)
+            and 0.0 <= length <= AXLE_LENGTH_MAX
+        ):
+            raise ValueError(
+                f"axle_length must be a number in [0, {AXLE_LENGTH_MAX:g}], got {length!r}"
+            )
         return cls(obj.get("index"), family, subtype, frame, length)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 
 # Re-orthonormalize whenever a composed rotation drifts past this.
 ORTHONORMAL_TOL = 1e-9
+# Largest connector-axis component: squares of larger ones can overflow.
+AXIS_LIMIT = 1e150
 
 _IDENTITY3 = np.eye(3)
 _IDENTITY3.flags.writeable = False
@@ -86,10 +88,12 @@ class RigidTransform:
 
     @classmethod
     def from_json_obj(cls, obj) -> "RigidTransform":
-        return cls(
-            np.array(obj["rot"], dtype=np.float64).reshape(3, 3),
-            np.array(obj["t"], dtype=np.float64),
-        )
+        rotation = np.array(obj["rot"], dtype=np.float64).reshape(3, 3)
+        translation = np.array(obj["t"], dtype=np.float64)
+        # Entries near the float limit overflow RᵀR: the error is then inf or
+        # nan, and the full check sequence runs without a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(rotation, translation)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (3,) or many points (n, 3)."""
@@ -191,6 +195,8 @@ class ConnectorFrame:
         r = np.asarray(self.reference_axis, dtype=np.float64).reshape(3)
         if not (np.isfinite(o).all() and np.isfinite(p).all() and np.isfinite(r).all()):
             raise ValueError("non-finite connector frame")
+        if max(map(abs, p.tolist() + r.tolist())) > AXIS_LIMIT:  # its square would overflow
+            raise ValueError(f"connector axis component beyond {AXIS_LIMIT:g}")
         p, r = unit_axes(p, r)
         for arr in (o, p, r):
             arr.flags.writeable = False

@@ -108,12 +108,15 @@ def _json_id(value) -> int:
     return value
 
 
+def _json_string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise GraphParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _json_endpoint(value) -> tuple[int, str]:
     node, index = value
-    node = _json_id(node)
-    if not isinstance(index, str):
-        raise GraphParseError(f"connector index must be a string, got {index!r}")
-    return node, index
+    return _json_id(node), _json_string(index, "connector index")
 
 
 def param_values(family: ConnectorFamily, p: QuantizedParams) -> list[int]:
@@ -223,7 +226,7 @@ class ConnectivityGraph:
                 nid = _json_id(n["id"])
                 nodes[nid] = PartInstance(
                     node_id=nid,
-                    part_id=n["part"],
+                    part_id=_json_string(n["part"], "part id"),
                     color=int(n["color"]),
                     pose=RigidTransform.from_json_obj(n["pose"]),
                 )
@@ -354,16 +357,6 @@ def _mate(
     return frame_rot @ r, frame_rot @ t + origin
 
 
-def realize_params(
-    existing: ConnectorFrame, params: QuantizedParams, family: ConnectorFamily
-) -> ConnectorFrame:
-    """World frame of the mated connector implied by quantized parameters."""
-    family = ConnectorFamily(family)
-    _validate_params(family, params)
-    rot, origin = _mate(existing.as_transform().rotation, existing.origin, family, params)
-    return ConnectorFrame(origin, rot[:, 2], rot[:, 0])
-
-
 def attach_pose(
     target_pose: RigidTransform,
     target_frame: ConnectorFrame,
@@ -375,10 +368,12 @@ def attach_pose(
     ``params`` onto connector ``target_frame`` (local) of a part at
     ``target_pose``.
 
-    This is ``realize_params`` on the target's world frame, composed with the
-    new connector's inverse local frame, computed on bare arrays in the same
-    operation order, so the result matches that composition bit for bit. Only
-    the returned pose is built as a (checked) RigidTransform.
+    The target connector's world frame is mated by ``_mate`` and composed
+    with the new connector's inverse local frame, on bare arrays in the
+    operation order of that composition of ConnectorFrames, so the result
+    matches it bit for bit. Only the returned pose is built as a (checked)
+    RigidTransform. The params must suit the family: the parser, the
+    graph-JSON loader and the matcher check them where they enter.
     """
     rt = target_pose.rotation.T
     z, x = unit_axes(target_frame.principal_axis @ rt, target_frame.reference_axis @ rt)
@@ -430,21 +425,6 @@ def _check_pairing(
         yaw = math.degrees(math.atan2(r[1, 0], r[0, 0]))
         return abs(_wrap_deg(yaw)) <= tol.axis_deg
     return True
-
-
-def extract_params(
-    frame_a: ConnectorFrame, frame_b: ConnectorFrame, family: ConnectorFamily
-) -> QuantizedParams:
-    """Quantized parameters of the connection from frame_a to frame_b.
-
-    Raises MatchError when the frames do not satisfy the family's matching
-    predicate at the default tolerances (axle slide unbounded).
-    """
-    family = ConnectorFamily(family)
-    m = relative(frame_a.as_transform(), frame_b.as_transform())
-    if not _check_pairing(family, m.rotation, m.translation, MatchTolerances(), None):
-        raise MatchError("not a valid pairing")
-    return _quantize(family, m.rotation, m.translation)
 
 
 def _quantize(family: ConnectorFamily, r: np.ndarray, t: np.ndarray) -> QuantizedParams:
@@ -520,9 +500,10 @@ def _candidate_pairs(conns, tol: MatchTolerances):
     grid: dict[tuple[int, int, int], list[int]] = {}
     for i, (_, _, frame, reach) in enumerate(conns):
         pad = tol.position + reach
-        lo = np.floor((frame.origin - pad) / cell).astype(int)
-        hi = np.floor((frame.origin + pad) / cell).astype(int)
-        for key in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        # Python ints hold a cell index of any finite coordinate exactly
+        lo = np.floor((frame.origin - pad) / cell).tolist()
+        hi = np.floor((frame.origin + pad) / cell).tolist()
+        for key in itertools.product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi))):
             grid.setdefault(key, []).append(i)
     pairs = set()
     for bucket in grid.values():  # ids ascend within a bucket

@@ -2,8 +2,9 @@
 geodesic sphere mesh, axis-angle rotations, text renderers for programs
 and LDraw instances, a graph component, a rotation's orthonormality error,
 a program's action count, a survival proportion, a canonical stats dump, a
-catalog with an uninsettable mesh, a counter of collision-mesh builds, and
-LDraw files whose composed transforms overflow."""
+catalog with an uninsettable mesh, a counter of collision-mesh builds,
+LDraw files whose composed transforms overflow, and the frame-level
+parameter codec (``realize_params``, ``extract_params``)."""
 
 import json
 import math
@@ -17,8 +18,17 @@ import pytest
 from brickir import collision
 from brickir.collision import box_mesh
 from brickir.demo import DEMO_STRUCTURES, build_demo_catalog
-from brickir.geometry import ConnectorFrame, RigidTransform
-from brickir.graph import param_values
+from brickir.connectors import ConnectorFamily
+from brickir.errors import MatchError
+from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, relative
+from brickir.graph import (
+    MatchTolerances,
+    _check_pairing,
+    _mate,
+    _quantize,
+    _validate_params,
+    param_values,
+)
 from brickir.program import PartIntro
 
 
@@ -76,6 +86,31 @@ def rotation_about_axis(axis: np.ndarray, degrees: float) -> np.ndarray:
 def frame_from_transform(t: RigidTransform) -> ConnectorFrame:
     """The connector frame whose ``as_transform()`` is t."""
     return ConnectorFrame(t.translation, t.rotation[:, 2], t.rotation[:, 0])
+
+
+def realize_params(
+    existing: ConnectorFrame, params: QuantizedParams, family: ConnectorFamily
+) -> ConnectorFrame:
+    """World frame of the mated connector implied by quantized parameters."""
+    family = ConnectorFamily(family)
+    _validate_params(family, params)
+    rot, origin = _mate(existing.as_transform().rotation, existing.origin, family, params)
+    return ConnectorFrame(origin, rot[:, 2], rot[:, 0])
+
+
+def extract_params(
+    frame_a: ConnectorFrame, frame_b: ConnectorFrame, family: ConnectorFamily
+) -> QuantizedParams:
+    """Quantized parameters of the connection from frame_a to frame_b.
+
+    Raises MatchError when the frames do not satisfy the family's matching
+    predicate at the default tolerances (axle slide unbounded).
+    """
+    family = ConnectorFamily(family)
+    m = relative(frame_a.as_transform(), frame_b.as_transform())
+    if not _check_pairing(family, m.rotation, m.translation, MatchTolerances(), None):
+        raise MatchError("not a valid pairing")
+    return _quantize(family, m.rotation, m.translation)
 
 
 def icosphere_mesh(radius: float, subdivisions: int = 1):

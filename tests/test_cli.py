@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from brickir.cli import main
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.geometry import QuantizedParams, RigidTransform
-from brickir.graph import ConnEdge, ConnectivityGraph
-from brickir.ldraw import PartInstance
+from brickir.graph import ConnEdge, ConnectivityGraph, match_connectors
+from brickir.ldraw import PartInstance, parse_structure
 from brickir.program import serialize
 
 from conftest import (
@@ -779,3 +781,179 @@ def test_connector_reuse_and_syntax_error_precedence(workdir, tmp_path, command)
     code, out, err = _run_captured(workdir, "execute", same)
     assert (code, out) == (2, "")
     assert err == "error: line 6: malformed-line: attach needs at least 6 tokens\n"
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under fuzzed LDraw files, graph JSON and catalog JSON
+
+_LDRAW_BASES = [demo_ldr(kind) for kind in ("stack4", "mpd_stack", "mixed")]
+_LDRAW_TOKENS = ("nan", "inf", "-1e400", "1e200", "-0", "1e-320", "9" * 400, "0", "1", "3",
+                 "4", "3023.dat", "nope.dat", "sub.ldr", "main.ldr", "FILE", "NOFILE", "\t")
+_GRAPH_BASES = [
+    match_connectors(parse_structure(demo_ldr(kind), CAT), CAT).to_json_obj()
+    for kind in ("stack4", "mixed")
+]
+_JSON_VALUES = st.sampled_from([
+    None, True, False, 0, 1, -1, 2**53 + 1, 10**400, 0.5, 1e308, -1e308, float("nan"),
+    float("inf"), "", "a", "3023", "stud", "ball", [], {}, [0, 0, 0], [[0, 1, 2]], {"x": 1},
+])
+
+
+def _fuzz_calls(argv_list, main_args):
+    """Run each argv through ``main``; every call must keep the exit-code
+    contract: a code of 0-4, at most one ``error:`` line and no traceback
+    (warnings are errors inside the call, so a numpy warning fails the test)."""
+    for argv in argv_list:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*map(str, main_args), *map(str, argv)])  # an escaping exception fails
+        assert 0 <= code <= 4
+        assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+@st.composite
+def _mutated_ldraw(draw):
+    """A demo .ldr/.mpd with up to four line or token edits, then maybe one
+    byte overwritten (any byte value, so the text may stop being UTF-8)."""
+    lines = draw(st.sampled_from(_LDRAW_BASES)).splitlines()
+    ops = ("drop_line", "dup_line", "swap_lines", "drop_token", "dup_token", "set_token")
+    for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        if op == "drop_line":
+            del lines[i]
+        elif op == "dup_line":
+            lines.insert(i, lines[i])
+        elif op == "swap_lines":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        else:
+            if op == "drop_token":
+                del tokens[j]
+            elif op == "dup_token":
+                tokens.insert(j, tokens[j])
+            else:
+                tokens[j] = draw(st.sampled_from(_LDRAW_TOKENS))
+            lines[i] = " ".join(tokens)
+    data = bytearray(("\n".join(lines) + "\n").encode())
+    if draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def _json_paths(obj, path=()):
+    """Every (container path, key) inside a JSON object, preorder."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)) and value:
+            yield from _json_paths(value, (*path, key))
+
+
+@st.composite
+def _mutated_json(draw, bases):
+    """A deep copy of one base object with up to three values replaced by
+    awkward JSON values (NaN and Infinity included) or deleted."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(obj))
+        if not paths:
+            break
+        path, key = draw(st.sampled_from(paths))
+        parent = obj
+        for step in path:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(_JSON_VALUES))  # never share a container
+    return json.dumps(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_mutated_ldraw())
+def test_fuzzed_ldraw_keeps_the_exit_code_contract(workdir, data):
+    path = workdir / "fuzzed.mpd"
+    path.write_bytes(data)
+    _fuzz_calls([["parse", path], ["--strict", "parse", path], ["graph", path]],
+                ["--catalog", workdir / "catalog.json"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutated_json(_GRAPH_BASES))
+def test_fuzzed_graph_json_keeps_the_exit_code_contract(workdir, text):
+    path = workdir / "fuzzed_graph.json"
+    path.write_text(text)
+    _fuzz_calls([["sample", path], ["serialize", path], ["stats", path]],
+                ["--catalog", workdir / "catalog.json"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=_mutated_json([CAT.to_json_obj()]))
+def test_fuzzed_catalog_json_keeps_the_exit_code_contract(workdir, text):
+    program = workdir / "fuzz_catalog.bseq"
+    program.write_text(_FUZZ_BASES[2])  # 20 parts over the demo catalog
+    catalog = workdir / "fuzzed_catalog.json"
+    catalog.write_text(text)
+    _fuzz_calls([["graph", workdir / "mixed.ldr"], ["check", program]], ["--catalog", catalog])
+
+
+def _graph_text(edit) -> str:
+    obj = copy.deepcopy(_GRAPH_BASES[0])  # stack4
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _set_connector(part, k, key, value):
+    def edit(obj):
+        obj["parts"][part]["connectors"][k][key] = value
+    return edit
+
+
+def _set_first_vertex(value):
+    def edit(obj):
+        obj["parts"]["3023"]["mesh"]["vertices"][0][0] = value
+    return edit
+
+
+# Inputs the fuzz tests above found. At the parent of this fix the two
+# non-string cases raised tracebacks, the NaN vertex exited 0 with meshes
+# that never collide, and the rest printed numpy overflow or cast warnings.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("catalog_edit, argv, name, data, code, message", [
+    (None, ["sample"], "g.json", _graph_text(lambda o: o["nodes"][0]["pose"]["rot"].__setitem__(
+        0, 1e308)), 0, None),
+    (None, ["sample"], "g.json", _graph_text(lambda o: o["nodes"][0].update(part=[0, 0, 0])), 2,
+     "part id must be a string, got [0, 0, 0]"),
+    (None, ["graph"], "far.ldr", "1 1 1e200 -16 0 1 0 0 0 1 0 0 0 1 3023.dat\n"
+     "1 2 0 -24 0 1 0 0 0 1 0 0 0 1 3023.dat\n", 0, None),
+    (_set_connector("3704", 0, "axle_length", "a"), ["graph"], "mixed.ldr", demo_ldr("mixed"), 3,
+     "malformed catalog JSON: ValueError: axle_length must be a number in [0, 1000], got 'a'"),
+    (_set_connector("3704", 0, "axle_length", 1e308), ["graph"], "mixed.ldr", demo_ldr("mixed"), 3,
+     "malformed catalog JSON: ValueError: axle_length must be a number in [0, 1000], got 1e+308"),
+    (_set_connector("3023", 0, "principal_axis", [1e308, 0, 0]), ["parse"], "s.ldr",
+     demo_ldr("stack4"), 3,
+     "malformed catalog JSON: ValueError: connector axis component beyond 1e+150"),
+    (_set_first_vertex(1e308), ["parse"], "s.ldr", demo_ldr("stack4"), 3,
+     "mesh vertex beyond 1e+06 LDU or not finite"),
+    (_set_first_vertex(float("nan")), ["parse"], "s.ldr", demo_ldr("stack4"), 3,
+     "mesh vertex beyond 1e+06 LDU or not finite"),
+], ids=["graph-pose-overflow", "graph-part-not-a-string", "ldraw-translation-1e200",
+        "catalog-axle-length-a", "catalog-axle-length-1e308", "catalog-axis-1e308",
+        "catalog-vertex-1e308", "catalog-vertex-nan"])
+def test_fuzz_found_inputs_keep_the_exit_code_contract(tmp_path, catalog_edit, argv, name, data,
+                                                       code, message):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(_catalog_text(catalog_edit) if catalog_edit else CAT.dumps())
+    target = tmp_path / name
+    target.write_text(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(["--catalog", str(catalog), *argv, str(target)])
+    assert (got, err.getvalue()) == (code, f"error: {message}\n" if message else "")

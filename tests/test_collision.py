@@ -251,6 +251,20 @@ def test_point_in_mesh():
     assert not point_in_mesh(np.array([100.0, 3.0, -7.0]), cube)
 
 
+def test_point_in_mesh_matches_the_sphere_inside_and_outside_its_box():
+    # Points outside the box skip the ray; points in the box's corners, outside
+    # the sphere, take it. The faceted sphere lies between radius 9.5 and 10.
+    sphere = _mesh(icosphere_mesh(10.0, 2))
+    rng = np.random.default_rng(17)
+    points = rng.uniform(-12.0, 12.0, (400, 3))
+    radii = np.linalg.norm(points, axis=1)
+    clear = (radii < 9.4) | (radii > 10.0)
+    got = [point_in_mesh(p, sphere) for p in points[clear]]
+    assert got == (radii[clear] < 9.4).tolist()
+    in_box = (np.abs(points[clear]) <= 10.0).all(axis=1)
+    assert 20 < (in_box & (radii[clear] > 10.0)).sum() and (~in_box).sum() > 20
+
+
 def test_tri_tri_basic():
     p = np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0]], float)
     q = np.array([[1, 1, -1], [1, 1, 1], [3, 3, 0]], float)  # pierces p
@@ -465,6 +479,88 @@ def test_demo_structures_at_connector_poses_match_oracle(demo_colliders):
                 got = intersects(mi, inst[i].pose, mj, inst[j].pose)
                 assert not got  # demo structures are collision-free
                 assert got == brute_force_intersects(mi, inst[i].pose, mj, inst[j].pose)
+
+
+# ---------------------------------------------------------------------------
+# One-leaf meshes and the triangle-box filter
+
+
+def test_demo_part_meshes_are_one_leaf(demo_colliders):
+    for pid in sorted(build_demo_catalog().parts):
+        mesh = demo_colliders.get(pid)
+        assert len(mesh) <= CollisionMesh.ONE_LEAF_MAX
+        assert len(mesh.leaf) == 1 and mesh.leaf[0]
+        assert mesh.leaf_tris.tolist() == [list(range(len(mesh)))]
+
+
+def test_large_meshes_keep_leaves_of_at_most_leaf_size():
+    mesh = _mesh(icosphere_mesh(10.0, 3))
+    assert len(mesh) == 1280
+    rows = [row[row >= 0] for row in mesh.leaf_tris[mesh.leaf]]  # real triangles per leaf
+    assert len(rows) > 1 and max(len(r) for r in rows) <= CollisionMesh.LEAF_SIZE
+    assert sorted(np.concatenate(rows).tolist()) == list(range(len(mesh)))
+    assert (mesh.leaf_tris[~mesh.leaf] == -1).all()
+
+
+def test_triangle_boxes_are_widened_by_tri_eps():
+    mesh = _mesh(icosphere_mesh(3.0, 1))
+    tris = mesh.tri_vertices
+    assert np.array_equal(mesh.tri_lo_eps, tris.min(axis=1) - 1e-6)
+    assert np.array_equal(mesh.tri_hi_eps, tris.max(axis=1) + 1e-6)
+
+
+def _prism(n, rng, center_fans=2):
+    """Closed prism over an n-gon of jittered radius about 20 LDU, 20 LDU
+    tall, with a face at +x: 2n side triangles, and n-triangle fans about a
+    centre vertex on ``center_fans`` caps (n - 2 triangles from a corner on
+    the others)."""
+    angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    r = 20.0 * rng.uniform(0.98, 1.02, n)
+    ring = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
+    verts = [np.column_stack([ring, np.full(n, z)]) for z in (-10.0, 10.0)]
+    k = np.arange(n)
+    k1 = (k + 1) % n
+    tris = [np.stack([k, k1, n + k1], axis=1), np.stack([k, n + k1, n + k], axis=1)]
+    for cap, (base, z) in enumerate(((0, -10.0), (n, 10.0))):
+        if cap < center_fans:
+            verts.append([[0.0, 0.0, z]])
+            tris.append(np.stack([np.full(n, 2 * n + cap), base + k, base + k1], axis=1))
+        else:
+            tris.append(np.stack([np.full(n - 2, base), base + k[1:-1], base + k[2:]], axis=1))
+    return np.vstack(verts), np.concatenate(tris)
+
+
+def _one_leaf_boundary_meshes():
+    """Meshes on both sides of the one-leaf bound: closed with 64 and 66
+    triangles (a closed mesh has an even count), open with 64 and 65."""
+    rng = np.random.default_rng(64)
+    v64, t64 = _prism(16, rng)
+    v66, t66 = _prism(17, rng, center_fans=1)
+    return [
+        CollisionMesh.build(v64, t64),
+        CollisionMesh.build(v66, t66),
+        CollisionMesh.build(v66, t66[:-2]),
+        CollisionMesh.build(v66, t66[:-1]),
+    ]
+
+
+def test_one_leaf_boundary_meshes_match_oracle_near_contact():
+    meshes = _one_leaf_boundary_meshes()
+    sizes = [(len(m), m.closed) for m in meshes]
+    assert sizes == [(64, True), (66, True), (64, False), (65, False)]
+    assert [len(m.leaf) == 1 for m in meshes] == [True, False, True, False]
+    rng = np.random.default_rng(65)
+    hits = cases = 0
+    for a in meshes:
+        for b in meshes:
+            for tilt_deg in (0.0, 0.5, 3.0, 20.0):
+                pa = random_rigid(rng, scale=50.0)
+                pb = compose(pa, _near_contact_pose(a, b, rng.uniform(-0.4, 0.4), tilt_deg, rng))
+                got = intersects(a, pa, b, pb)
+                assert got == brute_force_intersects(a, pa, b, pb)
+                hits += got
+                cases += 1
+    assert 0.2 < hits / cases < 0.8  # both outcomes are exercised
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ from brickir.graph import (
     _check_pairing,
     attach_pose,
     canonical_ball_euler,
-    extract_params,
     match_connectors,
     param_values,
     params_from_json_obj,
     params_from_values,
     params_to_json_obj,
-    realize_params,
     reverse_params,
     sample_corpus_paths,
     sample_path,
@@ -34,7 +32,14 @@ from brickir.graph import (
 from brickir.ldraw import PartInstance
 from brickir.program import _params_tokens, _parse_params, serialize
 
-from conftest import demo_ldr, frame_from_transform, random_rigid, rotation_about_axis
+from conftest import (
+    demo_ldr,
+    extract_params,
+    frame_from_transform,
+    random_rigid,
+    realize_params,
+    rotation_about_axis,
+)
 from oracles import exhaustive_match, graphs_equal, reference_check_pairing
 
 CAT = build_demo_catalog()
