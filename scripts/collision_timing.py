@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of ``collision.intersects`` between two checkouts.
+"""Interleaved A/B timing of ``collision.intersects`` and ``inset_mesh``
+between two checkouts.
 
-    python scripts/collision_timing.py --base ../other-checkout [--reps 15]
+    python scripts/collision_timing.py --base ../other-checkout [--reps 15] [--threads 2]
 
 Loads this checkout's ``src/brickir`` and the one under ``--base`` side by
 side in one process (the base as the package ``brickir_base``), builds each
-side's meshes from the same inputs, and times the same queries on both:
+side's meshes from the same inputs, and times the same work on both:
 
 - ``sphere-1280`` and ``sphere-5120``: 30 near-contact pairs of geodesic
   spheres with 1280 and 5120 triangles (radii 10 and 6, centres 16 +- 0.5
@@ -16,13 +17,19 @@ side's meshes from the same inputs, and times the same queries on both:
   the ``dense-wall`` benchmark workload: its pairs are pins in channels);
 - ``demo-random``: the first 150 pairs with overlapping world boxes in
   seeded random build paths over the demo catalog (parts at connector poses,
-  many of them colliding).
+  many of them colliding);
+- ``build-demo``: ``inset_mesh`` of the 16 demo parts at the default 0.25
+  LDU inset (``PartColliders``' build of each part's mesh).
 
-Each rep times every query of a case once on each side, the side that runs
-first alternating between reps. Both sides must return the same verdict on
-every query. Per case it prints each side's median over the reps (ms for all
-queries of the case), the ratio base / change (above 1: the change is
-faster) and the number of reps the change won.
+Each rep runs every item of a case once on each side, the side that runs
+first alternating between reps. With ``--threads N`` each side's items are
+split into N contiguous chunks that N threads run at once, as the CLI's
+``--jobs`` pool does, so the cost of numpy calls that release and re-take
+the GIL shows. Both sides must return the same verdict on every query, and
+the same vertex and triangle arrays for every mesh. Per case it prints each
+side's median over the reps (ms of wall time for all items of the case), the
+ratio base / change (above 1: the change is faster) and the number of reps
+the change won.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -122,9 +130,11 @@ def part_queries(instances, pairs):
 
 
 def bind(side, case):
-    """The case's queries as (mesh a, pose a, mesh b, pose b) of one side."""
+    """The case's work on one side: (function, argument tuples)."""
     col, geo = side["collision"], side["geometry"]
-    kind, queries = case
+    kind, items = case
+    if kind == "build":
+        return col.inset_mesh, items
     if kind == "mesh":
         meshes = {}
 
@@ -134,23 +144,46 @@ def bind(side, case):
                 meshes[key] = col.CollisionMesh.build(*vt)
             return meshes[key]
 
-        return [
+        return col.intersects, [
             (mesh(a), geo.RigidTransform(*pa), mesh(b), geo.RigidTransform(*pb))
-            for a, pa, b, pb in queries
+            for a, pa, b, pb in items
         ]
     colliders = col.PartColliders.from_catalog(side["demo"].build_demo_catalog())
-    return [
+    return col.intersects, [
         (colliders.get(a[0]), geo.RigidTransform(a[1], a[2]),
          colliders.get(b[0]), geo.RigidTransform(b[1], b[2]))
-        for a, b in queries
+        for a, b in items
     ]
 
 
-def run_side(intersects, queries) -> tuple[float, list[bool]]:
+def run_side(fn, items, threads: int) -> tuple[float, list]:
+    """Wall seconds to run ``fn`` on every item, split over ``threads``
+    threads in contiguous chunks, and the results in item order."""
+    chunks = [items[k * len(items) // threads:(k + 1) * len(items) // threads]
+              for k in range(threads)]
+    results = [None] * threads
+
+    def work(k):
+        results[k] = [fn(*args) for args in chunks[k]]
+
     gc.collect()
     t0 = time.perf_counter()
-    verdicts = [intersects(a, pa, b, pb) for a, pa, b, pb in queries]
-    return time.perf_counter() - t0, verdicts
+    if threads == 1:
+        work(0)
+    else:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    return time.perf_counter() - t0, [r for chunk in results for r in chunk]
+
+
+def outcome(result):
+    """A query's verdict, or a mesh's vertex and triangle bytes."""
+    if isinstance(result, bool):
+        return result
+    return result.vertices.tobytes(), result.triangles.tobytes()
 
 
 def main():
@@ -158,13 +191,15 @@ def main():
     ap.add_argument("--base", type=Path, required=True, help="root of the other checkout")
     ap.add_argument("--reps", type=int, default=15)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cases", default="sphere-1280,sphere-5120,demo-wall,demo-random")
+    ap.add_argument("--threads", type=int, default=1, choices=(1, 2))
+    ap.add_argument("--cases", default="sphere-1280,sphere-5120,demo-wall,demo-random,build-demo")
     args = ap.parse_args()
 
     change = load_side(ROOT / "src", "brickir")
     base = load_side(args.base.resolve() / "src", "brickir_base")
     wall = wall_instances()
     randoms = random_path_instances(change, np.random.default_rng([args.seed, 0]))
+    demo_parts = change["demo"].build_demo_catalog().parts.values()
     makers = {
         "sphere-1280": lambda: ("mesh", sphere_queries(3, np.random.default_rng([args.seed, 1]))),
         "sphere-5120": lambda: ("mesh", sphere_queries(4, np.random.default_rng([args.seed, 2]))),
@@ -172,25 +207,29 @@ def main():
         "demo-random": lambda: (
             "parts", part_queries(randoms, near_pairs(change, randoms, limit=150))
         ),
+        "build-demo": lambda: (
+            "build", [(p.mesh.vertices, p.mesh.triangles, 0.25) for p in demo_parts]
+        ),
     }
-    print(f"{'case':<12} {'queries':>7} {'hits':>5} {'base ms':>9} {'change ms':>9} "
+    print(f"{'case':<12} {'items':>7} {'hits':>5} {'base ms':>9} {'change ms':>9} "
           f"{'ratio':>6} {'won':>7}")
     for name in args.cases.split(","):
         case = makers[name]()
-        sides = [(base["collision"].intersects, bind(base, case)),
-                 (change["collision"].intersects, bind(change, case))]
+        sides = [bind(base, case), bind(change, case)]
         times = ([], [])
         for rep in range(args.reps):
             order = (0, 1) if rep % 2 == 0 else (1, 0)
-            verdicts = {}
+            outcomes = {}
             for k in order:
-                elapsed, verdicts[k] = run_side(*sides[k])
+                elapsed, results = run_side(*sides[k], args.threads)
                 times[k].append(elapsed)
-            if verdicts[0] != verdicts[1]:
-                raise SystemExit(f"{name}: the two sides disagree on a verdict")
+                outcomes[k] = [outcome(r) for r in results]
+            if outcomes[0] != outcomes[1]:
+                raise SystemExit(f"{name}: the two sides disagree on a result")
         base_ms, change_ms = (1e3 * statistics.median(t) for t in times)
         won = sum(c < b for b, c in zip(*times))
-        print(f"{name:<12} {len(case[1]):>7} {sum(verdicts[1]):>5} {base_ms:>9.1f} "
+        hits = sum(o is True for o in outcomes[1]) if case[0] != "build" else "-"
+        print(f"{name:<12} {len(case[1]):>7} {hits:>5} {base_ms:>9.1f} "
               f"{change_ms:>9.1f} {base_ms / change_ms:>6.2f} {won:>3}/{args.reps:<3}")
 
 

@@ -7,13 +7,19 @@ against the source structures (modulo the root transform).
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from brickir.demo import build_demo_catalog, generate_random_path
-from brickir.geometry import compose
-from brickir.program import execute, node_letters, serialize
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from brickir.demo import build_demo_catalog, generate_random_path  # noqa: E402
+from brickir.geometry import compose  # noqa: E402
+from brickir.program import execute, node_letters, serialize  # noqa: E402
+from conftest import rotation_angle_deg  # noqa: E402
 
 
 def main():
@@ -40,7 +46,7 @@ def main():
         for nid, letter in letters.items():
             src = path.graph.nodes[nid].pose
             got = compose(root_pose, poses[letter])
-            rot_errs.append(got.rotation_angle_deg_to(src))
+            rot_errs.append(rotation_angle_deg(got, src))
             trans_errs.append(float(np.abs(got.translation - src.translation).max()))
     elapsed = time.perf_counter() - t0
 

@@ -8,19 +8,28 @@ amount only where the incident normals are balanced, as on a cube; the
 0.25. A CollisionMesh holds the mesh together with its bounding-volume
 hierarchy (BVH); PartColliders maps each part id to its mesh.
 An AssemblyChecker keeps the placed world AABBs in arrays and picks near
-neighbours with one comparison (broad phase). Each near pair then runs a
-level-by-level BVH-vs-BVH traversal (narrow phase). The triangle pairs of
-its overlapping leaf pairs are filtered by their triangle boxes, and the
-survivors feed one batched separating-interval triangle test; surface
-contact within TRI_EPS (1e-6 LDU) counts as non-intersecting. Two closed
-meshes also collide when a vertex of one lies inside the other: a ray-parity
-test, which a vertex outside the other mesh's box skips. Pre-inset meshes
-may also be supplied directly (offset 0).
+neighbours with one comparison (broad phase). Each near pair then runs the
+narrow phase. Two one-leaf meshes skip the tree: after their root boxes,
+all of one's triangle boxes are tested against all of the other's in one
+broadcast comparison (the leaf-level all-pairs box test of Ericson 2004,
+Real-Time Collision Detection, ch. 6). A pair that involves a larger mesh
+runs a level-by-level BVH-vs-BVH traversal, whose overlapping leaf pairs
+filter their triangle pairs by the same boxes. The survivors feed one
+batched separating-interval triangle test; surface contact within TRI_EPS
+(1e-6 LDU) counts as non-intersecting. Two closed meshes also collide when
+a vertex of one lies inside the other: a ray-parity test, which a vertex
+outside the other mesh's box skips. Pre-inset meshes may also be supplied
+directly (offset 0).
 
 A mesh of at most ONE_LEAF_MAX (64) triangles, as every demo part is, is
-a single leaf: for parts that small a tree walk costs more than it prunes,
-and the triangle-box filter prunes instead. Larger meshes keep a
-median-split tree with LEAF_SIZE (4) triangles per leaf.
+a single leaf and is built without the tree code: for parts that small a
+tree walk costs more than it prunes, and the triangle-box filter prunes
+instead. Larger meshes keep a median-split tree with LEAF_SIZE (4)
+triangles per leaf. The inset gathers the triangle corners once per pass
+over the triangles, and one bincount sums the per-vertex normals and areas.
+So a one-leaf mesh build and a one-leaf query each make only a few
+integer-array gathers: every gather releases and re-takes the GIL, which
+costs most under the CLI's --jobs threads.
 
 The filter loses no hit of the exact triangle test: that test reports a hit
 only when the two triangles' crossing segments, on the line where their
@@ -96,41 +105,17 @@ class CollisionMesh:
         self.closed = _is_closed(triangles)
         self.tri_vertices = tri_vertices = vertices[triangles]
         m = len(tri_vertices)
-        leaf_size = m if m <= self.ONE_LEAF_MAX else self.LEAF_SIZE
-        cap = 2 * m - 1  # a binary tree over m triangles has < 2m nodes
-        lo = np.zeros((cap, 3))
-        hi = np.zeros((cap, 3))
-        left = np.full(cap, -1, dtype=np.intp)
-        right = np.full(cap, -1, dtype=np.intp)
-        leaf_tris = np.full((cap, leaf_size), -1, dtype=np.intp)
-        centroids = tri_vertices.mean(axis=1)
-        tmin = tri_vertices.min(axis=1)
-        tmax = tri_vertices.max(axis=1)
-        count = 0
-
-        def build(idx: np.ndarray) -> int:
-            nonlocal count
-            node = count
-            count += 1
-            lo[node] = tmin[idx].min(axis=0)
-            hi[node] = tmax[idx].max(axis=0)
-            if len(idx) <= leaf_size:
-                leaf_tris[node, : len(idx)] = idx
-                return node
-            axis = int(np.argmax(hi[node] - lo[node]))
-            med = np.argsort(centroids[idx][:, axis], kind="stable")
-            half = len(idx) // 2
-            left[node] = build(idx[med[:half]])
-            right[node] = build(idx[med[half:]])
-            return node
-
-        build(np.arange(m))
-        lo, hi = lo[:count], hi[:count]
-        self.left = left[:count]
-        self.right = right[:count]
+        tmin, tmax = _corner_bounds(tri_vertices)
+        if m <= self.ONE_LEAF_MAX:
+            lo = tmin.min(axis=0, keepdims=True)
+            hi = tmax.max(axis=0, keepdims=True)
+            self.left = np.full(1, -1, dtype=np.intp)
+            self.right = np.full(1, -1, dtype=np.intp)
+            self.leaf_tris = np.arange(m, dtype=np.intp)[None]
+        else:
+            lo, hi = self._build_tree(tri_vertices.mean(axis=1), tmin, tmax)
         self.leaf = self.left < 0
         self.extent = (hi - lo).max(axis=1)
-        self.leaf_tris = leaf_tris[:count]
         self.center = (lo + hi) / 2.0
         self.half = (hi - lo) / 2.0
         self.lo_eps = lo - TRI_EPS
@@ -143,13 +128,48 @@ class CollisionMesh:
         h = _cross(_RAY_DIR, e2)
         det = np.einsum("ij,ij->i", e1, h)
         ok = np.abs(det) > 1e-12
-        inv_det = np.zeros(m)
-        inv_det[ok] = 1.0 / det[ok]
+        with np.errstate(divide="ignore"):
+            inv_det = np.where(ok, 1.0 / det, 0.0)
         self.ray_v0, self.ray_e1, self.ray_e2 = v0, e1, e2
         self.ray_h, self.ray_ok, self.ray_inv_det = h, ok, inv_det
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+
+    def _build_tree(self, centroids, tmin, tmax):
+        """The median-split tree of a mesh above ONE_LEAF_MAX triangles:
+        sets ``left``, ``right`` and ``leaf_tris`` and returns the node
+        bounds (lo, hi)."""
+        m = len(centroids)
+        cap = 2 * m - 1  # a binary tree over m triangles has < 2m nodes
+        lo = np.zeros((cap, 3))
+        hi = np.zeros((cap, 3))
+        left = np.full(cap, -1, dtype=np.intp)
+        right = np.full(cap, -1, dtype=np.intp)
+        leaf_tris = np.full((cap, self.LEAF_SIZE), -1, dtype=np.intp)
+        count = 0
+
+        def build(idx: np.ndarray) -> int:
+            nonlocal count
+            node = count
+            count += 1
+            lo[node] = tmin[idx].min(axis=0)
+            hi[node] = tmax[idx].max(axis=0)
+            if len(idx) <= self.LEAF_SIZE:
+                leaf_tris[node, : len(idx)] = idx
+                return node
+            axis = int(np.argmax(hi[node] - lo[node]))
+            med = np.argsort(centroids[idx][:, axis], kind="stable")
+            half = len(idx) // 2
+            left[node] = build(idx[med[:half]])
+            right[node] = build(idx[med[half:]])
+            return node
+
+        build(np.arange(m))
+        self.left = left[:count]
+        self.right = right[:count]
+        self.leaf_tris = leaf_tris[:count]
+        return lo[:count], hi[:count]
 
     @classmethod
     def build(cls, vertices, triangles) -> "CollisionMesh":
@@ -172,14 +192,24 @@ def _check_indices(v: np.ndarray, t: np.ndarray) -> None:
 def _is_closed(triangles: np.ndarray) -> bool:
     """Closed iff every undirected edge is shared by exactly two triangles.
 
-    Each edge (a, b), (b, c), (c, a) becomes one integer key min * n + max;
-    the sorted keys' run lengths are the per-edge triangle counts."""
+    Each edge (a, b), (b, c), (c, a) becomes one integer key min * n + max.
+    Every key occurs exactly twice iff the sorted keys pair up (positions
+    2i and 2i + 1 are equal) and no two neighbouring pairs are equal."""
     u = triangles.ravel()
-    w = triangles[:, [1, 2, 0]].ravel()
+    w = np.concatenate((triangles[:, 1:], triangles[:, :1]), axis=1).ravel()
     lo, hi = np.minimum(u, w), np.maximum(u, w)
     keys = np.sort(lo * (int(hi.max()) + 1) + hi)
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return bool((np.diff(starts, append=len(keys)) == 2).all())
+    if len(keys) % 2:
+        return False
+    return bool((keys[::2] == keys[1::2]).all() and (keys[1:-1:2] != keys[2::2]).all())
+
+
+def _corner_bounds(tri):
+    """Per triangle of (m, 3, 3) corners, the box (lo, hi): element-wise
+    minima and maxima over the three corners, which are cheaper than a
+    reduction along the corner axis."""
+    c0, c1, c2 = tri[:, 0], tri[:, 1], tri[:, 2]
+    return np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,70 +227,72 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     An inset that collapses every face, or turns the mesh inside out
     (``_inside_out``), raises BrickIrError.
 
-    The per-vertex sums accumulate corner 0, 1, 2 of every triangle in
-    triangle order (one bincount over the corner-major index list), so they
-    equal sequential np.add.at sums bit for bit.
+    Each pass over the triangles gathers their corners once. The per-vertex
+    normal and area sums are one bincount whose bin (vertex, column)
+    accumulates corner 0, 1, 2 of every triangle in triangle order, so they
+    equal sequential np.add.at sums bit for bit. Unused vertices are
+    compacted away only when some vertex is unused; the mesh never shares
+    an array with the caller.
     """
     v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    t = np.array(triangles, dtype=np.int64).reshape(-1, 3)
     if len(t) == 0 or len(v) == 0:
         raise BrickIrError("empty mesh")
     _check_indices(v, t)
 
-    e1 = v[t[:, 1]] - v[t[:, 0]]
-    e2 = v[t[:, 2]] - v[t[:, 0]]
-    cross = _cross(e1, e2)  # |cross| = 2 * area, direction = face normal
-    areas2 = np.linalg.norm(cross, axis=1)
+    corners = v[t]
+    cross = _triangle_normals(corners)  # |cross| = 2 * area, direction = face normal
+    areas2 = _norms(cross)
     keep = areas2 > 2.0 * DEGENERATE_AREA
-    t = t[keep]
-    cross = cross[keep]
-    areas2 = areas2[keep]
+    if not keep.all():
+        t, corners, cross, areas2 = t[keep], corners[keep], cross[keep], areas2[keep]
     if len(t) == 0:
         raise BrickIrError("mesh has no non-degenerate triangles")
 
-    corners = t.T.ravel()
-    area_sum = np.bincount(corners, np.tile(areas2, 3), len(v))
-    normal_sum = np.stack(
-        [np.bincount(corners, np.tile(cross[:, k], 3), len(v)) for k in range(3)], axis=1
-    )
+    keys = (t.T.reshape(-1, 1) * 4 + np.arange(4)).ravel()
+    weights = np.tile(np.concatenate((cross, areas2[:, None]), axis=1), (3, 1)).ravel()
+    sums = np.bincount(keys, weights, 4 * len(v)).reshape(-1, 4)
+    normal_sum, area_sum = sums[:, :3], sums[:, 3]
 
-    norms = np.linalg.norm(normal_sum, axis=1)
-    used = area_sum > 0
+    norms = _norms(normal_sum)
+    used = area_sum > 0  # a corner of a kept triangle
     displacement = np.zeros_like(v)
     if offset != 0.0:
-        c = np.ones(len(v))
-        c[used] = norms[used] / area_sum[used]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(used, norms / area_sum, 1.0)
+            unit = np.where((norms > 1e-12)[:, None], normal_sum / norms[:, None], 0.0)
         c = np.clip(c, 0.1, 1.0)  # guard against runaway moves at spikes
-        unit = np.zeros_like(v)
-        ok = norms > 1e-12
-        unit[ok] = normal_sum[ok] / norms[ok][:, None]
         displacement = -(offset / c)[:, None] * unit
     new_v = v + displacement
 
     # Drop triangles the inset collapsed, then unused vertices.
-    e1 = new_v[t[:, 1]] - new_v[t[:, 0]]
-    e2 = new_v[t[:, 2]] - new_v[t[:, 0]]
-    new_cross = _cross(e1, e2)
-    kept = np.linalg.norm(new_cross, axis=1) > 2.0 * DEGENERATE_AREA
-    t = t[kept]
-    if len(t) == 0 or _inside_out(v, new_v, t, cross[kept], new_cross[kept]):
+    new_corners = new_v[t]
+    new_cross = _triangle_normals(new_corners)
+    kept = _norms(new_cross) > 2.0 * DEGENERATE_AREA
+    if not kept.all():
+        t, corners, cross = t[kept], corners[kept], cross[kept]
+        new_corners, new_cross = new_corners[kept], new_cross[kept]
+        used = np.zeros(len(new_v), dtype=bool)
+        used[t] = True
+    if len(t) == 0 or _inside_out(corners[:, 0], new_corners[:, 0], t, cross, new_cross):
         raise BrickIrError("inset collapsed the entire mesh")
-    used = np.zeros(len(new_v), dtype=bool)
-    used[t] = True
+    if used.all():
+        return CollisionMesh(new_v, t)
     used_idx = np.flatnonzero(used)
     remap = np.full(len(new_v), -1, dtype=np.int64)
     remap[used_idx] = np.arange(len(used_idx))
-    return CollisionMesh.build(new_v[used_idx], remap[t])
+    return CollisionMesh(new_v[used_idx], remap[t])
 
 
-def _inside_out(v, new_v, t, cross, new_cross) -> bool:
+def _inside_out(v0, new_v0, t, cross, new_cross) -> bool:
     """True when an inset went through the part: a kept face's normal turned
     around, or a closed mesh's signed volume changed sign (moving every
-    vertex through the opposite side on all three axes keeps each normal)."""
+    vertex through the opposite side on all three axes keeps each normal).
+    ``v0`` and ``new_v0`` are each triangle's first corner before and after."""
     if (np.einsum("ij,ij->i", new_cross, cross) < 0.0).any():
         return True
-    before = np.einsum("ij,ij->", v[t[:, 0]], cross)  # 6x the signed volume when closed
-    after = np.einsum("ij,ij->", new_v[t[:, 0]], new_cross)
+    before = np.einsum("ij,ij->", v0, cross)  # 6x the signed volume when closed
+    after = np.einsum("ij,ij->", new_v0, new_cross)
     return bool(before * after < 0.0) and _is_closed(t)
 
 
@@ -274,8 +306,8 @@ def tri_tri_intersect_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p and q are (k, 3, 3); returns a (k,) bool array. Every step is
     element-wise, so a pair's verdict does not depend on the batch it is in.
     """
-    n1 = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    n2 = _cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+    n1 = _triangle_normals(p)
+    n2 = _triangle_normals(q)
     dp = _plane_dists(p, n2, q[:, 0])  # p's corners against q's plane
     dq = _plane_dists(q, n1, p[:, 0])
     hit = _straddles(dp) & _straddles(dq)
@@ -307,7 +339,7 @@ def _plane_dists(pts, normal, origin):
     plane snap to 0."""
     d = -np.einsum("kj,kj->k", normal, origin)
     dv = np.einsum("kij,kj->ki", pts, normal) + d[:, None]
-    snap = TRI_EPS * np.linalg.norm(normal, axis=1)
+    snap = TRI_EPS * _norms(normal)
     dv[np.abs(dv) <= snap[:, None]] = 0.0
     return dv
 
@@ -347,6 +379,19 @@ def _cross(u, v):
     return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=-1)
 
 
+def _norms(x):
+    """Euclidean norms of the rows of an (n, 3) array: np.linalg.norm's
+    arithmetic, without its per-call argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _triangle_normals(corners):
+    """Unnormalised normals (twice the area, by length) of (m, 3, 3)
+    triangle corners."""
+    c0 = corners[:, 0]
+    return _cross(corners[:, 1] - c0, corners[:, 2] - c0)
+
+
 # ---------------------------------------------------------------------------
 # Pairwise mesh query
 
@@ -365,16 +410,50 @@ def intersects(
     """True iff the posed meshes properly intersect (or one closed mesh
     contains the other; containment is only tested when both are closed).
 
-    The two BVHs are traversed one level at a time: the frontier of
+    When both meshes are one BVH node, their root boxes are tested, then all
+    of a's triangle boxes against all of b's in one broadcast comparison,
+    and only the pairs whose boxes overlap go through the batched triangle
+    test (``_one_leaf_hit``). Otherwise the two BVHs are walked
+    (``_walk_hit``). a's triangles and their boxes are put in b's frame
+    once, when a pair of leaves is first reached.
+    """
+    rel = relative(pose_b, pose_a)  # maps a-local into b-local
+    rot, trans = rel.rotation, rel.translation
+    one_leaf = len(a.leaf) == 1 and len(b.leaf) == 1
+    if (_one_leaf_hit if one_leaf else _walk_hit)(a, b, rot, trans):
+        return True
+    if a.closed and b.closed:
+        if point_in_mesh(rel.apply(a.vertices[0]), b):
+            return True
+        inv = rel.inverse()
+        if point_in_mesh(inv.apply(b.vertices[0]), a):
+            return True
+    return False
+
+
+def _one_leaf_hit(a: CollisionMesh, b: CollisionMesh, rot, trans) -> bool:
+    """Any triangle hit between two one-node meshes, a mapped into b's frame
+    by (rot, trans)? The root boxes are the (1, 3) arrays of the walk's first
+    level, so every value equals the walk's."""
+    box_lo, box_hi = _transform_boxes(a.center, a.half, rot, trans)
+    if not ((box_lo <= b.hi_eps) & (box_hi >= b.lo_eps)).all():
+        return False
+    tri_a, lo_a, hi_a = _posed_triangles(a, rot, trans)
+    near = ((lo_a[:, None] <= b.tri_hi_eps) & (hi_a[:, None] >= b.tri_lo_eps)).all(axis=2)
+    if not near.any():
+        return False
+    ia, ib = np.nonzero(near)
+    return bool(tri_tri_intersect_batch(tri_a[ia], b.tri_vertices[ib]).any())
+
+
+def _walk_hit(a: CollisionMesh, b: CollisionMesh, rot, trans) -> bool:
+    """Any triangle hit found by walking both BVHs, a mapped into b's frame
+    by (rot, trans)? The walk goes one level at a time: the frontier of
     (node of a, node of b) pairs is held as arrays, every pair's boxes are
     tested in one step, and the larger node of each overlapping pair splits.
     The triangle pairs of all overlapping leaf pairs on a level are filtered
     by their triangle boxes, and the survivors go through one batched
-    triangle test. a's triangles and their boxes are put in b's frame once,
-    when the traversal first reaches a leaf pair.
-    """
-    rel = relative(pose_b, pose_a)  # maps a-local into b-local
-    rot, trans = rel.rotation, rel.translation
+    triangle test."""
     box_lo, box_hi = _transform_boxes(a.center, a.half, rot, trans)  # all of a's, in b's frame
     posed = None
     na = nb = np.zeros(1, dtype=np.intp)
@@ -394,23 +473,13 @@ def intersects(
         a_split, b_keep = na[split_a], nb[split_a]
         na = np.concatenate((a_keep, a_keep, a.left[a_split], a.right[a_split]))
         nb = np.concatenate((b.left[b_split], b.right[b_split], b_keep, b_keep))
-
-    if a.closed and b.closed:
-        if point_in_mesh(rel.apply(a.vertices[0]), b):
-            return True
-        inv = rel.inverse()
-        if point_in_mesh(inv.apply(b.vertices[0]), a):
-            return True
     return False
 
 
 def _posed_triangles(a: CollisionMesh, rot, trans):
-    """a's triangles mapped by (rot, trans), with their boxes (lo, hi). The
-    boxes take element-wise minima and maxima over the three corners, which
-    is cheaper than a reduction along the corner axis."""
+    """a's triangles mapped by (rot, trans), with their boxes (lo, hi)."""
     tri = a.tri_vertices @ rot.T + trans
-    c0, c1, c2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    return tri, np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
+    return (tri, *_corner_bounds(tri))
 
 
 def _leaf_pairs_hit(posed, tris_a, b: CollisionMesh, leaves_b) -> bool:

@@ -113,18 +113,6 @@ class RigidTransform:
     def is_close(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
         return self.max_abs_diff(other) <= tol
 
-    def rotation_angle_deg_to(self, other: "RigidTransform") -> float:
-        """Geodesic angle between the two rotations, in degrees.
-
-        Uses atan2 of the skew-part magnitude against the trace cosine, which
-        stays well conditioned for tiny angles (acos of the trace alone
-        cannot resolve below ~1e-6 degrees in float64).
-        """
-        e = self.rotation.T @ other.rotation
-        c = (np.trace(e) - 1.0) / 2.0
-        s = float(np.linalg.norm(e - e.T)) / (2.0 * math.sqrt(2.0))
-        return math.degrees(math.atan2(s, min(1.0, max(-1.0, c))))
-
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """a after b: ``compose(a, b).apply(x) == a.apply(b.apply(x))``."""

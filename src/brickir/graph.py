@@ -495,11 +495,24 @@ def _collect_world_connectors(instances, catalog: Catalog):
 
 def _candidate_pairs(conns, tol: MatchTolerances):
     """Spatial-hash broad phase: ids of connector pairs whose padded AABBs
-    share a grid cell."""
+    share a grid cell.
+
+    A connector with reach r (half an axle's length) is padded on world axis
+    k by tol.position + r * min(|u_k| + 2 sin(theta / 2), 1), where u is its
+    world principal axis and theta the axis tolerance (at most 180 degrees).
+    That covers every pair ``_check_pairing`` accepts: their origins differ
+    on axis k by at most (r_a + r_b) |u_a,k| + 2 tol.position, and
+    |u_a,k| <= |u_b,k| + 2 sin(theta / 2), whichever way the axes point. So
+    an axle along a world axis walks cells in proportion to its length, not
+    its cube; one off the axes still walks its box. The 1e-9 keeps the bound
+    through rounding at zero tolerance."""
     cell = max(8.0, 4.0 * tol.position)
+    spread = 2.0 * math.sin(math.radians(min(abs(tol.axis_deg), 180.0)) / 2.0) + 1e-9
     grid: dict[tuple[int, int, int], list[int]] = {}
     for i, (_, _, frame, reach) in enumerate(conns):
-        pad = tol.position + reach
+        pad = tol.position
+        if reach:
+            pad = pad + reach * np.minimum(np.abs(frame.principal_axis) + spread, 1.0)
         # Python ints hold a cell index of any finite coordinate exactly
         lo = np.floor((frame.origin - pad) / cell).tolist()
         hi = np.floor((frame.origin + pad) / cell).tolist()

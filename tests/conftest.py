@@ -1,10 +1,11 @@
 """Shared fixtures and the test-only helpers: random rigid motions, a
-geodesic sphere mesh, axis-angle rotations, text renderers for programs
-and LDraw instances, a graph component, a rotation's orthonormality error,
-a program's action count, a survival proportion, a canonical stats dump, a
-catalog with an uninsettable mesh, a counter of collision-mesh builds,
-LDraw files whose composed transforms overflow, and the frame-level
-parameter codec (``realize_params``, ``extract_params``)."""
+geodesic sphere mesh, axis-angle rotations, the angle between two
+rotations, text renderers for programs and LDraw instances, a graph
+component, a rotation's orthonormality error, a program's action count, a
+survival proportion, a canonical stats dump, a catalog with an uninsettable
+mesh, a counter of collision-mesh builds, LDraw files whose composed
+transforms overflow, and the frame-level parameter codec
+(``realize_params``, ``extract_params``)."""
 
 import json
 import math
@@ -81,6 +82,19 @@ def rotation_about_axis(axis: np.ndarray, degrees: float) -> np.ndarray:
         ]
     )
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+
+
+def rotation_angle_deg(a: RigidTransform, b: RigidTransform) -> float:
+    """Geodesic angle between the two rotations, in degrees.
+
+    Uses atan2 of the skew-part magnitude against the trace cosine, which
+    stays well conditioned for tiny angles (acos of the trace alone cannot
+    resolve below ~1e-6 degrees in float64).
+    """
+    e = a.rotation.T @ b.rotation
+    c = (np.trace(e) - 1.0) / 2.0
+    s = float(np.linalg.norm(e - e.T)) / (2.0 * math.sqrt(2.0))
+    return math.degrees(math.atan2(s, min(1.0, max(-1.0, c))))
 
 
 def frame_from_transform(t: RigidTransform) -> ConnectorFrame:

@@ -6,16 +6,16 @@ matcher oracle enumerates every connector pair with broadcast numpy, the
 collision oracle tests every triangle pair, and the pose oracle replays a
 build path with plain homogeneous 4x4 matrix arithmetic. The reference
 copies at the end are earlier, plainer versions of fast paths that must
-match them bit for bit: the mesh inset, the transform check, the eager
-executor, which computes every pose as its attach completes, and the
-connector pairing predicate.
+match them bit for bit: the mesh inset, the collision-mesh arrays, the
+transform check, the eager executor, which computes every pose as its
+attach completes, and the connector pairing predicate.
 """
 
 import math
 
 import numpy as np
 
-from brickir.collision import DEGENERATE_AREA, AssemblyChecker
+from brickir.collision import _RAY_DIR, DEGENERATE_AREA, TRI_EPS, AssemblyChecker
 from brickir.connectors import ConnectorFamily
 from brickir.errors import BrickIrError, MatchError, ProgramError
 from brickir.geometry import ORTHONORMAL_TOL, QuantizedParams, RigidTransform, orthonormalize
@@ -355,10 +355,10 @@ def replay_path_poses(path, catalog) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Reference copies: the per-edge dict loop, np.add.at inset and LAPACK
-# determinant check that the vectorized code replaced, the eager executor
-# that the deferred poses replaced, and the per-family pairing predicate that
-# the DofSpec rules replaced
+# Reference copies: the per-edge dict loop, np.add.at inset, single-path
+# collision-mesh build and LAPACK determinant check that the vectorized code
+# replaced, the eager executor that the deferred poses replaced, and the
+# per-family pairing predicate that the DofSpec rules replaced
 
 
 def reference_is_closed(triangles: np.ndarray) -> bool:
@@ -421,6 +421,65 @@ def reference_inset_mesh(vertices, triangles, offset: float):
     remap = np.full(len(new_v), -1, dtype=np.int64)
     remap[used_idx] = np.arange(len(used_idx))
     return new_v[used_idx], remap[t], reference_is_closed(remap[t])
+
+
+def reference_collision_mesh(vertices, triangles, one_leaf_max=64, leaf_size=4) -> dict:
+    """``CollisionMesh``'s arrays as it built them, by attribute name: one
+    tree build for every mesh, with a single leaf of all its triangles up to
+    ``one_leaf_max`` triangles and a median split down to ``leaf_size``
+    triangles per leaf above that."""
+    v = np.asarray(vertices, dtype=np.float64)
+    t = np.asarray(triangles, dtype=np.int64)
+    tri_vertices = v[t]
+    m = len(tri_vertices)
+    leaf_size = m if m <= one_leaf_max else leaf_size
+    cap = 2 * m - 1
+    lo = np.zeros((cap, 3))
+    hi = np.zeros((cap, 3))
+    left = np.full(cap, -1, dtype=np.intp)
+    right = np.full(cap, -1, dtype=np.intp)
+    leaf_tris = np.full((cap, leaf_size), -1, dtype=np.intp)
+    centroids = tri_vertices.mean(axis=1)
+    tmin = tri_vertices.min(axis=1)
+    tmax = tri_vertices.max(axis=1)
+    count = 0
+
+    def build(idx):
+        nonlocal count
+        node = count
+        count += 1
+        lo[node] = tmin[idx].min(axis=0)
+        hi[node] = tmax[idx].max(axis=0)
+        if len(idx) <= leaf_size:
+            leaf_tris[node, : len(idx)] = idx
+            return node
+        axis = int(np.argmax(hi[node] - lo[node]))
+        med = np.argsort(centroids[idx][:, axis], kind="stable")
+        half = len(idx) // 2
+        left[node] = build(idx[med[:half]])
+        right[node] = build(idx[med[half:]])
+        return node
+
+    build(np.arange(m))
+    lo, hi = lo[:count], hi[:count]
+    v0 = tri_vertices[:, 0]
+    e1 = tri_vertices[:, 1] - v0
+    e2 = tri_vertices[:, 2] - v0
+    h = np.cross(_RAY_DIR, e2)
+    det = np.einsum("ij,ij->i", e1, h)
+    ok = np.abs(det) > 1e-12
+    inv_det = np.zeros(m)
+    inv_det[ok] = 1.0 / det[ok]
+    return {
+        "vertices": v, "triangles": t, "tri_vertices": tri_vertices,
+        "left": left[:count], "right": right[:count], "leaf": left[:count] < 0,
+        "extent": (hi - lo).max(axis=1), "leaf_tris": leaf_tris[:count],
+        "center": (lo + hi) / 2.0, "half": (hi - lo) / 2.0,
+        "lo_eps": lo - TRI_EPS, "hi_eps": hi + TRI_EPS,
+        "tri_lo_eps": tmin - TRI_EPS, "tri_hi_eps": tmax + TRI_EPS,
+        "ray_v0": v0, "ray_e1": e1, "ray_e2": e2, "ray_h": h, "ray_ok": ok,
+        "ray_inv_det": inv_det,
+    }
 
 
 def reference_rigid_check(rotation, translation):

@@ -41,7 +41,7 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import icosphere_mesh, random_rigid, survival_proportion
+from conftest import icosphere_mesh, random_rigid, rotation_angle_deg, survival_proportion
 from oracles import brute_force_intersects, exhaustive_match, graphs_equal, replay_path_poses
 
 CAT = build_demo_catalog()
@@ -93,7 +93,7 @@ def test_criterion_1_geometry_roundtrip():
             for nid, letter in letters.items():
                 src = path.graph.nodes[nid].pose
                 got = compose(root_pose, poses[letter])
-                worst_rot = max(worst_rot, got.rotation_angle_deg_to(src))
+                worst_rot = max(worst_rot, rotation_angle_deg(got, src))
                 worst_trans = max(
                     worst_trans, float(np.abs(got.translation - src.translation).max())
                 )

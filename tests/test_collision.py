@@ -20,7 +20,7 @@ from brickir.collision import (
     tri_tri_intersect_batch,
 )
 from brickir.catalog import Catalog
-from brickir.demo import build_demo_catalog
+from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.errors import BrickIrError
 from brickir.geometry import RigidTransform, compose
 
@@ -35,6 +35,7 @@ from conftest import (
 from oracles import (
     _any_pair_intersects,
     brute_force_intersects,
+    reference_collision_mesh,
     reference_inset_mesh,
     reference_is_closed,
 )
@@ -213,6 +214,13 @@ def test_closed_flag():
     assert _mesh(box_mesh((4, 4, 4))).closed
     verts, tris = box_mesh((4, 4, 4))
     assert not CollisionMesh.build(verts, tris[:-1]).closed  # open: one face missing
+    # two closed tetrahedra that share the edge (0, 1): four triangles on it
+    tet = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    bowtie = np.vstack([tet, np.where(tet > 1, tet + 2, tet)])
+    points = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0.0]])
+    assert CollisionMesh.build(points, tet).closed
+    assert not CollisionMesh.build(points, bowtie).closed
+    assert not reference_is_closed(bowtie)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +571,136 @@ def test_one_leaf_boundary_meshes_match_oracle_near_contact():
     assert 0.2 < hits / cases < 0.8  # both outcomes are exercised
 
 
+def _assert_reference_arrays(mesh: CollisionMesh, want: dict):
+    """Every array attribute of ``mesh`` equals the reference build's, with
+    its dtype and shape, and the mesh has no array the reference lacks."""
+    arrays = {k: a for k, a in vars(mesh).items() if isinstance(a, np.ndarray)}
+    assert arrays.keys() == want.keys()
+    for name, arr in arrays.items():
+        ref = want[name]
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape, name
+        assert np.array_equal(arr, ref), name
+
+
+def _reference_meshes():
+    """(vertices, triangles, offset) of every demo part and of icospheres of
+    80, 320 and 1280 triangles, at offsets 0, 0.25 and 1, and of the meshes
+    on both sides of the one-leaf bound at 0.25."""
+    sources = [(p.mesh.vertices, p.mesh.triangles) for p in build_demo_catalog().parts.values()]
+    sources += [icosphere_mesh(10.0, k) for k in (1, 2, 3)]
+    cases = [(v, t, offset) for v, t in sources for offset in (0.0, 0.25, 1.0)]
+    cases += [(m.vertices, m.triangles, 0.25) for m in _one_leaf_boundary_meshes()]
+    return cases
+
+
+def test_mesh_arrays_match_the_reference_build():
+    cases = _reference_meshes()
+    for verts, tris, offset in cases:
+        want_v, want_t, want_closed = reference_inset_mesh(verts, tris, offset)
+        mesh = inset_mesh(verts, tris, offset)
+        _assert_reference_arrays(mesh, reference_collision_mesh(want_v, want_t))
+        assert mesh.closed == want_closed
+        _assert_reference_arrays(
+            CollisionMesh.build(verts, tris), reference_collision_mesh(verts, tris)
+        )
+    assert {len(t) for _, t, _ in cases} >= {12, 48, 64, 65, 66, 80, 320, 1280}
+    rng = np.random.default_rng(20261019)
+    for k in range(120):
+        verts, tris, offset = _random_mesh(rng, k)
+        try:
+            want_v, want_t, _ = reference_inset_mesh(verts, tris, offset)
+            mesh = inset_mesh(verts, tris, offset)
+        except BrickIrError:
+            continue  # test_inset_matches_reference_on_random_meshes pins the errors
+        _assert_reference_arrays(mesh, reference_collision_mesh(want_v, want_t))
+
+
+def test_tree_only_meshes_match_the_reference_build(monkeypatch):
+    monkeypatch.setattr(CollisionMesh, "ONE_LEAF_MAX", 0)
+    for verts, tris in (box_mesh((4.0, 6.0, 8.0)), icosphere_mesh(3.0, 1)):
+        for t in (tris, tris[:3]):  # 3 triangles: one padded leaf
+            _assert_reference_arrays(
+                CollisionMesh.build(verts, t), reference_collision_mesh(verts, t, one_leaf_max=0)
+            )
+
+
+def test_meshes_share_no_array_with_the_caller():
+    # offset 0 drops no triangle and no vertex, the case without compaction
+    verts, tris = box_mesh((4.0, 6.0, 8.0))
+    for offset in (0.0, 0.25):
+        mesh = inset_mesh(verts, tris, offset)
+        assert not np.shares_memory(mesh.vertices, verts)
+        assert not np.shares_memory(mesh.triangles, tris)
+        assert verts.flags.writeable and tris.flags.writeable
+    CollisionMesh.build(verts, tris)
+    assert verts.flags.writeable and tris.flags.writeable
+    tris[0] = tris[0]  # still writable: the mesh froze only its own views
+    verts[0] = verts[0]
+
+
+def _tree_copy(mesh: CollisionMesh, monkeypatch) -> CollisionMesh:
+    """The same mesh built as a median-split tree of LEAF_SIZE leaves."""
+    with monkeypatch.context() as m:
+        m.setattr(CollisionMesh, "ONE_LEAF_MAX", 0)
+        return CollisionMesh.build(mesh.vertices, mesh.triangles)
+
+
+def _assert_one_leaf_matches_walk_and_oracle(pairs, monkeypatch):
+    """Each (mesh a, pose a, mesh b, pose b) of one-leaf meshes gets the same
+    verdict from the one-leaf query, from the tree walk on tree copies of
+    the meshes and from the oracle. Returns the number of hits."""
+    trees = {}
+    hits = 0
+    for a, pa, b, pb in pairs:
+        assert len(a.leaf) == 1 and len(b.leaf) == 1
+        for mesh in (a, b):
+            if id(mesh) not in trees:
+                trees[id(mesh)] = _tree_copy(mesh, monkeypatch)
+                assert len(trees[id(mesh)].leaf) > 1
+        got = intersects(a, pa, b, pb)
+        assert got == intersects(trees[id(a)], pa, trees[id(b)], pb)
+        assert got == brute_force_intersects(a, pa, b, pb)
+        hits += got
+    return hits
+
+
+def test_one_leaf_query_matches_tree_walk_near_contact(demo_colliders, monkeypatch):
+    closed = [demo_colliders.get(p) for p in ("3700", "3673", "3004", "3024", "3641")]
+    closed.append(_mesh(box_mesh((6.0, 4.0, 8.0))))
+    opened = [_open((m.vertices, m.triangles)) for m in closed]
+    rng = np.random.default_rng(66)
+    pairs = []
+    for meshes in (closed, opened):
+        for a in meshes:
+            for b in meshes:
+                for tilt_deg in (0.0, 0.5, 3.0, 20.0):
+                    pa = random_rigid(rng, scale=50.0)
+                    gap = rng.uniform(-0.4, 0.4)
+                    pb = compose(pa, _near_contact_pose(a, b, gap, tilt_deg, rng))
+                    pairs.append((a, pa, b, pb))
+    hits = _assert_one_leaf_matches_walk_and_oracle(pairs, monkeypatch)
+    assert 0.2 < hits / len(pairs) < 0.8
+
+
+def test_one_leaf_query_matches_tree_walk_at_connector_poses(demo_colliders, monkeypatch):
+    # parts of seeded random build paths, at their connector poses, whose
+    # world boxes overlap: many touch or overlap
+    rng = np.random.default_rng(67)
+    cat = build_demo_catalog()
+    pairs = []
+    for _ in range(4):
+        nodes = generate_random_path(cat, rng, 12).graph.nodes.values()
+        placed = [(demo_colliders.get(n.part_id), n.pose) for n in nodes]
+        world = [pose.apply(mesh.vertices) for mesh, pose in placed]
+        boxes = [(w.min(axis=0), w.max(axis=0)) for w in world]
+        for k in range(len(placed)):
+            for j in range(k):
+                if (boxes[k][0] <= boxes[j][1]).all() and (boxes[j][0] <= boxes[k][1]).all():
+                    pairs.append((*placed[k], *placed[j]))
+    hits = _assert_one_leaf_matches_walk_and_oracle(pairs, monkeypatch)
+    assert len(pairs) > 40 and 0 < hits < len(pairs)
+
+
 # ---------------------------------------------------------------------------
 # Tight fit: peg in sleeve with 0.5 LDU diametral interference
 
@@ -651,7 +789,7 @@ def test_assembly_checker_matches_plain_loop(demo_colliders):
 
 
 def test_part_colliders_from_catalog():
-    from brickir.demo import build_demo_catalog
+    from brickir.demo import build_demo_catalog, generate_random_path
 
     cat = build_demo_catalog()
     colliders = PartColliders.from_catalog(cat, inset=0.25)

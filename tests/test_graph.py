@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brickir
+from brickir.catalog import Catalog
 from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, generate_random_path
@@ -15,7 +17,10 @@ from brickir.graph import (
     ConnEdge,
     ConnectivityGraph,
     MatchTolerances,
+    _candidate_pairs,
     _check_pairing,
+    _collect_world_connectors,
+    _resolve_candidates,
     attach_pose,
     canonical_ball_euler,
     match_connectors,
@@ -39,6 +44,7 @@ from conftest import (
     random_rigid,
     realize_params,
     rotation_about_axis,
+    rotation_angle_deg,
 )
 from oracles import exhaustive_match, graphs_equal, reference_check_pairing
 
@@ -147,6 +153,96 @@ def test_matching_equivalence_on_random_structures(seed):
     claimed = {ep for e in fast.edges for ep in (e.a, e.b)}
     for e in path.graph.edges:
         assert frozenset((e.a, e.b)) in found or e.a in claimed or e.b in claimed
+
+
+def _jittered_structure(rng, n_parts, shift, tilt_deg):
+    """A seeded random build path (its root turned by integer-degree Euler
+    angles), each part moved by up to ``shift`` LDU per axis and every other
+    part, at random, turned by up to ``tilt_deg`` about a random axis through
+    its origin, all under a random world pose when ``shift`` is not 0:
+    connectors land on both sides of every tolerance boundary, and the axles
+    lie along no world axis."""
+    world = random_rigid(rng) if shift else RigidTransform.identity()
+    out = []
+    for inst in generate_random_path(CAT, rng, n_parts).graph.nodes.values():
+        angle = rng.uniform(0.0, tilt_deg) if rng.random() < 0.5 else 0.0
+        turn = rotation_about_axis(rng.normal(size=3), angle)
+        jitter = RigidTransform(turn, rng.uniform(-shift, shift, 3))
+        out.append(_inst(inst.node_id, inst.part_id, compose(world, compose(inst.pose, jitter))))
+    return out
+
+
+def _assert_broad_phase_loses_nothing(insts, catalog, tol) -> Counter:
+    """The narrow phase finds the same edges in the broad phase's pairs as
+    in every pair, and above zero tolerance the graph equals the exhaustive
+    oracle's. Returns the edge count per family.
+
+    At zero tolerance a pair is accepted only where the matcher's arithmetic
+    leaves no rounding, and the oracle's arithmetic rounds elsewhere, so the
+    two disagree on some edges of random structures whatever the broad phase
+    does."""
+    g = match_connectors(insts, catalog, tol)
+    if tol.position > 0.0:
+        assert graphs_equal(g, exhaustive_match(insts, catalog, tol))
+    conns = _collect_world_connectors(insts, catalog)
+    every = set(itertools.combinations(range(len(conns)), 2))
+    pairs = _candidate_pairs(conns, tol)
+    assert pairs <= every
+    edges = _resolve_candidates(conns, every, catalog, tol)
+    assert _resolve_candidates(conns, pairs, catalog, tol) == edges == g.edges
+    return Counter(e.family for e in edges)
+
+
+@pytest.mark.parametrize(
+    "position,axis_deg,shift,tilt_deg",
+    [(1.0, 2.0, 1.5, 3.0), (0.0, 0.0, 0.0, 0.0), (1.0, 120.0, 0.3, 150.0)],
+    ids=["defaults", "zero", "wide-axis"],
+)
+def test_broad_phase_keeps_every_pair_with_rotated_axles(position, axis_deg, shift, tilt_deg):
+    # each axle pads its grid box along its own axis only, widened by the
+    # axis tolerance; the jitter crosses the tolerance boundaries
+    tol = MatchTolerances(position, axis_deg)
+    rng = np.random.default_rng(20261020)
+    edges = Counter()
+    for _ in range(6):
+        edges += _assert_broad_phase_loses_nothing(
+            _jittered_structure(rng, 25, shift, tilt_deg), CAT, tol
+        )
+    assert edges[ConnectorFamily.AXLE] > 0 and edges.total() > 10
+
+
+@pytest.mark.parametrize(
+    "position,axis_deg,tilt_deg",
+    [(1.0, 2.0, 0.0), (0.0, 0.0, 0.0), (1.0, 11.0, 10.0)],
+    ids=["defaults", "zero", "tilted"],
+)
+def test_broad_phase_with_a_1000_ldu_axle(position, axis_deg, tilt_deg):
+    # the longest axle the catalog accepts, through the pin sockets of two
+    # technic bricks: along a grid axis, the cell walk of the axle's box
+    # grows with its length, not with its cube. At the last two offsets the
+    # axle slides exactly to the first socket's bound (500 + 10 LDU + the
+    # position tolerance), where the two grid boxes touch, and then past it.
+    # Tilted by 10 degrees, the axle's own axis spans 15 LDU less than its
+    # length along the sockets' axis, and its box must still reach the first
+    # socket. The random world poses turn the untilted axle off the grid axes.
+    tol = MatchTolerances(position, axis_deg)
+    obj = CAT.to_json_obj()
+    obj["parts"]["3704"]["connectors"][0]["axle_length"] = 1000.0
+    catalog = Catalog.from_json_obj(obj)
+    rng = np.random.default_rng(1000)
+    tilt = RigidTransform(rotation_about_axis(np.array([1.0, 0.0, 0.0]), tilt_deg), np.zeros(3))
+    bound = 510.0 + position
+    offsets = [(6.0, 2), (126.0, 2), (366.0, 2), (bound, 2), (bound + 1.0, 1)]
+    for z, want in offsets[3:] if tilt_deg else offsets:
+        turned = position and not tilt_deg and z < bound
+        world = random_rigid(rng) if turned else RigidTransform.identity()
+        insts = [
+            _inst(0, "3700", world),
+            _inst(1, "3700", compose(world, _trans(0, 0, 40))),
+            _inst(2, "3704", compose(world, compose(_trans(0, 12, z), tilt))),
+        ]
+        edges = _assert_broad_phase_loses_nothing(insts, catalog, tol)
+        assert edges == Counter({ConnectorFamily.AXLE: want})
 
 
 def test_rigid_invariance_small():
@@ -396,7 +492,7 @@ def _ball_reversal_error_deg(euler, seed):
     fb = realize_params(fa, params, ConnectorFamily.BALL)
     fa_again = realize_params(fb, reverse_params(ConnectorFamily.BALL, params), ConnectorFamily.BALL)
     assert np.abs(fa_again.origin - fa.origin).max() <= 1e-9
-    angle = fa_again.as_transform().rotation_angle_deg_to(fa.as_transform())
+    angle = rotation_angle_deg(fa_again.as_transform(), fa.as_transform())
     return angle, fa_again.principal_axis @ fa.principal_axis
 
 

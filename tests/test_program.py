@@ -19,7 +19,7 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import action_count, component, demo_ldr, render_program
+from conftest import action_count, component, demo_ldr, render_program, rotation_angle_deg
 from oracles import reference_placements, reference_validate_prefix, replay_path_poses
 
 CAT = build_demo_catalog()
@@ -323,7 +323,7 @@ def test_roundtrip_bound_over_mixed_corpus():
             for nid, letter in letters.items():
                 src = g.nodes[nid].pose
                 got = compose(root_pose, poses[letter])
-                rot_err = got.rotation_angle_deg_to(src)
+                rot_err = rotation_angle_deg(got, src)
                 assert rot_err <= 0.5 * max(depth[nid], 1) + 1e-9
                 trans_bound = 0.5 + depth[nid] * radius * np.radians(0.5)
                 assert np.abs(got.translation - src.translation).max() <= trans_bound
