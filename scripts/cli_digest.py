@@ -20,7 +20,9 @@ family key, and a missing or repeated connector index), negative --pos-tol,
 --axis-tol and --inset (exit 2, argparse's usage and error lines) and insets
 that flatten or turn the plates inside out (exit 1), eval of a directory
 without files and sample of a graph without nodes (exit 1), and parse and
-graph of MPDs whose composed transforms overflow (exit 2). It also runs graph on
+graph of MPDs whose composed transforms overflow (exit 2), and sample of graph
+JSON whose rotations are written to 8 decimals (repaired, exit 0) or scaled
+by 1.01 (exit 2). It also runs graph on
 seeded perturbations of mixed.ldr, turned and moved around each family's
 match tolerances, at the default and at zero tolerances. The --jobs 2 calls
 run the thread pool, and with it concurrent first lookups in the shared
@@ -149,6 +151,11 @@ def _write_inputs(root: Path) -> None:
         "0 FILE main.ldr\n1 4 1e300 1e300 1e300 1e10 0 0 0 1 0 0 0 1 sub.ldr\n"
         "0 FILE sub.ldr\n1 4 1e300 1e300 1e300 1 0 0 0 1 0 0 0 1 3023.dat\n"
     )
+    for name, scale in (("rounded", 1.0), ("scaled", 1.01)):  # repaired; not rigid
+        obj = json.loads((graphs / "g00.json").read_text())
+        for node in obj["nodes"]:
+            node["pose"]["rot"] = [round(v * scale, 8) for v in node["pose"]["rot"]]
+        (root / f"{name}_rotations.json").write_text(json.dumps(obj))
     rng = np.random.default_rng(20261020)
     for i in range(PERTURBED):
         (root / f"mixed_p{i}.ldr").write_text(_perturbed_mixed(rng))
@@ -266,6 +273,9 @@ def _calls():
     calls.append(("overflowing matrix parse", cat + ["parse", "overflow_matrix.mpd"], None))
     calls.append(("overflowing translation graph", cat + ["graph", "overflow_translation.mpd"],
                   None))
+    for name in ("rounded", "scaled"):
+        calls.append((f"sample {name} rotations", cat + [
+            "--seed", "1", "sample", f"{name}_rotations.json", "--count", "4"], None))
     return calls
 
 

@@ -2,23 +2,27 @@
 """Survival-at-k experiment over a synthetically corrupted sequence batch.
 
 Serializes random valid build sequences, corrupts a fraction of them with a
-single bad token at a random placement action, validates every prefix, and
-prints the survival curve plus aggregate metrics (optionally as CSV).
+single bad token at a random placement action, writes them and the demo
+catalog to a temporary directory, and runs ``brickir --no-collision eval``
+on them. Prints eval's aggregate (survival curve, mean valid steps, pooled
+invalid-placement proportion) with the batch size, and optionally writes the
+survival curve as CSV.
+
+    python scripts/survival_experiment.py --count 500 --csv curve.csv
 """
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from brickir.cli import main as cli_main
 from brickir.demo import build_demo_catalog, generate_random_path
-from brickir.metrics import (
-    invalid_flags_from_report,
-    mean_valid_steps,
-    p_invalid,
-    survival_curve,
-)
-from brickir.program import serialize, validate_prefix
+from brickir.program import serialize
 
 CORRUPTIONS = ("unknown-part", "bad-token", "bad-params", "dangling-target")
 
@@ -48,6 +52,16 @@ def corrupt(text: str, rng) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _run(argv) -> str:
+    """stdout of one ``brickir`` call, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"brickir {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=500, help="sequences in the batch")
@@ -59,31 +73,24 @@ def main():
 
     catalog = build_demo_catalog()
     rng = np.random.default_rng(args.seed)
-    reports = []
-    flags = []
-    for _ in range(args.count):
-        n = int(rng.integers(3, args.max_parts + 1))
-        text = serialize(generate_random_path(catalog, rng, n), catalog)
-        if rng.random() < args.corrupt_fraction:
-            text = corrupt(text, rng)
-        report = validate_prefix(text, catalog)
-        reports.append(report)
-        attempted = sum(1 for l in text.splitlines() if " | " in l)
-        flags.extend(
-            invalid_flags_from_report(report, max(attempted, report.connectivity_steps))
-        )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "catalog.json").write_text(catalog.dumps())
+        programs = root / "programs"
+        programs.mkdir()
+        for i in range(args.count):
+            n = int(rng.integers(3, args.max_parts + 1))
+            text = serialize(generate_random_path(catalog, rng, n), catalog)
+            if rng.random() < args.corrupt_fraction:
+                text = corrupt(text, rng)
+            (programs / f"p{i:06d}.bseq").write_text(text)
+        argv = ["--catalog", str(root / "catalog.json"), "--no-collision"]
+        aggregate = json.loads(_run(argv + ["eval", str(programs)]))["aggregate"]
+        if args.csv:
+            Path(args.csv).write_text(_run(argv + ["--format", "csv", "eval", str(programs)]))
 
-    curve = survival_curve(reports)
-    summary = {
-        "sequences": args.count,
-        "mean_valid_steps": mean_valid_steps(reports),
-        "p_invalid": p_invalid(flags),
-        "survival": curve.to_json_obj(),
-    }
-    print(json.dumps(summary, indent=1, sort_keys=True))
+    print(json.dumps({"sequences": args.count, **aggregate}, indent=1, sort_keys=True))
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(curve.to_csv())
         print(f"curve written to {args.csv}")
 
 

@@ -56,7 +56,9 @@ class TriMesh:
 
 @dataclass(frozen=True)
 class PartDef:
-    """Catalog entry: id, display name, connectors and optional mesh."""
+    """Catalog entry: id, display name, connectors and optional mesh. A part
+    has geometry iff ``mesh`` is not None: the catalog loaders drop a mesh
+    without triangles."""
 
     part_id: str
     name: str
@@ -128,7 +130,7 @@ class Catalog:
                 "name": p.name,
                 "connectors": [c.to_json_obj() for c in p.connectors],
             }
-            if p.mesh is not None and len(p.mesh):
+            if p.mesh is not None:
                 entry["mesh"] = {
                     "vertices": [[float(x) for x in v] for v in p.mesh.vertices],
                     "triangles": [[int(i) for i in t] for t in p.mesh.triangles],
@@ -160,6 +162,7 @@ class Catalog:
                 mesh = None
                 if "mesh" in entry:
                     mesh = TriMesh(entry["mesh"]["vertices"], entry["mesh"]["triangles"])
+                    mesh = mesh if len(mesh) else None  # no triangles: no geometry
                 parts[pid] = PartDef(pid, normalize_part_name(entry["name"]), connectors, mesh)
             for code, name in obj.get("colors", {}).items():
                 colors[int(code)] = name.strip().lower()

@@ -550,7 +550,7 @@ class PartColliders:
         if mesh is not None:
             return mesh
         part = self._catalog.parts.get(part_id)
-        if part is None or part.mesh is None or len(part.mesh) == 0:
+        if part is None or part.mesh is None:
             return None
         with self._lock:
             mesh = self._meshes.get(part_id)

@@ -15,6 +15,8 @@ import numpy as np
 
 # Re-orthonormalize whenever a composed rotation drifts past this.
 ORTHONORMAL_TOL = 1e-9
+# |singular value - 1| bound within which a matrix is rigid (unit scale, no shear).
+SCALE_TOL = 1e-3
 # Largest connector-axis component: squares of larger ones can overflow.
 AXIS_LIMIT = 1e150
 
@@ -22,27 +24,38 @@ _IDENTITY3 = np.eye(3)
 _IDENTITY3.flags.writeable = False
 
 
-def orthonormalize(rotation: np.ndarray) -> np.ndarray:
-    """Project a near-rotation matrix onto SO(3) (polar decomposition via SVD)."""
-    u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=np.float64))
-    if np.linalg.det(u @ vt) < 0:
+def _det3(m) -> float:
+    """Determinant of a 3x3 matrix as its scalar triple product: exact in
+    sign for a finite near-rotation, and the same on every CPU."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The proper rotation nearest ``m``, and whether ``m`` is rigid.
+
+    One SVD ``m = U S Vt`` gives both. The rotation is the polar factor
+    ``U Vt`` (Higham 1986), with U's last column negated when that factor is
+    a reflection. ``m`` is rigid when its determinant is positive and every
+    singular value lies within SCALE_TOL of 1.
+    """
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
+    proper = _det3((u @ vt).tolist()) > 0
+    if not proper:
         u[:, -1] = -u[:, -1]
-    return u @ vt
+    return u @ vt, proper and bool(np.abs(s - 1.0).max() <= SCALE_TOL)
 
 
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid transform ``x -> rotation @ x + translation`` (LDU).
 
-    Construction repairs small orthonormality drift (> 1e-9) by polar
-    projection and rejects matrices that are not within re-projection
-    distance of a proper rotation (non-finite or det <= 0).
-
-    The orthonormality error is measured first. When it is finite and within
-    ORTHONORMAL_TOL, the rotation is finite and |det| is within 1e-8 of 1, so
-    the sign of the scalar triple product decides det > 0 exactly and no
-    LAPACK determinant is needed; any other matrix takes the full sequence
-    (finite check, determinant, re-projection).
+    Construction takes one route: every number must be finite, and the
+    rotation's determinant (its scalar triple product) positive. A rotation
+    whose orthonormality error exceeds ORTHONORMAL_TOL is then replaced by
+    ``nearest_rotation``, which repairs composition drift; one that is not
+    rigid (a singular value beyond SCALE_TOL of 1) raises ValueError. A
+    rotation within ORTHONORMAL_TOL runs no LAPACK code.
     """
 
     rotation: np.ndarray
@@ -51,20 +64,16 @@ class RigidTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        err = np.abs(r.T @ r - _IDENTITY3).max()
-        if err <= ORTHONORMAL_TOL:
-            if not all(map(math.isfinite, t.tolist())):
-                raise ValueError("non-finite transform")
-            (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-            if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0:
-                raise ValueError("rotation must have positive determinant")
-        else:
-            if not (np.isfinite(r).all() and np.isfinite(t).all()):
-                raise ValueError("non-finite transform")
-            if np.linalg.det(r) <= 0:
-                raise ValueError("rotation must have positive determinant")
-            if err > ORTHONORMAL_TOL:
-                r = orthonormalize(r)
+        rows = r.tolist()
+        if not all(map(math.isfinite, (*rows[0], *rows[1], *rows[2], *t.tolist()))):
+            raise ValueError("non-finite transform")
+        if _det3(rows) <= 0:
+            raise ValueError("rotation must have positive determinant")
+        # "not <=" also sends an error of inf or nan (RᵀR overflowed) to the repair
+        if not np.abs(r.T @ r - _IDENTITY3).max() <= ORTHONORMAL_TOL:
+            r, rigid = nearest_rotation(r)
+            if not rigid:
+                raise ValueError(f"rotation is scaled or sheared beyond {SCALE_TOL:g}")
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
@@ -91,7 +100,7 @@ class RigidTransform:
         rotation = np.array(obj["rot"], dtype=np.float64).reshape(3, 3)
         translation = np.array(obj["t"], dtype=np.float64)
         # Entries near the float limit overflow RᵀR: the error is then inf or
-        # nan, and the full check sequence runs without a numpy warning.
+        # nan, the repair rejects the matrix, and numpy warns of nothing.
         with np.errstate(over="ignore", invalid="ignore"):
             return cls(rotation, translation)
 

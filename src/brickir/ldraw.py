@@ -19,12 +19,9 @@ import numpy as np
 
 from .connectors import default_primitive_table
 from .errors import LdrawParseError
-from .geometry import RigidTransform, orthonormalize
+from .geometry import SCALE_TOL, RigidTransform, nearest_rotation
 
 MAX_SUBFILE_DEPTH = 64
-
-# |singular value - 1| tolerance for the unit-scale / rigidity checks.
-SCALE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -151,12 +148,6 @@ def _matrix_from_values(values) -> tuple[np.ndarray, np.ndarray]:
     return m, t
 
 
-def is_rigid(m: np.ndarray) -> bool:
-    if np.linalg.det(m) <= 0:
-        return False
-    return bool(np.abs(np.linalg.svd(m, compute_uv=False) - 1.0).max() <= SCALE_TOL)
-
-
 def split_mpd(text: str) -> tuple[str, dict[str, str]]:
     """Split an MPD document on ``0 FILE`` / ``0 NOFILE`` delimiters.
 
@@ -249,14 +240,15 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
     for line, m, t in _walk(files[main], files, is_part, strict, warnings, (main,)):
         if line.line_type != 1:
             continue
+        rotation, rigid = nearest_rotation(m)
         instances.append(
             PartInstance(
                 node_id=len(instances),
                 part_id=part_key(line.subfile),
                 color=line.color,
-                pose=RigidTransform(orthonormalize(m), t),
+                pose=RigidTransform(rotation, t),
                 raw=tuple(float(v) for v in np.concatenate([t, m.reshape(9)])),
-                nonrigid=not is_rigid(m),
+                nonrigid=not rigid,
             )
         )
     return instances
@@ -284,7 +276,7 @@ def scan_primitives(part_source, library, warnings: list | None = None):
             refs.append(
                 PrimitiveRef(
                     primitive_name=ref,
-                    transform=RigidTransform(orthonormalize(m), t),
+                    transform=RigidTransform(nearest_rotation(m)[0], t),
                     scale=scale,
                 )
             )

@@ -278,6 +278,8 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                     Attach(target_id, family, sub_t, idx_t, sub_n, idx_n, params, line=number)
                 )
                 newest_attached = True
+        if not newest_attached:
+            fail("missing-attach", f"node {newest!r} was never attached", steps[-1].line)
     except ProgramError as exc:
         if strict:
             raise
@@ -285,14 +287,6 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
             BuildProgram(tuple(steps[:complete])),
             ProgramDiagnosis(exc.line or 0, exc.code, str(exc)),
         )
-
-    if not newest_attached:
-        diag = ProgramDiagnosis(
-            steps[-1].line, "missing-attach", f"node {newest!r} was never attached"
-        )
-        if strict:
-            raise ProgramError(diag.code, diag.message, diag.line)
-        return ParseResult(BuildProgram(tuple(steps[:complete])), diag)
     return ParseResult(BuildProgram(tuple(steps)), None)
 
 

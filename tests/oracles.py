@@ -7,8 +7,9 @@ collision oracle tests every triangle pair, and the pose oracle replays a
 build path with plain homogeneous 4x4 matrix arithmetic. The reference
 copies at the end are earlier, plainer versions of fast paths that must
 match them bit for bit: the mesh inset, the collision-mesh arrays, the
-transform check, the eager executor, which computes every pose as its
-attach completes, and the connector pairing predicate.
+rotation projection and rigidity test, the transform check, the eager
+executor, which computes every pose as its attach completes, and the
+connector pairing predicate.
 """
 
 import math
@@ -18,7 +19,12 @@ import numpy as np
 from brickir.collision import _RAY_DIR, DEGENERATE_AREA, TRI_EPS, AssemblyChecker
 from brickir.connectors import ConnectorFamily
 from brickir.errors import BrickIrError, MatchError, ProgramError
-from brickir.geometry import ORTHONORMAL_TOL, QuantizedParams, RigidTransform, orthonormalize
+from brickir.geometry import (
+    ORTHONORMAL_TOL,
+    SCALE_TOL,
+    QuantizedParams,
+    RigidTransform,
+)
 from brickir.graph import ConnEdge, ConnectivityGraph, MatchTolerances, attach_pose
 from brickir.program import PartIntro, ProgramDiagnosis, ValidityReport, parse_program
 
@@ -482,17 +488,40 @@ def reference_collision_mesh(vertices, triangles, one_leaf_max=64, leaf_size=4) 
     }
 
 
+def reference_orthonormalize(rotation):
+    """The proper rotation nearest a matrix, as the LDraw walker and the
+    transform check first computed it: the SVD polar factor, with U's last
+    column negated when LAPACK's determinant of that factor is negative."""
+    u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=np.float64))
+    if np.linalg.det(u @ vt) < 0:
+        u[:, -1] = -u[:, -1]
+    return u @ vt
+
+
+def reference_is_rigid(m) -> bool:
+    """The LDraw walker's first rigidity test: a positive LAPACK determinant
+    and every singular value within SCALE_TOL of 1."""
+    if np.linalg.det(m) <= 0:
+        return False
+    return bool(np.abs(np.linalg.svd(m, compute_uv=False) - 1.0).max() <= SCALE_TOL)
+
+
 def reference_rigid_check(rotation, translation):
-    """``RigidTransform``'s construction check as it was: the stored
-    (rotation, translation), or the ValueError it raised."""
+    """``RigidTransform``'s construction check in plain steps: the stored
+    (rotation, translation), or the ValueError it raises. Every number must
+    be finite and LAPACK's determinant positive; a rotation off orthonormal
+    by more than ORTHONORMAL_TOL is projected onto the nearest rotation when
+    it is rigid, and raises when it is not."""
     r = np.asarray(rotation, dtype=np.float64).reshape(3, 3)
     t = np.asarray(translation, dtype=np.float64).reshape(3)
     if not (np.isfinite(r).all() and np.isfinite(t).all()):
         raise ValueError("non-finite transform")
     if np.linalg.det(r) <= 0:
         raise ValueError("rotation must have positive determinant")
-    if float(np.abs(r.T @ r - np.eye(3)).max()) > ORTHONORMAL_TOL:
-        r = orthonormalize(r)
+    if not float(np.abs(r.T @ r - np.eye(3)).max()) <= ORTHONORMAL_TOL:
+        if not reference_is_rigid(r):
+            raise ValueError(f"rotation is scaled or sheared beyond {SCALE_TOL:g}")
+        r = reference_orthonormalize(r)
     return r, t
 
 

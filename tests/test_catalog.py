@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brickir.catalog import Catalog, TriMesh, build_catalog_from_library, normalize_part_name
+from brickir.collision import PartColliders
 from brickir.demo import build_demo_catalog
 from brickir.errors import CatalogError
 
@@ -43,6 +44,18 @@ def test_catalog_lookup_errors():
 def test_trimesh_index_validation():
     with pytest.raises(CatalogError):
         TriMesh([[0, 0, 0]], [[0, 1, 2]])
+
+
+def test_catalog_json_mesh_without_triangles_is_no_geometry():
+    obj = build_demo_catalog().to_json_obj()
+    obj["parts"]["3023"]["mesh"] = {"vertices": [[0, 0, 0]], "triangles": []}
+    cat = Catalog.from_json_obj(obj)
+    assert cat.part("3023").mesh is None
+    assert "mesh" not in cat.to_json_obj()["parts"]["3023"]
+    assert PartColliders.from_catalog(cat).get("3023") is None
+    obj["parts"]["3023"]["mesh"]["vertices"] = [[float("nan"), 0, 0]]
+    with pytest.raises(CatalogError, match="not finite"):  # validated before it is dropped
+        Catalog.from_json_obj(obj)
 
 
 @pytest.fixture()

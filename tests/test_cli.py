@@ -11,18 +11,21 @@ from hypothesis import strategies as st
 
 import brickir
 from brickir.cli import main
+from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.geometry import QuantizedParams, RigidTransform
 from brickir.graph import ConnEdge, ConnectivityGraph, match_connectors
 from brickir.ldraw import PartInstance, parse_structure
-from brickir.program import serialize
+from brickir.program import execute, serialize, validate_prefix
 
 from conftest import (
     OVERFLOWING_MPDS,
     catalog_obj_with_collapsing_mesh,
     count_inset_builds,
     demo_ldr,
+    orthonormality_error,
+    rotation_about_axis,
 )
 
 CAT = build_demo_catalog()
@@ -228,6 +231,60 @@ def test_sample_command_and_out_dir(workdir, capsys, tmp_path):
     files = sorted(outdir.iterdir())
     assert [f.name for f in files] == ["path_0.bseq", "path_1.bseq", "path_2.bseq"]
     assert [f.read_text() for f in files] == obj["programs"]
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.01, 2)], ids=["8-decimals", "scaled-1.01"])
+def test_graph_json_rotation_repaired_within_1e3_and_rejected_beyond(workdir, tmp_path, scale,
+                                                                     code):
+    """Graph-JSON rotations written to 8 decimals load, each repaired to the
+    rotation nearest it; rotations scaled by 1.01 exit 2 with one line."""
+    graph_out = tmp_path / "g.json"
+    assert _run_captured(workdir, "--out", graph_out, "graph", workdir / "mixed.ldr")[0] == 0
+    obj = json.loads(graph_out.read_text())
+    turn = rotation_about_axis(np.array([1.0, 2.0, 3.0]), 37.0)
+    exact = []
+    for n in obj["nodes"]:
+        pose = RigidTransform.from_json_obj(n["pose"])
+        exact.append(turn @ pose.rotation)
+        n["pose"] = {"rot": [round(v * scale, 8) for v in exact[-1].ravel().tolist()],
+                     "t": (turn @ pose.translation).tolist()}
+    graph_out.write_text(json.dumps(obj))
+    message = "malformed graph JSON: ValueError: rotation is scaled or sheared beyond 0.001"
+    got = _run_captured(workdir, "sample", graph_out)
+    assert (got[0], got[2]) == (code, "" if code == 0 else f"error: {message}\n")
+    if code == 0:
+        loaded = ConnectivityGraph.loads(graph_out.read_text())
+        for nid, want in zip(sorted(loaded.nodes), exact):
+            rotation = loaded.nodes[nid].pose.rotation
+            assert orthonormality_error(rotation) <= 1e-9
+            assert np.abs(rotation - want).max() <= 1e-8
+
+
+def test_internal_pose_path_runs_no_lapack(workdir, capsys, tmp_path, monkeypatch):
+    """LAPACK runs only where a matrix from a file enters: executing
+    programs, validating them against meshes and sampling a graph the CLI
+    wrote call neither np.linalg.det nor np.linalg.svd."""
+    graph_out = tmp_path / "g.json"
+    assert run(workdir, "--out", graph_out, "graph", workdir / "mixed.ldr") == 0
+    rng = np.random.default_rng(20261019)
+    texts = [serialize(generate_random_path(CAT, rng, 30), CAT) for _ in range(6)]
+    program = tmp_path / "p.bseq"
+    program.write_text(texts[0])
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK call on the pose path")
+
+    monkeypatch.setattr(np.linalg, "det", no_lapack)
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    colliders = PartColliders.from_catalog(CAT)
+    for text in texts:
+        parts = text.count(" | ")
+        assert len(execute(text, CAT)) == parts
+        assert validate_prefix(text, CAT, colliders).connectivity_steps == parts
+    assert run(workdir, "execute", program) == 0
+    assert len(json.loads(capsys.readouterr().out)["poses"]) == texts[0].count(" | ")
+    assert run(workdir, "--seed", 3, "sample", graph_out, "--count", 4) == 0
+    assert len(json.loads(capsys.readouterr().out)["programs"]) == 4
 
 
 def test_outputs_byte_identical_across_runs_and_jobs(workdir, capsys, tmp_path):
@@ -922,13 +979,15 @@ def _set_first_vertex(value):
     return edit
 
 
-# Inputs the fuzz tests above found. At the parent of this fix the two
+# Inputs the fuzz tests above found. When they were found, the two
 # non-string cases raised tracebacks, the NaN vertex exited 0 with meshes
-# that never collide, and the rest printed numpy overflow or cast warnings.
+# that never collide, and the rest printed numpy overflow or cast warnings;
+# the overflowing pose rotation also loaded as the identity.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("catalog_edit, argv, name, data, code, message", [
     (None, ["sample"], "g.json", _graph_text(lambda o: o["nodes"][0]["pose"]["rot"].__setitem__(
-        0, 1e308)), 0, None),
+        0, 1e308)), 2,
+     "malformed graph JSON: ValueError: rotation is scaled or sheared beyond 0.001"),
     (None, ["sample"], "g.json", _graph_text(lambda o: o["nodes"][0].update(part=[0, 0, 0])), 2,
      "part id must be a string, got [0, 0, 0]"),
     (None, ["graph"], "far.ldr", "1 1 1e200 -16 0 1 0 0 0 1 0 0 0 1 3023.dat\n"

@@ -179,8 +179,9 @@ def test_connector_frame_transform_roundtrip():
     exponent=st.floats(-12.0, -6.0),
 )
 def test_rigid_transform_check_matches_reference(seed, kind, exponent):
-    """The fast orthonormality-first check raises the same error as the
-    earlier finite/det/reproject sequence, or stores bit-identical arrays."""
+    """The one-route check (finite, triple-product determinant, repair only
+    past 1e-9) raises the same error as the plain reference check, or stores
+    bit-identical arrays."""
     rng = np.random.default_rng(seed)
     r = random_rotation(rng) + rng.standard_normal((3, 3)) * 10.0**exponent
     t = rng.uniform(-100.0, 100.0, 3)

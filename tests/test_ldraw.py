@@ -3,6 +3,7 @@ import pytest
 
 from brickir.connectors import annotate_part
 from brickir.errors import LdrawParseError
+from brickir.geometry import SCALE_TOL
 from brickir.ldraw import (
     extract_triangles,
     iter_lines,
@@ -11,7 +12,8 @@ from brickir.ldraw import (
     scan_primitives,
 )
 
-from conftest import OVERFLOWING_MPDS, instances_to_ldr
+from conftest import OVERFLOWING_MPDS, instances_to_ldr, random_rotation
+from oracles import reference_is_rigid, reference_orthonormalize
 
 PARTS = {"3001", "3023"}
 
@@ -96,6 +98,40 @@ def test_scaled_and_reflected_matrices_flagged_nonrigid():
     assert inst.nonrigid
     # raw fields survive for lossless round-tripping
     assert inst.raw[3] == -1.0
+
+
+def test_rotation_gate_matches_the_reference_projection_and_rigidity_test():
+    """One SVD per placement gives the pose and the nonrigid flag: the same
+    flags as the two-decomposition reference and byte-identical poses, over
+    near-rotations and scaled, sheared, reflected and just-past-1e-3 ones."""
+    rng = np.random.default_rng(20261019)
+    matrices = []
+    for _ in range(40):
+        q = random_rotation(rng)
+        matrices += [
+            q,
+            q + rng.standard_normal((3, 3)) * 1e-6,
+            q * rng.uniform(0.5, 2.0),
+            q @ np.diag(rng.uniform(0.95, 1.05, 3)),
+            q @ (np.eye(3) + np.triu(rng.standard_normal((3, 3)), 1) * 0.1),
+            q @ np.diag(rng.permutation([1.0, 1.0, -1.0])),
+        ]
+        for sign in (1.0, -1.0):
+            for margin in (-1e-6, 1e-6):
+                axis = rng.permutation([1.0 + sign * (SCALE_TOL + margin), 1.0, 1.0])
+                matrices.append(q @ np.diag(axis) @ random_rotation(rng))
+    text = "".join(
+        f"1 4 1 2 3 {' '.join(f'{v:.17g}' for v in m.ravel())} 3001.dat\n" for m in matrices
+    )
+    instances = parse_structure(text, PARTS)
+    assert len(instances) == len(matrices)
+    flags = []
+    for inst in instances:
+        m = np.array(inst.raw[3:]).reshape(3, 3)
+        assert inst.nonrigid == (not reference_is_rigid(m))
+        assert inst.pose.rotation.tobytes() == reference_orthonormalize(m).tobytes()
+        flags.append(inst.nonrigid)
+    assert 0 < sum(flags) < len(flags)
 
 
 def test_reserialize_reparse_is_lossless():

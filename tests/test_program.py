@@ -158,6 +158,11 @@ def test_parse_trailing_unattached_intro():
     result = parse_program(text, CAT)
     assert result.error.code == "missing-attach"
     assert action_count(result.program) == 1
+    # reported like a missing attach found mid-text, in both modes
+    message = "line 2: missing-attach: node 'b' was never attached"
+    assert (result.error.line, result.error.message) == (2, message)
+    with pytest.raises(ProgramError, match=f"^{message}$"):
+        parse_program(text, CAT, strict=True)
 
 
 # ---------------------------------------------------------------------------
