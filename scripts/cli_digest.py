@@ -22,7 +22,8 @@ that flatten or turn the plates inside out (exit 1), eval of a directory
 without files and sample of a graph without nodes (exit 1), and parse and
 graph of MPDs whose composed transforms overflow (exit 2), and sample of graph
 JSON whose rotations are written to 8 decimals (repaired, exit 0) or scaled
-by 1.01 (exit 2). It also runs graph on
+by 1.01 (exit 2), and graph, execute, check and eval with a catalog whose
+connector origins lie beyond the 1e6 LDU bound (exit 3). It also runs graph on
 seeded perturbations of mixed.ldr, turned and moved around each family's
 match tolerances, at the default and at zero tolerances. The --jobs 2 calls
 run the thread pool, and with it concurrent first lookups in the shared
@@ -181,6 +182,17 @@ def _write_inputs(root: Path) -> None:
     for name, obj in bad_catalogs.items():
         text = obj if isinstance(obj, str) else json.dumps(obj)
         (root / f"catalog_{name}.json").write_text(text)
+    far = catalog.to_json_obj()
+    for connector in far["parts"]["3024"]["connectors"]:
+        connector["origin"] = [1.5e308, 0.0, 1.5e308]  # overflows when turned 45 degrees
+    (root / "catalog_far_origin.json").write_text(json.dumps(far))
+    (root / "turned_plate.ldr").write_text(
+        "1 4 0 0 0 0.7071067811865476 0 0.7071067811865476 0 1 0 "
+        "-0.7071067811865476 0 0.7071067811865476 3024.dat\n"
+    )
+    (root / "turned_plate.bseq").write_text(
+        "a plate 1x1 | red\nb plate 1x1 | red\na stud stud a hole b 45\n"
+    )
     (root / "catalog_latin1.json").write_bytes(
         catalog.dumps().replace('"red"', '"r\\u00f6d"').encode().replace(b"\\u00f6", b"\xf6"))
 
@@ -276,6 +288,11 @@ def _calls():
     for name in ("rounded", "scaled"):
         calls.append((f"sample {name} rotations", cat + [
             "--seed", "1", "sample", f"{name}_rotations.json", "--count", "4"], None))
+    far = ["--catalog", "catalog_far_origin.json"]
+    calls.append(("far connector origin graph", far + ["graph", "turned_plate.ldr"], None))
+    for command in ("execute", "check", "eval"):
+        calls.append((f"far connector origin {command}", far + [command, "turned_plate.bseq"],
+                      None))
     return calls
 
 

@@ -26,8 +26,9 @@ def normalize_part_name(name: str) -> str:
     return re.sub(r"\s+", " ", name.replace("|", " ")).strip().lower()
 
 
-# Largest mesh coordinate, in LDU: far beyond any part, and small enough that
-# the collision arithmetic (squared cross products) cannot overflow.
+# Largest part-local coordinate (mesh vertex or connector origin), in LDU: far
+# beyond any part, and small enough that the collision arithmetic (squared
+# cross products) cannot overflow, nor a connector placed on a finite pose.
 MESH_COORD_MAX = 1e6
 
 
@@ -58,12 +59,19 @@ class TriMesh:
 class PartDef:
     """Catalog entry: id, display name, connectors and optional mesh. A part
     has geometry iff ``mesh`` is not None: the catalog loaders drop a mesh
-    without triangles."""
+    without triangles. Every loader builds parts here, where connector origins
+    are bounded."""
 
     part_id: str
     name: str
     connectors: tuple[AnnotatedConnector, ...]
     mesh: TriMesh | None = None
+
+    def __post_init__(self):
+        if any(abs(v) > MESH_COORD_MAX for c in self.connectors for v in c.frame.origin.tolist()):
+            raise CatalogError(
+                f"part {self.part_id!r}: connector origin beyond {MESH_COORD_MAX:g} LDU"
+            )
 
     def connector(self, index: str) -> AnnotatedConnector:
         for c in self.connectors:

@@ -20,8 +20,9 @@ from .errors import AnnotationError
 from .geometry import ConnectorFrame
 
 # Longest axle length a catalog may declare, in LDU (50 studs, longer than any
-# part): the matcher's spatial hash pads a connector's box by half of it on
-# every side, so its cell walk grows with the cube of the length.
+# part): the matcher's spatial hash pads an axle by up to half of it. Only an
+# axle off the world axes, or an axis tolerance of 60 degrees or more, walks a
+# box of cells that grows with the cube of the length.
 AXLE_LENGTH_MAX = 1000.0
 
 

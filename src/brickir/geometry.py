@@ -109,19 +109,6 @@ class RigidTransform:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def rotate(self, vectors: np.ndarray) -> np.ndarray:
-        """Rotate direction vectors (no translation)."""
-        return np.asarray(vectors, dtype=np.float64) @ self.rotation.T
-
-    def max_abs_diff(self, other: "RigidTransform") -> float:
-        return max(
-            float(np.abs(self.rotation - other.rotation).max()),
-            float(np.abs(self.translation - other.translation).max()),
-        )
-
-    def is_close(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
-        return self.max_abs_diff(other) <= tol
-
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """a after b: ``compose(a, b).apply(x) == a.apply(b.apply(x))``."""
@@ -172,6 +159,16 @@ def frame_rotation(principal: np.ndarray, reference: np.ndarray) -> np.ndarray:
     )
 
 
+def place_frame(rotation, translation, frame: ConnectorFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation (x column = reference, z = principal) and origin of the local
+    ``frame`` on a part posed by (rotation, translation), bit for bit those of
+    ``frame.transformed(pose)``: the one code that places connector frames,
+    for the matcher and ``attach_pose``."""
+    rt = rotation.T
+    z, x = unit_axes(frame.principal_axis @ rt, frame.reference_axis @ rt)
+    return frame_rotation(z, x), frame.origin @ rt + translation
+
+
 @dataclass(frozen=True)
 class ConnectorFrame:
     """Local rigid frame of one attachment site.
@@ -202,28 +199,18 @@ class ConnectorFrame:
         object.__setattr__(self, "reference_axis", r)
 
     @cached_property
-    def _transform(self) -> RigidTransform:
-        return RigidTransform(frame_rotation(self.principal_axis, self.reference_axis), self.origin)
-
-    @cached_property
-    def _inverse(self) -> RigidTransform:
-        return self._transform.inverse()
-
-    def as_transform(self) -> RigidTransform:
-        """Frame as a rigid transform: x column = reference, z = principal.
-        Built on first use and kept with the frame."""
-        return self._transform
-
-    def inverse_transform(self) -> RigidTransform:
-        """``as_transform().inverse()``, built on first use and kept."""
-        return self._inverse
+    def inverse(self) -> RigidTransform:
+        """Inverse of the frame as a rigid transform (x column = reference,
+        z = principal), built on first use and kept with the frame."""
+        rotation = frame_rotation(self.principal_axis, self.reference_axis)
+        return RigidTransform(rotation, self.origin).inverse()
 
     def transformed(self, t: RigidTransform) -> "ConnectorFrame":
-        """This frame expressed after applying transform t."""
+        """This frame expressed after applying transform t, renormalized (a
+        frame on a posed part is placed by ``place_frame``)."""
+        rt = t.rotation.T
         return ConnectorFrame(
-            t.apply(self.origin),
-            t.rotate(self.principal_axis),
-            t.rotate(self.reference_axis),
+            self.origin @ rt + t.translation, self.principal_axis @ rt, self.reference_axis @ rt
         )
 
     def is_close(self, other: "ConnectorFrame", tol: float = 1e-9) -> bool:

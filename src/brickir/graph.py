@@ -41,9 +41,9 @@ from .geometry import (
     QuantizedParams,
     RigidTransform,
     frame_rotation,
+    place_frame,
     quantize_angle,
     quantize_slide,
-    relative,
     unit_axes,
 )
 from .ldraw import PartInstance
@@ -368,21 +368,19 @@ def attach_pose(
     ``params`` onto connector ``target_frame`` (local) of a part at
     ``target_pose``.
 
-    The target connector's world frame is mated by ``_mate`` and composed
-    with the new connector's inverse local frame, on bare arrays in the
-    operation order of that composition of ConnectorFrames, so the result
-    matches it bit for bit. Only the returned pose is built as a (checked)
-    RigidTransform. The params must suit the family: the parser, the
-    graph-JSON loader and the matcher check them where they enter.
+    The target connector is placed by ``place_frame``, mated by ``_mate``,
+    renormalized and composed with the new connector's inverse local frame,
+    on bare arrays in the operation order of that composition of
+    ConnectorFrames, so the result matches it bit for bit. Only the returned
+    pose is built as a (checked) RigidTransform. The params must suit the
+    family: the parser, the graph-JSON loader and the matcher check them
+    where they enter.
     """
-    rt = target_pose.rotation.T
-    z, x = unit_axes(target_frame.principal_axis @ rt, target_frame.reference_axis @ rt)
-    rot, origin = _mate(
-        frame_rotation(z, x), target_frame.origin @ rt + target_pose.translation, family, params
-    )
+    placed = place_frame(target_pose.rotation, target_pose.translation, target_frame)
+    rot, origin = _mate(*placed, family, params)
     z, x = unit_axes(rot[:, 2], rot[:, 0])
     mated = frame_rotation(z, x)
-    inv = new_frame.inverse_transform()
+    inv = new_frame.inverse
     return RigidTransform(mated @ inv.rotation, mated @ inv.translation + origin)
 
 
@@ -401,16 +399,16 @@ def _check_pairing(
     r: np.ndarray,
     t: np.ndarray,
     tol: MatchTolerances,
-    max_slide: float | None,
+    max_slide: float,
 ) -> bool:
     """Matching predicate on the relative connector transform, by ``DofSpec``:
-    a slide bounds the on-axis offset by ``max_slide`` (when given) and the
-    off-axis one by the position tolerance, three rotational DOF skip the axis
-    test, a flip accepts either polarity, and zero rotational DOF pin the yaw."""
+    a slide bounds the on-axis offset by ``max_slide`` and the off-axis one by
+    the position tolerance, three rotational DOF skip the axis test, a flip
+    accepts either polarity, and zero rotational DOF pin the yaw."""
     dof = dof_spec(family)
     if dof.has_slide:
         dist = math.hypot(float(t[0]), float(t[1]))
-        if max_slide is not None and abs(float(t[2])) > max_slide + tol.position:
+        if abs(float(t[2])) > max_slide + tol.position:
             return False
     else:
         dist = float(np.linalg.norm(t))
@@ -479,8 +477,8 @@ def _endpoint_key(conn) -> tuple[int, int]:
 
 
 def _collect_world_connectors(instances, catalog: Catalog):
-    """(node_id, connector, world frame, reach) for every rigid instance;
-    raises CatalogError naming any part without an annotation entry."""
+    """(node_id, connector, world rotation, world origin, reach) for every
+    rigid instance; raises CatalogError naming any part without an annotation entry."""
     out = []
     for inst in instances:
         if inst.nonrigid:
@@ -488,8 +486,9 @@ def _collect_world_connectors(instances, catalog: Catalog):
         if inst.part_id not in catalog:
             raise CatalogError(f"no connector annotation for part {inst.part_id!r}")
         part = catalog.part(inst.part_id)
+        r, t = inst.pose.rotation, inst.pose.translation
         for c in part.connectors:
-            out.append((inst.node_id, c, c.frame.transformed(inst.pose), _connector_reach(c)))
+            out.append((inst.node_id, c, *place_frame(r, t, c.frame), _connector_reach(c)))
     return out
 
 
@@ -509,13 +508,13 @@ def _candidate_pairs(conns, tol: MatchTolerances):
     cell = max(8.0, 4.0 * tol.position)
     spread = 2.0 * math.sin(math.radians(min(abs(tol.axis_deg), 180.0)) / 2.0) + 1e-9
     grid: dict[tuple[int, int, int], list[int]] = {}
-    for i, (_, _, frame, reach) in enumerate(conns):
+    for i, (_, _, rotation, origin, reach) in enumerate(conns):
         pad = tol.position
         if reach:
-            pad = pad + reach * np.minimum(np.abs(frame.principal_axis) + spread, 1.0)
+            pad = pad + reach * np.minimum(np.abs(rotation[:, 2]) + spread, 1.0)
         # Python ints hold a cell index of any finite coordinate exactly
-        lo = np.floor((frame.origin - pad) / cell).tolist()
-        hi = np.floor((frame.origin + pad) / cell).tolist()
+        lo = np.floor((origin - pad) / cell).tolist()
+        hi = np.floor((origin + pad) / cell).tolist()
         for key in itertools.product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi))):
             grid.setdefault(key, []).append(i)
     pairs = set()
@@ -532,15 +531,15 @@ def _resolve_candidates(conns, pairs, catalog: Catalog, tol: MatchTolerances):
     for i, j in pairs:
         if keys[j] < keys[i]:
             i, j = j, i  # canonical direction: the smaller (node, connector) endpoint is 'a'
-        node_a, conn_a, frame_a, reach_a = conns[i]
-        node_b, conn_b, frame_b, reach_b = conns[j]
+        node_a, conn_a, rot_a, origin_a, reach_a = conns[i]
+        node_b, conn_b, rot_b, origin_b, reach_b = conns[j]
         if node_a == node_b or not rules.compatible(conn_a.subtype, conn_b.subtype):
             continue
         family = conn_a.family
-        m = relative(frame_a.as_transform(), frame_b.as_transform())
-        if not _check_pairing(family, m.rotation, m.translation, tol, reach_a + reach_b):
+        r, t = rot_a.T @ rot_b, rot_a.T @ (origin_b - origin_a)  # relative()'s arithmetic
+        if not _check_pairing(family, r, t, tol, reach_a + reach_b):
             continue
-        params = _quantize(family, m.rotation, m.translation)
+        params = _quantize(family, r, t)
         candidates.append(
             (
                 keys[i],

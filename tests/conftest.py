@@ -1,6 +1,7 @@
 """Shared fixtures and the test-only helpers: random rigid motions, a
 geodesic sphere mesh, axis-angle rotations, the angle between two
-rotations, text renderers for programs and LDraw instances, a graph
+rotations, the distance between two rigid transforms, a connector frame as a
+rigid transform, text renderers for programs and LDraw instances, a graph
 component, a rotation's orthonormality error, a program's action count, a
 survival proportion, a canonical stats dump, a catalog with an uninsettable
 mesh, a counter of collision-mesh builds, LDraw files whose composed
@@ -21,7 +22,13 @@ from brickir.collision import box_mesh
 from brickir.demo import DEMO_STRUCTURES, build_demo_catalog
 from brickir.connectors import ConnectorFamily
 from brickir.errors import MatchError
-from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, relative
+from brickir.geometry import (
+    ConnectorFrame,
+    QuantizedParams,
+    RigidTransform,
+    frame_rotation,
+    relative,
+)
 from brickir.graph import (
     MatchTolerances,
     _check_pairing,
@@ -97,8 +104,25 @@ def rotation_angle_deg(a: RigidTransform, b: RigidTransform) -> float:
     return math.degrees(math.atan2(s, min(1.0, max(-1.0, c))))
 
 
+def max_abs_diff(a: RigidTransform, b: RigidTransform) -> float:
+    """Largest absolute difference between the two transforms' entries."""
+    return max(
+        float(np.abs(a.rotation - b.rotation).max()),
+        float(np.abs(a.translation - b.translation).max()),
+    )
+
+
+def is_close(a: RigidTransform, b: RigidTransform, tol: float = 1e-9) -> bool:
+    return max_abs_diff(a, b) <= tol
+
+
+def frame_transform(frame: ConnectorFrame) -> RigidTransform:
+    """The frame as a rigid transform: x column = reference, z = principal."""
+    return RigidTransform(frame_rotation(frame.principal_axis, frame.reference_axis), frame.origin)
+
+
 def frame_from_transform(t: RigidTransform) -> ConnectorFrame:
-    """The connector frame whose ``as_transform()`` is t."""
+    """The connector frame whose ``frame_transform`` is t."""
     return ConnectorFrame(t.translation, t.rotation[:, 2], t.rotation[:, 0])
 
 
@@ -108,7 +132,7 @@ def realize_params(
     """World frame of the mated connector implied by quantized parameters."""
     family = ConnectorFamily(family)
     _validate_params(family, params)
-    rot, origin = _mate(existing.as_transform().rotation, existing.origin, family, params)
+    rot, origin = _mate(frame_transform(existing).rotation, existing.origin, family, params)
     return ConnectorFrame(origin, rot[:, 2], rot[:, 0])
 
 
@@ -121,8 +145,8 @@ def extract_params(
     predicate at the default tolerances (axle slide unbounded).
     """
     family = ConnectorFamily(family)
-    m = relative(frame_a.as_transform(), frame_b.as_transform())
-    if not _check_pairing(family, m.rotation, m.translation, MatchTolerances(), None):
+    m = relative(frame_transform(frame_a), frame_transform(frame_b))
+    if not _check_pairing(family, m.rotation, m.translation, MatchTolerances(), math.inf):
         raise MatchError("not a valid pairing")
     return _quantize(family, m.rotation, m.translation)
 

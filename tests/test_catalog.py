@@ -1,12 +1,20 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from brickir.catalog import Catalog, TriMesh, build_catalog_from_library, normalize_part_name
+from brickir.catalog import (
+    Catalog,
+    PartDef,
+    TriMesh,
+    build_catalog_from_library,
+    normalize_part_name,
+)
 from brickir.collision import PartColliders
 from brickir.demo import build_demo_catalog
 from brickir.errors import CatalogError
+from brickir.geometry import RigidTransform
 
 IDENTITY = "1 0 0 0 1 0 0 0 1"
 
@@ -145,3 +153,23 @@ def test_catalog_color_overrides():
     cat = Catalog.from_json_obj({"parts": {}, "colors": {"999": "Hyperfuchsia"}})
     assert cat.color_name(999) == "hyperfuchsia"
     assert cat.color_name(4) == "red"  # defaults still present
+
+
+def test_every_loader_bounds_connector_origins(library_dir):
+    # JSON, the library scan and the demo's parts are all built as PartDefs,
+    # which reject a connector origin beyond the mesh bound of 1e6 LDU
+    message = "part '3024': connector origin beyond 1e\\+06 LDU"
+    obj = build_demo_catalog().to_json_obj()
+    obj["parts"]["3024"]["connectors"][0]["origin"] = [0.0, -1e6, 0.0]
+    Catalog.from_json_obj(obj)  # on the bound
+    obj["parts"]["3024"]["connectors"][0]["origin"] = [0.0, np.nextafter(-1e6, -np.inf), 0.0]
+    with pytest.raises(CatalogError, match=message):
+        Catalog.from_json_obj(obj)
+    part_file = library_dir / "parts" / "3024.dat"
+    part_file.write_text(f"0 Plate 1 x 1\n1 16 0 0 2e6 {IDENTITY} stud.dat\n")
+    with pytest.raises(CatalogError, match=message):
+        build_catalog_from_library(library_dir)
+    stud = build_demo_catalog().part("3024").connectors[0]
+    far = stud.frame.transformed(RigidTransform(np.eye(3), np.array([1e300, 0.0, 0.0])))
+    with pytest.raises(CatalogError, match=message):
+        PartDef("3024", "plate 1x1", (dataclasses.replace(stud, frame=far),))

@@ -973,6 +973,21 @@ def _set_connector(part, k, key, value):
     return edit
 
 
+def _set_origins(part, value):
+    def edit(obj):
+        for connector in obj["parts"][part]["connectors"]:
+            connector["origin"] = value
+    return edit
+
+
+# plate 1x1 turned 45 degrees about the vertical, so a connector origin of
+# 1.5e308 in x and z overflows when placed; and a program that places it so
+TURNED_PLATE = "1 4 0 0 0 0.7071067811865476 0 0.7071067811865476 0 1 0 " \
+    "-0.7071067811865476 0 0.7071067811865476 3024.dat\n"
+TURNED_PLATE_PROGRAM = "a plate 1x1 | red\nb plate 1x1 | red\na stud stud a hole b 45\n"
+ORIGIN_OVERFLOW = "part '3024': connector origin beyond 1e+06 LDU"
+
+
 def _set_first_vertex(value):
     def edit(obj):
         obj["parts"]["3023"]["mesh"]["vertices"][0][0] = value
@@ -982,7 +997,8 @@ def _set_first_vertex(value):
 # Inputs the fuzz tests above found. When they were found, the two
 # non-string cases raised tracebacks, the NaN vertex exited 0 with meshes
 # that never collide, and the rest printed numpy overflow or cast warnings;
-# the overflowing pose rotation also loaded as the identity.
+# the overflowing pose rotation also loaded as the identity. The overflowing
+# connector origin raised a traceback in the matcher and the executor.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("catalog_edit, argv, name, data, code, message", [
     (None, ["sample"], "g.json", _graph_text(lambda o: o["nodes"][0]["pose"]["rot"].__setitem__(
@@ -1003,9 +1019,16 @@ def _set_first_vertex(value):
      "mesh vertex beyond 1e+06 LDU or not finite"),
     (_set_first_vertex(float("nan")), ["parse"], "s.ldr", demo_ldr("stack4"), 3,
      "mesh vertex beyond 1e+06 LDU or not finite"),
+    *((_set_origins("3024", [1.5e308, 0, 1.5e308]), [command], name, data, 3, ORIGIN_OVERFLOW)
+      for command, name, data in (("graph", "turned.ldr", TURNED_PLATE),
+                                  ("execute", "p.bseq", TURNED_PLATE_PROGRAM),
+                                  ("check", "p.bseq", TURNED_PLATE_PROGRAM),
+                                  ("eval", "p.bseq", TURNED_PLATE_PROGRAM))),
 ], ids=["graph-pose-overflow", "graph-part-not-a-string", "ldraw-translation-1e200",
         "catalog-axle-length-a", "catalog-axle-length-1e308", "catalog-axis-1e308",
-        "catalog-vertex-1e308", "catalog-vertex-nan"])
+        "catalog-vertex-1e308", "catalog-vertex-nan", "catalog-origin-1e308-graph",
+        "catalog-origin-1e308-execute", "catalog-origin-1e308-check",
+        "catalog-origin-1e308-eval"])
 def test_fuzz_found_inputs_keep_the_exit_code_contract(tmp_path, catalog_edit, argv, name, data,
                                                        code, message):
     catalog = tmp_path / "catalog.json"

@@ -10,6 +10,7 @@ from brickir.geometry import (
     QuantizedParams,
     RigidTransform,
     compose,
+    place_frame,
     quantize_angle,
     quantize_slide,
     relative,
@@ -17,6 +18,8 @@ from brickir.geometry import (
 
 from conftest import (
     frame_from_transform,
+    frame_transform,
+    is_close,
     orthonormality_error,
     random_rigid,
     random_rotation,
@@ -28,14 +31,14 @@ from oracles import reference_rigid_check
 def test_compose_identity():
     rng = np.random.default_rng(0)
     t = random_rigid(rng)
-    assert compose(RigidTransform.identity(), t).is_close(t)
-    assert compose(t, RigidTransform.identity()).is_close(t)
+    assert is_close(compose(RigidTransform.identity(), t), t)
+    assert is_close(compose(t, RigidTransform.identity()), t)
 
 
 def test_compose_inverse_is_identity():
     rng = np.random.default_rng(1)
     t = random_rigid(rng)
-    assert compose(t, t.inverse()).is_close(RigidTransform.identity(), tol=1e-9)
+    assert is_close(compose(t, t.inverse()), RigidTransform.identity(), tol=1e-9)
 
 
 def test_chain_of_90_degree_rotations_matches_integer_oracle():
@@ -57,8 +60,8 @@ def test_chain_of_90_degree_rotations_matches_integer_oracle():
 def test_relative_trivial():
     rng = np.random.default_rng(3)
     t = random_rigid(rng)
-    assert relative(t, t).is_close(RigidTransform.identity())
-    assert relative(RigidTransform.identity(), t).is_close(t)
+    assert is_close(relative(t, t), RigidTransform.identity())
+    assert is_close(relative(RigidTransform.identity(), t), t)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -67,7 +70,7 @@ def test_relative_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     a = random_rigid(rng)
     b = random_rigid(rng)
-    assert compose(a, relative(a, b)).is_close(b, tol=1e-9)
+    assert is_close(compose(a, relative(a, b)), b, tol=1e-9)
 
 
 def test_roundtrip_error_over_1000_composed_steps():
@@ -79,7 +82,7 @@ def test_roundtrip_error_over_1000_composed_steps():
     back = acc
     for s in reversed(steps):
         back = compose(back, s.inverse())
-    assert back.is_close(RigidTransform.identity(), tol=1e-6)
+    assert is_close(back, RigidTransform.identity(), tol=1e-6)
 
 
 def test_rotation_drift_4096_quantized_compositions():
@@ -166,10 +169,23 @@ def test_connector_frame_transform_roundtrip():
     for _ in range(20):
         t = random_rigid(rng)
         f = frame_from_transform(t)
-        assert f.as_transform().is_close(t, tol=1e-9)
+        assert is_close(frame_transform(f), t, tol=1e-9)
         moved = f.transformed(t)
         back = moved.transformed(t.inverse())
         assert back.is_close(f, tol=1e-9)
+
+
+def test_place_frame_equals_the_transformed_frame():
+    # placing a part-local frame on a pose gives, bit for bit, the transform
+    # of the frame that ConnectorFrame.transformed moves there
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        pose = random_rigid(rng, scale=1e4)
+        frame = ConnectorFrame(rng.normal(size=3) * 50, rng.normal(size=3), rng.normal(size=3))
+        rotation, origin = place_frame(pose.rotation, pose.translation, frame)
+        want = frame_transform(frame.transformed(pose))
+        assert np.array_equal(rotation, want.rotation)
+        assert np.array_equal(origin, want.translation)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.errors import CatalogError, GraphParseError, MatchError
-from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
+from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose, relative
 from brickir.graph import (
     ConnEdge,
     ConnectivityGraph,
@@ -20,6 +21,7 @@ from brickir.graph import (
     _candidate_pairs,
     _check_pairing,
     _collect_world_connectors,
+    _endpoint_key,
     _resolve_candidates,
     attach_pose,
     canonical_ball_euler,
@@ -41,6 +43,8 @@ from conftest import (
     demo_ldr,
     extract_params,
     frame_from_transform,
+    frame_transform,
+    is_close,
     random_rigid,
     realize_params,
     rotation_about_axis,
@@ -314,7 +318,8 @@ def test_check_pairing_matches_the_per_family_reference(position, axis_deg):
         max_slide = [None, 0.0, float(rng.uniform(0.0, 30.0))][int(rng.integers(3))]
         r, t = _near_boundary_transform(rng, tol, max_slide)
         want = reference_check_pairing(family, r, t, tol, max_slide)
-        assert _check_pairing(family, r, t, tol, max_slide) == want, (family, r, t, max_slide)
+        slide = math.inf if max_slide is None else max_slide  # the reference's None: unbounded
+        assert _check_pairing(family, r, t, tol, slide) == want, (family, r, t, max_slide)
         verdicts[family][want] += 1
     for family, seen in verdicts.items():
         assert seen[True] and seen[False], (family, seen)
@@ -404,9 +409,78 @@ def test_attach_pose_equals_frame_object_composition():
         ):
             got = attach_pose(pose, fa, fb, family, params)
             realized = realize_params(fa.transformed(pose), params, family)
-            want = compose(realized.as_transform(), fb.as_transform().inverse())
+            want = compose(frame_transform(realized), frame_transform(fb).inverse())
             assert np.array_equal(got.rotation, want.rotation)
             assert np.array_equal(got.translation, want.translation)
+
+
+def test_matcher_places_and_pairs_frames_as_the_frame_objects(monkeypatch):
+    # each row of the matcher is its connector's frame moved by
+    # ConnectorFrame.transformed, and each pair's (r, t) is geometry.relative
+    # of those two frames' transforms, bit for bit
+    insts = _jittered_structure(np.random.default_rng(19), 30, 0.6, 3.0)
+    conns = _collect_world_connectors(insts, CAT)
+    placed = [
+        frame_transform(c.frame.transformed(inst.pose))
+        for inst in insts
+        for c in CAT.part(inst.part_id).connectors
+    ]
+    for (_, _, rotation, origin, _), want in zip(conns, placed, strict=True):
+        assert np.array_equal(rotation, want.rotation)
+        assert np.array_equal(origin, want.translation)
+    seen = []
+
+    def spy(family, r, t, tol, max_slide):
+        seen.append((r, t))
+        return _check_pairing(family, r, t, tol, max_slide)
+
+    monkeypatch.setattr("brickir.graph._check_pairing", spy)
+    checked = 0
+    for pair in sorted(_candidate_pairs(conns, TOL)):
+        seen.clear()
+        _resolve_candidates(conns, {pair}, CAT, TOL)
+        if seen:  # a pair on one part, or of incompatible subtypes, is not checked
+            a, b = sorted(pair, key=lambda k: _endpoint_key(conns[k]))
+            want = relative(placed[a], placed[b])
+            ((r, t),) = seen
+            assert np.array_equal(r, want.rotation) and np.array_equal(t, want.translation)
+            checked += 1
+    assert checked > 20
+
+
+def _brick_wall(rng, length: int = 6, courses: int = 6) -> list:
+    """A running-bond wall of 1x2 bricks, two deep, under a random world
+    pose; its third course is technic bricks, each front/back pair joined by
+    a pin."""
+    world = random_rigid(rng)
+    insts = []
+    for k in range(courses):
+        for i in range(length):
+            x = 20 * (k % 2) + 40 * i
+            placed = [("3700" if k == 2 else "3004", x, -24 * k, z) for z in (0, 20)]
+            placed += [("3673", x, -24 * k + 12, 10)] if k == 2 else []
+            for part, *at in placed:
+                insts.append(_inst(len(insts), part, compose(world, _trans(*at))))
+    return insts
+
+
+def test_match_connectors_builds_no_frame_or_transform(monkeypatch):
+    # the matcher works on place_frame's arrays: it builds no world
+    # ConnectorFrame and no RigidTransform, per connector or per pair
+    insts = _brick_wall(np.random.default_rng(208))
+    built = Counter()
+    for cls in (ConnectorFrame, RigidTransform):
+        def counting(self, real=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    g = match_connectors(insts, CAT)
+    assert built == Counter()
+    # five course joints of 11 stud columns in each of the two rows, and both
+    # ends of the six pins
+    families = Counter(e.family for e in g.edges)
+    assert families == {ConnectorFamily.STUD: 110, ConnectorFamily.AXLE: 12}
 
 
 @st.composite
@@ -492,7 +566,7 @@ def _ball_reversal_error_deg(euler, seed):
     fb = realize_params(fa, params, ConnectorFamily.BALL)
     fa_again = realize_params(fb, reverse_params(ConnectorFamily.BALL, params), ConnectorFamily.BALL)
     assert np.abs(fa_again.origin - fa.origin).max() <= 1e-9
-    angle = rotation_angle_deg(fa_again.as_transform(), fa.as_transform())
+    angle = rotation_angle_deg(frame_transform(fa_again), frame_transform(fa))
     return angle, fa_again.principal_axis @ fa.principal_axis
 
 
@@ -640,7 +714,7 @@ def test_graph_json_roundtrip():
     assert set(g2.nodes) == set(g.nodes)
     assert [e.to_json_obj() for e in g2.edges] == [e.to_json_obj() for e in g.edges]
     for nid in g.nodes:
-        assert g2.nodes[nid].pose.is_close(g.nodes[nid].pose, tol=0.0)
+        assert is_close(g2.nodes[nid].pose, g.nodes[nid].pose, tol=0.0)
 
 
 @pytest.mark.parametrize(

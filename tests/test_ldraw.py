@@ -12,7 +12,7 @@ from brickir.ldraw import (
     scan_primitives,
 )
 
-from conftest import OVERFLOWING_MPDS, instances_to_ldr, random_rotation
+from conftest import OVERFLOWING_MPDS, instances_to_ldr, is_close, random_rotation
 from oracles import reference_is_rigid, reference_orthonormalize
 
 PARTS = {"3001", "3023"}
@@ -148,7 +148,7 @@ def test_reserialize_reparse_is_lossless():
         assert a.color == b.color
         assert a.raw == b.raw
         assert a.nonrigid == b.nonrigid
-        assert a.pose.is_close(b.pose, tol=0.0)  # bitwise
+        assert is_close(a.pose, b.pose, tol=0.0)  # bitwise
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,15 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import action_count, component, demo_ldr, render_program, rotation_angle_deg
+from conftest import (
+    action_count,
+    component,
+    demo_ldr,
+    is_close,
+    max_abs_diff,
+    render_program,
+    rotation_angle_deg,
+)
 from oracles import reference_placements, reference_validate_prefix, replay_path_poses
 
 CAT = build_demo_catalog()
@@ -172,7 +180,7 @@ def test_parse_trailing_unattached_intro():
 def test_execute_single_part_identity():
     poses = execute("a plate 1x2 | red\n", CAT)
     assert set(poses) == {"a"}
-    assert poses["a"].is_close(RigidTransform.identity(), tol=0.0)
+    assert is_close(poses["a"], RigidTransform.identity(), tol=0.0)
 
 
 def _chain_catalog():
@@ -282,7 +290,7 @@ def test_roundtrip_exact_both_directions_on_grid_edges():
             root_pose = g.nodes[path.root].pose
             for nid, letter in node_letters(path).items():
                 got = compose(root_pose, poses[letter])
-                assert got.max_abs_diff(g.nodes[nid].pose) <= 1e-9
+                assert max_abs_diff(got, g.nodes[nid].pose) <= 1e-9
     assert checked >= 20
     assert reversed_families == set(ConnectorFamily) - {ConnectorFamily.BALL}
 
@@ -297,7 +305,7 @@ def test_roundtrip_geometry_via_matched_graph():
     root_pose = g.nodes[path.root].pose
     for nid, letter in letters.items():
         reconstructed = compose(root_pose, poses[letter])
-        assert reconstructed.max_abs_diff(g.nodes[nid].pose) <= 1e-9
+        assert max_abs_diff(reconstructed, g.nodes[nid].pose) <= 1e-9
 
 
 def test_roundtrip_bound_over_mixed_corpus():
