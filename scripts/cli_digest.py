@@ -2,6 +2,7 @@
 """Digest of the CLI's behaviour on a fixed, seeded set of calls.
 
     python scripts/cli_digest.py
+    python scripts/cli_digest.py --coretypes Prescott,Haswell,SkylakeX
 
 Builds the demo catalog, the demo structures, graph JSON of seeded random
 build paths and seeded random programs (every third one corrupted at one
@@ -33,16 +34,26 @@ The --no-collision calls run the executor without reading a single pose.
 Each call's exit code, stdout, stderr and --out files are hashed. The script
 prints one line per call (digest, exit code, label) and then the sha256 over
 all calls. Two checkouts that print the same overall digest behave
-byte-identically on these calls.
+byte-identically on these calls. The inputs are written with the same plain
+float arithmetic on every CPU (no numpy matrix product), so they do not
+depend on the BLAS kernel either.
+
+With --coretypes A,B,... the script runs itself once per OpenBLAS core type
+in a child process, with OPENBLAS_CORETYPE set in that child's environment
+only. It prints each core type's overall digest and the label of every call
+whose line differs between them, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +62,7 @@ import numpy as np
 
 from brickir.cli import main as cli_main
 from brickir.demo import DEMO_STRUCTURES, build_demo_catalog, generate_random_path
+from brickir.geometry import mat_mul, norm
 from brickir.program import serialize
 
 OVERLAP = (
@@ -62,12 +74,17 @@ OVERLAP = (
 PERTURBED = 8
 
 
-def _rotation(axis, degrees: float) -> np.ndarray:
-    """Rodrigues rotation about an axis."""
-    x, y, z = np.asarray(axis, float) / np.linalg.norm(axis)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    a = np.radians(degrees)
-    return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)
+def _rotation(axis, degrees: float):
+    """Rodrigues rotation about an axis, as rows."""
+    length = norm(axis)
+    x, y, z = (v / length for v in axis)
+    k = ((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0))
+    a = math.radians(degrees)
+    s, c = math.sin(a), 1.0 - math.cos(a)
+    kk = mat_mul(k, k)
+    return tuple(
+        tuple(float(i == j) + s * k[i][j] + c * kk[i][j] for j in range(3)) for i in range(3)
+    )
 
 
 def _perturbed_mixed(rng) -> str:
@@ -80,15 +97,16 @@ def _perturbed_mixed(rng) -> str:
             lines.append(line)
             continue
         fields = line.split()
-        pos = np.array(fields[2:5], float)
-        rot = np.array(fields[5:14], float).reshape(3, 3)
+        pos = [float(v) for v in fields[2:5]]
+        rot = [[float(v) for v in fields[i:i + 3]] for i in (5, 8, 11)]
         axis = rng.normal(size=3) if rng.random() < 0.5 else np.eye(3)[int(rng.integers(3))]
         angle = [0.0, 1.9, 2.1, 180.0, rng.uniform(0.0, 5.0)][int(rng.integers(5))]
-        step = rng.normal(size=3)
-        step *= [0.0, 0.9, 1.1, rng.uniform(0.0, 2.0), rng.uniform(-30.0, 30.0)][
-            int(rng.integers(5))] / np.linalg.norm(step)
-        rot = _rotation(axis, angle) @ rot
-        numbers = " ".join(f"{v:.17g}" for v in [*(pos + step), *rot.ravel()])
+        step = rng.normal(size=3).tolist()
+        length = [0.0, 0.9, 1.1, rng.uniform(0.0, 2.0), rng.uniform(-30.0, 30.0)][
+            int(rng.integers(5))] / norm(step)
+        rot = mat_mul(_rotation(axis.tolist(), angle), rot)
+        moved = [p + s * length for p, s in zip(pos, step)]
+        numbers = " ".join(f"{v:.17g}" for v in [*moved, *rot[0], *rot[1], *rot[2]])
         lines.append(f"{fields[0]} {fields[1]} {numbers} {fields[14]}")
     return "\n".join(lines) + "\n"
 
@@ -314,7 +332,30 @@ def _digest_call(argv, out) -> tuple[int, str]:
     return code, h.hexdigest()
 
 
-def main() -> int:
+def _compare_coretypes(coretypes) -> int:
+    """Run this script once per OpenBLAS core type, each in a child process
+    with OPENBLAS_CORETYPE in its own environment; print each overall digest
+    and the labels of the calls whose lines differ. 1 if any differ."""
+    runs = []
+    for core in coretypes:
+        env = {**os.environ, "OPENBLAS_CORETYPE": core}
+        done = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                              text=True, check=True)
+        runs.append(done.stdout.splitlines())
+        print(f"{core} {runs[-1][-1]}")
+    differ = [line.split(" ", 2)[2] for line, *others in zip(*(run[:-1] for run in runs))
+              if any(other != line for other in others)]
+    for label in differ:
+        print(f"differs: {label}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--coretypes", help="comma-separated OpenBLAS core types to compare")
+    args = parser.parse_args(argv)
+    if args.coretypes:
+        return _compare_coretypes(args.coretypes.split(","))
     cwd = os.getcwd()
     env_catalog = os.environ.pop("BRICKIR_CATALOG", None)
     env_columns = os.environ.get("COLUMNS")

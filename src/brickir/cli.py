@@ -3,7 +3,10 @@ check / stats / eval subcommands over the library pipeline.
 
 Exit codes are a stable contract: 0 success, 1 I/O, 2 parse error,
 3 catalog/annotation error, 4 validation failure under --strict. Runs with
-identical inputs, flags and seed produce byte-identical output.
+identical inputs, flags and seed produce byte-identical output under one
+OpenBLAS kernel, and under the Prescott, Haswell and SkylakeX kernels alike
+except the pose bytes that parse and graph take from an LDraw file (LAPACK's
+SVD, in geometry.nearest_rotation, can differ in the last bits).
 """
 
 from __future__ import annotations

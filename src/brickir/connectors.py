@@ -137,13 +137,26 @@ def default_primitive_table() -> dict:
 
 @dataclass(frozen=True)
 class AnnotatedConnector:
-    """One attachment site of a part, in the part's local frame."""
+    """One attachment site of a part, in the part's local frame. An axle
+    length, where there is one, is a number in [0, AXLE_LENGTH_MAX]; any
+    other raises ValueError (the library scan turns it into AnnotationError)."""
 
     index: str
     family: ConnectorFamily
     subtype: str
     frame: ConnectorFrame
     axle_length: float | None = None
+
+    def __post_init__(self):
+        length = self.axle_length
+        if length is not None and not (
+            isinstance(length, (int, float))
+            and not isinstance(length, bool)
+            and 0.0 <= length <= AXLE_LENGTH_MAX
+        ):
+            raise ValueError(
+                f"axle_length must be a number in [0, {AXLE_LENGTH_MAX:g}], got {length!r}"
+            )
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -169,16 +182,7 @@ class AnnotatedConnector:
             np.array(obj["principal_axis"], dtype=np.float64),
             np.array(obj["reference_axis"], dtype=np.float64),
         )
-        length = obj.get("axle_length")
-        if length is not None and not (
-            isinstance(length, (int, float))
-            and not isinstance(length, bool)
-            and 0.0 <= length <= AXLE_LENGTH_MAX
-        ):
-            raise ValueError(
-                f"axle_length must be a number in [0, {AXLE_LENGTH_MAX:g}], got {length!r}"
-            )
-        return cls(obj.get("index"), family, subtype, frame, length)
+        return cls(obj.get("index"), family, subtype, frame, obj.get("axle_length"))
 
 
 def _site_family(subtype: str, obj) -> ConnectorFamily:
@@ -210,8 +214,8 @@ def _site_key(site):
 def index_sites(part_id: str, sites) -> tuple[AnnotatedConnector, ...]:
     """A part's connectors with their canonical indices: the
     ``(family, subtype, frame, axle_length)`` sites sorted by ``_site_key``
-    get the letter ids a, b, ... Two sites with the same frame raise
-    AnnotationError."""
+    get the letter ids a, b, ... Two sites with the same frame, or an axle
+    length out of range, raise AnnotationError."""
     sites = sorted(sites, key=_site_key)
     by_origin: dict[tuple, list] = {}
     for site in sites:
@@ -221,10 +225,13 @@ def index_sites(part_id: str, sites) -> tuple[AnnotatedConnector, ...]:
             if other[2].is_close(site[2], tol=1e-9):
                 raise AnnotationError(f"{part_id}: duplicate connector site at {key}")
         group.append(site)
-    return tuple(
-        AnnotatedConnector(letter_id(i), family, subtype, frame, length)
-        for i, (family, subtype, frame, length) in enumerate(sites)
-    )
+    try:
+        return tuple(
+            AnnotatedConnector(letter_id(i), family, subtype, frame, length)
+            for i, (family, subtype, frame, length) in enumerate(sites)
+        )
+    except ValueError as exc:
+        raise AnnotationError(f"{part_id}: {exc}") from exc
 
 
 def annotate_part(part_id: str, primitive_refs) -> tuple[AnnotatedConnector, ...]:

@@ -3,6 +3,13 @@
 Rotations are proper (det +1) 3x3 float64 matrices; translations are in LDU.
 The integer degree / integer LDU grid appears only at serialization
 boundaries -- all internal math stays in 64-bit floats.
+
+Every product that makes a pose runs in the scalar kernel below (row tuples
+of Python floats, each operation rounded once), so a pose's bits do not
+depend on the BLAS kernel numpy loaded. numpy stays where arrays pay:
+collision's bulk (n, 3) products on ``RigidTransform.rotation`` and
+``translation``, which decide verdicts only, and ``nearest_rotation``'s SVD
+and polar product, where an LDraw matrix enters.
 """
 
 from __future__ import annotations
@@ -19,9 +26,6 @@ ORTHONORMAL_TOL = 1e-9
 SCALE_TOL = 1e-3
 # Largest connector-axis component: squares of larger ones can overflow.
 AXIS_LIMIT = 1e150
-
-_IDENTITY3 = np.eye(3)
-_IDENTITY3.flags.writeable = False
 
 
 def _det3(m) -> float:
@@ -46,6 +50,120 @@ def nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, bool]:
     return u @ vt, proper and bool(np.abs(s - 1.0).max() <= SCALE_TOL)
 
 
+# ---------------------------------------------------------------------------
+# The scalar pose kernel. A 3x3 matrix is a tuple of three row tuples and a
+# vector a 3-tuple, all of Python floats. Each product is written out as plain
+# float expressions summed left to right over k: every operation is one IEEE
+# double operation, rounded once (CPython fuses no multiply-add), so the same
+# inputs give the same bits on every CPU, whichever BLAS kernel numpy loaded.
+# On 3x3 operands this is also faster than a numpy call.
+
+
+def mat_mul(a, b):
+    """a · b."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return (
+        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
+        (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
+        (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8),
+    )
+
+
+def mat_t_mul(a, b):
+    """aᵀ · b."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return (
+        (a0 * b0 + a3 * b3 + a6 * b6, a0 * b1 + a3 * b4 + a6 * b7, a0 * b2 + a3 * b5 + a6 * b8),
+        (a1 * b0 + a4 * b3 + a7 * b6, a1 * b1 + a4 * b4 + a7 * b7, a1 * b2 + a4 * b5 + a7 * b8),
+        (a2 * b0 + a5 * b3 + a8 * b6, a2 * b1 + a5 * b4 + a8 * b7, a2 * b2 + a5 * b5 + a8 * b8),
+    )
+
+
+def mat_vec(a, v):
+    """a · v."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    x, y, z = v
+    return (a0 * x + a1 * y + a2 * z, a3 * x + a4 * y + a5 * z, a6 * x + a7 * y + a8 * z)
+
+
+def mat_vec_add(a, v, t):
+    """a · v + t."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    x, y, z = v
+    t0, t1, t2 = t
+    return (
+        a0 * x + a1 * y + a2 * z + t0,
+        a3 * x + a4 * y + a5 * z + t1,
+        a6 * x + a7 * y + a8 * z + t2,
+    )
+
+
+def mat_t_vec(a, v):
+    """aᵀ · v."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    x, y, z = v
+    return (a0 * x + a3 * y + a6 * z, a1 * x + a4 * y + a7 * z, a2 * x + a5 * y + a8 * z)
+
+
+def norm(v) -> float:
+    """Euclidean length: the correctly rounded square root of v · v."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def orthonormal(rows) -> bool:
+    """Whether every entry of RᵀR − I lies within ORTHONORMAL_TOL. An entry
+    that overflowed to inf or nan fails ("not <="), so it goes to the repair."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rows
+    return (
+        abs(a0 * a0 + a3 * a3 + a6 * a6 - 1.0) <= ORTHONORMAL_TOL
+        and abs(a1 * a1 + a4 * a4 + a7 * a7 - 1.0) <= ORTHONORMAL_TOL
+        and abs(a2 * a2 + a5 * a5 + a8 * a8 - 1.0) <= ORTHONORMAL_TOL
+        and abs(a0 * a1 + a3 * a4 + a6 * a7) <= ORTHONORMAL_TOL
+        and abs(a0 * a2 + a3 * a5 + a6 * a8) <= ORTHONORMAL_TOL
+        and abs(a1 * a2 + a4 * a5 + a7 * a8) <= ORTHONORMAL_TOL
+    )
+
+
+def unit_axes(principal, reference):
+    """Normalize a principal axis and project the reference axis into the
+    plane perpendicular to it, then normalize that too."""
+    pn = norm(principal)
+    if pn < 1e-9:
+        raise ValueError("zero-length principal axis")
+    p0, p1, p2 = principal[0] / pn, principal[1] / pn, principal[2] / pn
+    r0, r1, r2 = reference
+    d = r0 * p0 + r1 * p1 + r2 * p2
+    r = (r0 - d * p0, r1 - d * p1, r2 - d * p2)
+    rn = norm(r)
+    if rn < 1e-9:
+        raise ValueError("reference axis parallel to principal axis")
+    return (p0, p1, p2), (r[0] / rn, r[1] / rn, r[2] / rn)
+
+
+def frame_rotation(principal, reference):
+    """The rotation with columns x = reference, y = z cross x, z = principal."""
+    z0, z1, z2 = principal
+    x0, x1, x2 = reference
+    return (
+        (x0, z1 * x2 - z2 * x1, z0),
+        (x1, z2 * x0 - z0 * x2, z1),
+        (x2, z0 * x1 - z1 * x0, z2),
+    )
+
+
+IDENTITY_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    a = np.array(values, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid transform ``x -> rotation @ x + translation`` (LDU).
@@ -56,53 +174,59 @@ class RigidTransform:
     ``nearest_rotation``, which repairs composition drift; one that is not
     rigid (a singular value beyond SCALE_TOL of 1) raises ValueError. A
     rotation within ORTHONORMAL_TOL runs no LAPACK code.
+
+    ``rotation`` and ``translation`` are read-only float64 arrays, for the
+    bulk (n, 3) products of collision; ``rotation_rows`` and
+    ``translation_xyz`` hold the same numbers as Python floats, for the
+    scalar kernel that composes poses.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        rows = r.tolist()
-        if not all(map(math.isfinite, (*rows[0], *rows[1], *rows[2], *t.tolist()))):
+        r = self.rotation
+        # one float64 buffer of the 12 numbers; its tolist() is their floats
+        buf = _frozen([*r[0], *r[1], *r[2], *self.translation])
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, x, y, z = numbers = buf.tolist()
+        rows = ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8))
+        if not all(map(math.isfinite, numbers)):
             raise ValueError("non-finite transform")
         if _det3(rows) <= 0:
             raise ValueError("rotation must have positive determinant")
-        # "not <=" also sends an error of inf or nan (RᵀR overflowed) to the repair
-        if not np.abs(r.T @ r - _IDENTITY3).max() <= ORTHONORMAL_TOL:
-            r, rigid = nearest_rotation(r)
+        if orthonormal(rows):
+            rotation = buf[:9].reshape(3, 3)
+        else:
+            rotation, rigid = nearest_rotation(rows)
             if not rigid:
                 raise ValueError(f"rotation is scaled or sheared beyond {SCALE_TOL:g}")
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+            rotation = _frozen(rotation)
+            rows = tuple(map(tuple, rotation.tolist()))
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", buf[9:])
+        object.__setattr__(self, "rotation_rows", rows)
+        object.__setattr__(self, "translation_xyz", (x, y, z))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
+        return cls(IDENTITY_ROWS, (0.0, 0.0, 0.0))
 
     def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
+        rows = self.rotation_rows
+        x, y, z = mat_t_vec(rows, self.translation_xyz)
+        return RigidTransform(tuple(zip(*rows)), (-x, -y, -z))
 
     def to_json_obj(self) -> dict:
         """``{"rot": row-major 9 floats, "t": 3 floats}``, the pose JSON of
         every CLI output and of graph files."""
-        return {
-            "rot": [float(v) for v in self.rotation.reshape(9)],
-            "t": [float(v) for v in self.translation],
-        }
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = self.rotation_rows
+        return {"rot": [a0, a1, a2, a3, a4, a5, a6, a7, a8], "t": list(self.translation_xyz)}
 
     @classmethod
     def from_json_obj(cls, obj) -> "RigidTransform":
         rotation = np.array(obj["rot"], dtype=np.float64).reshape(3, 3)
-        translation = np.array(obj["t"], dtype=np.float64)
-        # Entries near the float limit overflow RᵀR: the error is then inf or
-        # nan, the repair rejects the matrix, and numpy warns of nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return cls(rotation, translation)
+        translation = np.array(obj["t"], dtype=np.float64).reshape(3)
+        return cls(rotation, translation)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (3,) or many points (n, 3)."""
@@ -110,63 +234,38 @@ class RigidTransform:
         return p @ self.rotation.T + self.translation
 
 
+def compose_rows(ra, ta, rb, tb):
+    """``compose``'s arithmetic on the kernel's rows and vectors: (ra, ta)
+    after (rb, tb)."""
+    return mat_mul(ra, rb), mat_vec_add(ra, tb, ta)
+
+
+def relative_rows(ra, ta, rb, tb):
+    """``relative``'s arithmetic on the kernel's rows and vectors: (ra, ta)⁻¹
+    after (rb, tb)."""
+    (x, y, z), (u, v, w) = tb, ta
+    return mat_t_mul(ra, rb), mat_t_vec(ra, (x - u, y - v, z - w))
+
+
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """a after b: ``compose(a, b).apply(x) == a.apply(b.apply(x))``."""
-    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+    return RigidTransform(*compose_rows(
+        a.rotation_rows, a.translation_xyz, b.rotation_rows, b.translation_xyz))
 
 
 def relative(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """The transform r with ``compose(a, r) == b``, i.e. a^-1 o b."""
-    rt = a.rotation.T
-    return RigidTransform(rt @ b.rotation, rt @ (b.translation - a.translation))
+    return RigidTransform(*relative_rows(
+        a.rotation_rows, a.translation_xyz, b.rotation_rows, b.translation_xyz))
 
 
-def unit_axes(principal: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a principal axis and project the reference axis into the
-    plane perpendicular to it, then normalize that too.
-
-    The norms are np.linalg.norm's arithmetic on a 1-D float vector (the
-    square root of the raveled vector's dot with itself), without its
-    dispatch; math.sqrt and np.sqrt are both correctly rounded, so they agree.
-    """
-    x = principal.ravel(order="K")
-    pn = math.sqrt(x.dot(x))
-    if pn < 1e-9:
-        raise ValueError("zero-length principal axis")
-    p = principal / pn
-    r = reference - (reference @ p) * p
-    x = r.ravel(order="K")
-    rn = math.sqrt(x.dot(x))
-    if rn < 1e-9:
-        raise ValueError("reference axis parallel to principal axis")
-    return p, r / rn
-
-
-def frame_rotation(principal: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """The rotation with columns x = reference, y = z cross x, z = principal.
-
-    The cross product is written out: it is np.cross's arithmetic, without
-    the axis handling that makes np.cross slow on single vectors.
-    """
-    z0, z1, z2 = principal.tolist()
-    x0, x1, x2 = reference.tolist()
-    return np.array(
-        [
-            [x0, z1 * x2 - z2 * x1, z0],
-            [x1, z2 * x0 - z0 * x2, z1],
-            [x2, z0 * x1 - z1 * x0, z2],
-        ]
-    )
-
-
-def place_frame(rotation, translation, frame: ConnectorFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation (x column = reference, z = principal) and origin of the local
-    ``frame`` on a part posed by (rotation, translation), bit for bit those of
-    ``frame.transformed(pose)``: the one code that places connector frames,
-    for the matcher and ``attach_pose``."""
-    rt = rotation.T
-    z, x = unit_axes(frame.principal_axis @ rt, frame.reference_axis @ rt)
-    return frame_rotation(z, x), frame.origin @ rt + translation
+def place_frame(rotation, translation, frame: ConnectorFrame):
+    """Rotation rows (x column = reference, z = principal) and origin of the
+    local ``frame`` on a part posed by (rotation rows, translation), bit for
+    bit those of ``frame.transformed(pose)``: the one code that places
+    connector frames, for the matcher and ``attach_pose``."""
+    z, x = unit_axes(mat_vec(rotation, frame.principal_xyz), mat_vec(rotation, frame.reference_xyz))
+    return frame_rotation(z, x), mat_vec_add(rotation, frame.origin_xyz, translation)
 
 
 @dataclass(frozen=True)
@@ -176,7 +275,9 @@ class ConnectorFrame:
     ``principal_axis`` is the rotation/slide axis, ``reference_axis`` the
     zero-yaw datum perpendicular to it. Construction renormalizes the axes
     and projects the reference axis into the plane perpendicular to the
-    principal axis.
+    principal axis. The three vectors are read-only float64 arrays, and
+    ``origin_xyz``, ``principal_xyz`` and ``reference_xyz`` hold them as
+    Python floats for the scalar kernel.
     """
 
     origin: np.ndarray
@@ -184,33 +285,36 @@ class ConnectorFrame:
     reference_axis: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        p = np.asarray(self.principal_axis, dtype=np.float64).reshape(3)
-        r = np.asarray(self.reference_axis, dtype=np.float64).reshape(3)
-        if not (np.isfinite(o).all() and np.isfinite(p).all() and np.isfinite(r).all()):
+        o, p, r = (
+            tuple(np.asarray(v, dtype=np.float64).reshape(3).tolist())
+            for v in (self.origin, self.principal_axis, self.reference_axis)
+        )
+        if not all(map(math.isfinite, (*o, *p, *r))):
             raise ValueError("non-finite connector frame")
-        if max(map(abs, p.tolist() + r.tolist())) > AXIS_LIMIT:  # its square would overflow
+        if max(map(abs, p + r)) > AXIS_LIMIT:  # its square would overflow
             raise ValueError(f"connector axis component beyond {AXIS_LIMIT:g}")
         p, r = unit_axes(p, r)
-        for arr in (o, p, r):
-            arr.flags.writeable = False
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "principal_axis", p)
-        object.__setattr__(self, "reference_axis", r)
+        for name, xyz in (("origin", o), ("principal_axis", p), ("reference_axis", r)):
+            object.__setattr__(self, name, _frozen(xyz))
+        object.__setattr__(self, "origin_xyz", o)
+        object.__setattr__(self, "principal_xyz", p)
+        object.__setattr__(self, "reference_xyz", r)
 
     @cached_property
     def inverse(self) -> RigidTransform:
         """Inverse of the frame as a rigid transform (x column = reference,
         z = principal), built on first use and kept with the frame."""
-        rotation = frame_rotation(self.principal_axis, self.reference_axis)
-        return RigidTransform(rotation, self.origin).inverse()
+        rotation = frame_rotation(self.principal_xyz, self.reference_xyz)
+        return RigidTransform(rotation, self.origin_xyz).inverse()
 
     def transformed(self, t: RigidTransform) -> "ConnectorFrame":
         """This frame expressed after applying transform t, renormalized (a
         frame on a posed part is placed by ``place_frame``)."""
-        rt = t.rotation.T
+        r = t.rotation_rows
         return ConnectorFrame(
-            self.origin @ rt + t.translation, self.principal_axis @ rt, self.reference_axis @ rt
+            mat_vec_add(r, self.origin_xyz, t.translation_xyz),
+            mat_vec(r, self.principal_xyz),
+            mat_vec(r, self.reference_xyz),
         )
 
     def is_close(self, other: "ConnectorFrame", tol: float = 1e-9) -> bool:
@@ -221,8 +325,11 @@ class ConnectorFrame:
         )
 
 
-# Largest slide magnitude: every integer up to 2**53 is exact in float64.
-MAX_SLIDE_LDU = 2**53
+# Largest slide magnitude. Integer coordinates up to 2**53 are exact in
+# float64, and a slide of at most 2**52 plus part-local offsets (at most 1e6
+# LDU each) stays below that, so an axle slid along a grid-aligned connector
+# lands on its exact integer pose; at 2**53 an odd slide's pose rounds.
+MAX_SLIDE_LDU = 2**52
 
 
 @dataclass(frozen=True)
@@ -239,7 +346,7 @@ class QuantizedParams:
         if not 0 <= self.yaw_deg < 360:
             raise ValueError(f"yaw out of range [0, 360): {self.yaw_deg}")
         if abs(self.slide_ldu) > MAX_SLIDE_LDU:
-            raise ValueError("slide out of range [-2**53, 2**53] LDU")
+            raise ValueError("slide out of range [-2**52, 2**52] LDU")
         if self.euler_deg is not None:
             e = tuple(int(v) for v in self.euler_deg)
             if any(not 0 <= v < 360 for v in e):

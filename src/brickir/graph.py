@@ -37,22 +37,26 @@ from .collision import AssemblyChecker
 from .connectors import ConnectorFamily, dof_spec, letter_index
 from .errors import CatalogError, GraphParseError, MatchError
 from .geometry import (
+    IDENTITY_ROWS,
     ConnectorFrame,
     QuantizedParams,
     RigidTransform,
+    compose_rows,
     frame_rotation,
+    mat_mul,
+    mat_t_mul,
+    mat_vec_add,
     place_frame,
     quantize_angle,
     quantize_slide,
+    relative_rows,
     unit_axes,
 )
 from .ldraw import PartInstance
 
 # 180-degree rotation about the reference (x) axis: the "flip" of hinge and
-# axle connections.
-FLIP_ROTATION = np.diag([1.0, -1.0, -1.0])
-_IDENTITY = np.eye(3)
-_IDENTITY.flags.writeable = False
+# axle connections. Rotations here are the scalar kernel's row tuples.
+FLIP_ROTATION = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
 
 _GIMBAL_EPS = 1e-12
 
@@ -275,35 +279,35 @@ class BuildPath:
 
 def _rx(deg):
     c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return ((1.0, 0.0, 0.0), (0.0, c, -s), (0.0, s, c))
 
 
 def _ry(deg):
     c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return ((c, 0.0, s), (0.0, 1.0, 0.0), (-s, 0.0, c))
 
 
 def _rz(deg):
     c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
 
 
-def euler_zyx_matrix(e1, e2, e3) -> np.ndarray:
-    """Rotation of the intrinsic Z-Y-X euler angles (degrees) of ball edges."""
-    return _rz(e1) @ _ry(e2) @ _rx(e3)
+def euler_zyx_matrix(e1, e2, e3) -> tuple:
+    """Rotation rows of the intrinsic Z-Y-X euler angles (degrees) of ball edges."""
+    return mat_mul(mat_mul(_rz(e1), _ry(e2)), _rx(e3))
 
 
-def _euler_zyx_angles(r: np.ndarray) -> tuple[float, float, float]:
+def _euler_zyx_angles(r) -> tuple[float, float, float]:
     """Intrinsic Z-Y-X euler angles of a rotation; the gimbal-locked case
     pins the third angle to zero."""
-    sy = min(1.0, max(-1.0, -float(r[2, 0])))
+    sy = min(1.0, max(-1.0, -float(r[2][0])))
     b = math.degrees(math.asin(sy))
     if abs(sy) >= 1.0 - _GIMBAL_EPS:
-        a = math.degrees(math.atan2(-r[0, 1], r[1, 1]))
+        a = math.degrees(math.atan2(-r[0][1], r[1][1]))
         c = 0.0
     else:
-        a = math.degrees(math.atan2(r[1, 0], r[0, 0]))
-        c = math.degrees(math.atan2(r[2, 1], r[2, 2]))
+        a = math.degrees(math.atan2(r[1][0], r[0][0]))
+        c = math.degrees(math.atan2(r[2][1], r[2][2]))
     return a, b, c
 
 
@@ -315,14 +319,14 @@ def canonical_ball_euler(euler_deg) -> tuple[int, int, int]:
     return (quantize_angle(a), quantize_angle(b), quantize_angle(c))
 
 
-def _mate_rotation(family: ConnectorFamily, params: QuantizedParams) -> np.ndarray:
+def _mate_rotation(family: ConnectorFamily, params: QuantizedParams) -> tuple:
     dof = dof_spec(family)
     if dof.rotational_dof == 3:
         return euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))
-    base = FLIP_ROTATION if params.flip else _IDENTITY
+    base = FLIP_ROTATION if params.flip else IDENTITY_ROWS
     if dof.rotational_dof == 0:
         return base
-    return _rz(params.yaw_deg) @ base
+    return mat_mul(_rz(params.yaw_deg), base)
 
 
 def _validate_params(family: ConnectorFamily, params: QuantizedParams):
@@ -343,18 +347,12 @@ def _validate_params(family: ConnectorFamily, params: QuantizedParams):
             raise MatchError(f"{family.value} connections have no yaw parameter")
 
 
-def _mate(
-    frame_rot: np.ndarray,
-    origin: np.ndarray,
-    family: ConnectorFamily,
-    params: QuantizedParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and origin of the connector mated onto the frame
+def _mate(frame_rot, origin, family: ConnectorFamily, params: QuantizedParams):
+    """Rotation rows and origin of the connector mated onto the frame
     (frame_rot, origin) by quantized parameters, before the axes are
     renormalized. The params must suit the family (``_validate_params``)."""
-    r = _mate_rotation(family, params)
-    t = np.array([0.0, 0.0, float(params.slide_ldu)])
-    return frame_rot @ r, frame_rot @ t + origin
+    slide = (0.0, 0.0, float(params.slide_ldu))
+    return mat_mul(frame_rot, _mate_rotation(family, params)), mat_vec_add(frame_rot, slide, origin)
 
 
 def attach_pose(
@@ -370,18 +368,17 @@ def attach_pose(
 
     The target connector is placed by ``place_frame``, mated by ``_mate``,
     renormalized and composed with the new connector's inverse local frame,
-    on bare arrays in the operation order of that composition of
+    in the scalar kernel and in the operation order of that composition of
     ConnectorFrames, so the result matches it bit for bit. Only the returned
     pose is built as a (checked) RigidTransform. The params must suit the
     family: the parser, the graph-JSON loader and the matcher check them
     where they enter.
     """
-    placed = place_frame(target_pose.rotation, target_pose.translation, target_frame)
-    rot, origin = _mate(*placed, family, params)
-    z, x = unit_axes(rot[:, 2], rot[:, 0])
-    mated = frame_rotation(z, x)
+    placed = place_frame(target_pose.rotation_rows, target_pose.translation_xyz, target_frame)
+    (r0, r1, r2), origin = _mate(*placed, family, params)
+    mated = frame_rotation(*unit_axes((r0[2], r1[2], r2[2]), (r0[0], r1[0], r2[0])))
     inv = new_frame.inverse
-    return RigidTransform(mated @ inv.rotation, mated @ inv.translation + origin)
+    return RigidTransform(*compose_rows(mated, origin, inv.rotation_rows, inv.translation_xyz))
 
 
 def _wrap_deg(angle: float) -> float:
@@ -394,13 +391,7 @@ def _wrap_deg(angle: float) -> float:
     return a
 
 
-def _check_pairing(
-    family: ConnectorFamily,
-    r: np.ndarray,
-    t: np.ndarray,
-    tol: MatchTolerances,
-    max_slide: float,
-) -> bool:
+def _check_pairing(family: ConnectorFamily, r, t, tol: MatchTolerances, max_slide: float) -> bool:
     """Matching predicate on the relative connector transform, by ``DofSpec``:
     a slide bounds the on-axis offset by ``max_slide`` and the off-axis one by
     the position tolerance, three rotational DOF skip the axis test, a flip
@@ -416,23 +407,23 @@ def _check_pairing(
         return False
     if dof.rotational_dof == 3:
         return True
-    align = float(r[2, 2])
+    align = float(r[2][2])
     if (abs(align) if dof.has_flip else align) < math.cos(math.radians(tol.axis_deg)):
         return False
     if dof.rotational_dof == 0:
-        yaw = math.degrees(math.atan2(r[1, 0], r[0, 0]))
+        yaw = math.degrees(math.atan2(r[1][0], r[0][0]))
         return abs(_wrap_deg(yaw)) <= tol.axis_deg
     return True
 
 
-def _quantize(family: ConnectorFamily, r: np.ndarray, t: np.ndarray) -> QuantizedParams:
+def _quantize(family: ConnectorFamily, r, t) -> QuantizedParams:
     """Quantized parameters of a relative connector transform (r, t)."""
-    flip = bool(r[2, 2] < 0.0)  # kept only by the families that have a flip
+    flip = bool(r[2][2] < 0.0)  # kept only by the families that have a flip
     if dof_spec(family).rotational_dof == 3:
         values = [quantize_angle(v) for v in _euler_zyx_angles(r)]
     else:
-        rz = r @ (FLIP_ROTATION if flip else _IDENTITY)
-        yaw = quantize_angle(math.degrees(math.atan2(rz[1, 0], rz[0, 0])))
+        rz = mat_mul(r, FLIP_ROTATION if flip else IDENTITY_ROWS)
+        yaw = quantize_angle(math.degrees(math.atan2(rz[1][0], rz[0][0])))
         values = [yaw, quantize_slide(float(t[2]))]
     return params_from_values(family, values, flip)
 
@@ -454,11 +445,15 @@ def reverse_params(family: ConnectorFamily, params: QuantizedParams) -> Quantize
         return params
     if dof_spec(family).rotational_dof != 3:
         return params_from_values(family, [-v for v in param_values(family, params)])
-    inverse = euler_zyx_matrix(*(params.euler_deg or (0, 0, 0))).T
+    inverse = tuple(zip(*euler_zyx_matrix(*(params.euler_deg or (0, 0, 0)))))
     grid = itertools.product(*((math.floor(v), math.ceil(v)) for v in _euler_zyx_angles(inverse)))
     # trace(C^T R) = 1 + 2 cos(angle between C and R): the largest is nearest
-    nearest = max(grid, key=lambda e: float(np.sum(euler_zyx_matrix(*e) * inverse)))
+    nearest = max(grid, key=lambda e: _trace(mat_t_mul(euler_zyx_matrix(*e), inverse)))
     return QuantizedParams(euler_deg=canonical_ball_euler(nearest))
+
+
+def _trace(m) -> float:
+    return m[0][0] + m[1][1] + m[2][2]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +481,7 @@ def _collect_world_connectors(instances, catalog: Catalog):
         if inst.part_id not in catalog:
             raise CatalogError(f"no connector annotation for part {inst.part_id!r}")
         part = catalog.part(inst.part_id)
-        r, t = inst.pose.rotation, inst.pose.translation
+        r, t = inst.pose.rotation_rows, inst.pose.translation_xyz
         for c in part.connectors:
             out.append((inst.node_id, c, *place_frame(r, t, c.frame), _connector_reach(c)))
     return out
@@ -509,13 +504,16 @@ def _candidate_pairs(conns, tol: MatchTolerances):
     spread = 2.0 * math.sin(math.radians(min(abs(tol.axis_deg), 180.0)) / 2.0) + 1e-9
     grid: dict[tuple[int, int, int], list[int]] = {}
     for i, (_, _, rotation, origin, reach) in enumerate(conns):
-        pad = tol.position
         if reach:
-            pad = pad + reach * np.minimum(np.abs(rotation[:, 2]) + spread, 1.0)
+            pads = [tol.position + reach * min(abs(row[2]) + spread, 1.0) for row in rotation]
+        else:
+            pads = [tol.position] * 3
         # Python ints hold a cell index of any finite coordinate exactly
-        lo = np.floor((origin - pad) / cell).tolist()
-        hi = np.floor((origin + pad) / cell).tolist()
-        for key in itertools.product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi))):
+        ranges = (
+            range(math.floor((o - p) / cell), math.floor((o + p) / cell) + 1)
+            for o, p in zip(origin, pads)
+        )
+        for key in itertools.product(*ranges):
             grid.setdefault(key, []).append(i)
     pairs = set()
     for bucket in grid.values():  # ids ascend within a bucket
@@ -536,7 +534,7 @@ def _resolve_candidates(conns, pairs, catalog: Catalog, tol: MatchTolerances):
         if node_a == node_b or not rules.compatible(conn_a.subtype, conn_b.subtype):
             continue
         family = conn_a.family
-        r, t = rot_a.T @ rot_b, rot_a.T @ (origin_b - origin_a)  # relative()'s arithmetic
+        r, t = relative_rows(rot_a, origin_a, rot_b, origin_b)
         if not _check_pairing(family, r, t, tol, reach_a + reach_b):
             continue
         params = _quantize(family, r, t)

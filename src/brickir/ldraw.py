@@ -19,7 +19,15 @@ import numpy as np
 
 from .connectors import default_primitive_table
 from .errors import LdrawParseError
-from .geometry import SCALE_TOL, RigidTransform, nearest_rotation
+from .geometry import (
+    IDENTITY_ROWS,
+    SCALE_TOL,
+    RigidTransform,
+    mat_mul,
+    mat_vec_add,
+    nearest_rotation,
+    norm,
+)
 
 MAX_SUBFILE_DEPTH = 64
 
@@ -142,12 +150,6 @@ def _warn(warnings, message):
         warnings.append(message)
 
 
-def _matrix_from_values(values) -> tuple[np.ndarray, np.ndarray]:
-    t = np.array(values[0:3], dtype=np.float64)
-    m = np.array(values[3:12], dtype=np.float64).reshape(3, 3)
-    return m, t
-
-
 def split_mpd(text: str) -> tuple[str, dict[str, str]]:
     """Split an MPD document on ``0 FILE`` / ``0 NOFILE`` delimiters.
 
@@ -188,26 +190,26 @@ def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None)
 
     Yields (line, m, t): type-3/4 lines with the transform of the file they
     sit in, and type-1 lines whose normalized reference ``leaf`` accepts with
-    their composed transform. Other references are expanded from
-    ``subfiles`` (normalized name -> text). A reference back into ``chain``
-    (the names of the files being expanded, outermost first; the document's
-    own name or None), nesting deeper than MAX_SUBFILE_DEPTH and a composed
-    transform that overflows raise; a reference found nowhere raises in
-    strict mode and is warned about otherwise.
+    their composed transform; m is the scalar kernel's rows and t a 3-tuple.
+    Other references are expanded from ``subfiles`` (normalized name ->
+    text). A reference back into ``chain`` (the names of the files being
+    expanded, outermost first; the document's own name or None), nesting
+    deeper than MAX_SUBFILE_DEPTH and a composed transform that overflows
+    raise; a reference found nowhere raises in strict mode and is warned
+    about otherwise.
     """
     if len(chain) > MAX_SUBFILE_DEPTH + 1:
         raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
     if m is None:
-        m, t = np.eye(3), np.zeros(3)
+        m, t = IDENTITY_ROWS, (0.0, 0.0, 0.0)
     for line in iter_lines(decode(text), strict=strict, warnings=warnings):
         if line.line_type in (3, 4):
             yield line, m, t
         if line.line_type != 1:
             continue
-        lm, lt = _matrix_from_values(line.values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cm, ct = m @ lm, m @ lt + t
-        if not (np.isfinite(cm).all() and np.isfinite(ct).all()):
+        v = line.values
+        cm, ct = mat_mul(m, (v[3:6], v[6:9], v[9:12])), mat_vec_add(m, v[0:3], t)
+        if not all(map(math.isfinite, (*cm[0], *cm[1], *cm[2], *ct))):  # overflowed
             raise LdrawParseError("non-finite composed transform", line.number)
         ref = normalize_name(line.subfile)
         if leaf(ref):
@@ -247,7 +249,7 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
                 part_id=part_key(line.subfile),
                 color=line.color,
                 pose=RigidTransform(rotation, t),
-                raw=tuple(float(v) for v in np.concatenate([t, m.reshape(9)])),
+                raw=(*t, *m[0], *m[1], *m[2]),
                 nonrigid=not rigid,
             )
         )
@@ -271,7 +273,7 @@ def scan_primitives(part_source, library, warnings: list | None = None):
         if line.line_type != 1:
             continue
         ref = normalize_name(line.subfile)
-        scale = tuple(float(np.linalg.norm(m[:, i])) for i in range(3))
+        scale = tuple(norm(column) for column in zip(*m))
         if _scale_ok(scale, primitive_table[ref]):
             refs.append(
                 PrimitiveRef(
@@ -313,6 +315,7 @@ def extract_triangles(part_source, library, warnings: list | None = None):
     tris: list[tuple[int, int, int]] = []
     for line, m, t in _walk(part_source, library, lambda ref: False, False, warnings):
         base = len(verts)
+        m = np.array(m)
         verts.extend(np.array(line.values, dtype=np.float64).reshape(-1, 3) @ m.T + t)
         flip = np.linalg.det(m) < 0
         for a, b, c in [(0, 1, 2)] if line.line_type == 3 else [(0, 1, 2), (0, 2, 3)]:

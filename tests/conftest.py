@@ -132,8 +132,9 @@ def realize_params(
     """World frame of the mated connector implied by quantized parameters."""
     family = ConnectorFamily(family)
     _validate_params(family, params)
-    rot, origin = _mate(frame_transform(existing).rotation, existing.origin, family, params)
-    return ConnectorFrame(origin, rot[:, 2], rot[:, 0])
+    rows = frame_transform(existing).rotation_rows
+    rot, origin = _mate(rows, existing.origin_xyz, family, params)
+    return ConnectorFrame(origin, [row[2] for row in rot], [row[0] for row in rot])
 
 
 def extract_params(

@@ -11,6 +11,7 @@ from brickir.catalog import (
     build_catalog_from_library,
     normalize_part_name,
 )
+from brickir.cli import main
 from brickir.collision import PartColliders
 from brickir.demo import build_demo_catalog
 from brickir.errors import CatalogError
@@ -173,3 +174,31 @@ def test_every_loader_bounds_connector_origins(library_dir):
     far = stud.frame.transformed(RigidTransform(np.eye(3), np.array([1e300, 0.0, 0.0])))
     with pytest.raises(CatalogError, match=message):
         PartDef("3024", "plate 1x1", (dataclasses.replace(stud, frame=far),))
+
+
+def _axle_library(tmp_path, length: int):
+    """A library with one part: the axle primitive scaled to ``length`` LDU."""
+    (tmp_path / "lib" / "parts").mkdir(parents=True)
+    (tmp_path / "lib" / "parts" / "3704.dat").write_text(
+        f"0 Technic Axle\n1 16 0 0 0 1 0 0 0 {length} 0 0 0 1 axle.dat\n"
+    )
+    structure = tmp_path / "one.ldr"
+    structure.write_text(f"1 4 0 0 0 {IDENTITY} 3704.dat\n")
+    return tmp_path / "lib", structure
+
+
+def test_library_axle_past_the_length_bound_exits_3(tmp_path, capsys):
+    # the library scan used to accept it and build a catalog whose own
+    # dumps() did not load
+    lib, structure = _axle_library(tmp_path, 2000)
+    assert main(["--catalog", str(lib), "parse", str(structure)]) == 3
+    assert capsys.readouterr().err == (
+        "error: 3704: axle_length must be a number in [0, 1000], got 2000.0\n"
+    )
+
+
+def test_library_axle_at_the_length_bound_round_trips(tmp_path):
+    lib, _ = _axle_library(tmp_path, 1000)
+    cat = build_catalog_from_library(lib)
+    assert cat.part("3704").connectors[0].axle_length == 1000.0
+    assert Catalog.from_json_obj(json.loads(cat.dumps())).dumps() == cat.dumps()

@@ -6,14 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brickir.geometry import (
+    AXIS_LIMIT,
+    ORTHONORMAL_TOL,
     ConnectorFrame,
     QuantizedParams,
     RigidTransform,
     compose,
+    frame_rotation,
+    mat_mul,
+    mat_t_mul,
+    mat_t_vec,
+    mat_vec,
+    mat_vec_add,
+    norm,
+    orthonormal,
     place_frame,
     quantize_angle,
     quantize_slide,
     relative,
+    unit_axes,
 )
 
 from conftest import (
@@ -122,12 +133,13 @@ def test_quantize_rejects_non_finite(bad):
         quantize_slide(bad)
 
 
-def test_slide_bound_is_the_exact_float_range():
-    # every integer up to 2**53 converts to float64 exactly; past it, slides
-    # would round, and past ~1.8e308 float() overflows
-    for ok in (2**53, -(2**53), 0):
+def test_slide_bound_is_half_the_exact_float_range():
+    # every integer up to 2**53 converts to float64 exactly; a slide up to
+    # 2**52 leaves room for part-local offsets below it, and past ~1.8e308
+    # float() overflows
+    for ok in (2**52, -(2**52), 0):
         assert float(QuantizedParams(slide_ldu=ok).slide_ldu) == ok
-    for bad in (2**53 + 1, -(2**53) - 1, 10**400, -(10**400)):
+    for bad in (2**52 + 1, -(2**52) - 1, 2**53, 10**400, -(10**400)):
         with pytest.raises(ValueError, match="slide out of range"):
             QuantizedParams(slide_ldu=bad)
 
@@ -223,3 +235,56 @@ def test_rigid_transform_check_matches_reference(seed, kind, exponent):
         got = RigidTransform(r.copy(), t.copy())
     assert got.rotation.tobytes() == want_r.tobytes()
     assert got.translation.tobytes() == want_t.tobytes()
+
+
+# Entries of every size the pose path can meet: unit-scale, up to AXIS_LIMIT
+# (whose products reach 1e300), and past it, where products overflow to inf
+# and inf - inf is nan. Each entry is a normal draw times one of these scales.
+_SCALES = np.array([1.0, 1e-3, 1e3, AXIS_LIMIT, 1e155, 1e200, 1e307])
+
+
+def _draws(rng, shape):
+    return rng.standard_normal(shape) * rng.choice(_SCALES, size=shape)
+
+
+def _same_bits(got, want) -> bool:
+    return np.array(got, dtype=np.float64).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_equals_the_ufunc_expressions_bit_for_bit(seed):
+    # each scalar product is the numpy element-wise expression in the same
+    # operation order, so no BLAS kernel and no fused multiply-add decides a bit
+    rng = np.random.default_rng(seed)
+    a, b, v, w = _draws(rng, (3, 3)), _draws(rng, (3, 3)), _draws(rng, 3), _draws(rng, 3)
+    rows = tuple(map(tuple, a.tolist()))
+    other = tuple(map(tuple, b.tolist()))
+    x, y = tuple(v.tolist()), tuple(w.tolist())
+    with np.errstate(all="ignore"):
+        want = a[:, :1] * b[0] + a[:, 1:2] * b[1] + a[:, 2:] * b[2]
+        assert _same_bits(mat_mul(rows, other), want)
+        assert _same_bits(mat_t_mul(rows, other),
+                          a[0][:, None] * b[0] + a[1][:, None] * b[1] + a[2][:, None] * b[2])
+        assert _same_bits(mat_vec(rows, x), a[:, 0] * v[0] + a[:, 1] * v[1] + a[:, 2] * v[2])
+        assert _same_bits(mat_vec_add(rows, x, y),
+                          a[:, 0] * v[0] + a[:, 1] * v[1] + a[:, 2] * v[2] + w)
+        assert _same_bits(mat_t_vec(rows, x), a[0] * v[0] + a[1] * v[1] + a[2] * v[2])
+        assert _same_bits(norm(x), np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
+        z0, z1, z2 = v
+        x0, x1, x2 = w
+        assert _same_bits(frame_rotation(x, y), np.array([
+            [x0, z1 * x2 - z2 * x1, z0], [x1, z2 * x0 - z0 * x2, z1], [x2, z0 * x1 - z1 * x0, z2]]))
+        gram = a[0][:, None] * a[0] + a[1][:, None] * a[1] + a[2][:, None] * a[2]
+        assert orthonormal(rows) == bool((np.abs(gram - np.eye(3)) <= ORTHONORMAL_TOL).all())
+        pn = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        p = v / pn
+        r = w - (w[0] * p[0] + w[1] * p[1] + w[2] * p[2]) * p
+        rn = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+        try:
+            got = unit_axes(x, y)
+        except ValueError:
+            assert pn < 1e-9 or rn < 1e-9
+        else:
+            assert not (pn < 1e-9 or rn < 1e-9)
+            assert _same_bits(got, [p, r / rn])
