@@ -104,7 +104,8 @@ def random_path_instances(side, rng, paths: int = 12, parts: int = 30):
         path = side["demo"].generate_random_path(catalog, rng, parts)
         for nid in path.nodes_in_order():
             node = path.graph.nodes[nid]
-            out.append((node.part_id, node.pose.rotation, node.pose.translation))
+            pose = node.pose
+            out.append((node.part_id, np.array(pose.rotation), np.array(pose.translation)))
     return out
 
 

@@ -47,7 +47,7 @@ def main():
             src = path.graph.nodes[nid].pose
             got = compose(root_pose, poses[letter])
             rot_errs.append(rotation_angle_deg(got, src))
-            trans_errs.append(float(np.abs(got.translation - src.translation).max()))
+            trans_errs.append(float(np.abs(np.subtract(got.translation, src.translation)).max()))
     elapsed = time.perf_counter() - t0
 
     rot = np.array(rot_errs)

@@ -68,7 +68,7 @@ class PartDef:
     mesh: TriMesh | None = None
 
     def __post_init__(self):
-        if any(abs(v) > MESH_COORD_MAX for c in self.connectors for v in c.frame.origin.tolist()):
+        if any(abs(v) > MESH_COORD_MAX for c in self.connectors for v in c.frame.origin):
             raise CatalogError(
                 f"part {self.part_id!r}: connector origin beyond {MESH_COORD_MAX:g} LDU"
             )

@@ -55,7 +55,7 @@ import threading
 import numpy as np
 
 from .errors import BrickIrError
-from .geometry import RigidTransform, relative
+from .geometry import RigidTransform, mat_vec_add, relative
 
 TRI_EPS = 1e-6
 DEGENERATE_AREA = 1e-9
@@ -397,8 +397,8 @@ def _triangle_normals(corners):
 
 
 def _transform_boxes(center, half, rotation, translation):
-    """Conservative AABBs (lo, hi) of boxes given by their centres and
-    half-extents, (n, 3) or (3,), after a rigid map."""
+    """Conservative AABBs (lo, hi) of boxes given by their (n, 3) centres
+    and half-extents, after a rigid map."""
     center = center @ rotation.T + translation
     half = half @ np.abs(rotation).T
     return center - half, center + half
@@ -418,15 +418,16 @@ def intersects(
     once, when a pair of leaves is first reached.
     """
     rel = relative(pose_b, pose_a)  # maps a-local into b-local
-    rot, trans = rel.rotation, rel.translation
+    rot, trans = np.array(rel.rotation), np.array(rel.translation)
     one_leaf = len(a.leaf) == 1 and len(b.leaf) == 1
     if (_one_leaf_hit if one_leaf else _walk_hit)(a, b, rot, trans):
         return True
     if a.closed and b.closed:
-        if point_in_mesh(rel.apply(a.vertices[0]), b):
+        if point_in_mesh(a.vertices[0] @ rot.T + trans, b):
             return True
         inv = rel.inverse()
-        if point_in_mesh(inv.apply(b.vertices[0]), a):
+        inv_rot, inv_trans = np.array(inv.rotation), np.array(inv.translation)
+        if point_in_mesh(b.vertices[0] @ inv_rot.T + inv_trans, a):
             return True
     return False
 
@@ -582,7 +583,16 @@ class AssemblyChecker:
     def add(self, mesh: CollisionMesh, pose: RigidTransform) -> list[int]:
         """Place one instance; returns the 0-based placement indices it
         collides with (may be empty), in placement order."""
-        lo, hi = _transform_boxes(mesh.center[0], mesh.half[0], pose.rotation, pose.translation)
+        # the root box in world axes, in plain floats: centre r c + t, and
+        # half-extents |r| h
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = r = pose.rotation
+        c0, c1, c2 = mat_vec_add(r, mesh.center[0].tolist(), pose.translation)
+        hx, hy, hz = mesh.half[0].tolist()
+        h0 = abs(a0) * hx + abs(a1) * hy + abs(a2) * hz
+        h1 = abs(a3) * hx + abs(a4) * hy + abs(a5) * hz
+        h2 = abs(a6) * hx + abs(a7) * hy + abs(a8) * hz
+        lo = np.array((c0 - h0, c1 - h1, c2 - h2))
+        hi = np.array((c0 + h0, c1 + h1, c2 + h2))
         step = len(self._placed)
         near = np.flatnonzero(
             ((lo <= self._hi_eps[:step]) & (hi >= self._lo_eps[:step])).all(axis=1)

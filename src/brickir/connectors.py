@@ -163,9 +163,9 @@ class AnnotatedConnector:
             "index": self.index,
             "family": self.family.value,
             "subtype": self.subtype,
-            "origin": [float(v) for v in self.frame.origin],
-            "principal_axis": [float(v) for v in self.frame.principal_axis],
-            "reference_axis": [float(v) for v in self.frame.reference_axis],
+            "origin": list(self.frame.origin),
+            "principal_axis": list(self.frame.principal_axis),
+            "reference_axis": list(self.frame.reference_axis),
         }
         if self.axle_length is not None:
             obj["axle_length"] = float(self.axle_length)
@@ -201,13 +201,11 @@ def _site_key(site):
     origin x -> y -> z, then family, subtype and axes."""
     family, subtype, frame, _ = site
     return (
-        round(float(frame.origin[0]), 9),
-        round(float(frame.origin[1]), 9),
-        round(float(frame.origin[2]), 9),
+        *(round(v, 9) for v in frame.origin),
         family.value,
         subtype,
-        tuple(round(float(v), 9) for v in frame.principal_axis),
-        tuple(round(float(v), 9) for v in frame.reference_axis),
+        tuple(round(v, 9) for v in frame.principal_axis),
+        tuple(round(v, 9) for v in frame.reference_axis),
     )
 
 
@@ -218,13 +216,14 @@ def index_sites(part_id: str, sites) -> tuple[AnnotatedConnector, ...]:
     length out of range, raise AnnotationError."""
     sites = sorted(sites, key=_site_key)
     by_origin: dict[tuple, list] = {}
-    for site in sites:
-        key = tuple(round(float(v), 9) for v in site[2].origin)
+    for _, _, frame, _ in sites:
+        key = tuple(round(v, 9) for v in frame.origin)
+        numbers = (*frame.origin, *frame.principal_axis, *frame.reference_axis)
         group = by_origin.setdefault(key, [])
-        for other in group:
-            if other[2].is_close(site[2], tol=1e-9):
+        for other in group:  # the nine frame numbers, each within 1e-9
+            if all(abs(u - v) <= 1e-9 for u, v in zip(other, numbers)):
                 raise AnnotationError(f"{part_id}: duplicate connector site at {key}")
-        group.append(site)
+        group.append(numbers)
     try:
         return tuple(
             AnnotatedConnector(letter_id(i), family, subtype, frame, length)
@@ -250,9 +249,7 @@ def annotate_part(part_id: str, primitive_refs) -> tuple[AnnotatedConnector, ...
         subtype = entry["subtype"]
         family = rules.family_of(subtype)
         local = ConnectorFrame(
-            np.array(entry.get("origin", (0.0, 0.0, 0.0)), dtype=np.float64),
-            np.array(entry["principal_axis"], dtype=np.float64),
-            np.array(entry["reference_axis"], dtype=np.float64),
+            entry.get("origin", (0.0, 0.0, 0.0)), entry["principal_axis"], entry["reference_axis"]
         )
         frame = local.transformed(ref.transform)
         length = None

@@ -33,7 +33,7 @@ def _conn(subtype, origin, axis, ref=_X, length=None):
     return (
         default_rules().family_of(subtype),
         subtype,
-        ConnectorFrame(np.array(origin, float), np.array(axis, float), np.array(ref, float)),
+        ConnectorFrame(origin, axis, ref),
         length,
     )
 

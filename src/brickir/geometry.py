@@ -4,12 +4,13 @@ Rotations are proper (det +1) 3x3 float64 matrices; translations are in LDU.
 The integer degree / integer LDU grid appears only at serialization
 boundaries -- all internal math stays in 64-bit floats.
 
-Every product that makes a pose runs in the scalar kernel below (row tuples
-of Python floats, each operation rounded once), so a pose's bits do not
-depend on the BLAS kernel numpy loaded. numpy stays where arrays pay:
-collision's bulk (n, 3) products on ``RigidTransform.rotation`` and
-``translation``, which decide verdicts only, and ``nearest_rotation``'s SVD
-and polar product, where an LDraw matrix enters.
+A pose has one representation: ``RigidTransform`` and ``ConnectorFrame``
+hold tuples of Python floats, and every product that makes a pose runs in
+the scalar kernel below (each operation rounded once), so a pose's bits do
+not depend on the BLAS kernel numpy loaded. numpy stays where arrays pay:
+``nearest_rotation``'s SVD and polar product, where an LDraw matrix enters,
+and collision, which makes the arrays of its bulk (n, 3) products from a
+pose's tuples once per ``intersects`` call; those decide verdicts only.
 """
 
 from __future__ import annotations
@@ -157,81 +158,60 @@ def frame_rotation(principal, reference):
 IDENTITY_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``."""
-    a = np.array(values, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid transform ``x -> rotation @ x + translation`` (LDU).
 
-    Construction takes one route: every number must be finite, and the
-    rotation's determinant (its scalar triple product) positive. A rotation
-    whose orthonormality error exceeds ORTHONORMAL_TOL is then replaced by
-    ``nearest_rotation``, which repairs composition drift; one that is not
-    rigid (a singular value beyond SCALE_TOL of 1) raises ValueError. A
-    rotation within ORTHONORMAL_TOL runs no LAPACK code.
-
-    ``rotation`` and ``translation`` are read-only float64 arrays, for the
-    bulk (n, 3) products of collision; ``rotation_rows`` and
-    ``translation_xyz`` hold the same numbers as Python floats, for the
-    scalar kernel that composes poses.
+    ``rotation`` is three row tuples and ``translation`` a 3-tuple, all of
+    Python floats, whatever numbers (floats, numpy scalars or arrays) the
+    caller passed. Construction takes one route: every number must be
+    finite, and the rotation's determinant (its scalar triple product)
+    positive. A rotation whose orthonormality error exceeds ORTHONORMAL_TOL
+    is then replaced by ``nearest_rotation``, which repairs composition
+    drift; one that is not rigid (a singular value beyond SCALE_TOL of 1)
+    raises ValueError. A rotation within ORTHONORMAL_TOL runs no LAPACK code.
     """
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    rotation: tuple[tuple[float, float, float], ...]
+    translation: tuple[float, float, float]
 
     def __post_init__(self):
         r = self.rotation
-        # one float64 buffer of the 12 numbers; its tolist() is their floats
-        buf = _frozen([*r[0], *r[1], *r[2], *self.translation])
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, x, y, z = numbers = buf.tolist()
+        numbers = tuple(map(float, (*r[0], *r[1], *r[2], *self.translation)))
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, x, y, z = numbers
         rows = ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8))
         if not all(map(math.isfinite, numbers)):
             raise ValueError("non-finite transform")
         if _det3(rows) <= 0:
             raise ValueError("rotation must have positive determinant")
-        if orthonormal(rows):
-            rotation = buf[:9].reshape(3, 3)
-        else:
+        if not orthonormal(rows):
             rotation, rigid = nearest_rotation(rows)
             if not rigid:
                 raise ValueError(f"rotation is scaled or sheared beyond {SCALE_TOL:g}")
-            rotation = _frozen(rotation)
             rows = tuple(map(tuple, rotation.tolist()))
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", buf[9:])
-        object.__setattr__(self, "rotation_rows", rows)
-        object.__setattr__(self, "translation_xyz", (x, y, z))
+        object.__setattr__(self, "rotation", rows)
+        object.__setattr__(self, "translation", (x, y, z))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(IDENTITY_ROWS, (0.0, 0.0, 0.0))
 
     def inverse(self) -> "RigidTransform":
-        rows = self.rotation_rows
-        x, y, z = mat_t_vec(rows, self.translation_xyz)
+        rows = self.rotation
+        x, y, z = mat_t_vec(rows, self.translation)
         return RigidTransform(tuple(zip(*rows)), (-x, -y, -z))
 
     def to_json_obj(self) -> dict:
         """``{"rot": row-major 9 floats, "t": 3 floats}``, the pose JSON of
         every CLI output and of graph files."""
-        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = self.rotation_rows
-        return {"rot": [a0, a1, a2, a3, a4, a5, a6, a7, a8], "t": list(self.translation_xyz)}
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = self.rotation
+        return {"rot": [a0, a1, a2, a3, a4, a5, a6, a7, a8], "t": list(self.translation)}
 
     @classmethod
     def from_json_obj(cls, obj) -> "RigidTransform":
         rotation = np.array(obj["rot"], dtype=np.float64).reshape(3, 3)
         translation = np.array(obj["t"], dtype=np.float64).reshape(3)
         return cls(rotation, translation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform one point (3,) or many points (n, 3)."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
 
 
 def compose_rows(ra, ta, rb, tb):
@@ -248,15 +228,13 @@ def relative_rows(ra, ta, rb, tb):
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """a after b: ``compose(a, b).apply(x) == a.apply(b.apply(x))``."""
-    return RigidTransform(*compose_rows(
-        a.rotation_rows, a.translation_xyz, b.rotation_rows, b.translation_xyz))
+    """a after b: the transform ``x -> a(b(x))``."""
+    return RigidTransform(*compose_rows(a.rotation, a.translation, b.rotation, b.translation))
 
 
 def relative(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """The transform r with ``compose(a, r) == b``, i.e. a^-1 o b."""
-    return RigidTransform(*relative_rows(
-        a.rotation_rows, a.translation_xyz, b.rotation_rows, b.translation_xyz))
+    return RigidTransform(*relative_rows(a.rotation, a.translation, b.rotation, b.translation))
 
 
 def place_frame(rotation, translation, frame: ConnectorFrame):
@@ -264,8 +242,9 @@ def place_frame(rotation, translation, frame: ConnectorFrame):
     local ``frame`` on a part posed by (rotation rows, translation), bit for
     bit those of ``frame.transformed(pose)``: the one code that places
     connector frames, for the matcher and ``attach_pose``."""
-    z, x = unit_axes(mat_vec(rotation, frame.principal_xyz), mat_vec(rotation, frame.reference_xyz))
-    return frame_rotation(z, x), mat_vec_add(rotation, frame.origin_xyz, translation)
+    z = mat_vec(rotation, frame.principal_axis)
+    z, x = unit_axes(z, mat_vec(rotation, frame.reference_axis))
+    return frame_rotation(z, x), mat_vec_add(rotation, frame.origin, translation)
 
 
 @dataclass(frozen=True)
@@ -273,16 +252,15 @@ class ConnectorFrame:
     """Local rigid frame of one attachment site.
 
     ``principal_axis`` is the rotation/slide axis, ``reference_axis`` the
-    zero-yaw datum perpendicular to it. Construction renormalizes the axes
-    and projects the reference axis into the plane perpendicular to the
-    principal axis. The three vectors are read-only float64 arrays, and
-    ``origin_xyz``, ``principal_xyz`` and ``reference_xyz`` hold them as
-    Python floats for the scalar kernel.
+    zero-yaw datum perpendicular to it. Construction takes any three
+    3-vectors, renormalizes the axes and projects the reference axis into
+    the plane perpendicular to the principal axis; ``origin`` and the two
+    axes are then 3-tuples of Python floats.
     """
 
-    origin: np.ndarray
-    principal_axis: np.ndarray
-    reference_axis: np.ndarray
+    origin: tuple[float, float, float]
+    principal_axis: tuple[float, float, float]
+    reference_axis: tuple[float, float, float]
 
     def __post_init__(self):
         o, p, r = (
@@ -294,34 +272,25 @@ class ConnectorFrame:
         if max(map(abs, p + r)) > AXIS_LIMIT:  # its square would overflow
             raise ValueError(f"connector axis component beyond {AXIS_LIMIT:g}")
         p, r = unit_axes(p, r)
-        for name, xyz in (("origin", o), ("principal_axis", p), ("reference_axis", r)):
-            object.__setattr__(self, name, _frozen(xyz))
-        object.__setattr__(self, "origin_xyz", o)
-        object.__setattr__(self, "principal_xyz", p)
-        object.__setattr__(self, "reference_xyz", r)
+        object.__setattr__(self, "origin", o)
+        object.__setattr__(self, "principal_axis", p)
+        object.__setattr__(self, "reference_axis", r)
 
     @cached_property
     def inverse(self) -> RigidTransform:
         """Inverse of the frame as a rigid transform (x column = reference,
         z = principal), built on first use and kept with the frame."""
-        rotation = frame_rotation(self.principal_xyz, self.reference_xyz)
-        return RigidTransform(rotation, self.origin_xyz).inverse()
+        rotation = frame_rotation(self.principal_axis, self.reference_axis)
+        return RigidTransform(rotation, self.origin).inverse()
 
     def transformed(self, t: RigidTransform) -> "ConnectorFrame":
         """This frame expressed after applying transform t, renormalized (a
         frame on a posed part is placed by ``place_frame``)."""
-        r = t.rotation_rows
+        r = t.rotation
         return ConnectorFrame(
-            mat_vec_add(r, self.origin_xyz, t.translation_xyz),
-            mat_vec(r, self.principal_xyz),
-            mat_vec(r, self.reference_xyz),
-        )
-
-    def is_close(self, other: "ConnectorFrame", tol: float = 1e-9) -> bool:
-        return (
-            np.abs(self.origin - other.origin).max() <= tol
-            and np.abs(self.principal_axis - other.principal_axis).max() <= tol
-            and np.abs(self.reference_axis - other.reference_axis).max() <= tol
+            mat_vec_add(r, self.origin, t.translation),
+            mat_vec(r, self.principal_axis),
+            mat_vec(r, self.reference_axis),
         )
 
 

@@ -374,11 +374,11 @@ def attach_pose(
     family: the parser, the graph-JSON loader and the matcher check them
     where they enter.
     """
-    placed = place_frame(target_pose.rotation_rows, target_pose.translation_xyz, target_frame)
+    placed = place_frame(target_pose.rotation, target_pose.translation, target_frame)
     (r0, r1, r2), origin = _mate(*placed, family, params)
     mated = frame_rotation(*unit_axes((r0[2], r1[2], r2[2]), (r0[0], r1[0], r2[0])))
     inv = new_frame.inverse
-    return RigidTransform(*compose_rows(mated, origin, inv.rotation_rows, inv.translation_xyz))
+    return RigidTransform(*compose_rows(mated, origin, inv.rotation, inv.translation))
 
 
 def _wrap_deg(angle: float) -> float:
@@ -481,7 +481,7 @@ def _collect_world_connectors(instances, catalog: Catalog):
         if inst.part_id not in catalog:
             raise CatalogError(f"no connector annotation for part {inst.part_id!r}")
         part = catalog.part(inst.part_id)
-        r, t = inst.pose.rotation_rows, inst.pose.translation_xyz
+        r, t = inst.pose.rotation, inst.pose.translation
         for c in part.connectors:
             out.append((inst.node_id, c, *place_frame(r, t, c.frame), _connector_reach(c)))
     return out

@@ -1,7 +1,8 @@
 """Shared fixtures and the test-only helpers: random rigid motions, a
 geodesic sphere mesh, axis-angle rotations, the angle between two
-rotations, the distance between two rigid transforms, a connector frame as a
-rigid transform, text renderers for programs and LDraw instances, a graph
+rotations, the distance between two rigid transforms, a pose applied to
+points, the closeness of two connector frames, a connector frame as a rigid
+transform, text renderers for programs and LDraw instances, a graph
 component, a rotation's orthonormality error, a program's action count, a
 survival proportion, a canonical stats dump, a catalog with an uninsettable
 mesh, a counter of collision-mesh builds, LDraw files whose composed
@@ -98,7 +99,7 @@ def rotation_angle_deg(a: RigidTransform, b: RigidTransform) -> float:
     stays well conditioned for tiny angles (acos of the trace alone cannot
     resolve below ~1e-6 degrees in float64).
     """
-    e = a.rotation.T @ b.rotation
+    e = np.asarray(a.rotation).T @ np.asarray(b.rotation)
     c = (np.trace(e) - 1.0) / 2.0
     s = float(np.linalg.norm(e - e.T)) / (2.0 * math.sqrt(2.0))
     return math.degrees(math.atan2(s, min(1.0, max(-1.0, c))))
@@ -107,13 +108,31 @@ def rotation_angle_deg(a: RigidTransform, b: RigidTransform) -> float:
 def max_abs_diff(a: RigidTransform, b: RigidTransform) -> float:
     """Largest absolute difference between the two transforms' entries."""
     return max(
-        float(np.abs(a.rotation - b.rotation).max()),
-        float(np.abs(a.translation - b.translation).max()),
+        float(np.abs(np.subtract(a.rotation, b.rotation)).max()),
+        float(np.abs(np.subtract(a.translation, b.translation)).max()),
     )
 
 
 def is_close(a: RigidTransform, b: RigidTransform, tol: float = 1e-9) -> bool:
     return max_abs_diff(a, b) <= tol
+
+
+def apply(pose: RigidTransform, points) -> np.ndarray:
+    """``pose`` applied to one point (3,) or many points (n, 3): the numpy
+    expression collision uses on a pose's arrays."""
+    p = np.asarray(points, dtype=np.float64)
+    return p @ np.array(pose.rotation).T + np.array(pose.translation)
+
+
+def frames_close(a: ConnectorFrame, b: ConnectorFrame, tol: float = 1e-9) -> bool:
+    """Whether the two frames' origins and axes agree within ``tol`` entry by entry."""
+    return all(
+        abs(u - v) <= tol
+        for u, v in zip(
+            (*a.origin, *a.principal_axis, *a.reference_axis),
+            (*b.origin, *b.principal_axis, *b.reference_axis),
+        )
+    )
 
 
 def frame_transform(frame: ConnectorFrame) -> RigidTransform:
@@ -123,7 +142,8 @@ def frame_transform(frame: ConnectorFrame) -> RigidTransform:
 
 def frame_from_transform(t: RigidTransform) -> ConnectorFrame:
     """The connector frame whose ``frame_transform`` is t."""
-    return ConnectorFrame(t.translation, t.rotation[:, 2], t.rotation[:, 0])
+    (x0, _, z0), (x1, _, z1), (x2, _, z2) = t.rotation
+    return ConnectorFrame(t.translation, (z0, z1, z2), (x0, x1, x2))
 
 
 def realize_params(
@@ -132,8 +152,8 @@ def realize_params(
     """World frame of the mated connector implied by quantized parameters."""
     family = ConnectorFamily(family)
     _validate_params(family, params)
-    rows = frame_transform(existing).rotation_rows
-    rot, origin = _mate(rows, existing.origin_xyz, family, params)
+    rows = frame_transform(existing).rotation
+    rot, origin = _mate(rows, existing.origin, family, params)
     return ConnectorFrame(origin, [row[2] for row in rot], [row[0] for row in rot])
 
 
@@ -255,7 +275,7 @@ def instances_to_ldr(instances) -> str:
         if inst.raw:
             vals = inst.raw
         else:
-            vals = tuple(np.concatenate([inst.pose.translation, inst.pose.rotation.reshape(9)]))
+            vals = (*inst.pose.translation, *sum(inst.pose.rotation, ()))
         nums = " ".join(repr(float(v)) for v in vals)
         lines.append(f"1 {inst.color} {nums} {inst.part_id}.dat")
     return "\n".join(lines) + ("\n" if lines else "")

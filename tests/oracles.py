@@ -28,6 +28,8 @@ from brickir.geometry import (
 from brickir.graph import ConnEdge, ConnectivityGraph, MatchTolerances, attach_pose
 from brickir.program import PartIntro, ProgramDiagnosis, ValidityReport, parse_program
 
+from conftest import apply
+
 
 # ---------------------------------------------------------------------------
 # Exhaustive connector matcher (acceptance criterion 2 oracle)
@@ -150,9 +152,9 @@ def _round_half_up(v: float) -> int:
 
 def _oracle_params(fa, fb, family) -> QuantizedParams:
     """Quantized edge parameters recomputed with explicit vector algebra."""
-    z_a, x_a = fa.principal_axis, fa.reference_axis
+    z_a, x_a = np.asarray(fa.principal_axis), np.asarray(fa.reference_axis)
     y_a = np.cross(z_a, x_a)
-    d = fb.origin - fa.origin
+    d = np.subtract(fb.origin, fa.origin)
     if family == ConnectorFamily.FIXED:
         return QuantizedParams()
     if family == ConnectorFamily.BALL:
@@ -171,10 +173,10 @@ def _oracle_params(fa, fb, family) -> QuantizedParams:
         return QuantizedParams(
             euler_deg=tuple(_round_half_up(v) % 360 for v in (a, b, c))
         )
-    flip = bool(float(fa.principal_axis @ fb.principal_axis) < 0.0)
+    flip = bool(float(z_a @ np.asarray(fb.principal_axis)) < 0.0)
     # yaw: signed angle from a's reference axis to b's, about a's principal
     # axis, i.e. the angle of b's x projected into a's xy plane
-    bx = fb.reference_axis
+    bx = np.asarray(fb.reference_axis)
     yaw = math.degrees(math.atan2(float(bx @ y_a), float(bx @ x_a)))
     params = {"yaw_deg": _round_half_up(yaw) % 360}
     if family == ConnectorFamily.STUD:
@@ -208,8 +210,8 @@ def graphs_equal(g1: ConnectivityGraph, g2: ConnectivityGraph) -> bool:
 def brute_force_intersects(mesh_a, pose_a, mesh_b, pose_b, eps: float = 1e-6) -> bool:
     """All-triangle-pairs intersection with broadcast interval tests, plus the
     same parity-based containment rule for closed meshes."""
-    ta = pose_a.apply(mesh_a.vertices)[mesh_a.triangles]  # (na, 3, 3)
-    tb = pose_b.apply(mesh_b.vertices)[mesh_b.triangles]
+    ta = apply(pose_a, mesh_a.vertices)[mesh_a.triangles]  # (na, 3, 3)
+    tb = apply(pose_b, mesh_b.vertices)[mesh_b.triangles]
     if _any_pair_intersects(ta, tb, eps):
         return True
     if mesh_a.closed and mesh_b.closed:

@@ -95,7 +95,7 @@ def test_criterion_1_geometry_roundtrip():
                 got = compose(root_pose, poses[letter])
                 worst_rot = max(worst_rot, rotation_angle_deg(got, src))
                 worst_trans = max(
-                    worst_trans, float(np.abs(got.translation - src.translation).max())
+                    worst_trans, float(np.abs(np.subtract(got.translation, src.translation)).max())
                 )
             if k % 10 == 0:
                 # independent replay with plain homogeneous matrices
@@ -137,7 +137,7 @@ def _rigid_pair(rng, base_gap):
     world = random_rigid(rng, scale=30.0)
     offset = np.array([6.5 + base_gap, 0.987, 1.234])  # generic contact direction
     pose_b = RigidTransform(
-        world.rotation, world.rotation @ offset + world.translation
+        world.rotation, np.asarray(world.rotation) @ offset + world.translation
     )
     return a, world, b, pose_b
 

@@ -25,6 +25,7 @@ from brickir.errors import BrickIrError
 from brickir.geometry import RigidTransform, compose
 
 from conftest import (
+    apply,
     catalog_obj_with_collapsing_mesh,
     count_inset_builds,
     icosphere_mesh,
@@ -350,9 +351,8 @@ def test_inset_monotonicity_sampled():
         pose = _trans(6.0 + gap, rng.uniform(-1, 1), rng.uniform(-1, 1))
         world = random_rigid(rng)
         pa = world
-        pb = RigidTransform(
-            world.rotation @ pose.rotation, world.rotation @ pose.translation + world.translation
-        )
+        r = np.asarray(world.rotation)
+        pb = RigidTransform(r @ pose.rotation, r @ pose.translation + world.translation)
         previous = None
         for delta in (0.0, 0.1, 0.2, 0.4):
             m = inset_mesh(*raw, delta) if delta else _mesh(raw)
@@ -691,7 +691,7 @@ def test_one_leaf_query_matches_tree_walk_at_connector_poses(demo_colliders, mon
     for _ in range(4):
         nodes = generate_random_path(cat, rng, 12).graph.nodes.values()
         placed = [(demo_colliders.get(n.part_id), n.pose) for n in nodes]
-        world = [pose.apply(mesh.vertices) for mesh, pose in placed]
+        world = [apply(pose, mesh.vertices) for mesh, pose in placed]
         boxes = [(w.min(axis=0), w.max(axis=0)) for w in world]
         for k in range(len(placed)):
             for j in range(k):

@@ -141,7 +141,7 @@ def test_index_sites_orders_by_origin_then_family_and_subtype():
         site("stud", (0, 0, 0)),
         site("stud", (-10, 8, 0)),
     ]
-    assert [(c.index, c.subtype, c.frame.origin.tolist()) for c in index_sites("p", sites)] == [
+    assert [(c.index, c.subtype, list(c.frame.origin)) for c in index_sites("p", sites)] == [
         ("a", "stud", [-10, 8, 0]),
         ("b", "axle_socket", [0, 0, 0]),  # same origin: by family, then subtype
         ("c", "hole", [0, 0, 0]),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brickir.connectors import AnnotatedConnector, ConnectorFamily, annotate_part
 from brickir.geometry import (
     AXIS_LIMIT,
     ORTHONORMAL_TOL,
@@ -26,10 +27,13 @@ from brickir.geometry import (
     relative,
     unit_axes,
 )
+from brickir.graph import attach_pose
+from brickir.ldraw import parse_structure, scan_primitives
 
 from conftest import (
     frame_from_transform,
     frame_transform,
+    frames_close,
     is_close,
     orthonormality_error,
     random_rigid,
@@ -168,7 +172,7 @@ def test_connector_frame_invariants_enforced():
     )
     assert abs(np.linalg.norm(f.principal_axis) - 1.0) <= 1e-9
     assert abs(np.linalg.norm(f.reference_axis) - 1.0) <= 1e-9
-    assert abs(f.principal_axis @ f.reference_axis) <= 1e-9
+    assert abs(np.dot(f.principal_axis, f.reference_axis)) <= 1e-9
 
 
 def test_connector_frame_rejects_parallel_reference():
@@ -184,7 +188,7 @@ def test_connector_frame_transform_roundtrip():
         assert is_close(frame_transform(f), t, tol=1e-9)
         moved = f.transformed(t)
         back = moved.transformed(t.inverse())
-        assert back.is_close(f, tol=1e-9)
+        assert frames_close(back, f, tol=1e-9)
 
 
 def test_place_frame_equals_the_transformed_frame():
@@ -196,8 +200,59 @@ def test_place_frame_equals_the_transformed_frame():
         frame = ConnectorFrame(rng.normal(size=3) * 50, rng.normal(size=3), rng.normal(size=3))
         rotation, origin = place_frame(pose.rotation, pose.translation, frame)
         want = frame_transform(frame.transformed(pose))
-        assert np.array_equal(rotation, want.rotation)
-        assert np.array_equal(origin, want.translation)
+        assert (rotation, origin) == (want.rotation, want.translation)
+
+
+def _float_triple(v) -> bool:
+    return type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v)
+
+
+def _holds_float_tuples(obj) -> bool:
+    """Whether a transform's rotation is three rows and its translation one
+    3-tuple, or a frame's origin and axes are 3-tuples, all of Python floats
+    (not numpy scalars)."""
+    if isinstance(obj, RigidTransform):
+        rows = obj.rotation
+        return type(rows) is tuple and len(rows) == 3 and all(
+            map(_float_triple, (*rows, obj.translation)))
+    return all(map(_float_triple, (obj.origin, obj.principal_axis, obj.reference_axis)))
+
+
+def test_every_route_gives_float_tuples_that_compare_and_hash_by_value():
+    rng = np.random.default_rng(29)
+    a, b = random_rigid(rng), random_rigid(rng)
+    drifted = random_rotation(rng) + 1e-6  # past ORTHONORMAL_TOL, within SCALE_TOL
+    repaired = RigidTransform(drifted, np.zeros(3))
+    assert repaired.rotation != tuple(map(tuple, drifted.tolist()))
+    (placed,) = parse_structure("1 4 1 2 3 0 0 1 0 1 0 -1 0 0 3001.dat\n", {"3001"})
+    frame = ConnectorFrame(np.array([1.0, 2.0, 3.0]), np.array([0, -2, 0]), [1, 0, 0])
+    poses = [
+        RigidTransform.identity(),
+        RigidTransform.from_json_obj(a.to_json_obj()),
+        placed.pose,
+        compose(a, b),
+        relative(a, b),
+        a.inverse(),
+        repaired,
+        attach_pose(a, frame, frame, ConnectorFamily.STUD, QuantizedParams(yaw_deg=90)),
+    ]
+    assert all(map(_holds_float_tuples, poses))
+    loaded = AnnotatedConnector.from_json_obj(
+        {"subtype": "stud", "origin": [1, 2, 3], "principal_axis": [0, -1, 0],
+         "reference_axis": [1, 0, 0]}
+    )
+    (scanned,) = annotate_part(
+        "p", scan_primitives("1 16 0 -4 0 1 0 0 0 1 0 0 0 1 stud.dat\n", {"stud.dat": "0\n"})
+    )
+    frames = [frame, frame.transformed(a), loaded.frame, scanned.frame]
+    assert all(map(_holds_float_tuples, frames))
+    # the same numbers, passed as arrays, lists or tuples: equal, hashed alike
+    twin = RigidTransform(np.array(a.rotation), list(a.translation))
+    assert twin == a and hash(twin) == hash(a) and a != b
+    assert RigidTransform.identity() == RigidTransform.identity()
+    assert hash(RigidTransform.identity()) == hash(RigidTransform.identity())
+    assert loaded.frame == frame and hash(loaded.frame) == hash(frame)
+    assert len({*poses, *poses, twin}) == len(poses)
 
 
 @settings(max_examples=400, deadline=None)
@@ -209,7 +264,7 @@ def test_place_frame_equals_the_transformed_frame():
 def test_rigid_transform_check_matches_reference(seed, kind, exponent):
     """The one-route check (finite, triple-product determinant, repair only
     past 1e-9) raises the same error as the plain reference check, or stores
-    bit-identical arrays."""
+    bit-identical numbers."""
     rng = np.random.default_rng(seed)
     r = random_rotation(rng) + rng.standard_normal((3, 3)) * 10.0**exponent
     t = rng.uniform(-100.0, 100.0, 3)
@@ -233,8 +288,8 @@ def test_rigid_transform_check_matches_reference(seed, kind, exponent):
             assert str(got.value) == str(exc)
             return
         got = RigidTransform(r.copy(), t.copy())
-    assert got.rotation.tobytes() == want_r.tobytes()
-    assert got.translation.tobytes() == want_t.tobytes()
+    assert np.array(got.rotation).tobytes() == want_r.tobytes()
+    assert np.array(got.translation).tobytes() == want_t.tobytes()
 
 
 # Entries of every size the pose path can meet: unit-scale, up to AXIS_LIMIT

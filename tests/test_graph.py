@@ -44,7 +44,7 @@ from conftest import (
     extract_params,
     frame_from_transform,
     frame_transform,
-    is_close,
+    frames_close,
     random_rigid,
     realize_params,
     rotation_about_axis,
@@ -367,7 +367,7 @@ def test_extract_rejects_invalid_pairing():
 def test_realize_zero_params_coincident():
     f = _frame(origin=(3, 4, 5), axis=(0, 1, 0), ref=(0, 0, 1))
     out = realize_params(f, QuantizedParams(), ConnectorFamily.STUD)
-    assert out.is_close(f, tol=1e-12)
+    assert frames_close(out, f, tol=1e-12)
 
 
 def test_realize_yaw_rotates_reference():
@@ -410,8 +410,7 @@ def test_attach_pose_equals_frame_object_composition():
             got = attach_pose(pose, fa, fb, family, params)
             realized = realize_params(fa.transformed(pose), params, family)
             want = compose(frame_transform(realized), frame_transform(fb).inverse())
-            assert np.array_equal(got.rotation, want.rotation)
-            assert np.array_equal(got.translation, want.translation)
+            assert got == want
 
 
 def test_matcher_places_and_pairs_frames_as_the_frame_objects(monkeypatch):
@@ -426,8 +425,7 @@ def test_matcher_places_and_pairs_frames_as_the_frame_objects(monkeypatch):
         for c in CAT.part(inst.part_id).connectors
     ]
     for (_, _, rotation, origin, _), want in zip(conns, placed, strict=True):
-        assert np.array_equal(rotation, want.rotation)
-        assert np.array_equal(origin, want.translation)
+        assert (rotation, origin) == (want.rotation, want.translation)
     seen = []
 
     def spy(family, r, t, tol, max_slide):
@@ -443,7 +441,7 @@ def test_matcher_places_and_pairs_frames_as_the_frame_objects(monkeypatch):
             a, b = sorted(pair, key=lambda k: _endpoint_key(conns[k]))
             want = relative(placed[a], placed[b])
             ((r, t),) = seen
-            assert np.array_equal(r, want.rotation) and np.array_equal(t, want.translation)
+            assert (r, t) == (want.rotation, want.translation)
             checked += 1
     assert checked > 20
 
@@ -519,8 +517,8 @@ def test_reverse_params_consistent(fp, seed):
         # ball reversal re-quantizes: check the realized geometry agrees
         # within the half-degree quantization bound
         fa_again = realize_params(fb, back, family)
-        assert np.abs(fa_again.origin - fa.origin).max() <= 1e-9
-        dots = fa_again.principal_axis @ fa.principal_axis
+        assert np.abs(np.subtract(fa_again.origin, fa.origin)).max() <= 1e-9
+        dots = np.dot(fa_again.principal_axis, fa.principal_axis)
         assert dots >= np.cos(np.radians(1.0))
     else:
         assert extract_params(fb, fa, family) == back
@@ -565,9 +563,9 @@ def _ball_reversal_error_deg(euler, seed):
     fa = frame_from_transform(random_rigid(np.random.default_rng(seed)))
     fb = realize_params(fa, params, ConnectorFamily.BALL)
     fa_again = realize_params(fb, reverse_params(ConnectorFamily.BALL, params), ConnectorFamily.BALL)
-    assert np.abs(fa_again.origin - fa.origin).max() <= 1e-9
+    assert np.abs(np.subtract(fa_again.origin, fa.origin)).max() <= 1e-9
     angle = rotation_angle_deg(frame_transform(fa_again), frame_transform(fa))
-    return angle, fa_again.principal_axis @ fa.principal_axis
+    return angle, np.dot(fa_again.principal_axis, fa.principal_axis)
 
 
 @pytest.mark.parametrize("euler", [(258, 87, 258), (146, 74, 146)])
@@ -714,7 +712,7 @@ def test_graph_json_roundtrip():
     assert set(g2.nodes) == set(g.nodes)
     assert [e.to_json_obj() for e in g2.edges] == [e.to_json_obj() for e in g.edges]
     for nid in g.nodes:
-        assert is_close(g2.nodes[nid].pose, g.nodes[nid].pose, tol=0.0)
+        assert g2.nodes[nid].pose == g.nodes[nid].pose
 
 
 @pytest.mark.parametrize(
@@ -750,7 +748,7 @@ def test_ball_gimbal_and_boundary_cases(euler):
     assert extract_params(f, realized, ConnectorFamily.BALL).euler_deg == canonical
     # the canonical triple realizes the same rotation as the raw one
     raw_frame = realize_params(f, QuantizedParams(euler_deg=tuple(euler)), ConnectorFamily.BALL)
-    assert raw_frame.is_close(realized, tol=1e-9)
+    assert frames_close(raw_frame, realized, tol=1e-9)
 
 
 def test_yaw_wraparound_quantization():

@@ -23,7 +23,6 @@ from conftest import (
     action_count,
     component,
     demo_ldr,
-    is_close,
     max_abs_diff,
     render_program,
     rotation_angle_deg,
@@ -180,7 +179,7 @@ def test_parse_trailing_unattached_intro():
 def test_execute_single_part_identity():
     poses = execute("a plate 1x2 | red\n", CAT)
     assert set(poses) == {"a"}
-    assert is_close(poses["a"], RigidTransform.identity(), tol=0.0)
+    assert poses["a"] == RigidTransform.identity()
 
 
 def _chain_catalog():
@@ -215,9 +214,7 @@ def test_execute_fixed_chain_closed_form():
     assert result.error is None
     poses = execute(text, cat)
     for i in range(k):
-        expected = np.array([0.0, 0.0, 10.0 * i])
-        assert np.array_equal(poses[chr(ord("a") + i)].translation, expected)
-        assert np.array_equal(poses[chr(ord("a") + i)].rotation, np.eye(3))
+        assert poses[chr(ord("a") + i)] == RigidTransform(np.eye(3), (0.0, 0.0, 10.0 * i))
 
 
 def test_execute_connector_occupied():
@@ -240,9 +237,7 @@ def test_execute_deterministic_bitwise():
     text = serialize(path, CAT)
     p1 = execute(text, CAT)
     p2 = execute(text, CAT)
-    for node in p1:
-        assert np.array_equal(p1[node].rotation, p2[node].rotation)
-        assert np.array_equal(p1[node].translation, p2[node].translation)
+    assert p1 == p2
 
 
 def test_execute_matches_oracle_replay_all_families():
@@ -339,7 +334,7 @@ def test_roundtrip_bound_over_mixed_corpus():
                 rot_err = rotation_angle_deg(got, src)
                 assert rot_err <= 0.5 * max(depth[nid], 1) + 1e-9
                 trans_bound = 0.5 + depth[nid] * radius * np.radians(0.5)
-                assert np.abs(got.translation - src.translation).max() <= trans_bound
+                assert np.abs(np.subtract(got.translation, src.translation)).max() <= trans_bound
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +562,10 @@ def _corrupted(text: str, rng: np.random.Generator) -> str:
 
 
 def _pose_bytes(poses) -> dict:
-    return {n: (p.rotation.tobytes(), p.translation.tobytes()) for n, p in poses.items()}
+    return {
+        n: (np.array(p.rotation).tobytes(), np.array(p.translation).tobytes())
+        for n, p in poses.items()
+    }
 
 
 def test_deferred_poses_match_the_eager_executor():
