@@ -52,9 +52,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from conftest import icosphere_mesh, random_rotation  # noqa: E402
 
 
-def load_side(src: Path, name: str):
+def load_side(src: Path, name: str, modules=("collision", "demo", "geometry")):
     """The brickir package under ``src`` imported as ``name``, with the
-    submodules this script uses."""
+    given submodules (by default those this script uses)."""
     if name not in sys.modules:
         init = src / "brickir" / "__init__.py"
         spec = importlib.util.spec_from_file_location(
@@ -63,7 +63,7 @@ def load_side(src: Path, name: str):
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return {m: importlib.import_module(f"{name}.{m}") for m in ("collision", "demo", "geometry")}
+    return {m: importlib.import_module(f"{name}.{m}") for m in modules}
 
 
 def sphere_queries(subdivisions: int, rng):

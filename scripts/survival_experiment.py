@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,32 +25,20 @@ from brickir.cli import main as cli_main
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.program import serialize
 
-CORRUPTIONS = ("unknown-part", "bad-token", "bad-params", "dangling-target")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the benchmark's workloads
+
+from perfbench.workloads import CORRUPTIONS, corrupt_at  # noqa: E402
 
 
 def corrupt(text: str, rng) -> str:
-    lines = text.splitlines()
-    intros = [i for i, l in enumerate(lines) if " | " in l]
-    if len(intros) < 2:
+    """One corruption of ``CORRUPTIONS``, drawn after the placement action
+    it hits (never the root); a program of fewer than two parts is kept."""
+    intros = sum(1 for line in text.splitlines() if " | " in line)
+    if intros < 2:
         return text
-    action = int(rng.integers(1, len(intros)))
+    action = int(rng.integers(1, intros))
     kind = CORRUPTIONS[int(rng.integers(len(CORRUPTIONS)))]
-    if kind == "unknown-part":
-        li = intros[action]
-        node, rest = lines[li].split(" ", 1)
-        lines[li] = f"{node} mystery widget | {rest.split(' | ')[1]}"
-    else:
-        li = intros[action] + 1
-        tokens = lines[li].split()
-        if kind == "bad-token":
-            lines[li] = "%% not a step %%"
-        elif kind == "bad-params":
-            tokens[-1] = "banana"
-            lines[li] = " ".join(tokens)
-        else:
-            tokens[0] = "zz"
-            lines[li] = " ".join(tokens)
-    return "\n".join(lines) + "\n"
+    return corrupt_at(text, action, kind)
 
 
 def _run(argv) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -83,7 +84,9 @@ class PartDef:
         return any(c.index == index for c in self.connectors)
 
 
-def _load_default_colors() -> dict[int, str]:
+@lru_cache(maxsize=1)
+def _default_colors() -> dict[int, str]:
+    """The shipped color table (data/colors.json); callers copy it."""
     text = resources.files("brickir.data").joinpath("colors.json").read_text()
     return {int(k): v for k, v in json.loads(text).items()}
 
@@ -99,7 +102,7 @@ class Catalog:
 
     def __init__(self, parts, colors=None):
         self.parts: dict[str, PartDef] = dict(parts)
-        self.colors: dict[int, str] = dict(colors) if colors is not None else _load_default_colors()
+        self.colors: dict[int, str] = dict(colors if colors is not None else _default_colors())
         self.rules = default_rules()
         self._by_name = {normalize_part_name(p.name): p for p in self.parts.values()}
         self._color_names = set(self.colors.values())
@@ -161,7 +164,7 @@ class Catalog:
         within its part) raises CatalogError; an invalid annotation
         AnnotationError."""
         parts = {}
-        colors = _load_default_colors()
+        colors = dict(_default_colors())
         try:
             for pid, entry in obj.get("parts", {}).items():
                 connectors = tuple(

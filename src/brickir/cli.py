@@ -12,6 +12,7 @@ SVD, in geometry.nearest_rotation, can differ in the last bits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,7 +41,10 @@ EXIT_CATALOG = 3
 EXIT_VALIDATION = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by
+    every later one in the process (parsing keeps no state on it)."""
     p = argparse.ArgumentParser(
         prog="brickir",
         description="Graph-backed build-sequence toolchain for LDraw brick structures.",

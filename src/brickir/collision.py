@@ -6,7 +6,8 @@ registering as collisions). The incident face planes move by exactly that
 amount only where the incident normals are balanced, as on a cube; the
 20x8x20 LDU plate 3024 shrinks by 0.136, 0.341 and 0.136 LDU per side at
 0.25. A CollisionMesh holds the mesh together with its bounding-volume
-hierarchy (BVH); PartColliders maps each part id to its mesh.
+hierarchy (BVH); PartColliders maps each part id to its mesh, one mesh per
+distinct geometry.
 An AssemblyChecker keeps the placed world AABBs in arrays and picks near
 neighbours with one comparison (broad phase). Each near pair then runs the
 narrow phase. Two one-leaf meshes skip the tree: after their root boxes,
@@ -26,10 +27,12 @@ a single leaf and is built without the tree code: for parts that small a
 tree walk costs more than it prunes, and the triangle-box filter prunes
 instead. Larger meshes keep a median-split tree with LEAF_SIZE (4)
 triangles per leaf. The inset gathers the triangle corners once per pass
-over the triangles, and one bincount sums the per-vertex normals and areas.
-So a one-leaf mesh build and a one-leaf query each make only a few
-integer-array gathers: every gather releases and re-takes the GIL, which
-costs most under the CLI's --jobs threads.
+over the triangles, one bincount sums the per-vertex normals and areas, and
+the mesh takes the second pass's corners as its own. So a one-leaf build
+makes four numpy calls that release and re-take the GIL (the two gathers,
+the bincount and the sort of the closedness test; np.arange and ndarray.take
+would add more), and a one-leaf query a few gathers. Under the CLI's --jobs
+threads each such call waits for the GIL while another worker runs Python.
 
 The filter loses no hit of the exact triangle test: that test reports a hit
 only when the two triangles' crossing segments, on the line where their
@@ -60,6 +63,9 @@ from .geometry import RigidTransform, mat_vec_add, relative
 TRI_EPS = 1e-6
 DEGENERATE_AREA = 1e-9
 _CORNERS = np.arange(3)
+_BIN_COLUMNS = np.arange(4)  # inset_mesh's per-vertex bins: normal x, y, z and area
+_NO_CHILD = np.full(1, -1, dtype=np.intp)  # left and right of a one-leaf mesh's root
+_NO_CHILD.setflags(write=False)
 
 # Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
 _RAY_DIR = np.array([0.57735026, 0.51449576, 0.63245553])
@@ -99,25 +105,27 @@ class CollisionMesh:
     LEAF_SIZE = 4
     ONE_LEAF_MAX = 64
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, tri_vertices: np.ndarray):
+        """``tri_vertices`` is ``vertices[triangles]``, which the caller has
+        gathered already."""
         self.vertices = vertices
         self.triangles = triangles
-        self.closed = _is_closed(triangles)
-        self.tri_vertices = tri_vertices = vertices[triangles]
+        self.closed = _is_closed(triangles, len(vertices))
+        self.tri_vertices = tri_vertices
         m = len(tri_vertices)
         tmin, tmax = _corner_bounds(tri_vertices)
         if m <= self.ONE_LEAF_MAX:
             lo = tmin.min(axis=0, keepdims=True)
             hi = tmax.max(axis=0, keepdims=True)
-            self.left = np.full(1, -1, dtype=np.intp)
-            self.right = np.full(1, -1, dtype=np.intp)
-            self.leaf_tris = np.arange(m, dtype=np.intp)[None]
+            self.left = self.right = _NO_CHILD
+            self.leaf_tris = np.fromiter(range(m), np.intp, m)[None]  # np.arange drops the GIL
         else:
             lo, hi = self._build_tree(tri_vertices.mean(axis=1), tmin, tmax)
+        size = hi - lo
         self.leaf = self.left < 0
-        self.extent = (hi - lo).max(axis=1)
+        self.extent = size.max(axis=1)
         self.center = (lo + hi) / 2.0
-        self.half = (hi - lo) / 2.0
+        self.half = size / 2.0
         self.lo_eps = lo - TRI_EPS
         self.hi_eps = hi + TRI_EPS
         self.tri_lo_eps = tmin - TRI_EPS
@@ -128,13 +136,12 @@ class CollisionMesh:
         h = _cross(_RAY_DIR, e2)
         det = np.einsum("ij,ij->i", e1, h)
         ok = np.abs(det) > 1e-12
-        with np.errstate(divide="ignore"):
-            inv_det = np.where(ok, 1.0 / det, 0.0)
+        inv_det = np.divide(1.0, det, out=np.zeros(m), where=ok)
         self.ray_v0, self.ray_e1, self.ray_e2 = v0, e1, e2
         self.ray_h, self.ray_ok, self.ray_inv_det = h, ok, inv_det
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+                arr.setflags(write=False)
 
     def _build_tree(self, centroids, tmin, tmax):
         """The median-split tree of a mesh above ONE_LEAF_MAX triangles:
@@ -178,7 +185,7 @@ class CollisionMesh:
         if len(t) == 0:
             raise BrickIrError("empty mesh")
         _check_indices(v, t)
-        return cls(v, t)
+        return cls(v, t, v[t])
 
     def __len__(self):
         return len(self.triangles)
@@ -189,19 +196,21 @@ def _check_indices(v: np.ndarray, t: np.ndarray) -> None:
         raise BrickIrError("triangle index out of range")
 
 
-def _is_closed(triangles: np.ndarray) -> bool:
-    """Closed iff every undirected edge is shared by exactly two triangles.
+def _is_closed(triangles: np.ndarray, n: int) -> bool:
+    """Closed iff every undirected edge is shared by exactly two triangles
+    (``n`` bounds the vertex indices).
 
     Each edge (a, b), (b, c), (c, a) becomes one integer key min * n + max.
-    Every key occurs exactly twice iff the sorted keys pair up (positions
-    2i and 2i + 1 are equal) and no two neighbouring pairs are equal."""
+    Every key occurs exactly twice iff the sorted keys pair up (the step
+    from position 2i to 2i + 1 is zero) and no two neighbouring pairs are
+    equal (every step from 2i + 1 to 2i + 2 is not)."""
     u = triangles.ravel()
     w = np.concatenate((triangles[:, 1:], triangles[:, :1]), axis=1).ravel()
-    lo, hi = np.minimum(u, w), np.maximum(u, w)
-    keys = np.sort(lo * (int(hi.max()) + 1) + hi)
+    keys = np.sort(np.minimum(u, w) * n + np.maximum(u, w))
     if len(keys) % 2:
         return False
-    return bool((keys[::2] == keys[1::2]).all() and (keys[1:-1:2] != keys[2::2]).all())
+    steps = keys[1:] - keys[:-1]
+    return not np.count_nonzero(steps[::2]) and np.count_nonzero(steps[1::2]) == len(steps) // 2
 
 
 def _corner_bounds(tri):
@@ -232,68 +241,75 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     accumulates corner 0, 1, 2 of every triangle in triangle order, so they
     equal sequential np.add.at sums bit for bit. Unused vertices are
     compacted away only when some vertex is unused; the mesh never shares
-    an array with the caller.
+    an array with the caller. The divisions are masked (``where=``) rather
+    than done everywhere under ``np.errstate``, and ``all()`` tests are
+    counts: each numpy call costs about a microsecond on a 12-triangle part.
     """
     v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     t = np.array(triangles, dtype=np.int64).reshape(-1, 3)
     if len(t) == 0 or len(v) == 0:
         raise BrickIrError("empty mesh")
     _check_indices(v, t)
+    n = len(v)
 
     corners = v[t]
     cross = _triangle_normals(corners)  # |cross| = 2 * area, direction = face normal
     areas2 = _norms(cross)
     keep = areas2 > 2.0 * DEGENERATE_AREA
-    if not keep.all():
+    if np.count_nonzero(keep) < len(t):
         t, corners, cross, areas2 = t[keep], corners[keep], cross[keep], areas2[keep]
     if len(t) == 0:
         raise BrickIrError("mesh has no non-degenerate triangles")
 
-    keys = (t.T.reshape(-1, 1) * 4 + np.arange(4)).ravel()
-    weights = np.tile(np.concatenate((cross, areas2[:, None]), axis=1), (3, 1)).ravel()
-    sums = np.bincount(keys, weights, 4 * len(v)).reshape(-1, 4)
+    weights = np.empty((3, len(t), 4))  # (corner, triangle, column), as the keys
+    weights[:, :, :3] = cross
+    weights[:, :, 3] = areas2
+    keys = (t.T * 4)[:, :, None] + _BIN_COLUMNS
+    sums = np.bincount(keys.ravel(), weights.ravel(), 4 * n).reshape(-1, 4)
     normal_sum, area_sum = sums[:, :3], sums[:, 3]
 
-    norms = _norms(normal_sum)
     used = area_sum > 0  # a corner of a kept triangle
-    displacement = np.zeros_like(v)
     if offset != 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(used, norms / area_sum, 1.0)
-            unit = np.where((norms > 1e-12)[:, None], normal_sum / norms[:, None], 0.0)
-        c = np.clip(c, 0.1, 1.0)  # guard against runaway moves at spikes
-        displacement = -(offset / c)[:, None] * unit
-    new_v = v + displacement
+        norms = _norms(normal_sum)
+        c = np.divide(norms, area_sum, out=np.ones(n), where=used)
+        c = np.minimum(np.maximum(c, 0.1), 1.0)  # guard against runaway moves at spikes
+        unit = np.divide(
+            normal_sum, norms[:, None], out=np.zeros((n, 3)), where=(norms > 1e-12)[:, None]
+        )
+        new_v = v - (offset / c)[:, None] * unit
+    else:
+        new_v = v + 0.0  # a copy, with -0.0 turned to 0.0 as a zero move does
 
     # Drop triangles the inset collapsed, then unused vertices.
     new_corners = new_v[t]
     new_cross = _triangle_normals(new_corners)
     kept = _norms(new_cross) > 2.0 * DEGENERATE_AREA
-    if not kept.all():
+    if np.count_nonzero(kept) < len(t):
         t, corners, cross = t[kept], corners[kept], cross[kept]
         new_corners, new_cross = new_corners[kept], new_cross[kept]
-        used = np.zeros(len(new_v), dtype=bool)
+        used = np.zeros(n, dtype=bool)
         used[t] = True
-    if len(t) == 0 or _inside_out(corners[:, 0], new_corners[:, 0], t, cross, new_cross):
+    if len(t) == 0 or _inside_out(corners[:, 0], new_corners[:, 0], t, cross, new_cross, n):
         raise BrickIrError("inset collapsed the entire mesh")
-    if used.all():
-        return CollisionMesh(new_v, t)
+    if np.count_nonzero(used) == n:
+        return CollisionMesh(new_v, t, new_corners)
     used_idx = np.flatnonzero(used)
-    remap = np.full(len(new_v), -1, dtype=np.int64)
+    remap = np.full(n, -1, dtype=np.int64)
     remap[used_idx] = np.arange(len(used_idx))
-    return CollisionMesh(new_v[used_idx], remap[t])
+    return CollisionMesh(new_v[used_idx], remap[t], new_corners)
 
 
-def _inside_out(v0, new_v0, t, cross, new_cross) -> bool:
+def _inside_out(v0, new_v0, t, cross, new_cross, n) -> bool:
     """True when an inset went through the part: a kept face's normal turned
     around, or a closed mesh's signed volume changed sign (moving every
     vertex through the opposite side on all three axes keeps each normal).
-    ``v0`` and ``new_v0`` are each triangle's first corner before and after."""
-    if (np.einsum("ij,ij->i", new_cross, cross) < 0.0).any():
+    ``v0`` and ``new_v0`` are each triangle's first corner before and after;
+    ``n`` bounds the vertex indices in ``t``."""
+    if np.count_nonzero(np.einsum("ij,ij->i", new_cross, cross) < 0.0):
         return True
     before = np.einsum("ij,ij->", v0, cross)  # 6x the signed volume when closed
     after = np.einsum("ij,ij->", new_v0, new_cross)
-    return bool(before * after < 0.0) and _is_closed(t)
+    return bool(before * after < 0.0) and _is_closed(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +389,16 @@ def _crossing_intervals(proj, dv):
 
 def _cross(u, v):
     """Cross products of (..., 3) arrays: np.cross's arithmetic, without its
-    per-call axis handling."""
+    per-call axis handling, each component written into its column of the
+    result (``np.stack`` costs more than the products)."""
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=-1)
+    c0 = u1 * v2 - u2 * v1
+    out = np.empty((*c0.shape, 3))
+    out[..., 0] = c0
+    np.subtract(u2 * v0, u0 * v2, out=out[..., 1])
+    np.subtract(u0 * v1, u1 * v0, out=out[..., 2])
+    return out
 
 
 def _norms(x):
@@ -524,19 +546,22 @@ def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
 
 class PartColliders:
     """Part id -> CollisionMesh: the one mesh table that every collision
-    consumer reads. A part's mesh is built on its first lookup and kept;
-    builds run under a lock, so threads sharing the table build each mesh
-    once. Meshes are immutable, so the table is shareable; each consumer
-    places parts into its own AssemblyChecker.
+    consumer reads. A part's mesh is built on its first lookup and kept.
+    Builds are keyed by geometry (the shapes and bytes of the vertex and
+    triangle arrays), so parts with the same mesh share one CollisionMesh
+    and it is built once. Builds run under a lock, so threads sharing the
+    table build each geometry once. Meshes are immutable, so the table is
+    shareable; each consumer places parts into its own AssemblyChecker.
 
     ``get`` returns None for an unknown part and for a part without
-    geometry. A mesh that cannot be built raises from the lookup that needs
-    it."""
+    geometry. A mesh that cannot be built raises from every lookup that
+    needs it: a failed build is not kept."""
 
     def __init__(self, catalog, inset: float):
         self._catalog = catalog
         self._inset = inset
-        self._meshes: dict = {}
+        self._meshes: dict = {}  # part id -> mesh
+        self._by_geometry: dict = {}  # geometry key -> mesh
         self._lock = threading.Lock()
 
     @classmethod
@@ -553,12 +578,14 @@ class PartColliders:
         part = self._catalog.parts.get(part_id)
         if part is None or part.mesh is None:
             return None
+        v, t = part.mesh.vertices, part.mesh.triangles
+        key = (v.shape, t.shape, v.tobytes(), t.tobytes())
         with self._lock:
-            mesh = self._meshes.get(part_id)
+            mesh = self._by_geometry.get(key)
             if mesh is None:
-                v, t = part.mesh.vertices, part.mesh.triangles
                 mesh = inset_mesh(v, t, self._inset) if self._inset else CollisionMesh.build(v, t)
-                self._meshes[part_id] = mesh
+                self._by_geometry[key] = mesh
+            self._meshes[part_id] = mesh
         return mesh
 
 

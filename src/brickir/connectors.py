@@ -177,11 +177,7 @@ class AnnotatedConnector:
         catalog checks it)."""
         subtype = obj["subtype"]
         family = _site_family(subtype, obj)
-        frame = ConnectorFrame(
-            np.array(obj["origin"], dtype=np.float64),
-            np.array(obj["principal_axis"], dtype=np.float64),
-            np.array(obj["reference_axis"], dtype=np.float64),
-        )
+        frame = ConnectorFrame(obj["origin"], obj["principal_axis"], obj["reference_axis"])
         return cls(obj.get("index"), family, subtype, frame, obj.get("axle_length"))
 
 

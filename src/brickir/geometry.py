@@ -247,6 +247,23 @@ def place_frame(rotation, translation, frame: ConnectorFrame):
     return frame_rotation(z, x), mat_vec_add(rotation, frame.origin, translation)
 
 
+_SEQUENCES = (list, tuple)
+_REALS = (float, int)
+
+
+def _vec3(v) -> tuple[float, float, float]:
+    """A 3-vector as a tuple of Python floats. A list or tuple of three
+    ints and floats (what JSON and the kernel give) converts in plain Python;
+    anything else goes through numpy's float64 conversion, with its errors
+    (a string, a wrong size) and its leniency (a nested [[x, y, z]], None as
+    nan, bools and numeric strings as numbers). Both give the same floats."""
+    if type(v) in _SEQUENCES and len(v) == 3:
+        x, y, z = v
+        if type(x) in _REALS and type(y) in _REALS and type(z) in _REALS:
+            return float(x), float(y), float(z)
+    return tuple(np.asarray(v, dtype=np.float64).reshape(3).tolist())
+
+
 @dataclass(frozen=True)
 class ConnectorFrame:
     """Local rigid frame of one attachment site.
@@ -263,10 +280,7 @@ class ConnectorFrame:
     reference_axis: tuple[float, float, float]
 
     def __post_init__(self):
-        o, p, r = (
-            tuple(np.asarray(v, dtype=np.float64).reshape(3).tolist())
-            for v in (self.origin, self.principal_axis, self.reference_axis)
-        )
+        o, p, r = map(_vec3, (self.origin, self.principal_axis, self.reference_axis))
         if not all(map(math.isfinite, (*o, *p, *r))):
             raise ValueError("non-finite connector frame")
         if max(map(abs, p + r)) > AXIS_LIMIT:  # its square would overflow

@@ -320,6 +320,85 @@ def test_console_entry_point(workdir, tmp_path):
     assert len(json.loads(result.stdout)["instances"]) == 4
 
 
+# One ``main`` call, its output captured and SystemExit read as its exit code.
+_CAPTURED_MAIN = """
+import contextlib, io, json, sys
+from brickir.cli import main
+def captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+"""
+
+
+def _child_env():
+    src = str(Path(brickir.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_reused_parser_keeps_no_state_between_calls(workdir, tmp_path, monkeypatch):
+    """Calls in one process, the parser built once, each give what the same
+    call gives alone in a fresh process: exit code, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the width
+    seqdir = _write_eval_corpus(tmp_path)
+    progs = [str(p) for p in sorted(seqdir.iterdir())]
+    ldr = str(workdir / "stack4.ldr")
+    catalog = ["--catalog", str(workdir / "catalog.json")]
+    calls = [
+        [*catalog, "--pos-tol", "x", "graph", ldr],  # argparse's own error: exit 2
+        [*catalog, "--jobs", "0", "eval", *progs],  # a numeric rule's error: exit 2
+        [*catalog, "--jobs", "1", "eval", *progs],
+        [*catalog, "--no-collision", "check", *progs],
+        [*catalog, "--format", "csv", "eval", *progs],
+        [*catalog, "sample", ldr, "--count", "3"],
+        catalog,  # no subcommand: exit 2
+    ]
+    namespace: dict = {}
+    exec(_CAPTURED_MAIN, namespace)
+    in_process = [namespace["captured"](argv) for argv in calls + calls]
+    alone = []
+    for argv in calls:
+        child = subprocess.run(
+            [sys.executable, "-c", _CAPTURED_MAIN + "print(json.dumps(captured(sys.argv[1:])))",
+             *argv],
+            capture_output=True, text=True, env=_child_env(), check=True,
+        )
+        alone.append(json.loads(child.stdout))
+    assert [code for code, _, _ in alone] == [2, 2, 0, 0, 0, 0, 2]
+    assert in_process == alone + alone
+
+
+def test_importing_the_cli_builds_no_parser(workdir):
+    """The parser is built by the first ``main`` call, not at import (the
+    benchmark's set-up time includes the import), and only once."""
+    script = _CAPTURED_MAIN.replace("from brickir.cli import main\n", "") + """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from brickir.cli import main
+counts = [len(built)]
+for _ in range(2):
+    captured(["--catalog", sys.argv[1], "parse", sys.argv[2]])
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(workdir / "catalog.json"), str(workdir / "stack4.ldr")],
+        capture_output=True, text=True, env=_child_env(), check=True,
+    )
+    at_import, first, second = json.loads(child.stdout)
+    assert at_import == 0 and first > 1 and second == first
+
+
 def test_tolerance_flags_change_matching(workdir, capsys, tmp_path):
     # plates stacked with a 0.6 LDU horizontal misfit: matched only once the
     # position tolerance admits it
@@ -514,6 +593,53 @@ def test_malformed_catalog_json_exit3(workdir, capsys, tmp_path, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_MALFORMED = "error: malformed catalog JSON: ValueError: "
+
+
+@pytest.mark.parametrize("part, key, value, code, err", [
+    ("3023", "origin", "a", 3, _MALFORMED + "could not convert string to float: 'a'\n"),
+    ("3023", "origin", [None, None, None], 3, _MALFORMED + "non-finite connector frame\n"),
+    ("3023", "origin", [-10.0, 0.0], 3,
+     _MALFORMED + "cannot reshape array of size 2 into shape (3,)\n"),
+    ("3023", "origin", [[-10.0, 0.0, 0.0]], 0, ""),  # numpy's conversion accepts the nesting
+    ("3023", "origin", [float("nan"), 0.0, 0.0], 3, _MALFORMED + "non-finite connector frame\n"),
+    ("3023", "principal_axis", [0.0, float("inf"), 0.0], 3,
+     _MALFORMED + "non-finite connector frame\n"),
+    ("3023", "principal_axis", [0.0, -2e150, 0.0], 3,
+     _MALFORMED + "connector axis component beyond 1e+150\n"),
+    ("3023", "reference_axis", [2e150, 0.0, 0.0], 3,
+     _MALFORMED + "connector axis component beyond 1e+150\n"),
+    ("3023", "principal_axis", [0, 0, 0], 3, _MALFORMED + "zero-length principal axis\n"),
+    ("3023", "origin", [0.0, 2e6, 0.0], 3,
+     "error: part '3023': connector origin beyond 1e+06 LDU\n"),
+    ("3023", "axle_length", 2000, 3,
+     _MALFORMED + "axle_length must be a number in [0, 1000], got 2000\n"),
+    ("3023", "axle_length", -1, 3,
+     _MALFORMED + "axle_length must be a number in [0, 1000], got -1\n"),
+    ("3023", "axle_length", True, 3,
+     _MALFORMED + "axle_length must be a number in [0, 1000], got True\n"),
+    # stack4.ldr places only 3023: the catalog is checked whole at load
+    ("3004", "origin", "a", 3, _MALFORMED + "could not convert string to float: 'a'\n"),
+    ("3004", "origin", [0.0, -2e6, 0.0], 3,
+     "error: part '3004': connector origin beyond 1e+06 LDU\n"),
+    ("3704", "axle_length", 2000, 3,
+     _MALFORMED + "axle_length must be a number in [0, 1000], got 2000\n"),
+], ids=["origin-a", "origin-nones", "origin-2-numbers", "origin-nested", "origin-nan",
+        "principal-inf", "principal-past-axis-limit", "reference-past-axis-limit",
+        "principal-zero", "origin-past-1e6", "axle-2000", "axle-negative", "axle-true",
+        "unused-part-origin-a", "unused-part-origin-past-1e6", "unused-part-axle-2000"])
+def test_catalog_connector_gate_exit_codes_and_messages(workdir, tmp_path, part, key, value,
+                                                        code, err):
+    obj = CAT.to_json_obj()
+    obj["parts"][part]["connectors"][0][key] = value
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(obj))
+    ldr = workdir / "stack4.ldr"
+    got = _run_captured(workdir, "--catalog", catalog, "parse", ldr)  # the last --catalog wins
+    want_out = _run_captured(workdir, "parse", ldr)[1] if code == 0 else ""
+    assert got == (code, want_out, err)
 
 
 def test_nonfinite_ldraw_number_exit2_with_line_number(workdir, capsys, tmp_path):
@@ -1105,6 +1231,71 @@ def test_fuzzed_programs_under_a_fuzzed_catalog_keep_the_exit_code_contract(
     program.write_text(text)
     _fuzz_calls([["execute", program], ["check", program], ["eval", program]],
                 ["--catalog", catalog])
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under fuzzed flags together with fuzzed inputs
+
+# Each value is valid, at or past a bound, not a number, or out of range for
+# its type; --count stays small, since it sets how many programs sample writes.
+_FLAG_VALUES = {
+    "--pos-tol": ["0", "1", "0.5", "1e3", "1e-300", "-1", "-0", "nan", "inf", "x", ""],
+    "--axis-tol": ["0", "2", "45", "60", "180", "720", "-5", "nan", "1e400", "x"],
+    "--inset": ["0", "0.25", "1", "3.5", "1e6", "1e300", "-1", "nan", "inf", "x"],
+    "--max-parts": ["1", "2", "100", "0", "-1", "1.5", "x", str(2**64)],
+    "--seed": ["0", "1", "7", str(2**64 - 1), str(2**64), str(2**70), "-1", "x"],
+    "--format": ["json", "csv", "text", "xml"],
+}
+_COUNT_VALUES = ["0", "1", "3", "-1", "x", ""]
+
+
+@st.composite
+def _fuzzed_flag_call(draw):
+    """One CLI call: a command over a mutated program, LDraw file or graph
+    JSON (the inputs of the fuzzes above), with some of the numeric and
+    format flags drawn from ``_FLAG_VALUES``, maybe --strict and
+    --no-collision, and --count for sample. Returns (argv, input name, data)."""
+    kind = draw(st.sampled_from(["program", "ldraw", "graph"]))
+    if kind == "program":
+        command = draw(st.sampled_from(["check", "eval", "execute"]))
+        name, data = "flags.bseq", draw(_mutated_programs()).encode()
+    elif kind == "ldraw":
+        command = draw(st.sampled_from(["parse", "graph", "sample", "serialize", "stats"]))
+        name, data = "flags.ldr", draw(_mutated_ldraw())
+    else:
+        command = draw(st.sampled_from(["sample", "serialize", "stats"]))
+        name, data = "flags.json", draw(_mutated_json(_GRAPH_BASES)).encode()
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), unique=True, max_size=4)):
+        argv.append(f"{flag}={draw(st.sampled_from(_FLAG_VALUES[flag]))}")
+    argv += [flag for flag in ("--strict", "--no-collision") if draw(st.booleans())]
+    argv += [command, name]
+    if command == "sample" and draw(st.booleans()):
+        argv.append(f"--count={draw(st.sampled_from(_COUNT_VALUES))}")
+    return argv, name, data
+
+
+@settings(max_examples=120, deadline=None)
+@given(call=_fuzzed_flag_call())
+def test_fuzzed_flags_with_fuzzed_inputs_keep_the_exit_code_contract(workdir, call):
+    """Every call through one process's ``main`` exits 0-4 (argparse's exit
+    through SystemExit included) with at most one error line, no traceback
+    and no warning."""
+    argv, name, data = call
+    path = workdir / name
+    path.write_bytes(data)
+    argv = [str(path) if a == name else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(["--catalog", str(workdir / "catalog.json"), *argv])
+        except SystemExit as exc:  # argparse reports a bad flag with exit 2
+            code = exc.code
+    assert 0 <= code <= 4
+    assert "Traceback" not in err.getvalue()
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -844,6 +844,59 @@ def test_part_colliders_concurrent_first_lookups_build_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(seen) == 8
-    assert len(builds) == len(ids) and set(builds.values()) == {1}
+    assert len(builds) == len(_parts_by_geometry(cat)) and set(builds.values()) == {1}
     for meshes in seen:  # every thread got the one stored mesh of each part
         assert {id(m) for m in meshes} == {id(table.get(pid)) for pid in ids}
+
+
+def _parts_by_geometry(cat) -> dict:
+    """The ids of the catalog's parts with a mesh, grouped by the shapes and
+    bytes of their vertex and triangle arrays."""
+    groups: dict = {}
+    for pid, part in sorted(cat.parts.items()):
+        if part.mesh is not None:
+            v, t = part.mesh.vertices, part.mesh.triangles
+            groups.setdefault((v.shape, t.shape, v.tobytes(), t.tobytes()), []).append(pid)
+    return groups
+
+
+def test_part_colliders_share_one_mesh_per_geometry(monkeypatch):
+    cat = build_demo_catalog()
+    groups = _parts_by_geometry(cat)
+    assert len(groups) == 10 and len(cat) == 16  # two meshes serve four parts each
+    builds = count_inset_builds(monkeypatch)
+    table = PartColliders.from_catalog(cat, inset=0.25)
+    meshes = {pid: table.get(pid) for pid in sorted(cat.parts)}
+    for group in groups.values():  # one object per geometry...
+        assert len({id(meshes[pid]) for pid in group}) == 1
+    # ...and different geometries never share one
+    assert len({id(m) for m in meshes.values()}) == len(groups)
+    assert len(builds) == len(groups) and set(builds.values()) == {1}
+    for pid, mesh in meshes.items():  # each part's mesh is the inset of its own source
+        source = cat.part(pid).mesh
+        want = inset_mesh(source.vertices, source.triangles, 0.25)
+        assert mesh.vertices.tobytes() == want.vertices.tobytes()
+        assert mesh.triangles.tobytes() == want.triangles.tobytes()
+    # a mesh one vertex bit away from a shared one gets its own build
+    obj = cat.to_json_obj()
+    vertices = obj["parts"]["3794"]["mesh"]["vertices"]
+    vertices[0][0] = np.nextafter(vertices[0][0], np.inf)
+    nudged = Catalog.from_json_obj(obj)
+    table = PartColliders.from_catalog(nudged, inset=0.25)
+    assert table.get("3794") is not table.get("3023")
+    assert table.get("4275") is table.get("3023")
+    # verbatim meshes (inset 0) are shared the same way
+    table = PartColliders.from_catalog(cat, inset=0.0)
+    assert table.get("3614") is table.get("61252") is not table.get("3023")
+
+
+def test_part_colliders_shared_geometry_that_cannot_be_inset_fails_for_every_part(monkeypatch):
+    obj = catalog_obj_with_collapsing_mesh("3023")
+    obj["parts"]["3004"]["mesh"] = obj["parts"]["3023"]["mesh"]  # the same collapsing cube
+    builds = count_inset_builds(monkeypatch)
+    table = PartColliders.from_catalog(Catalog.from_json_obj(obj), inset=0.25)
+    for pid in ("3023", "3004", "3023"):
+        with pytest.raises(BrickIrError, match="inset collapsed the entire mesh"):
+            table.get(pid)
+    assert sum(builds.values()) == 3  # a failed build is not kept
+    assert table.get("3024") is not None
