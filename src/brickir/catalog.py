@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -74,14 +74,21 @@ class PartDef:
                 f"part {self.part_id!r}: connector origin beyond {MESH_COORD_MAX:g} LDU"
             )
 
+    @cached_property
+    def connectors_by_index(self) -> dict[str, AnnotatedConnector]:
+        """Connector index -> connector, built on first use and kept with the
+        part. Where an index repeats (the catalog loaders reject that), the
+        first connector with it wins."""
+        return {c.index: c for c in reversed(self.connectors)}
+
     def connector(self, index: str) -> AnnotatedConnector:
-        for c in self.connectors:
-            if c.index == index:
-                return c
-        raise CatalogError(f"part {self.part_id!r} has no connector {index!r}")
+        try:
+            return self.connectors_by_index[index]
+        except KeyError:
+            raise CatalogError(f"part {self.part_id!r} has no connector {index!r}") from None
 
     def has_connector(self, index: str) -> bool:
-        return any(c.index == index for c in self.connectors)
+        return index in self.connectors_by_index
 
 
 @lru_cache(maxsize=1)

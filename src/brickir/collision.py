@@ -8,11 +8,13 @@ amount only where the incident normals are balanced, as on a cube; the
 0.25. A CollisionMesh holds the mesh together with its bounding-volume
 hierarchy (BVH); PartColliders maps each part id to its mesh, one mesh per
 distinct geometry.
-An AssemblyChecker keeps the placed world AABBs in arrays and picks near
-neighbours with one comparison (broad phase). Each near pair then runs the
-narrow phase. Two one-leaf meshes skip the tree: after their root boxes,
-all of one's triangle boxes are tested against all of the other's in one
-broadcast comparison (the leaf-level all-pairs box test of Ericson 2004,
+An AssemblyChecker keeps each placed world AABB, widened by TRI_EPS, as
+one row (lo, -hi) of an (n, 6) array and picks near neighbours with one
+comparison of the rows against the new box's (hi, -lo) and one all()
+along the rows (broad phase). Each near pair then runs the narrow phase.
+Two one-leaf meshes skip the tree: after their root boxes, all of one's
+triangle boxes are tested against all of the other's in one broadcast
+comparison (the leaf-level all-pairs box test of Ericson 2004,
 Real-Time Collision Detection, ch. 6). A pair that involves a larger mesh
 runs a level-by-level BVH-vs-BVH traversal, whose overlapping leaf pairs
 filter their triangle pairs by the same boxes. The survivors feed one
@@ -66,6 +68,10 @@ _CORNERS = np.arange(3)
 _BIN_COLUMNS = np.arange(4)  # inset_mesh's per-vertex bins: normal x, y, z and area
 _NO_CHILD = np.full(1, -1, dtype=np.intp)  # left and right of a one-leaf mesh's root
 _NO_CHILD.setflags(write=False)
+# Rows per broad-phase comparison: numpy gives up the GIL in a loop over
+# more than 500 elements, which under the CLI's --jobs threads costs a wait
+# for the other worker; a (83, 6) comparison and its row test stay below.
+_BROAD_ROWS = 500 // 6
 
 # Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
 _RAY_DIR = np.array([0.57735026, 0.51449576, 0.63245553])
@@ -94,7 +100,8 @@ class CollisionMesh:
     holds all its triangles; a larger mesh is split at the median centroid
     along the longest box side until at most LEAF_SIZE triangles are left.
 
-    Mesh-only query terms are kept too: ``center``/``half`` of every node box,
+    Mesh-only query terms are kept too: ``center``/``half`` of every node box
+    (and of the root as float tuples, ``root_center``/``root_half``),
     the node bounds widened by TRI_EPS (``lo_eps``/``hi_eps``), and per
     triangle its widened box (``tri_lo_eps``/``tri_hi_eps``, which filter
     triangle pairs before the triangle test) and the Moller-Trumbore terms
@@ -126,6 +133,8 @@ class CollisionMesh:
         self.extent = size.max(axis=1)
         self.center = (lo + hi) / 2.0
         self.half = size / 2.0
+        self.root_center = tuple(self.center[0].tolist())
+        self.root_half = tuple(self.half[0].tolist())
         self.lo_eps = lo - TRI_EPS
         self.hi_eps = hi + TRI_EPS
         self.tri_lo_eps = tmin - TRI_EPS
@@ -592,17 +601,21 @@ class PartColliders:
 class AssemblyChecker:
     """Incremental collision check: feed placements one by one.
 
-    The world AABBs of the placed instances, widened by TRI_EPS when they
-    are stored, live in growable (n, 3) arrays, so the broad phase is one
-    comparison per placement.
+    Each placed instance's world AABB, widened by TRI_EPS when it is stored,
+    is one row ``(lo - TRI_EPS, -(hi + TRI_EPS))`` of a growable (n, 6)
+    array. A new box (lo, hi) overlaps row i's widened box iff
+    ``lo_i - TRI_EPS <= hi`` and ``-(hi_i + TRI_EPS) <= -lo`` on every axis,
+    so the broad phase is one comparison of the rows with ``(hi, -lo)`` and
+    one ``all`` along the rows, per block of _BROAD_ROWS rows. Negation is
+    exact, so the candidates are those of comparing ``lo <= hi_i + TRI_EPS``
+    and ``hi >= lo_i - TRI_EPS`` directly, bit for bit.
 
     Not thread-safe; use one checker per worker.
     """
 
     def __init__(self):
         self._placed: list[tuple[CollisionMesh, RigidTransform]] = []
-        self._lo_eps = np.empty((16, 3))
-        self._hi_eps = np.empty((16, 3))
+        self._bounds = np.empty((16, 6))
 
     def __len__(self):
         return len(self._placed)
@@ -613,27 +626,29 @@ class AssemblyChecker:
         # the root box in world axes, in plain floats: centre r c + t, and
         # half-extents |r| h
         (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = r = pose.rotation
-        c0, c1, c2 = mat_vec_add(r, mesh.center[0].tolist(), pose.translation)
-        hx, hy, hz = mesh.half[0].tolist()
+        c0, c1, c2 = mat_vec_add(r, mesh.root_center, pose.translation)
+        hx, hy, hz = mesh.root_half
         h0 = abs(a0) * hx + abs(a1) * hy + abs(a2) * hz
         h1 = abs(a3) * hx + abs(a4) * hy + abs(a5) * hz
         h2 = abs(a6) * hx + abs(a7) * hy + abs(a8) * hz
-        lo = np.array((c0 - h0, c1 - h1, c2 - h2))
-        hi = np.array((c0 + h0, c1 + h1, c2 + h2))
+        lo0, lo1, lo2 = c0 - h0, c1 - h1, c2 - h2
+        hi0, hi1, hi2 = c0 + h0, c1 + h1, c2 + h2
         step = len(self._placed)
-        near = np.flatnonzero(
-            ((lo <= self._hi_eps[:step]) & (hi >= self._lo_eps[:step])).all(axis=1)
-        )
         hits = []
-        for i in near:
-            other_mesh, other_pose = self._placed[i]
-            if intersects(mesh, pose, other_mesh, other_pose):
-                hits.append(int(i))
-        if step == len(self._lo_eps):
-            self._lo_eps = np.concatenate((self._lo_eps, np.empty_like(self._lo_eps)))
-            self._hi_eps = np.concatenate((self._hi_eps, np.empty_like(self._hi_eps)))
-        self._lo_eps[step] = lo - TRI_EPS
-        self._hi_eps[step] = hi + TRI_EPS
+        if step:
+            query = np.array((hi0, hi1, hi2, -lo0, -lo1, -lo2))
+            for start in range(0, step, _BROAD_ROWS):
+                rows = self._bounds[start:min(start + _BROAD_ROWS, step)]
+                for i in np.flatnonzero((rows <= query).all(axis=1)).tolist():
+                    other_mesh, other_pose = self._placed[start + i]
+                    if intersects(mesh, pose, other_mesh, other_pose):
+                        hits.append(start + i)
+        if step == len(self._bounds):
+            self._bounds = np.concatenate((self._bounds, np.empty_like(self._bounds)))
+        self._bounds[step] = (
+            lo0 - TRI_EPS, lo1 - TRI_EPS, lo2 - TRI_EPS,
+            -(hi0 + TRI_EPS), -(hi1 + TRI_EPS), -(hi2 + TRI_EPS),
+        )
         self._placed.append((mesh, pose))
         return hits
 

@@ -46,6 +46,7 @@ from .geometry import (
     mat_mul,
     mat_t_mul,
     mat_vec_add,
+    norm,
     place_frame,
     quantize_angle,
     quantize_slide,
@@ -402,7 +403,7 @@ def _check_pairing(family: ConnectorFamily, r, t, tol: MatchTolerances, max_slid
         if abs(float(t[2])) > max_slide + tol.position:
             return False
     else:
-        dist = float(np.linalg.norm(t))
+        dist = norm(t)
     if dist > tol.position:
         return False
     if dof.rotational_dof == 3:

@@ -23,6 +23,7 @@ from .geometry import (
     IDENTITY_ROWS,
     SCALE_TOL,
     RigidTransform,
+    _det3,
     mat_mul,
     mat_vec_add,
     nearest_rotation,
@@ -315,9 +316,8 @@ def extract_triangles(part_source, library, warnings: list | None = None):
     tris: list[tuple[int, int, int]] = []
     for line, m, t in _walk(part_source, library, lambda ref: False, False, warnings):
         base = len(verts)
-        m = np.array(m)
-        verts.extend(np.array(line.values, dtype=np.float64).reshape(-1, 3) @ m.T + t)
-        flip = np.linalg.det(m) < 0
+        flip = _det3(m) < 0  # the rows' triple product, as in the pose gate: no LAPACK det
+        verts.extend(np.array(line.values, dtype=np.float64).reshape(-1, 3) @ np.array(m).T + t)
         for a, b, c in [(0, 1, 2)] if line.line_type == 3 else [(0, 1, 2), (0, 2, 3)]:
             tris.append((base + a, base + c, base + b) if flip else (base + a, base + b, base + c))
     if not verts:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .catalog import Catalog
+from .catalog import Catalog, PartDef
 from .collision import AssemblyChecker
 from .connectors import ConnectorFamily, dof_spec, letter_id
 from .errors import ProgramError
@@ -155,23 +155,42 @@ def serialize(path: BuildPath, catalog: Catalog) -> str:
 # Parsing
 
 
-def _parse_params(family: ConnectorFamily, tokens: list[str], line: int) -> QuantizedParams:
+_UNSEEN = object()  # a memo's default: no line has looked this key up yet
+
+
+def _attach_family(family_name: str, sub_t: str, sub_n: str, rules):
+    """The family of an attach's family token and subtypes, or the
+    (code, message) of the first rule they break: an unknown family, a
+    subtype that is not the family's (target, then new), subtypes that do
+    not pair."""
+    family = FAMILY_NAMES.get(family_name)
+    if family is None:
+        return "unknown-family", f"unknown family {family_name!r}"
+    for sub in (sub_t, sub_n):
+        if not rules.is_registered(sub) or rules.family_of(sub) != family:
+            return "unknown-subtype", f"subtype {sub!r} is not a {family.value} subtype"
+    if not rules.compatible(sub_t, sub_n):
+        return "incompatible-subtypes", f"{sub_t!r} does not pair with {sub_n!r}"
+    return family
+
+
+def _parse_params(family: ConnectorFamily, tokens: list[str]):
+    """The QuantizedParams of an attach's param tokens, or the
+    ('bad-params', message) of what is wrong with them."""
     dof = dof_spec(family)
     flip = dof.has_flip and tokens[:1] == ["flip"]
     tokens = tokens[flip:]
     expected = dof.rotational_dof + dof.has_slide
     if len(tokens) != expected:
-        raise ProgramError(
-            "bad-params", f"{family.value} attach takes {expected} value(s)", line
-        )
+        return "bad-params", f"{family.value} attach takes {expected} value(s)"
     try:
         values = [int(t) for t in tokens]
     except ValueError:
-        raise ProgramError("bad-params", f"non-integer parameter in {tokens}", line) from None
+        return "bad-params", f"non-integer parameter in {tokens}"
     try:
         return params_from_values(family, values, flip)
     except ValueError as exc:
-        raise ProgramError("bad-params", str(exc), line) from None
+        return "bad-params", str(exc)
 
 
 def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseResult:
@@ -181,15 +200,27 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
     diagnosis; strict mode raises ProgramError instead. An invalid line
     anywhere inside a placement action invalidates the whole action, so the
     returned program only contains complete valid actions.
+
+    What a line checks against the catalog alone is worked out once per
+    call: each distinct part name, colour, (family, target subtype, new
+    subtype) and (family, param tokens) is checked on first sight, by the
+    same rules in the same order as always, and its outcome kept for the
+    lines after it: the value, or the (code, message) of the first rule it
+    breaks, which each line raises with its own number. So every diagnosis
+    keeps its code, message and line. Connectors are looked up by index
+    (``PartDef.connectors_by_index``).
     """
     steps: list = []
     complete = 0  # number of steps belonging to fully completed actions
-    introduced: dict[str, str] = {}  # letter -> part_id
+    introduced: dict[str, PartDef] = {}  # letter -> part
     newest: str | None = None
+    newest_part: PartDef | None = None
     newest_attached = True  # the root needs no attach
-
-    def fail(code: str, message: str, line: int):
-        raise ProgramError(code, message, line)
+    parts: dict = {}  # part name -> PartDef, or None when not in the catalog
+    colors: dict = {}  # colour -> its lowercase name, or None when not registered
+    families: dict = {}  # (family, target subtype, new subtype) -> family or error
+    params_of: dict = {}  # (family, *param tokens) -> QuantizedParams or error
+    rules = catalog.rules
 
     try:
         for number, raw in enumerate(text.splitlines(), start=1):
@@ -198,80 +229,90 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                 continue
             if " | " in line:
                 if not newest_attached:
-                    fail("missing-attach", f"node {newest!r} was never attached", number)
+                    raise ProgramError(
+                        "missing-attach", f"node {newest!r} was never attached", number
+                    )
                 complete = len(steps)  # the previous action is done
                 left, color_name = map(str.strip, line.split(" | ", 1))
                 tokens = left.split()
                 if len(tokens) < 2 or not color_name:
-                    fail("malformed-line", "intro needs '<id> <part name> | <color>'", number)
+                    raise ProgramError(
+                        "malformed-line", "intro needs '<id> <part name> | <color>'", number
+                    )
                 node_id = tokens[0]
+                expected = letter_id(len(introduced))
+                if node_id != expected:
+                    raise ProgramError(
+                        "bad-node-id", f"expected node id {expected!r}, got {node_id!r}", number
+                    )
                 part_name = " ".join(tokens[1:])
-                if node_id != letter_id(len(introduced)):
-                    fail(
-                        "bad-node-id",
-                        f"expected node id {letter_id(len(introduced))!r}, got {node_id!r}",
-                        number,
-                    )
-                part = catalog.part_by_name(part_name)
+                part = parts.get(part_name, _UNSEEN)
+                if part is _UNSEEN:
+                    part = parts[part_name] = catalog.part_by_name(part_name)
                 if part is None:
-                    fail("unknown-part", f"part name {part_name!r} not in catalog", number)
-                if not catalog.has_color_name(color_name):
-                    fail("unknown-color", f"color {color_name!r} not registered", number)
-                newest_attached = not introduced  # root completes at its intro
-                introduced[node_id] = part.part_id
-                newest = node_id
-                steps.append(
-                    PartIntro(node_id, part.part_id, part.name, color_name.lower(), number)
-                )
-            else:
-                tokens = line.split()
-                if newest is None:
-                    fail("unexpected-attach", "attach before any part introduction", number)
-                if len(tokens) < 6:
-                    fail("malformed-line", "attach needs at least 6 tokens", number)
-                target_id, family_name, sub_t, idx_t, sub_n, idx_n = tokens[:6]
-                family = FAMILY_NAMES.get(family_name)
-                if family is None:
-                    fail("unknown-family", f"unknown family {family_name!r}", number)
-                rules = catalog.rules
-                for sub in (sub_t, sub_n):
-                    if not rules.is_registered(sub) or rules.family_of(sub) != family:
-                        fail(
-                            "unknown-subtype",
-                            f"subtype {sub!r} is not a {family.value} subtype",
-                            number,
-                        )
-                if not rules.compatible(sub_t, sub_n):
-                    fail(
-                        "incompatible-subtypes",
-                        f"{sub_t!r} does not pair with {sub_n!r}",
-                        number,
+                    raise ProgramError(
+                        "unknown-part", f"part name {part_name!r} not in catalog", number
                     )
-                params = _parse_params(family, tokens[6:], number)
+                color = colors.get(color_name, _UNSEEN)
+                if color is _UNSEEN:
+                    known = catalog.has_color_name(color_name)
+                    color = colors[color_name] = color_name.lower() if known else None
+                if color is None:
+                    raise ProgramError(
+                        "unknown-color", f"color {color_name!r} not registered", number
+                    )
+                newest_attached = not introduced  # root completes at its intro
+                introduced[node_id] = newest_part = part
+                newest = node_id
+                steps.append(PartIntro(node_id, part.part_id, part.name, color, number))
+            else:
+                if newest is None:
+                    raise ProgramError(
+                        "unexpected-attach", "attach before any part introduction", number
+                    )
+                tokens = line.split()
+                if len(tokens) < 6:
+                    raise ProgramError("malformed-line", "attach needs at least 6 tokens", number)
+                target_id, family_name, sub_t, idx_t, sub_n, idx_n = tokens[:6]
+                key = (family_name, sub_t, sub_n)
+                family = families.get(key)
+                if family is None:
+                    family = families[key] = _attach_family(family_name, sub_t, sub_n, rules)
+                if type(family) is tuple:
+                    raise ProgramError(*family, number)
+                key = (family_name, *tokens[6:])
+                params = params_of.get(key)
+                if params is None:
+                    params = params_of[key] = _parse_params(family, tokens[6:])
+                if type(params) is tuple:
+                    raise ProgramError(*params, number)
                 if target_id == newest:
-                    fail("self-attach", "attach targets the node it introduces", number)
-                if target_id not in introduced:
-                    fail(
+                    raise ProgramError(
+                        "self-attach", "attach targets the node it introduces", number
+                    )
+                target_part = introduced.get(target_id)
+                if target_part is None:
+                    raise ProgramError(
                         "target-not-introduced",
                         f"target node {target_id!r} not introduced yet",
                         number,
                     )
-                for part_id, sub, idx, role in (
-                    (introduced[target_id], sub_t, idx_t, "target"),
-                    (introduced[newest], sub_n, idx_n, "new"),
+                for part, sub, idx, role in (
+                    (target_part, sub_t, idx_t, "target"),
+                    (newest_part, sub_n, idx_n, "new"),
                 ):
-                    part = catalog.part(part_id)
-                    if not part.has_connector(idx):
-                        fail(
+                    connector = part.connectors_by_index.get(idx)
+                    if connector is None:
+                        raise ProgramError(
                             "unknown-connector",
                             f"part {part.name!r} has no connector {idx!r} ({role})",
                             number,
                         )
-                    actual = part.connector(idx).subtype
-                    if actual != sub:
-                        fail(
+                    if connector.subtype != sub:
+                        raise ProgramError(
                             "subtype-mismatch",
-                            f"connector {idx!r} of {part.name!r} is {actual!r}, not {sub!r}",
+                            f"connector {idx!r} of {part.name!r} is {connector.subtype!r}, "
+                            f"not {sub!r}",
                             number,
                         )
                 steps.append(
@@ -279,7 +320,9 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                 )
                 newest_attached = True
         if not newest_attached:
-            fail("missing-attach", f"node {newest!r} was never attached", steps[-1].line)
+            raise ProgramError(
+                "missing-attach", f"node {newest!r} was never attached", steps[-1].line
+            )
     except ProgramError as exc:
         if strict:
             raise

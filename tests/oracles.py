@@ -8,25 +8,45 @@ build path with plain homogeneous 4x4 matrix arithmetic. The reference
 copies at the end are earlier, plainer versions of fast paths that must
 match them bit for bit: the mesh inset, the collision-mesh arrays, the
 rotation projection and rigidity test, the transform check, the eager
-executor, which computes every pose as its attach completes, and the
-connector pairing predicate.
+executor, which computes every pose as its attach completes, the connector
+pairing predicate, the parser that checked every line against the catalog
+from scratch, and the broad phase that compared each new box with two
+arrays of placed bounds.
 """
 
 import math
 
 import numpy as np
 
+from brickir import collision
 from brickir.collision import _RAY_DIR, DEGENERATE_AREA, TRI_EPS, AssemblyChecker
-from brickir.connectors import ConnectorFamily
+from brickir.connectors import ConnectorFamily, dof_spec, letter_id
 from brickir.errors import BrickIrError, MatchError, ProgramError
 from brickir.geometry import (
     ORTHONORMAL_TOL,
     SCALE_TOL,
     QuantizedParams,
     RigidTransform,
+    mat_vec_add,
+    norm,
 )
-from brickir.graph import ConnEdge, ConnectivityGraph, MatchTolerances, attach_pose
-from brickir.program import PartIntro, ProgramDiagnosis, ValidityReport, parse_program
+from brickir.graph import (
+    ConnEdge,
+    ConnectivityGraph,
+    MatchTolerances,
+    attach_pose,
+    params_from_values,
+)
+from brickir.program import (
+    FAMILY_NAMES,
+    Attach,
+    BuildProgram,
+    ParseResult,
+    PartIntro,
+    ProgramDiagnosis,
+    ValidityReport,
+    parse_program,
+)
 
 from conftest import apply
 
@@ -657,7 +677,7 @@ def reference_check_pairing(
     connections additionally require zero yaw within tolerance.
     """
     cos_axis = math.cos(math.radians(tol.axis_deg))
-    dist = float(np.linalg.norm(t))
+    dist = norm(t)
     align = float(r[2, 2])
     if family == ConnectorFamily.BALL:
         return dist <= tol.position
@@ -678,3 +698,175 @@ def reference_check_pairing(
             return True
         return abs(float(t[2])) <= max_slide + tol.position
     raise MatchError(f"unknown family {family!r}")
+
+
+def _reference_parse_params(family: ConnectorFamily, tokens: list[str], line: int):
+    dof = dof_spec(family)
+    flip = dof.has_flip and tokens[:1] == ["flip"]
+    tokens = tokens[flip:]
+    expected = dof.rotational_dof + dof.has_slide
+    if len(tokens) != expected:
+        raise ProgramError(
+            "bad-params", f"{family.value} attach takes {expected} value(s)", line
+        )
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        raise ProgramError("bad-params", f"non-integer parameter in {tokens}", line) from None
+    try:
+        return params_from_values(family, values, flip)
+    except ValueError as exc:
+        raise ProgramError("bad-params", str(exc), line) from None
+
+
+def reference_parse_program(text: str, catalog, strict: bool = False) -> ParseResult:
+    """``parse_program`` as it was, checking every line against the catalog
+    from scratch: its longest valid prefix, with the first invalid line as a
+    diagnosis (prefix mode) or raised as ProgramError (strict mode)."""
+    steps: list = []
+    complete = 0  # number of steps belonging to fully completed actions
+    introduced: dict[str, str] = {}  # letter -> part_id
+    newest: str | None = None
+    newest_attached = True  # the root needs no attach
+
+    def fail(code: str, message: str, line: int):
+        raise ProgramError(code, message, line)
+
+    try:
+        for number, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if " | " in line:
+                if not newest_attached:
+                    fail("missing-attach", f"node {newest!r} was never attached", number)
+                complete = len(steps)  # the previous action is done
+                left, color_name = map(str.strip, line.split(" | ", 1))
+                tokens = left.split()
+                if len(tokens) < 2 or not color_name:
+                    fail("malformed-line", "intro needs '<id> <part name> | <color>'", number)
+                node_id = tokens[0]
+                part_name = " ".join(tokens[1:])
+                if node_id != letter_id(len(introduced)):
+                    fail(
+                        "bad-node-id",
+                        f"expected node id {letter_id(len(introduced))!r}, got {node_id!r}",
+                        number,
+                    )
+                part = catalog.part_by_name(part_name)
+                if part is None:
+                    fail("unknown-part", f"part name {part_name!r} not in catalog", number)
+                if not catalog.has_color_name(color_name):
+                    fail("unknown-color", f"color {color_name!r} not registered", number)
+                newest_attached = not introduced  # root completes at its intro
+                introduced[node_id] = part.part_id
+                newest = node_id
+                steps.append(
+                    PartIntro(node_id, part.part_id, part.name, color_name.lower(), number)
+                )
+            else:
+                tokens = line.split()
+                if newest is None:
+                    fail("unexpected-attach", "attach before any part introduction", number)
+                if len(tokens) < 6:
+                    fail("malformed-line", "attach needs at least 6 tokens", number)
+                target_id, family_name, sub_t, idx_t, sub_n, idx_n = tokens[:6]
+                family = FAMILY_NAMES.get(family_name)
+                if family is None:
+                    fail("unknown-family", f"unknown family {family_name!r}", number)
+                rules = catalog.rules
+                for sub in (sub_t, sub_n):
+                    if not rules.is_registered(sub) or rules.family_of(sub) != family:
+                        fail(
+                            "unknown-subtype",
+                            f"subtype {sub!r} is not a {family.value} subtype",
+                            number,
+                        )
+                if not rules.compatible(sub_t, sub_n):
+                    fail(
+                        "incompatible-subtypes",
+                        f"{sub_t!r} does not pair with {sub_n!r}",
+                        number,
+                    )
+                params = _reference_parse_params(family, tokens[6:], number)
+                if target_id == newest:
+                    fail("self-attach", "attach targets the node it introduces", number)
+                if target_id not in introduced:
+                    fail(
+                        "target-not-introduced",
+                        f"target node {target_id!r} not introduced yet",
+                        number,
+                    )
+                for part_id, sub, idx, role in (
+                    (introduced[target_id], sub_t, idx_t, "target"),
+                    (introduced[newest], sub_n, idx_n, "new"),
+                ):
+                    part = catalog.part(part_id)
+                    if not part.has_connector(idx):
+                        fail(
+                            "unknown-connector",
+                            f"part {part.name!r} has no connector {idx!r} ({role})",
+                            number,
+                        )
+                    actual = part.connector(idx).subtype
+                    if actual != sub:
+                        fail(
+                            "subtype-mismatch",
+                            f"connector {idx!r} of {part.name!r} is {actual!r}, not {sub!r}",
+                            number,
+                        )
+                steps.append(
+                    Attach(target_id, family, sub_t, idx_t, sub_n, idx_n, params, line=number)
+                )
+                newest_attached = True
+        if not newest_attached:
+            fail("missing-attach", f"node {newest!r} was never attached", steps[-1].line)
+    except ProgramError as exc:
+        if strict:
+            raise
+        return ParseResult(
+            BuildProgram(tuple(steps[:complete])),
+            ProgramDiagnosis(exc.line or 0, exc.code, str(exc)),
+        )
+    return ParseResult(BuildProgram(tuple(steps)), None)
+
+
+class ReferenceAssemblyChecker:
+    """``AssemblyChecker`` as it was: the placed world boxes, widened by
+    TRI_EPS, in two growable (n, 3) arrays, and a new box's candidates are
+    the rows where ``lo <= hi_eps`` and ``hi >= lo_eps`` on every axis. The
+    narrow phase is ``collision.intersects``, looked up on each call."""
+
+    def __init__(self):
+        self._placed = []
+        self._lo_eps = np.empty((16, 3))
+        self._hi_eps = np.empty((16, 3))
+
+    def __len__(self):
+        return len(self._placed)
+
+    def add(self, mesh, pose) -> list[int]:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = r = pose.rotation
+        c0, c1, c2 = mat_vec_add(r, mesh.center[0].tolist(), pose.translation)
+        hx, hy, hz = mesh.half[0].tolist()
+        h0 = abs(a0) * hx + abs(a1) * hy + abs(a2) * hz
+        h1 = abs(a3) * hx + abs(a4) * hy + abs(a5) * hz
+        h2 = abs(a6) * hx + abs(a7) * hy + abs(a8) * hz
+        lo = np.array((c0 - h0, c1 - h1, c2 - h2))
+        hi = np.array((c0 + h0, c1 + h1, c2 + h2))
+        step = len(self._placed)
+        near = np.flatnonzero(
+            ((lo <= self._hi_eps[:step]) & (hi >= self._lo_eps[:step])).all(axis=1)
+        )
+        hits = []
+        for i in near:
+            other_mesh, other_pose = self._placed[i]
+            if collision.intersects(mesh, pose, other_mesh, other_pose):
+                hits.append(int(i))
+        if step == len(self._lo_eps):
+            self._lo_eps = np.concatenate((self._lo_eps, np.empty_like(self._lo_eps)))
+            self._hi_eps = np.concatenate((self._hi_eps, np.empty_like(self._hi_eps)))
+        self._lo_eps[step] = lo - TRI_EPS
+        self._hi_eps[step] = hi + TRI_EPS
+        self._placed.append((mesh, pose))
+        return hits

@@ -50,6 +50,26 @@ def test_catalog_lookup_errors():
     assert cat.part_by_name("missing thing") is None
 
 
+def test_connector_lookups_match_a_linear_scan():
+    # the index dict gives what scanning the connectors in order gave: the
+    # connector object itself, first match wins, and the same error text
+    cat = build_demo_catalog()
+    letters = [chr(c) for c in range(ord("a"), ord("z") + 1)] + ["aa", "A", ""]
+    for part in cat.parts.values():
+        for index in letters:
+            scan = next((c for c in part.connectors if c.index == index), None)
+            assert part.has_connector(index) == (scan is not None)
+            if scan is not None:
+                assert part.connector(index) is scan
+                continue
+            with pytest.raises(CatalogError) as raised:
+                part.connector(index)
+            assert str(raised.value) == f"part {part.part_id!r} has no connector {index!r}"
+    first, second = cat.part("3023").connectors[:2]
+    twice = PartDef("twice", "twice", (first, dataclasses.replace(second, index=first.index)))
+    assert twice.connector(first.index) is first
+
+
 def test_trimesh_index_validation():
     with pytest.raises(CatalogError):
         TriMesh([[0, 0, 0]], [[0, 1, 2]])

@@ -788,6 +788,78 @@ def test_assembly_checker_matches_plain_loop(demo_colliders):
     assert 0 < total < len(placements) * (len(placements) - 1) // 2
 
 
+def _box_lo_on(target: float, h: float):
+    """A translation t whose box of half-extent h starts exactly at
+    ``target`` (t - h == target in floats), or None."""
+    t = target + h
+    for _ in range(4):
+        if t - h == target:
+            return t
+        t = np.nextafter(t, np.inf if t - h < target else -np.inf)
+    return None
+
+
+def test_broad_phase_matches_the_two_array_reference(monkeypatch):
+    """The (n, 6) comparison picks the candidates of the two-array one
+    (oracles.ReferenceAssemblyChecker), in placement order, on axis-aligned
+    boxes that touch exactly, sit TRI_EPS apart or 1 ulp either side of
+    that, and on boxes at random poses. The checkers grow past 16, 32, 64
+    and 128 placements, and past one and two blocks of _BROAD_ROWS rows."""
+    from brickir import collision as collision_module
+    from brickir.collision import _BROAD_ROWS, TRI_EPS
+    from oracles import ReferenceAssemblyChecker
+
+    narrow = []
+
+    def recording(a, pose_a, b, pose_b):
+        narrow.append((a, pose_a, b, pose_b))
+        return sum(pose_a.translation) < sum(pose_b.translation)  # any fixed verdict
+
+    monkeypatch.setattr(collision_module, "intersects", recording)
+    rng = np.random.default_rng(2310)
+    boundary = Counter()
+    candidates = 0
+    for placements in (40, 40, 100, 100, 180):
+        checker, reference = AssemblyChecker(), ReferenceAssemblyChecker()
+        boxes = []  # (lo, hi) of the axis-aligned placements, as the checker computes them
+        for k in range(placements):
+            half = rng.integers(1, 12, size=3) / 2.0
+            mesh = _mesh(box_mesh(2.0 * half))
+            if k % 5 == 4:
+                pose = random_rigid(rng, scale=40.0)
+            else:
+                t = rng.uniform(-40.0, 40.0, size=3).round(2)
+                if boxes:
+                    j = int(rng.integers(len(boxes)))
+                    lo_j, hi_j = boxes[j]
+                    t = (lo_j + hi_j) / 2.0 + rng.uniform(-1.0, 1.0, size=3)
+                    axis = int(rng.integers(3))
+                    kind = int(rng.integers(4))
+                    edge = float(hi_j[axis])  # touching, TRI_EPS apart, 1 ulp beyond or within
+                    offset = edge + TRI_EPS
+                    target = (edge, offset, np.nextafter(offset, np.inf),
+                              np.nextafter(offset, -np.inf))[kind]
+                    found = _box_lo_on(target, float(half[axis]))
+                    if found is not None:
+                        t[axis] = found
+                        boundary[kind] += 1
+                pose = _trans(*t)
+                boxes.append((t - half, t + half))
+            narrow.clear()
+            got = checker.add(mesh, pose)
+            got_calls = list(narrow)
+            narrow.clear()
+            want = reference.add(mesh, pose)
+            assert got == want
+            assert len(got_calls) == len(narrow)
+            assert all(g[3] is w[3] for g, w in zip(got_calls, narrow))
+            candidates += len(narrow)
+        assert len(checker) == len(reference) == placements
+    assert placements > 2 * _BROAD_ROWS
+    assert min(boundary[kind] for kind in range(4)) >= 50, boundary
+    assert candidates > 1000
+
+
 def test_part_colliders_from_catalog():
     from brickir.demo import build_demo_catalog, generate_random_path
 

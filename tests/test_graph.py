@@ -531,7 +531,7 @@ def test_param_codec_roundtrip(fp):
     family, params = fp
     values = param_values(family, params)
     assert params_from_values(family, values, params.flip) == params
-    assert _parse_params(family, _params_tokens(family, params), 1) == params
+    assert _parse_params(family, _params_tokens(family, params)) == params
     assert params_from_json_obj(family, params_to_json_obj(family, params)) == params
 
 

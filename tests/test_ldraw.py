@@ -243,6 +243,27 @@ def test_extract_triangles_splits_quads_and_handles_mirroring():
     )
     # winding flip keeps the outward direction consistent under reflection
     assert np.sign(normal[1]) == np.sign(mnormal[1])
+    # under any placement m the face's winding normal points along the
+    # transformed normal m^-T n: flipped exactly where det m < 0 (a mirror
+    # in the face's own axis, two mirrors through a subfile, scaled mirrors)
+    library = dict(LIBRARY, **{"mx.dat": "0 mirror\n1 16 0 0 0 -1 0 0 0 1 0 0 0 1 box.dat\n"})
+    for rows, ref in [
+        ("-1 0 0 0 1 0 0 0 1", "box.dat"),
+        ("1 0 0 0 -1 0 0 0 1", "box.dat"),
+        ("1 0 0 0 1 0 0 0 -1", "mx.dat"),  # two mirrors: no flip
+        ("1 0 0 0 1 0 0 0 1", "mx.dat"),
+        ("-2 0 0 0 3 0 0 0 0.5", "box.dat"),
+        ("0 -2 0 3 0 0 0 0 -0.5", "box.dat"),
+        ("0 2 0 3 0 0 0 0 0.5", "box.dat"),
+    ]:
+        m = np.array(rows.split(), dtype=float).reshape(3, 3)
+        if ref == "mx.dat":
+            m = m @ np.diag([-1.0, 1.0, 1.0])
+        part = f"0 Placed\n1 16 0 0 0 {rows} {ref}\n"
+        pverts, ptris = extract_triangles(part, library)
+        for tri in ptris:
+            pnormal = np.cross(pverts[tri[1]] - pverts[tri[0]], pverts[tri[2]] - pverts[tri[0]])
+            assert pnormal @ (np.linalg.inv(m).T @ normal) > 0, (rows, ref)
 
 
 def test_part_description_reads_first_comment():

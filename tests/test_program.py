@@ -1,17 +1,23 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brickir
 from brickir import program as program_module
 from brickir.catalog import Catalog, PartDef
 from brickir.collision import PartColliders
-from brickir.connectors import AnnotatedConnector, ConnectorFamily
+from brickir.connectors import AnnotatedConnector, ConnectorFamily, letter_id
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.errors import CatalogError, ProgramError
 from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
 from brickir.graph import BuildPath, ConnEdge, ConnectivityGraph, PathStep
 from brickir.ldraw import PartInstance
 from brickir.program import (
+    FAMILY_NAMES,
+    PartIntro,
     execute,
     node_letters,
     parse_program,
@@ -27,7 +33,12 @@ from conftest import (
     render_program,
     rotation_angle_deg,
 )
-from oracles import reference_placements, reference_validate_prefix, replay_path_poses
+from oracles import (
+    reference_parse_program,
+    reference_placements,
+    reference_validate_prefix,
+    replay_path_poses,
+)
 
 CAT = build_demo_catalog()
 
@@ -507,7 +518,8 @@ def test_poses_are_computed_only_up_to_the_first_collision(monkeypatch):
 
 
 def test_part_names_are_looked_up_by_the_parser_only(monkeypatch):
-    # the parser resolves each intro's part once; the executor reads the id
+    # the parser resolves each distinct intro name once per call, in
+    # first-seen order; the executor reads the part id it resolved
     calls = []
     real = Catalog.part_by_name
 
@@ -523,7 +535,7 @@ def test_part_names_are_looked_up_by_the_parser_only(monkeypatch):
         for meshes in (MESHES, None):
             calls.clear()
             validate_prefix(text, CAT, meshes)
-            assert calls == intros
+            assert calls == list(dict.fromkeys(intros))
         program = parse_program(text, CAT).program
         calls.clear()
         try:
@@ -604,3 +616,146 @@ def test_deferred_poses_match_the_eager_executor():
         else:
             assert _pose_bytes(execute(text, CAT)) == _pose_bytes(expected)
     assert colliding >= 100
+
+
+# ---------------------------------------------------------------------------
+# The parser against the reference parser (tests/oracles.py)
+
+_PARSE_BASES = _demo_texts(2027, 6, 2, 12) + _demo_texts(2028, 3, 27, 40)  # ids past 'z' too
+_PART_NAMES = sorted(p.name for p in CAT.parts.values())
+_SUBTYPES = sorted(CAT.rules.subtype_family) + ["pin2", "Stud"]
+_PARAM_TOKENS = ["0", "90", "359", "360", "-90", "+45", "7", "x", "1.5", "flip", "٣",
+                 str(2**52), str(-(2**52)), str(2**52 + 1), str(-(2**52) - 1), "1" * 5000]
+_PARSER_CODES = {
+    "missing-attach", "malformed-line", "bad-node-id", "unknown-part", "unknown-color",
+    "unexpected-attach", "unknown-family", "unknown-subtype", "incompatible-subtypes",
+    "bad-params", "self-attach", "target-not-introduced", "unknown-connector",
+    "subtype-mismatch",
+}
+
+
+def _mutate_program(text: str, rnd: random.Random) -> str:
+    """The program text with up to three edits of lines or tokens, each
+    aimed at one parser rule, then maybe blank lines and CRLF endings."""
+    lines = text.splitlines()
+    for _ in range(rnd.randint(0, 3)):
+        intros = [i for i, line in enumerate(lines) if " | " in line]
+        attaches = [i for i, line in enumerate(lines) if line.strip() and " | " not in line]
+        op = rnd.choice([
+            "swap", "delete", "duplicate", "letter", "part", "color", "pipe", "family",
+            "subtype", "wrong-family", "incompatible", "connector", "target", "self",
+            "params", "flip", "attach-first", "unattached",
+        ])
+        if not lines:
+            break
+        i = rnd.randrange(len(lines))
+        if op == "swap":
+            k = rnd.randrange(len(lines))
+            lines[i], lines[k] = lines[k], lines[i]
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "unattached":
+            lines.append(f"{letter_id(len(intros))} {rnd.choice(_PART_NAMES)} | red")
+        elif op in ("letter", "part", "color", "pipe"):
+            if not intros:
+                continue
+            i = rnd.choice(intros)
+            left, color = lines[i].split(" | ", 1)
+            node, name = left.split(" ", 1)
+            if op == "letter":
+                node = rnd.choice(["a", "b", "z", "aa", "ab", "zz", "A", letter_id(len(intros))])
+            elif op == "part":
+                name = rnd.choice(_PART_NAMES + ["mystery widget", "PLATE 1x2", "plate  1x2"])
+            elif op == "color":
+                color = rnd.choice(["glittering", "RED", "Blue", "bright green", "red | blue"])
+            pipe = rnd.choice(["|", " || ", " |  "]) if op == "pipe" else " | "
+            lines[i] = f"{node} {name}{pipe}{color}"
+        elif not attaches:
+            continue
+        else:
+            i = rnd.choice(attaches)
+            tokens = lines[i].split()
+            if len(tokens) < 6:
+                continue
+            if op == "family":
+                tokens[1] = rnd.choice(["weld", "STUD", *FAMILY_NAMES])
+            elif op == "subtype":
+                tokens[rnd.choice([2, 4])] = rnd.choice(_SUBTYPES)
+            elif op == "wrong-family":  # a registered subtype of another family
+                family = FAMILY_NAMES.get(tokens[1])
+                tokens[rnd.choice([2, 4])] = rnd.choice(
+                    [s for s, f in CAT.rules.subtype_family.items() if f != family])
+            elif op == "incompatible":
+                tokens[4] = tokens[2]
+            elif op == "connector":
+                tokens[rnd.choice([3, 5])] = rnd.choice(["a", "b", "c", "e", "j", "zz", "A"])
+            elif op == "target":
+                tokens[0] = rnd.choice(["a", "b", "c", "zz", "aa"])
+            elif op == "self":  # the intro before the attach
+                earlier = [k for k in intros if k < i]
+                if earlier:
+                    tokens[0] = lines[earlier[-1]].split()[0]
+            elif op == "params":
+                tokens[6:] = [rnd.choice(_PARAM_TOKENS) for _ in range(rnd.randint(0, 5))]
+            elif op == "flip":
+                tokens.insert(6, "flip")
+            elif op == "attach-first":
+                lines.insert(0, lines.pop(i))
+                continue
+            lines[i] = " ".join(tokens)
+    for _ in range(rnd.randint(0, 2)):
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(["", "   ", "\t"]))
+    return rnd.choice(["\n", "\n", "\r\n"]).join(lines) + "\n"
+
+
+def _strict_outcome(parse, text):
+    """(code, line, text) of the ProgramError that strict mode raises, or
+    the ParseResult it returns."""
+    try:
+        return parse(text, CAT, strict=True)
+    except ProgramError as exc:
+        return exc.code, exc.line, str(exc)
+
+
+def _assert_parses_like_the_reference(text):
+    got, want = parse_program(text, CAT), reference_parse_program(text, CAT)
+    assert got == want
+    # PartIntro and Attach leave their line out of ==
+    assert [s.line for s in got.program.steps] == [s.line for s in want.program.steps]
+    assert _strict_outcome(parse_program, text) == _strict_outcome(reference_parse_program, text)
+    return got
+
+
+def test_parser_matches_the_reference_on_seeded_mutations():
+    # every parser rule fires at least once over the seeded mutations
+    rnd = random.Random(20261020)
+    codes = set()
+    for k in range(1200):
+        result = _assert_parses_like_the_reference(
+            _mutate_program(_PARSE_BASES[k % len(_PARSE_BASES)], rnd))
+        if result.error:
+            codes.add(result.error.code)
+    assert codes == _PARSER_CODES
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(_PARSE_BASES), rnd=st.randoms(use_true_random=False))
+def test_parser_matches_the_reference_on_mutated_programs(base, rnd):
+    _assert_parses_like_the_reference(_mutate_program(base, rnd))
+
+
+def test_parser_shares_one_outcome_per_key_within_a_call():
+    # a repeated param list gives one QuantizedParams object per call, and a
+    # fresh call builds its own
+    text = _PARSE_BASES[-1]
+    first, second = parse_program(text, CAT), parse_program(text, CAT)
+    params = {}
+    for step in first.program.steps:
+        if not isinstance(step, PartIntro):
+            params.setdefault((step.family, step.params), step.params)
+            assert step.params is params[(step.family, step.params)]
+    assert len(params) < sum(not isinstance(s, PartIntro) for s in first.program.steps)
+    attach = next(s for s in second.program.steps if not isinstance(s, PartIntro))
+    assert attach.params is not params[(attach.family, attach.params)]
