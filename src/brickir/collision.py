@@ -11,7 +11,7 @@ distinct geometry.
 An AssemblyChecker keeps each placed world AABB, widened by TRI_EPS, as
 one row (lo, -hi) of an (n, 6) array and picks near neighbours with one
 comparison of the rows against the new box's (hi, -lo) and one all()
-along the rows (broad phase). Each near pair then runs the narrow phase.
+along the rows (broad phase); near pairs run the narrow phase to the first hit.
 Two one-leaf meshes skip the tree: after their root boxes, all of one's
 triangle boxes are tested against all of the other's in one broadcast
 comparison (the leaf-level all-pairs box test of Ericson 2004,
@@ -20,9 +20,9 @@ runs a level-by-level BVH-vs-BVH traversal, whose overlapping leaf pairs
 filter their triangle pairs by the same boxes. The survivors feed one
 batched separating-interval triangle test; surface contact within TRI_EPS
 (1e-6 LDU) counts as non-intersecting. Two closed meshes also collide when
-a vertex of one lies inside the other: a ray-parity test, which a vertex
-outside the other mesh's box skips. Pre-inset meshes may also be supplied
-directly (offset 0).
+the first triangle corner of one (not a vertex: it may be unused) lies
+inside the other: a ray-parity test, which a point outside the other mesh's
+box skips. Pre-inset meshes may also be supplied directly (offset 0).
 
 A mesh of at most ONE_LEAF_MAX (64) triangles, as every demo part is, is
 a single leaf and is built without the tree code: for parts that small a
@@ -454,11 +454,11 @@ def intersects(
     if (_one_leaf_hit if one_leaf else _walk_hit)(a, b, rot, trans):
         return True
     if a.closed and b.closed:
-        if point_in_mesh(a.vertices[0] @ rot.T + trans, b):
+        if point_in_mesh(a.tri_vertices[0, 0] @ rot.T + trans, b):
             return True
         inv = rel.inverse()
         inv_rot, inv_trans = np.array(inv.rotation), np.array(inv.translation)
-        if point_in_mesh(b.vertices[0] @ inv_rot.T + inv_trans, a):
+        if point_in_mesh(b.tri_vertices[0, 0] @ inv_rot.T + inv_trans, a):
             return True
     return False
 
@@ -620,9 +620,9 @@ class AssemblyChecker:
     def __len__(self):
         return len(self._placed)
 
-    def add(self, mesh: CollisionMesh, pose: RigidTransform) -> list[int]:
-        """Place one instance; returns the 0-based placement indices it
-        collides with (may be empty), in placement order."""
+    def add(self, mesh: CollisionMesh, pose: RigidTransform) -> int | None:
+        """Place one instance (whether it collides or not); returns the
+        0-based index of the first earlier placement it collides with, or None."""
         # the root box in world axes, in plain floats: centre r c + t, and
         # half-extents |r| h
         (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = r = pose.rotation
@@ -634,15 +634,6 @@ class AssemblyChecker:
         lo0, lo1, lo2 = c0 - h0, c1 - h1, c2 - h2
         hi0, hi1, hi2 = c0 + h0, c1 + h1, c2 + h2
         step = len(self._placed)
-        hits = []
-        if step:
-            query = np.array((hi0, hi1, hi2, -lo0, -lo1, -lo2))
-            for start in range(0, step, _BROAD_ROWS):
-                rows = self._bounds[start:min(start + _BROAD_ROWS, step)]
-                for i in np.flatnonzero((rows <= query).all(axis=1)).tolist():
-                    other_mesh, other_pose = self._placed[start + i]
-                    if intersects(mesh, pose, other_mesh, other_pose):
-                        hits.append(start + i)
         if step == len(self._bounds):
             self._bounds = np.concatenate((self._bounds, np.empty_like(self._bounds)))
         self._bounds[step] = (
@@ -650,7 +641,15 @@ class AssemblyChecker:
             -(hi0 + TRI_EPS), -(hi1 + TRI_EPS), -(hi2 + TRI_EPS),
         )
         self._placed.append((mesh, pose))
-        return hits
+        if step:
+            query = np.array((hi0, hi1, hi2, -lo0, -lo1, -lo2))
+            for start in range(0, step, _BROAD_ROWS):
+                rows = self._bounds[start:min(start + _BROAD_ROWS, step)]
+                for i in np.flatnonzero((rows <= query).all(axis=1)).tolist():
+                    other_mesh, other_pose = self._placed[start + i]
+                    if intersects(mesh, pose, other_mesh, other_pose):
+                        return start + i
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -662,13 +662,13 @@ def select_corpus_indices(sizes, count: int, rng: np.random.Generator) -> np.nda
 
 def truncate_on_collision(path: BuildPath, part_meshes) -> BuildPath:
     """Cut a path before the first step whose placement (at its graph pose)
-    collides with the parts already placed. Parts without a mesh in
-    ``part_meshes`` (part id -> CollisionMesh) never collide."""
+    collides with the parts already placed (``AssemblyChecker.add`` returns an
+    index). Parts without a mesh in ``part_meshes`` never collide."""
     g = path.graph
     checker = AssemblyChecker()
     for i, node in enumerate(path.nodes_in_order()):
         mesh = part_meshes.get(g.nodes[node].part_id)
-        if mesh is not None and checker.add(mesh, g.nodes[node].pose):
+        if mesh is not None and checker.add(mesh, g.nodes[node].pose) is not None:
             return BuildPath(path.root, path.steps[: i - 1], graph=g)  # node i is step i - 1
     return path
 

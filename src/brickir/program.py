@@ -430,7 +430,7 @@ def validate_prefix(text: str, catalog: Catalog, part_meshes=None) -> ValidityRe
             if part_meshes:
                 pose = place()  # even without a mesh: a later part may attach to it
                 mesh = part_meshes.get(intro.part_id)
-                if mesh is not None and checker.add(mesh, pose):
+                if mesh is not None and checker.add(mesh, pose) is not None:
                     diagnoses.append(
                         ProgramDiagnosis(
                             intro.line, "collision", f"placement of {intro.node!r} collides"

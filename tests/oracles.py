@@ -636,7 +636,7 @@ def reference_validate_prefix(program, catalog, part_meshes=None) -> ValidityRep
             if collision < connectivity - 1:
                 continue  # an earlier placement collided
             mesh = part_meshes.get(part_id)
-            if mesh is not None and checker.add(mesh, pose):
+            if mesh is not None and checker.add(mesh, pose) is not None:
                 diagnoses.append(
                     ProgramDiagnosis(
                         intro.line, "collision", f"placement of {intro.node!r} collides"

@@ -939,6 +939,26 @@ def test_inset_through_the_part_exit1(workdir, tmp_path, inset):
     assert (code, out, err) == (1, "", "error: inset collapsed the entire mesh\n")
 
 
+def test_inset_0_tests_containment_from_a_point_on_the_mesh(tmp_path):
+    # At --inset 0 meshes are kept verbatim, unused vertices included. The
+    # plate 1x2 here lists first a vertex that no triangle uses, 4 LDU below
+    # its own box: in the stacked plate b it lies inside plate a, which b
+    # only touches.
+    obj = CAT.to_json_obj()
+    mesh = obj["parts"]["3023"]["mesh"]
+    mesh["vertices"] = [[0.0, 12.0, 0.0], *mesh["vertices"]]
+    mesh["triangles"] = [[i + 1 for i in tri] for tri in mesh["triangles"]]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(obj))
+    prog = tmp_path / "two.bseq"
+    prog.write_text(_TWO_PLATES)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--catalog", str(catalog), "--inset", "0", "check", str(prog)]) == 0
+    report = json.loads(out.getvalue())["reports"][str(prog)]
+    assert report == {"connectivity_steps": 2, "collision_steps": 2, "first_error": None}
+
+
 # actions 1-2 are valid; action 3 (c) reuses stud 'a' of node 'a' at line 5
 _REUSE = (
     "a plate 1x2 | red\n"

@@ -252,6 +252,20 @@ def test_containment_detected_for_closed_meshes():
     assert brute_force_intersects(big, I, small, _trans(1, 2, 3))
 
 
+def test_containment_is_tested_from_a_point_on_the_mesh():
+    # A mesh built verbatim keeps a vertex that no triangle uses; one at
+    # (100, 0, 0) lies inside the same box placed 100 LDU away, which the
+    # box neither touches nor contains.
+    v, t = box_mesh((10, 10, 10))
+    box = _mesh((np.vstack(([[100.0, 0.0, 0.0]], v)), t + 1))
+    assert box.closed
+    far = _trans(100.0, 0, 0)
+    assert not brute_force_intersects(box, I, box, far)
+    assert not intersects(box, I, box, far)
+    assert not intersects(box, far, box, I)
+    assert intersects(box, I, box, _trans(2.0, 0, 0))
+
+
 def test_point_in_mesh():
     cube = _mesh(box_mesh((10, 10, 10)))
     assert point_in_mesh(np.array([0.0, 0.0, 0.0]), cube)
@@ -733,7 +747,7 @@ def test_tight_fit_collides_raw_but_not_after_inset():
 def test_assembly_checker_empty_and_single():
     checker = AssemblyChecker()
     assert len(checker) == 0
-    assert checker.add(_mesh(box_mesh((4, 4, 4))), I) == []
+    assert checker.add(_mesh(box_mesh((4, 4, 4))), I) is None
     assert len(checker) == 1
 
 
@@ -743,7 +757,8 @@ def test_assembly_checker_planted_overlaps():
     poses[4] = _trans(30.0 * 2 + 5, 3, 2)  # overlaps instance 2
     poses[9] = _trans(30.0 * 8 + 7, -4, 1)  # overlaps instance 8
     checker = AssemblyChecker()
-    pairs = [(j, i) for i, pose in enumerate(poses) for j in checker.add(cube, pose)]
+    hits = [checker.add(cube, pose) for pose in poses]
+    pairs = [(j, i) for i, j in enumerate(hits) if j is not None]
     assert pairs == [(2, 4), (8, 9)]
     # all-pairs oracle agreement
     oracle_pairs = sorted(
@@ -758,9 +773,21 @@ def test_assembly_checker_planted_overlaps():
 def test_assembly_checker_incremental():
     cube = _mesh(box_mesh((20, 20, 20)))
     checker = AssemblyChecker()
-    assert checker.add(cube, _trans(0, 0, 0)) == []
-    assert checker.add(cube, _trans(30, 0, 0)) == []
-    assert checker.add(cube, _trans(25, 2, 1)) == [1]
+    assert checker.add(cube, _trans(0, 0, 0)) is None
+    assert checker.add(cube, _trans(30, 0, 0)) is None
+    assert checker.add(cube, _trans(25, 2, 1)) == 1
+
+
+def test_assembly_checker_keeps_a_placement_that_collides():
+    # index 0 is a hit too, and a placement that collides is still placed:
+    # a later part that hits only it gets its index
+    cube = _mesh(box_mesh((20, 20, 20)))
+    checker = AssemblyChecker()
+    assert checker.add(cube, _trans(0, 0, 0)) is None
+    assert checker.add(cube, _trans(10, 0, 0)) == 0
+    assert checker.add(cube, _trans(25, 0, 0)) == 1
+    assert checker.add(cube, _trans(0, 0, 0)) == 0
+    assert len(checker) == 4
 
 
 def test_assembly_checker_matches_plain_loop(demo_colliders):
@@ -782,7 +809,7 @@ def test_assembly_checker_matches_plain_loop(demo_colliders):
             for j, (other_mesh, other_pose) in enumerate(placements[:k])
             if brute_force_intersects(mesh, pose, other_mesh, other_pose)
         ]
-        assert checker.add(mesh, pose) == want
+        assert checker.add(mesh, pose) == (want[0] if want else None)
         total += len(want)
     assert len(checker) == len(placements)
     assert 0 < total < len(placements) * (len(placements) - 1) // 2
@@ -801,7 +828,8 @@ def _box_lo_on(target: float, h: float):
 
 def test_broad_phase_matches_the_two_array_reference(monkeypatch):
     """The (n, 6) comparison picks the candidates of the two-array one
-    (oracles.ReferenceAssemblyChecker), in placement order, on axis-aligned
+    (oracles.ReferenceAssemblyChecker), in placement order, and the narrow
+    phase stops at the reference's first hit, on axis-aligned
     boxes that touch exactly, sit TRI_EPS apart or 1 ulp either side of
     that, and on boxes at random poses. The checkers grow past 16, 32, 64
     and 128 placements, and past one and two blocks of _BROAD_ROWS rows."""
@@ -812,13 +840,14 @@ def test_broad_phase_matches_the_two_array_reference(monkeypatch):
     narrow = []
 
     def recording(a, pose_a, b, pose_b):
-        narrow.append((a, pose_a, b, pose_b))
-        return sum(pose_a.translation) < sum(pose_b.translation)  # any fixed verdict
+        verdict = sum(pose_a.translation) < sum(pose_b.translation)  # any fixed verdict
+        narrow.append((a, pose_a, b, pose_b, verdict))
+        return verdict
 
     monkeypatch.setattr(collision_module, "intersects", recording)
     rng = np.random.default_rng(2310)
     boundary = Counter()
-    candidates = 0
+    candidates = skipped = 0
     for placements in (40, 40, 100, 100, 180):
         checker, reference = AssemblyChecker(), ReferenceAssemblyChecker()
         boxes = []  # (lo, hi) of the axis-aligned placements, as the checker computes them
@@ -850,14 +879,16 @@ def test_broad_phase_matches_the_two_array_reference(monkeypatch):
             got_calls = list(narrow)
             narrow.clear()
             want = reference.add(mesh, pose)
-            assert got == want
-            assert len(got_calls) == len(narrow)
+            assert got == (want[0] if want else None)
+            verdicts = [call[4] for call in narrow]
+            assert len(got_calls) == (verdicts.index(True) + 1 if want else len(narrow))
             assert all(g[3] is w[3] for g, w in zip(got_calls, narrow))
             candidates += len(narrow)
+            skipped += len(narrow) - len(got_calls)
         assert len(checker) == len(reference) == placements
     assert placements > 2 * _BROAD_ROWS
     assert min(boundary[kind] for kind in range(4)) >= 50, boundary
-    assert candidates > 1000
+    assert candidates > 1000 and skipped > 100
 
 
 def test_part_colliders_from_catalog():
@@ -873,7 +904,7 @@ def test_part_colliders_from_catalog():
     lo, hi = source.vertices.min(axis=0), source.vertices.max(axis=0)
     assert (mesh.vertices.min(axis=0) > lo).all() and (mesh.vertices.max(axis=0) < hi).all()
     assert colliders.get("nope") is None
-    assert AssemblyChecker().add(mesh, I) == []
+    assert AssemblyChecker().add(mesh, I) is None
 
 
 def test_part_colliders_build_on_first_lookup(monkeypatch):
