@@ -31,6 +31,18 @@ run the thread pool, and with it concurrent first lookups in the shared
 collision-mesh table, on any machine.
 The --no-collision calls run the executor without reading a single pose.
 
+It also writes a small LDraw part library as text (``ldlib``): primitives
+(a stud as a triangulated 16-segment cylinder, a tube, a peghole, an axle and
+two boxes), part files that place them axis-aligned, turned 36 degrees,
+mirrored and axially scaled, a sub-part in ``parts/s`` referenced four times,
+one stud scaled off the connector scale (rejected with a warning) and one
+malformed line inside a primitive. Every part with two or more studs has
+more than 64 triangles, so its collision mesh is a tree. With
+``--catalog ldlib`` it runs parse, graph, sample, serialize, execute, check
+and eval on a structure of those parts, at the default inset and at
+--inset 0, and parse once with a second library (``ldfaults``) whose one
+part warns from inside a primitive and from the scale check.
+
 Each call's exit code, stdout, stderr and --out files are hashed. The script
 prints one line per call (digest, exit code, label) and then the sha256 over
 all calls. Two checkouts that print the same overall digest behave
@@ -72,6 +84,118 @@ OVERLAP = (
 
 
 PERTURBED = 8
+
+# --- a small LDraw part library, written as text ----------------------------
+
+SEGMENTS = 16
+IDENT = "1 0 0 0 1 0 0 0 1"
+FLIP_X = "1 0 0 0 -1 0 0 0 -1"  # 180 degrees about x: a tube's +y axis points up
+TO_Z = "1 0 0 0 0 -1 0 1 0"  # a primitive's y axis along z
+MIRROR_X = "-1 0 0 0 1 0 0 0 1"
+TURN_Y = "-1 0 0 0 1 0 0 0 -1"  # 180 degrees about y
+
+
+def _numbers(*values) -> str:
+    return " ".join(f"{v:.17g}" for v in values)
+
+
+def _turn_y(degrees: float) -> str:
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return _numbers(c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
+
+
+def _cylinder(radius: float, y0: float, y1: float, cap: bool = False) -> str:
+    """Type-4 side quads of a 16-segment cylinder about the y axis from y0 to
+    y1, with a type-3 fan closing it at y1 when ``cap``, and its type-2 rim
+    edges (which geometry ignores)."""
+    angles = [2.0 * math.pi * k / SEGMENTS for k in range(SEGMENTS)]
+    ring = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    lines = []
+    for (x0, z0), (x1, z1) in zip(ring, ring[1:] + ring[:1]):
+        lines.append(f"2 24 {_numbers(x0, y1, z0, x1, y1, z1)}")
+        lines.append(f"4 16 {_numbers(x0, y0, z0, x1, y0, z1, x1, y1, z1, x0, y1, z0)}")
+        if cap:
+            lines.append(f"3 16 {_numbers(0.0, y1, 0.0, x1, y1, z1, x0, y1, z0)}")
+    return "\n".join(lines) + "\n"
+
+
+def _box(hx: float, y0: float, y1: float, hz: float, open_bottom: bool = False) -> str:
+    """Quads of the box [-hx, hx] x [y0, y1] x [-hz, hz] (y0 on top), its
+    bottom (y = y1) left open when ``open_bottom``."""
+    faces = [
+        (-hx, y0, -hz, hx, y0, -hz, hx, y0, hz, -hx, y0, hz),  # top
+        (-hx, y0, -hz, -hx, y1, -hz, hx, y1, -hz, hx, y0, -hz),
+        (hx, y0, -hz, hx, y1, -hz, hx, y1, hz, hx, y0, hz),
+        (hx, y0, hz, hx, y1, hz, -hx, y1, hz, -hx, y0, hz),
+        (-hx, y0, hz, -hx, y1, hz, -hx, y1, -hz, -hx, y0, -hz),
+    ]
+    if not open_bottom:
+        faces.append((-hx, y1, hz, hx, y1, hz, hx, y1, -hz, -hx, y1, -hz))
+    return "".join(f"4 16 {_numbers(*f)}\n" for f in faces)
+
+
+def _ref(x, y, z, rows: str, name: str, color: int = 16) -> str:
+    return f"1 {color} {_numbers(x, y, z)} {rows} {name}\n"
+
+
+def _plate_sites(studs, tubes, depth) -> str:
+    return "".join(_ref(x, 0, z, IDENT, "stud.dat") for x, z in studs) + "".join(
+        _ref(x, depth, z, FLIP_X, "stud4.dat") for x, z in tubes)
+
+
+LIBRARY_PRIMITIVES = {
+    "box5.dat": "0 Box with 5 Faces\n" + _box(1.0, 0.0, 1.0, 1.0, open_bottom=True),
+    "box.dat": "0 Box\n" + _box(1.0, -1.0, 1.0, 1.0),
+    "stud.dat": "0 Stud\n" + _cylinder(6.0, 0.0, -4.0, cap=True),
+    # a short type-4 line: skipped with a warning by every part that uses it
+    "stud2.dat": "0 Stud Open\n4 16 0 0 0 1 0 0\n" + _cylinder(6.0, 0.0, -4.0),
+    "stud4.dat": "0 Stud Tube\n" + _cylinder(8.0, 0.0, 6.0),
+    "peghole.dat": "0 Peg Hole\n" + _cylinder(6.0, -10.0, 10.0),
+    "axle.dat": "0 Axle\n" + _box(2.0, -0.5, 0.5, 2.0),
+}
+
+QUAD = [(-10, -10), (-10, 10), (10, -10), (10, 10)]
+ROW = [(-10, 0), (10, 0)]
+LIBRARY_PARTS = {
+    "3022.dat": "0 Plate 2 x 2\n" + _ref(0, 0, 0, "20 0 0 0 8 0 0 0 20", "box5.dat")
+    + _plate_sites(QUAD, QUAD, 8),
+    "s/3020s01.dat": "0 ~Plate 2 x 4 Quarter\n" + _plate_sites([(0, -10), (0, 10)],
+                                                             [(0, -10), (0, 10)], 8),
+    "3020.dat": "0 Plate 2 x 4\n" + _ref(0, 0, 0, "40 0 0 0 8 0 0 0 20", "box5.dat")
+    + _ref(-30, 0, 0, IDENT, "s\\3020s01.dat") + _ref(-10, 0, 0, IDENT, "s\\3020s01.dat")
+    + _ref(10, 0, 0, MIRROR_X, "s\\3020s01.dat") + _ref(30, 0, 0, TURN_Y, "s\\3020s01.dat"),
+    "3024.dat": "0 Plate 1 x 1\n" + _ref(0, 0, 0, "10 0 0 0 8 0 0 0 10", "box5.dat")
+    + _ref(0, 0, 0, _turn_y(36.0), "stud.dat") + _plate_sites([], [(0, 0)], 8),
+    # a stud widened by 1.25: not a connector, and warned about
+    "3062b.dat": "0 Brick 1 x 1 Round\n" + _ref(0, 0, 0, "10 0 0 0 24 0 0 0 10", "box5.dat")
+    + _ref(0, 12, 0, "1.25 0 0 0 1 0 0 0 1.25", "stud.dat") + _plate_sites([(0, 0)], [(0, 0)], 24),
+    "3794.dat": "0 Plate 1 x 2 with 1 Stud\n" + _ref(0, 0, 0, "20 0 0 0 8 0 0 0 10", "box5.dat")
+    + _ref(0, 0, 0, IDENT, "stud2.dat") + _plate_sites([], ROW, 8),
+    "3700.dat": "0 Technic Brick 1 x 2 with Hole\n"
+    + _ref(0, 3, 0, "20 0 0 0 3 0 0 0 10", "box.dat") + _ref(0, 18, 0, "20 0 0 0 6 0 0 0 10", "box5.dat")
+    + _ref(0, 12, 0, TO_Z, "peghole.dat") + _plate_sites(ROW, ROW, 24),
+    "3704.dat": "0 Technic Axle 2\n" + _ref(0, 0, 0, "1 0 0 0 0 -1 0 40 0", "axle.dat"),
+}
+# one part that warns from inside a primitive (line 3) and from the scale
+# check (line 2)
+FAULTS_PART = "0 Fault Plate\n" + _ref(0, 0, 0, "2 0 0 0 2 0 0 0 2", "stud.dat") + _ref(
+    10, 0, 0, IDENT, "stud2.dat")
+LIBRARY_OVERLAP = (  # c's tube on a's stud e: c overlaps b
+    "a plate 2 x 2 | red\nb plate 2 x 2 | red\na stud stud a tube c 0\n"
+    "c plate 2 x 2 | blue\na stud stud e tube c 0\n"
+)
+LIBRARY_STRUCTURE = "".join(_ref(x, y, z, IDENT, f"{part}.dat", color) for part, color, x, y, z in [
+    ("3022", 4, 0, 0, 0), ("3022", 1, 0, -8, 0), ("3020", 14, 20, -16, 0),
+    ("3024", 2, 50, -24, -10), ("3700", 15, 40, -40, 10), ("3704", 0, 40, -28, 10),
+    ("3794", 4, 0, -24, -10), ("3062b", 14, -10, -40, 10),
+])
+
+
+def _write_library(root: Path, parts: dict) -> None:
+    for name, text in [*((f"p/{n}", t) for n, t in LIBRARY_PRIMITIVES.items()),
+                       *((f"parts/{n}", t) for n, t in parts.items())]:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
 
 
 def _rotation(axis, degrees: float):
@@ -211,6 +335,12 @@ def _write_inputs(root: Path) -> None:
     (root / "turned_plate.bseq").write_text(
         "a plate 1x1 | red\nb plate 1x1 | red\na stud stud a hole b 45\n"
     )
+    _write_library(root / "ldlib", LIBRARY_PARTS)
+    (root / "ldlib.ldr").write_text(LIBRARY_STRUCTURE)
+    (root / "ldprograms").mkdir()
+    (root / "ldprograms" / "overlap.bseq").write_text(LIBRARY_OVERLAP)
+    _write_library(root / "ldfaults", {"9999.dat": FAULTS_PART})
+    (root / "ldfaults.ldr").write_text(_ref(0, 0, 0, IDENT, "9999.dat", 4))
     (root / "catalog_latin1.json").write_bytes(
         catalog.dumps().replace('"red"', '"r\\u00f6d"').encode().replace(b"\\u00f6", b"\xf6"))
 
@@ -311,6 +441,20 @@ def _calls():
     for command in ("execute", "check", "eval"):
         calls.append((f"far connector origin {command}", far + [command, "turned_plate.bseq"],
                       None))
+    lib = ["--catalog", "ldlib"]
+    checked = ["ldprograms/ldlib.bseq", "ldprograms/overlap.bseq"]
+    calls.append(("ldlib parse", lib + ["parse", "ldlib.ldr"], None))
+    calls.append(("ldlib graph", lib + ["--out", "ldlib.json", "graph", "ldlib.ldr"], "ldlib.json"))
+    calls.append(("ldlib serialize", lib + ["--seed", "7", "--out", checked[0], "serialize",
+                                            "ldlib.ldr"], checked[0]))
+    calls.append(("ldlib execute", lib + ["execute", checked[0]], None))
+    for inset in ([], ["--inset", "0"]):
+        label = " ".join(["", *inset])
+        calls.append((f"ldlib sample{label}", lib + ["--seed", "1", *inset, "sample",
+                                                     "ldlib.json", "--count", "6"], None))
+        calls.append((f"ldlib check{label}", lib + [*inset, "check", *checked], None))
+        calls.append((f"ldlib eval{label}", lib + [*inset, "eval", "ldprograms"], None))
+    calls.append(("ldfaults parse", ["--catalog", "ldfaults", "parse", "ldfaults.ldr"], None))
     return calls
 
 
