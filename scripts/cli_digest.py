@@ -172,7 +172,8 @@ LIBRARY_PARTS = {
     "3794.dat": "0 Plate 1 x 2 with 1 Stud\n" + _ref(0, 0, 0, "20 0 0 0 8 0 0 0 10", "box5.dat")
     + _ref(0, 0, 0, IDENT, "stud2.dat") + _plate_sites([], ROW, 8),
     "3700.dat": "0 Technic Brick 1 x 2 with Hole\n"
-    + _ref(0, 3, 0, "20 0 0 0 3 0 0 0 10", "box.dat") + _ref(0, 18, 0, "20 0 0 0 6 0 0 0 10", "box5.dat")
+    + _ref(0, 3, 0, "20 0 0 0 3 0 0 0 10", "box.dat")
+    + _ref(0, 18, 0, "20 0 0 0 6 0 0 0 10", "box5.dat")
     + _ref(0, 12, 0, TO_Z, "peghole.dat") + _plate_sites(ROW, ROW, 24),
     "3704.dat": "0 Technic Axle 2\n" + _ref(0, 0, 0, "1 0 0 0 0 -1 0 40 0", "axle.dat"),
 }

@@ -17,7 +17,7 @@ from .graph import (
     sample_corpus_paths,
     sample_path,
 )
-from .ldraw import PartInstance, parse_structure, scan_primitives
+from .ldraw import PartInstance, parse_structure, walk_part
 from .program import (
     BuildProgram,
     ValidityReport,
@@ -54,7 +54,7 @@ __all__ = [
     "relative",
     "sample_corpus_paths",
     "sample_path",
-    "scan_primitives",
     "serialize",
     "validate_prefix",
+    "walk_part",
 ]

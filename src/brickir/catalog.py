@@ -3,7 +3,7 @@
 A catalog maps part ids to their display name, triangle mesh and annotated
 connector list, plus an LDraw color-code <-> lowercase-name table. Catalogs
 load from a JSON file or are built from an LDraw part library directory
-(procedural primitive scan).
+(one walk per part for its primitives and triangles).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ldraw
-from .connectors import AnnotatedConnector, annotate_part, default_rules
+from .connectors import AnnotatedConnector, annotate_part, default_primitive_table, default_rules
 from .errors import CatalogError, LdrawParseError
 
 
@@ -86,9 +86,6 @@ class PartDef:
             return self.connectors_by_index[index]
         except KeyError:
             raise CatalogError(f"part {self.part_id!r} has no connector {index!r}") from None
-
-    def has_connector(self, index: str) -> bool:
-        return index in self.connectors_by_index
 
 
 @lru_cache(maxsize=1)
@@ -214,9 +211,10 @@ def build_catalog_from_library(library_dir) -> Catalog:
 
     Part files are taken from ``parts/`` (or the directory itself); sub-parts
     and primitives are resolved from ``parts/s``, ``p`` and the same
-    directory. Each part's connectors come from its primitive scan
-    (``annotate_part``). The walks' and annotation's warnings land in the
-    catalog's ``warnings``.
+    directory. One walk of each part (``ldraw.walk_part``) gives its
+    triangles and its connector-primitive references, which
+    ``annotate_part`` turns into connectors. The walk's and annotation's
+    warnings land in the catalog's ``warnings``.
     """
     root = Path(library_dir)
 
@@ -235,13 +233,12 @@ def build_catalog_from_library(library_dir) -> Catalog:
         pid = f.stem.lower()
         found: list[str] = []
         try:
-            refs = ldraw.scan_primitives(text, library, warnings=found)
-            verts, tris = ldraw.extract_triangles(text, library, warnings=found)
+            refs, (verts, tris) = ldraw.walk_part(text, library, default_primitive_table(), found)
         except LdrawParseError as exc:
             raise LdrawParseError(f"{f.name}: {exc}") from exc
-        # both walks visit the part's lines: report each once
+        connectors = annotate_part(pid, refs, found)
+        # a sub-file referenced more than once reports its lines once
         warnings.extend(f"{f.name}: {w}" for w in dict.fromkeys(found))
-        connectors = annotate_part(pid, refs)
         if not connectors:
             warnings.append(f"{pid}: no connector sites")
         mesh = TriMesh(verts, tris) if len(tris) else None

@@ -14,10 +14,8 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from .errors import AnnotationError
-from .geometry import ConnectorFrame
+from .geometry import SCALE_TOL, ConnectorFrame, RigidTransform, nearest_rotation, norm
 
 # Longest axle length a catalog may declare, in LDU (50 studs, longer than any
 # part): the matcher's spatial hash pads an axle by up to half of it. Only an
@@ -229,29 +227,45 @@ def index_sites(part_id: str, sites) -> tuple[AnnotatedConnector, ...]:
         raise AnnotationError(f"{part_id}: {exc}") from exc
 
 
-def annotate_part(part_id: str, primitive_refs) -> tuple[AnnotatedConnector, ...]:
-    """Derive the typed connector list of one part from the primitive scan,
-    with canonical indices (``index_sites``)."""
+def annotate_part(
+    part_id: str, refs, warnings: list | None = None
+) -> tuple[AnnotatedConnector, ...]:
+    """The typed connector list of one part, with canonical indices
+    (``index_sites``), from the primitive references of ``ldraw.walk_part``:
+    (name, line number, composed rows, translation).
+
+    A reference is a site when the composed matrix's column norms pass its
+    table entry's scale mode: 'rigid' needs all three within SCALE_TOL of 1;
+    'axial' frees the one along the entry's principal axis, which scales the
+    axle length. A reference that fails is warned about and skipped.
+    """
     rules = default_rules()
     primitive_table = default_primitive_table()
 
     sites = []  # (family, subtype, frame, axle_length)
-    for ref in primitive_refs:
-        entry = primitive_table.get(ref.primitive_name)
+    for name, number, m, t in refs:
+        entry = primitive_table.get(name)
         if entry is None:
-            raise AnnotationError(
-                f"{part_id}: primitive {ref.primitive_name!r} not in connector table"
-            )
+            raise AnnotationError(f"{part_id}: primitive {name!r} not in connector table")
+        mode = entry.get("scale_mode", "rigid")
+        if mode not in ("rigid", "axial"):
+            raise AnnotationError(f"unknown scale mode {mode!r} in primitive table")
+        axis = entry["principal_axis"]
+        principal = max(range(3), key=lambda i: abs(axis[i]))  # the first largest
+        scale = tuple(norm(column) for column in zip(*m))
+        if not all(abs(s - 1.0) <= SCALE_TOL for i, s in enumerate(scale)
+                   if mode == "rigid" or i != principal):
+            if warnings is not None:
+                warnings.append(f"line {number}: {name} rejected by scale check {scale} "
+                                "(review: possible non-connector use)")
+            continue
         subtype = entry["subtype"]
-        family = rules.family_of(subtype)
-        local = ConnectorFrame(
-            entry.get("origin", (0.0, 0.0, 0.0)), entry["principal_axis"], entry["reference_axis"]
-        )
-        frame = local.transformed(ref.transform)
+        local = ConnectorFrame(entry.get("origin", (0.0, 0.0, 0.0)), axis, entry["reference_axis"])
+        frame = local.transformed(RigidTransform(nearest_rotation(m)[0], t))
         length = None
         if "base_length" in entry:
             length = float(entry["base_length"])
-            if entry.get("scale_mode") == "axial":  # the scale along the principal axis
-                length *= ref.scale[int(np.argmax(np.abs(entry["principal_axis"])))]
-        sites.append((family, subtype, frame, length))
+            if mode == "axial":
+                length *= scale[principal]
+        sites.append((rules.family_of(subtype), subtype, frame, length))
     return index_sites(part_id, sites)

@@ -17,18 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectors import default_primitive_table
 from .errors import LdrawParseError
-from .geometry import (
-    IDENTITY_ROWS,
-    SCALE_TOL,
-    RigidTransform,
-    _det3,
-    mat_mul,
-    mat_vec_add,
-    nearest_rotation,
-    norm,
-)
+from .geometry import IDENTITY_ROWS, RigidTransform, _det3, mat_mul, mat_vec_add, nearest_rotation
 
 MAX_SUBFILE_DEPTH = 64
 
@@ -61,15 +51,6 @@ class PartInstance:
     pose: RigidTransform
     raw: tuple = ()
     nonrigid: bool = False
-
-
-@dataclass(frozen=True)
-class PrimitiveRef:
-    """A reference chain that terminated at a known connector primitive."""
-
-    primitive_name: str
-    transform: RigidTransform
-    scale: tuple  # per-primitive-axis column norms of the composed matrix
 
 
 def normalize_name(name: str) -> str:
@@ -186,18 +167,25 @@ def split_mpd(text: str) -> tuple[str, dict[str, str]]:
     return main, {name: "\n".join(lines) for name, lines in files.items()}
 
 
-def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None):
+def _never(ref) -> bool:
+    return False
+
+
+def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None,
+          expand_leaves=False):
     """Walk an LDraw document depth-first through its subfile references.
 
     Yields (line, m, t): type-3/4 lines with the transform of the file they
     sit in, and type-1 lines whose normalized reference ``leaf`` accepts with
     their composed transform; m is the scalar kernel's rows and t a 3-tuple.
     Other references are expanded from ``subfiles`` (normalized name ->
-    text). A reference back into ``chain`` (the names of the files being
-    expanded, outermost first; the document's own name or None), nesting
-    deeper than MAX_SUBFILE_DEPTH and a composed transform that overflows
-    raise; a reference found nowhere raises in strict mode and is warned
-    about otherwise.
+    text). With ``expand_leaves`` an accepted reference is expanded too, for
+    its type-3/4 lines only: below it no reference is accepted. A reference
+    back into ``chain`` (the names of the files being expanded, outermost
+    first; the document's own name or None), nesting deeper than
+    MAX_SUBFILE_DEPTH and a composed transform that overflows raise; a
+    reference found nowhere raises in strict mode and is warned about
+    otherwise.
     """
     if len(chain) > MAX_SUBFILE_DEPTH + 1:
         raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
@@ -213,12 +201,18 @@ def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None)
         if not all(map(math.isfinite, (*cm[0], *cm[1], *cm[2], *ct))):  # overflowed
             raise LdrawParseError("non-finite composed transform", line.number)
         ref = normalize_name(line.subfile)
+        below = leaf
         if leaf(ref):
             yield line, cm, ct
-        elif ref in subfiles:
+            if not expand_leaves:
+                continue
+            below = _never
+        if ref in subfiles:
             if ref in chain:
                 raise LdrawParseError(f"recursive subfile reference {line.subfile!r}", line.number)
-            yield from _walk(subfiles[ref], subfiles, leaf, strict, warnings, chain + (ref,), cm, ct)
+            yield from _walk(
+                subfiles[ref], subfiles, below, strict, warnings, chain + (ref,), cm, ct, expand_leaves
+            )
         elif strict:
             raise LdrawParseError(f"unresolvable subfile {line.subfile!r}", line.number)
         else:
@@ -257,72 +251,35 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
     return instances
 
 
-def scan_primitives(part_source, library, warnings: list | None = None):
-    """Walk a part definition depth-first and collect connector-primitive sites.
+def walk_part(text, library, stop_at, warnings: list | None = None):
+    """One walk of a part definition: its connector-primitive references and
+    its triangles.
 
     ``library`` maps normalized subfile names to their text (sub-parts and
-    primitives). A reference is emitted when its terminal name is in the
-    connector-primitive table (data/primitives.json) and the composed
-    per-axis scale passes the entry's scale mode: 'rigid' requires all axis
-    scales within 1e-3 of 1; 'axial' frees the scale along the entry's
-    principal axis (recorded so axle lengths can be recovered).
+    primitives). A reference whose normalized name is in ``stop_at`` (the
+    connector-primitive table) is collected as (name, line number, composed
+    rows, translation); no reference inside it is, but its triangles are.
+    Type-3/4 lines become part-local triangles: quads split in two, and the
+    winding flips under reflecting transforms so outward orientation
+    survives mirroring. Returns (refs, (vertices (n,3) float64, triangles
+    (m,3) int64)).
     """
-    primitive_table = default_primitive_table()
-    refs: list[PrimitiveRef] = []
-    is_primitive = primitive_table.__contains__
-    for line, m, t in _walk(part_source, library, is_primitive, False, warnings):
-        if line.line_type != 1:
-            continue
-        ref = normalize_name(line.subfile)
-        scale = tuple(norm(column) for column in zip(*m))
-        if _scale_ok(scale, primitive_table[ref]):
-            refs.append(
-                PrimitiveRef(
-                    primitive_name=ref,
-                    transform=RigidTransform(nearest_rotation(m)[0], t),
-                    scale=scale,
-                )
-            )
-        else:
-            _warn(
-                warnings,
-                f"line {line.number}: {ref} rejected by scale check {scale} "
-                "(review: possible non-connector use)",
-            )
-    return refs
-
-
-def _scale_ok(scale, entry) -> bool:
-    mode = entry.get("scale_mode", "rigid")
-    if mode == "rigid":
-        return all(abs(s - 1.0) <= SCALE_TOL for s in scale)
-    if mode == "axial":
-        axis = np.abs(np.asarray(entry["principal_axis"], dtype=np.float64))
-        principal_idx = int(np.argmax(axis))
-        return all(
-            abs(scale[i] - 1.0) <= SCALE_TOL for i in range(3) if i != principal_idx
-        )
-    raise LdrawParseError(f"unknown scale mode {mode!r} in primitive table")
-
-
-def extract_triangles(part_source, library, warnings: list | None = None):
-    """Gather world-space triangles (types 3/4) from a part definition.
-
-    Quads split into two triangles; winding is flipped under reflected
-    transforms so outward orientation survives mirroring. Returns
-    (vertices (n,3) float64, triangles (m,3) int).
-    """
+    refs = []
     verts: list[np.ndarray] = []
     tris: list[tuple[int, int, int]] = []
-    for line, m, t in _walk(part_source, library, lambda ref: False, False, warnings):
+    walk = _walk(text, library, stop_at.__contains__, False, warnings, expand_leaves=True)
+    for line, m, t in walk:
+        if line.line_type == 1:
+            refs.append((normalize_name(line.subfile), line.number, m, t))
+            continue
         base = len(verts)
         flip = _det3(m) < 0  # the rows' triple product, as in the pose gate: no LAPACK det
         verts.extend(np.array(line.values, dtype=np.float64).reshape(-1, 3) @ np.array(m).T + t)
         for a, b, c in [(0, 1, 2)] if line.line_type == 3 else [(0, 1, 2), (0, 2, 3)]:
             tris.append((base + a, base + c, base + b) if flip else (base + a, base + b, base + c))
     if not verts:
-        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
-    return np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64)
+        return refs, (np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    return refs, (np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64))
 
 
 def part_description(part_source) -> str:

@@ -124,6 +124,11 @@ def apply(pose: RigidTransform, points) -> np.ndarray:
     return p @ np.array(pose.rotation).T + np.array(pose.translation)
 
 
+def has_connector(part, index: str) -> bool:
+    """Whether ``part`` (a PartDef) has a connector with this index."""
+    return index in part.connectors_by_index
+
+
 def frames_close(a: ConnectorFrame, b: ConnectorFrame, tol: float = 1e-9) -> bool:
     """Whether the two frames' origins and axes agree within ``tol`` entry by entry."""
     return all(

@@ -48,7 +48,7 @@ from brickir.program import (
     parse_program,
 )
 
-from conftest import apply
+from conftest import apply, has_connector
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +802,7 @@ def reference_parse_program(text: str, catalog, strict: bool = False) -> ParseRe
                     (introduced[newest], sub_n, idx_n, "new"),
                 ):
                     part = catalog.part(part_id)
-                    if not part.has_connector(idx):
+                    if not has_connector(part, idx):
                         fail(
                             "unknown-connector",
                             f"part {part.name!r} has no connector {idx!r} ({role})",

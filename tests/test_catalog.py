@@ -17,6 +17,8 @@ from brickir.demo import build_demo_catalog
 from brickir.errors import CatalogError
 from brickir.geometry import RigidTransform
 
+from conftest import has_connector
+
 IDENTITY = "1 0 0 0 1 0 0 0 1"
 
 
@@ -58,7 +60,7 @@ def test_connector_lookups_match_a_linear_scan():
     for part in cat.parts.values():
         for index in letters:
             scan = next((c for c in part.connectors if c.index == index), None)
-            assert part.has_connector(index) == (scan is not None)
+            assert has_connector(part, index) == (scan is not None)
             if scan is not None:
                 assert part.connector(index) is scan
                 continue
@@ -128,19 +130,29 @@ def test_build_catalog_from_library(library_dir):
 
 
 def test_library_warnings_name_the_part_file_once(tmp_path):
-    # both library walks (connector scan, triangle extraction) see lines 3
-    # and 4; only extraction expands stud.dat, which the library lacks
-    (tmp_path / "parts").mkdir()
+    # one walk, in line order: the stud.dat sites are expanded for triangles
+    # too (the library lacks stud.dat), the sub-part's short line is reported
+    # once though it is walked twice, and the scale check's rejection comes
+    # last
+    (tmp_path / "parts" / "s").mkdir(parents=True)
+    (tmp_path / "parts" / "s" / "half.dat").write_text("0 half\n3 16 1 2\n")
     (tmp_path / "parts" / "3024.dat").write_text(
         "0 Plate 1 x 1\n"
         f"1 16 0 0 0 {IDENTITY} stud.dat\n"
         f"1 16 0 0 0 {IDENTITY} ghost.dat\n"
         "3 16 a 0 0 1 0 0 0 1 0\n"
+        f"1 16 0 0 0 {IDENTITY} s\\half.dat\n"
+        f"1 16 10 0 0 {IDENTITY} s\\half.dat\n"
+        "1 16 0 -8 0 2 0 0 0 2 0 0 0 2 stud.dat\n"
     )
     assert build_catalog_from_library(tmp_path).warnings == (
+        "3024.dat: line 2: unresolvable subfile 'stud.dat'",
         "3024.dat: line 3: unresolvable subfile 'ghost.dat'",
         "3024.dat: line 4: skipped non-numeric type-3 line",
-        "3024.dat: line 2: unresolvable subfile 'stud.dat'",
+        "3024.dat: line 2: skipped short type-3 line",
+        "3024.dat: line 7: unresolvable subfile 'stud.dat'",
+        "3024.dat: line 7: stud.dat rejected by scale check (2.0, 2.0, 2.0) "
+        "(review: possible non-connector use)",
     )
 
 

@@ -16,8 +16,7 @@ from brickir.connectors import (
     letter_index,
 )
 from brickir.errors import AnnotationError
-from brickir.geometry import ConnectorFrame, RigidTransform
-from brickir.ldraw import PrimitiveRef
+from brickir.geometry import IDENTITY_ROWS, ConnectorFrame
 
 RULES = default_rules()
 SUBTYPES = sorted(RULES.subtype_family)
@@ -113,9 +112,8 @@ def test_letter_ids():
 
 
 def _stud_ref(x, y, z):
-    return PrimitiveRef(
-        "stud.dat", RigidTransform(np.eye(3), np.array([x, y, z], float)), (1.0, 1.0, 1.0)
-    )
+    """A stud.dat reference as ``ldraw.walk_part`` gives it."""
+    return "stud.dat", 1, IDENTITY_ROWS, (float(x), float(y), float(z))
 
 
 def test_annotate_two_studs():

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brickir.connectors import AnnotatedConnector, ConnectorFamily, annotate_part
+from brickir.connectors import (
+    AnnotatedConnector,
+    ConnectorFamily,
+    annotate_part,
+    default_primitive_table,
+)
 from brickir.geometry import (
     AXIS_LIMIT,
     ORTHONORMAL_TOL,
@@ -28,7 +33,7 @@ from brickir.geometry import (
     unit_axes,
 )
 from brickir.graph import attach_pose
-from brickir.ldraw import parse_structure, scan_primitives
+from brickir.ldraw import parse_structure, walk_part
 
 from conftest import (
     frame_from_transform,
@@ -241,9 +246,10 @@ def test_every_route_gives_float_tuples_that_compare_and_hash_by_value():
         {"subtype": "stud", "origin": [1, 2, 3], "principal_axis": [0, -1, 0],
          "reference_axis": [1, 0, 0]}
     )
-    (scanned,) = annotate_part(
-        "p", scan_primitives("1 16 0 -4 0 1 0 0 0 1 0 0 0 1 stud.dat\n", {"stud.dat": "0\n"})
+    refs, _ = walk_part(
+        "1 16 0 -4 0 1 0 0 0 1 0 0 0 1 stud.dat\n", {"stud.dat": "0\n"}, default_primitive_table()
     )
+    (scanned,) = annotate_part("p", refs)
     frames = [frame, frame.transformed(a), loaded.frame, scanned.frame]
     assert all(map(_holds_float_tuples, frames))
     # the same numbers, passed as arrays, lists or tuples: equal, hashed alike

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from brickir.connectors import annotate_part
+from brickir.connectors import annotate_part, default_primitive_table
 from brickir.errors import LdrawParseError
 from brickir.geometry import SCALE_TOL
-from brickir.ldraw import (
-    extract_triangles,
-    iter_lines,
-    parse_structure,
-    part_description,
-    scan_primitives,
-)
+from brickir.ldraw import iter_lines, parse_structure, part_description, walk_part
 
 from conftest import OVERFLOWING_MPDS, instances_to_ldr, random_rotation
 from oracles import reference_is_rigid, reference_orthonormalize
@@ -166,6 +160,15 @@ TWOSTUD = (
 )
 
 LIBRARY = {"stud.dat": STUD, "box.dat": BOX, "twostud.dat": TWOSTUD}
+TABLE = default_primitive_table()
+
+
+def primitive_refs(part, library=LIBRARY, warnings=None):
+    return walk_part(part, library, TABLE, warnings)[0]
+
+
+def part_triangles(part, library=LIBRARY, warnings=None):
+    return walk_part(part, library, TABLE, warnings)[1]
 
 
 def test_scan_direct_stud_reference():
@@ -174,15 +177,18 @@ def test_scan_direct_stud_reference():
         f"1 16 0 0 0 {IDENTITY} box.dat\n"
         f"1 16 0 -4 0 {IDENTITY} stud.dat\n"
     )
-    (ref,) = scan_primitives(part, LIBRARY)
-    assert ref.primitive_name == "stud.dat"
-    assert np.allclose(ref.transform.translation, [0, -4, 0])
-    assert np.allclose(ref.scale, [1, 1, 1])
+    (ref,) = primitive_refs(part)
+    name, number, rows, translation = ref
+    assert (name, number, translation) == ("stud.dat", 3, (0.0, -4.0, 0.0))
+    assert np.allclose(rows, np.eye(3))
+    (conn,) = annotate_part("p", [ref])
+    assert conn.subtype == "stud"
+    assert conn.frame.origin == (0.0, -4.0, 0.0)
 
 
 def test_scan_part_without_connector_primitives():
     part = f"0 Plain\n1 16 0 0 0 {IDENTITY} box.dat\n"
-    assert scan_primitives(part, LIBRARY) == []
+    assert primitive_refs(part) == []
 
 
 def test_scan_nested_subpart_counts_flattened_references():
@@ -191,26 +197,37 @@ def test_scan_nested_subpart_counts_flattened_references():
         f"1 16 0 0 0 {IDENTITY} twostud.dat\n"
         f"1 16 0 0 20 {IDENTITY} twostud.dat\n"
     )
-    refs = scan_primitives(part, LIBRARY)
+    refs = primitive_refs(part)
     assert len(refs) == 4
-    origins = sorted(tuple(r.transform.translation) for r in refs)
+    origins = sorted(translation for _, _, _, translation in refs)
     assert origins == [(-5, 0, 0), (-5, 0, 20), (5, 0, 0), (5, 0, 20)]
+    assert len(annotate_part("p", refs)) == 4
 
 
 def test_scan_rejects_scaled_stud_with_warning():
     part = "0 Scaled\n" "1 16 0 0 0 2 0 0 0 2 0 0 0 2 stud.dat\n"
     warnings = []
-    assert scan_primitives(part, LIBRARY, warnings=warnings) == []
-    assert any("scale" in w for w in warnings)
+    refs = primitive_refs(part, warnings=warnings)
+    assert len(refs) == 1 and warnings == []  # the walk takes it; the scale check does not
+    assert annotate_part("p", refs, warnings) == ()
+    assert warnings == [
+        "line 2: stud.dat rejected by scale check (2.0, 2.0, 2.0) "
+        "(review: possible non-connector use)"
+    ]
 
 
 def test_scan_accepts_axially_scaled_axle_and_records_length():
+    library = dict(LIBRARY, **{"axle.dat": "0 axle\n"})
     part = "0 Axle Part\n" "1 16 0 0 0 1 0 0 0 3 0 0 0 1 axle.dat\n"
-    (ref,) = scan_primitives(part, LIBRARY)
-    assert ref.scale[1] == pytest.approx(3.0)
-    (conn,) = annotate_part("axlepart", [ref])
+    (conn,) = annotate_part("axlepart", primitive_refs(part, library))
     assert conn.subtype == "axle"
     assert conn.axle_length == pytest.approx(3.0)  # base length 1 x scale 3
+    # the axial mode frees only the principal axis (y): a scale along x fails
+    warnings = []
+    part = "0 Wide Axle\n" "1 16 0 0 0 2 0 0 0 3 0 0 0 1 axle.dat\n"
+    assert annotate_part("axlepart", primitive_refs(part, library), warnings) == ()
+    assert warnings == ["line 2: axle.dat rejected by scale check (2.0, 3.0, 1.0) "
+                        "(review: possible non-connector use)"]
 
 
 def test_scan_detects_reference_cycle():
@@ -218,7 +235,11 @@ def test_scan_detects_reference_cycle():
     lib["a.dat"] = f"0 a\n1 16 0 0 0 {IDENTITY} b.dat\n"
     lib["b.dat"] = f"0 b\n1 16 0 0 0 {IDENTITY} a.dat\n"
     with pytest.raises(LdrawParseError, match="recursive"):
-        scan_primitives(lib["a.dat"], lib)
+        walk_part(lib["a.dat"], lib, TABLE)
+    # inside a primitive too: the walk expands it for its triangles
+    lib["stud.dat"] = f"0 stud\n1 16 0 0 0 {IDENTITY} a.dat\n"
+    with pytest.raises(LdrawParseError, match="line 2: recursive subfile reference 'a.dat'"):
+        walk_part(f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n", lib, TABLE)
 
 
 def test_scan_depth_limit():
@@ -227,17 +248,32 @@ def test_scan_depth_limit():
         lib[f"d{i}.dat"] = f"0 d{i}\n1 16 0 0 0 {IDENTITY} d{i + 1}.dat\n"
     lib["d70.dat"] = "0 bottom\n"
     with pytest.raises(LdrawParseError, match="deeper"):
-        scan_primitives(lib["d0.dat"], lib)
+        walk_part(lib["d0.dat"], lib, TABLE)
+    lib["stud.dat"] = f"0 stud\n1 16 0 0 0 {IDENTITY} d0.dat\n"  # inside a primitive
+    with pytest.raises(LdrawParseError, match="deeper"):
+        walk_part(f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n", lib, TABLE)
+
+
+def test_walk_part_raises_the_first_error_in_walk_order():
+    # a cycle inside the primitive on line 2 comes before the non-finite
+    # number on line 3
+    lib = dict(LIBRARY, **{"stud.dat": f"0 stud\n1 16 0 0 0 {IDENTITY} stud.dat\n"})
+    part = f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n3 16 nan 0 0 1 0 0 0 0 1\n"
+    with pytest.raises(LdrawParseError, match="^line 2: recursive subfile reference 'stud.dat'$"):
+        walk_part(part, lib, TABLE)
+    part = f"0 p\n3 16 nan 0 0 1 0 0 0 0 1\n1 16 0 0 0 {IDENTITY} stud.dat\n"
+    with pytest.raises(LdrawParseError, match="^line 2: non-finite number in type-3 line$"):
+        walk_part(part, lib, TABLE)
 
 
 def test_extract_triangles_splits_quads_and_handles_mirroring():
-    verts, tris = extract_triangles(BOX, LIBRARY)
+    verts, tris = part_triangles(BOX)
     assert len(tris) == 2  # one quad -> two triangles
     normal = np.cross(
         verts[tris[0][1]] - verts[tris[0][0]], verts[tris[0][2]] - verts[tris[0][0]]
     )
     part = "0 Mirrored\n" "1 16 0 0 0 -1 0 0 0 1 0 0 0 1 box.dat\n"
-    mverts, mtris = extract_triangles(part, LIBRARY)
+    mverts, mtris = part_triangles(part)
     mnormal = np.cross(
         mverts[mtris[0][1]] - mverts[mtris[0][0]], mverts[mtris[0][2]] - mverts[mtris[0][0]]
     )
@@ -260,7 +296,7 @@ def test_extract_triangles_splits_quads_and_handles_mirroring():
         if ref == "mx.dat":
             m = m @ np.diag([-1.0, 1.0, 1.0])
         part = f"0 Placed\n1 16 0 0 0 {rows} {ref}\n"
-        pverts, ptris = extract_triangles(part, library)
+        pverts, ptris = part_triangles(part, library)
         for tri in ptris:
             pnormal = np.cross(pverts[tri[1]] - pverts[tri[0]], pverts[tri[2]] - pverts[tri[0]])
             assert pnormal @ (np.linalg.inv(m).T @ normal) > 0, (rows, ref)
@@ -287,7 +323,7 @@ def test_mpd_nested_submodels_compose_three_levels():
 
 
 # ---------------------------------------------------------------------------
-# Subfile walking shared by structures, primitive scans and part triangles
+# Subfile walking shared by structures and library parts
 
 
 def _mpd(*files):
@@ -331,10 +367,10 @@ def test_extract_triangles_cycle_and_unresolvable_reference():
     lib["a.dat"] = f"0 a\n1 16 0 0 0 {IDENTITY} b.dat\n"
     lib["b.dat"] = f"0 b\n1 16 0 0 0 {IDENTITY} a.dat\n"
     with pytest.raises(LdrawParseError, match="line 2: recursive subfile reference 'b.dat'"):
-        extract_triangles(lib["a.dat"], lib)
+        part_triangles(lib["a.dat"], lib)
     part = f"0 Ghost\n1 16 0 0 0 {IDENTITY} box.dat\n1 16 0 0 0 {IDENTITY} ghost.dat\n"
     warnings = []
-    _, tris = extract_triangles(part, LIBRARY, warnings=warnings)
+    _, tris = part_triangles(part, warnings=warnings)
     assert len(tris) == 2
     assert warnings == ["line 3: unresolvable subfile 'ghost.dat'"]
 
@@ -354,11 +390,10 @@ def test_primitive_table_entry_shadows_library_file_of_same_name():
     lib = dict(LIBRARY)
     lib["stud.dat"] = f"0 stud body\n1 16 0 0 0 {IDENTITY} stud2.dat\n{BOX.splitlines()[1]}\n"
     part = f"0 One Stud\n1 16 0 -4 0 {IDENTITY} stud.dat\n"
-    (ref,) = scan_primitives(part, lib)
-    assert ref.primitive_name == "stud.dat"
-    # triangle extraction has no primitive table: it expands the same file
-    _, tris = extract_triangles(part, lib)
-    assert len(tris) == 2
+    refs, (_, tris) = walk_part(part, lib, TABLE)
+    # one site: the stud2.dat inside the expanded stud.dat is not another
+    assert [name for name, _, _, _ in refs] == ["stud.dat"]
+    assert len(tris) == 2  # the triangles come from the same file
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -371,7 +406,7 @@ def test_nonfinite_type3_4_number_raises_in_both_modes(line, bad):
         with pytest.raises(LdrawParseError, match="line 2: non-finite number in type-[34] line"):
             list(iter_lines(text, strict=strict, warnings=[]))
     with pytest.raises(LdrawParseError, match="line 2"):
-        extract_triangles(text, LIBRARY)
+        part_triangles(text)
 
 
 def test_non_numeric_type3_color_is_a_malformed_line():
@@ -379,5 +414,5 @@ def test_non_numeric_type3_color_is_a_malformed_line():
     with pytest.raises(LdrawParseError, match="line 2: non-numeric field in type-3 line"):
         list(iter_lines(text, strict=True))
     warnings = []
-    assert len(extract_triangles(text, LIBRARY, warnings=warnings)[1]) == 0
+    assert len(part_triangles(text, warnings=warnings)[1]) == 0
     assert warnings == ["line 2: skipped non-numeric type-3 line"]
