@@ -13,13 +13,16 @@ scripts"): ``intersects`` on sphere pairs near contact (``sphere-1280``,
 of the demo parts (``build-demo``); a first and a later ``cli.main`` call
 (``main-first``, ``main-later``); ``Catalog.load`` (``catalog-load``); the
 mesh lookups of the eval-corrupted round's first ``eval`` call
-(``shard-meshes``); and ``parse_program`` on the programs of one round of a
-workload (``parse-eval-corrupted``, ``parse-dense-wall``).
+(``shard-meshes``); ``parse_program`` on the programs of one round of a
+workload (``parse-eval-corrupted``, ``parse-dense-wall``); and
+``Catalog.load`` of a generated 200-part LDraw library directory
+(``library-scan``, in ms per part).
 
 Inputs shaped like a workload come from the benchmark's own generators
 (``perfbench/workloads.py``) at ``--seed``; the spheres and random paths come
 from generators keyed ``[seed, k]``. Each rep runs a case once on each side,
-the side that runs first alternating between reps, and the script stops if
+the side that runs first alternating between reps (one garbage collection
+before a case's first rep, none between calls), and the script stops if
 the two sides' outcomes differ. With ``--threads 2`` each side's collision
 items are split over two threads, as the CLI's ``--jobs`` pool does. Per
 case it prints the items and what they hold, each side's median over the
@@ -34,9 +37,11 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import hashlib
 import importlib
 import importlib.util
 import io
+import math
 import os
 import statistics
 import sys
@@ -85,8 +90,7 @@ class Case:
 
 
 def timed(fn, *args):
-    """(seconds, result) of one call, after a garbage collection."""
-    gc.collect()
+    """(seconds, result) of one call."""
     start = time.perf_counter()
     result = fn(*args)
     return time.perf_counter() - start, result
@@ -295,7 +299,6 @@ def parse_case(name: str):
         def once(side):
             load, parse = side["catalog"].Catalog.load, side["program"].parse_program
             seconds, results = 0.0, []
-            gc.collect()
             for texts in shards:
                 catalog = load(workloads.CATALOG)
                 for text in texts:
@@ -311,6 +314,53 @@ def parse_case(name: str):
     return make
 
 
+def _stud_lines(radius: float = 6.0, height: float = 4.0) -> str:
+    """A 16-segment stud: side quads from y = 0 up to -height, and a fan of
+    triangles closing its top."""
+    angles = [2.0 * math.pi * k / 16 for k in range(16)]
+    ring = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    y = -height
+    lines = []
+    for (x0, z0), (x1, z1) in zip(ring, ring[1:] + ring[:1]):
+        lines.append(f"4 16 {x0!r} 0 {z0!r} {x1!r} 0 {z1!r} "
+                     f"{x1!r} {y!r} {z1!r} {x0!r} {y!r} {z0!r}")
+        lines.append(f"3 16 0 {y!r} 0 {x1!r} {y!r} {z1!r} {x0!r} {y!r} {z0!r}")
+    return "\n".join(lines) + "\n"
+
+
+def library_scan(sides, args, parts: int = 200):
+    """``Catalog.load`` of a generated LDraw library directory: ``parts``
+    parts, each a scaled box primitive and 1-16 studs on a 20-LDU grid
+    (every tenth with one more stud scaled off the connector scale, which
+    the scan rejects with a warning). The outcome is the sha256 of the
+    catalog's JSON and its warnings, sorted."""
+    root = Path("scan-library")
+    (root / "p").mkdir(parents=True, exist_ok=True)
+    (root / "parts").mkdir(exist_ok=True)
+    box = [(-1, -1, -1, 1, -1, -1, 1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, 1, 1, 1, 1, 1, 1, 1, -1),
+           (-1, -1, -1, -1, 1, -1, 1, 1, -1, 1, -1, -1), (-1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1, 1),
+           (-1, -1, -1, -1, -1, 1, -1, 1, 1, -1, 1, -1), (1, -1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1)]
+    (root / "p" / "box.dat").write_text(
+        "0 Box\n" + "".join("4 16 " + " ".join(map(str, q)) + "\n" for q in box))
+    (root / "p" / "stud.dat").write_text("0 Stud\n" + _stud_lines())
+    rng = np.random.default_rng([args.seed, 3])
+    for k in range(parts):
+        studs = rng.choice(16, size=int(rng.integers(1, 17)), replace=False)
+        lines = [f"0 Generated Part {k}", "1 16 0 12 0 40 0 0 0 12 0 0 0 40 box.dat"]
+        lines += [f"1 16 {20 * (i % 4) - 30} 0 {20 * (i // 4) - 30} 1 0 0 0 1 0 0 0 1 stud.dat"
+                  for i in sorted(studs)]
+        if k % 10 == 0:
+            lines.append("1 16 0 -4 0 1.5 0 0 0 1 0 0 0 1.5 stud.dat")
+        (root / "parts" / f"g{k:03d}.dat").write_text("\n".join(lines) + "\n")
+
+    def once(side):
+        seconds, catalog = timed(side["catalog"].Catalog.load, root)
+        text = catalog.dumps() + "\0" + "\n".join(sorted(catalog.warnings))
+        return seconds, hashlib.sha256(text.encode()).hexdigest()
+
+    return Case(parts, once, "ms/part", 1e3 / parts, lambda _: f"{parts} parts")
+
+
 CASES = {
     "sphere-1280": sphere_pairs(3, 1),
     "sphere-5120": sphere_pairs(4, 2),
@@ -323,6 +373,7 @@ CASES = {
     "shard-meshes": shard_meshes,
     "parse-eval-corrupted": parse_case("eval-corrupted"),
     "parse-dense-wall": parse_case("dense-wall"),
+    "library-scan": library_scan,
 }
 
 
@@ -330,6 +381,7 @@ def compare(name: str, case: Case, sides, reps: int) -> None:
     """Run the case ``reps`` times on each side, alternating which side
     runs first, and print its row; stop if the sides' outcomes differ."""
     times = ([], [])
+    gc.collect()  # once: a collection before each call leaves the short ones slower
     for rep in range(reps):
         outcomes = [None, None]
         for k in ((0, 1) if rep % 2 == 0 else (1, 0)):

@@ -60,7 +60,7 @@ import threading
 import numpy as np
 
 from .errors import BrickIrError
-from .geometry import RigidTransform, mat_vec_add, relative
+from .geometry import RigidTransform, mat_t_vec, mat_vec_add, relative_rows
 
 TRI_EPS = 1e-6
 DEGENERATE_AREA = 1e-9
@@ -448,16 +448,18 @@ def intersects(
     (``_walk_hit``). a's triangles and their boxes are put in b's frame
     once, when a pair of leaves is first reached.
     """
-    rel = relative(pose_b, pose_a)  # maps a-local into b-local
-    rot, trans = np.array(rel.rotation), np.array(rel.translation)
+    rel_rot, rel_trans = relative_rows(  # maps a-local into b-local
+        pose_b.rotation, pose_b.translation, pose_a.rotation, pose_a.translation
+    )
+    rot, trans = np.array(rel_rot), np.array(rel_trans)
     one_leaf = len(a.leaf) == 1 and len(b.leaf) == 1
     if (_one_leaf_hit if one_leaf else _walk_hit)(a, b, rot, trans):
         return True
     if a.closed and b.closed:
         if point_in_mesh(a.tri_vertices[0, 0] @ rot.T + trans, b):
             return True
-        inv = rel.inverse()
-        inv_rot, inv_trans = np.array(inv.rotation), np.array(inv.translation)
+        x, y, z = mat_t_vec(rel_rot, rel_trans)  # the inverse, as RigidTransform.inverse has it
+        inv_rot, inv_trans = np.array(tuple(zip(*rel_rot))), np.array((-x, -y, -z))
         if point_in_mesh(b.tri_vertices[0, 0] @ inv_rot.T + inv_trans, a):
             return True
     return False
