@@ -41,7 +41,6 @@ import hashlib
 import importlib
 import importlib.util
 import io
-import math
 import os
 import statistics
 import sys
@@ -56,6 +55,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
+from cli_digest import box_lines, cylinder_lines  # noqa: E402  (this script's directory)
 from conftest import icosphere_mesh, random_rotation  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -314,35 +314,18 @@ def parse_case(name: str):
     return make
 
 
-def _stud_lines(radius: float = 6.0, height: float = 4.0) -> str:
-    """A 16-segment stud: side quads from y = 0 up to -height, and a fan of
-    triangles closing its top."""
-    angles = [2.0 * math.pi * k / 16 for k in range(16)]
-    ring = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
-    y = -height
-    lines = []
-    for (x0, z0), (x1, z1) in zip(ring, ring[1:] + ring[:1]):
-        lines.append(f"4 16 {x0!r} 0 {z0!r} {x1!r} 0 {z1!r} "
-                     f"{x1!r} {y!r} {z1!r} {x0!r} {y!r} {z0!r}")
-        lines.append(f"3 16 0 {y!r} 0 {x1!r} {y!r} {z1!r} {x0!r} {y!r} {z0!r}")
-    return "\n".join(lines) + "\n"
-
-
 def library_scan(sides, args, parts: int = 200):
     """``Catalog.load`` of a generated LDraw library directory: ``parts``
-    parts, each a scaled box primitive and 1-16 studs on a 20-LDU grid
+    parts, each a scaled box primitive and 1-16 studs (16-segment cylinders,
+    as ``cli_digest.py`` writes them) on a 20-LDU grid
     (every tenth with one more stud scaled off the connector scale, which
     the scan rejects with a warning). The outcome is the sha256 of the
     catalog's JSON and its warnings, sorted."""
     root = Path("scan-library")
     (root / "p").mkdir(parents=True, exist_ok=True)
     (root / "parts").mkdir(exist_ok=True)
-    box = [(-1, -1, -1, 1, -1, -1, 1, -1, 1, -1, -1, 1), (-1, 1, -1, -1, 1, 1, 1, 1, 1, 1, 1, -1),
-           (-1, -1, -1, -1, 1, -1, 1, 1, -1, 1, -1, -1), (-1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1, 1),
-           (-1, -1, -1, -1, -1, 1, -1, 1, 1, -1, 1, -1), (1, -1, -1, 1, 1, -1, 1, 1, 1, 1, -1, 1)]
-    (root / "p" / "box.dat").write_text(
-        "0 Box\n" + "".join("4 16 " + " ".join(map(str, q)) + "\n" for q in box))
-    (root / "p" / "stud.dat").write_text("0 Stud\n" + _stud_lines())
+    (root / "p" / "box.dat").write_text("0 Box\n" + box_lines(1.0, -1.0, 1.0, 1.0))
+    (root / "p" / "stud.dat").write_text("0 Stud\n" + cylinder_lines(6.0, 0.0, -4.0, cap=True))
     rng = np.random.default_rng([args.seed, 3])
     for k in range(parts):
         studs = rng.choice(16, size=int(rng.integers(1, 17)), replace=False)

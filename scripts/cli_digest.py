@@ -104,7 +104,7 @@ def _turn_y(degrees: float) -> str:
     return _numbers(c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
 
 
-def _cylinder(radius: float, y0: float, y1: float, cap: bool = False) -> str:
+def cylinder_lines(radius: float, y0: float, y1: float, cap: bool = False) -> str:
     """Type-4 side quads of a 16-segment cylinder about the y axis from y0 to
     y1, with a type-3 fan closing it at y1 when ``cap``, and its type-2 rim
     edges (which geometry ignores)."""
@@ -119,7 +119,7 @@ def _cylinder(radius: float, y0: float, y1: float, cap: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _box(hx: float, y0: float, y1: float, hz: float, open_bottom: bool = False) -> str:
+def box_lines(hx: float, y0: float, y1: float, hz: float, open_bottom: bool = False) -> str:
     """Quads of the box [-hx, hx] x [y0, y1] x [-hz, hz] (y0 on top), its
     bottom (y = y1) left open when ``open_bottom``."""
     faces = [
@@ -144,14 +144,14 @@ def _plate_sites(studs, tubes, depth) -> str:
 
 
 LIBRARY_PRIMITIVES = {
-    "box5.dat": "0 Box with 5 Faces\n" + _box(1.0, 0.0, 1.0, 1.0, open_bottom=True),
-    "box.dat": "0 Box\n" + _box(1.0, -1.0, 1.0, 1.0),
-    "stud.dat": "0 Stud\n" + _cylinder(6.0, 0.0, -4.0, cap=True),
+    "box5.dat": "0 Box with 5 Faces\n" + box_lines(1.0, 0.0, 1.0, 1.0, open_bottom=True),
+    "box.dat": "0 Box\n" + box_lines(1.0, -1.0, 1.0, 1.0),
+    "stud.dat": "0 Stud\n" + cylinder_lines(6.0, 0.0, -4.0, cap=True),
     # a short type-4 line: skipped with a warning by every part that uses it
-    "stud2.dat": "0 Stud Open\n4 16 0 0 0 1 0 0\n" + _cylinder(6.0, 0.0, -4.0),
-    "stud4.dat": "0 Stud Tube\n" + _cylinder(8.0, 0.0, 6.0),
-    "peghole.dat": "0 Peg Hole\n" + _cylinder(6.0, -10.0, 10.0),
-    "axle.dat": "0 Axle\n" + _box(2.0, -0.5, 0.5, 2.0),
+    "stud2.dat": "0 Stud Open\n4 16 0 0 0 1 0 0\n" + cylinder_lines(6.0, 0.0, -4.0),
+    "stud4.dat": "0 Stud Tube\n" + cylinder_lines(8.0, 0.0, 6.0),
+    "peghole.dat": "0 Peg Hole\n" + cylinder_lines(6.0, -10.0, 10.0),
+    "axle.dat": "0 Axle\n" + box_lines(2.0, -0.5, 0.5, 2.0),
 }
 
 QUAD = [(-10, -10), (-10, 10), (10, -10), (10, 10)]
