@@ -41,7 +41,10 @@ more than 64 triangles, so its collision mesh is a tree. With
 ``--catalog ldlib`` it runs parse, graph, sample, serialize, execute, check
 and eval on a structure of those parts, at the default inset and at
 --inset 0, and parse once with a second library (``ldfaults``) whose one
-part warns from inside a primitive and from the scale check.
+part warns from inside a primitive and from the scale check. For each of the
+two libraries it also hashes, in process, ``Catalog.load(<dir>).dumps()`` and
+the catalog's warnings (``ldlib catalog``, ``ldfaults catalog``): the mesh
+bytes of a library reach the CLI calls only through collision verdicts.
 
 Each call's exit code, stdout, stderr and --out files are hashed. The script
 prints one line per call (digest, exit code, label) and then the sha256 over
@@ -72,6 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
+from brickir.catalog import Catalog
 from brickir.cli import main as cli_main
 from brickir.demo import DEMO_STRUCTURES, build_demo_catalog, generate_random_path
 from brickir.geometry import mat_mul, norm
@@ -477,6 +481,20 @@ def _digest_call(argv, out) -> tuple[int, str]:
     return code, h.hexdigest()
 
 
+def _catalog_digest(library) -> str:
+    """sha256 of a library's scanned catalog JSON and its warnings."""
+    catalog = Catalog.load(library)
+    return hashlib.sha256("\0".join([catalog.dumps(), *catalog.warnings]).encode()).hexdigest()
+
+
+def _digests():
+    """(label, exit code, digest) of every call, then of each library's catalog."""
+    for label, argv, out in _calls():
+        yield (label, *_digest_call(argv, out))
+    for library in ("ldlib", "ldfaults"):
+        yield f"{library} catalog", 0, _catalog_digest(library)
+
+
 def _compare_coretypes(coretypes) -> int:
     """Run this script once per OpenBLAS core type, each in a child process
     with OPENBLAS_CORETYPE in its own environment; print each overall digest
@@ -510,8 +528,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             _write_inputs(Path(tmp))
-            for label, argv, out in _calls():
-                code, digest = _digest_call(argv, out)
+            for label, code, digest in _digests():
                 overall.update(f"{label}\0{digest}\0".encode())
                 print(f"{digest[:16]} {code} {label}")
     finally:
