@@ -17,7 +17,7 @@ from .graph import (
     sample_corpus_paths,
     sample_path,
 )
-from .ldraw import PartInstance, parse_structure, walk_part
+from .ldraw import PartInstance, parse_structure, read_lines, walk_part
 from .program import (
     BuildProgram,
     ValidityReport,
@@ -51,6 +51,7 @@ __all__ = [
     "match_connectors",
     "parse_program",
     "parse_structure",
+    "read_lines",
     "relative",
     "sample_corpus_paths",
     "sample_path",

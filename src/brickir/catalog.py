@@ -211,29 +211,31 @@ def build_catalog_from_library(library_dir) -> Catalog:
 
     Part files are taken from ``parts/`` (or the directory itself); sub-parts
     and primitives are resolved from ``parts/s``, ``p`` and the same
-    directory. One walk of each part (``ldraw.walk_part``) gives its
-    triangles and its connector-primitive references, which
+    directory. Each file is read once (``ldraw.read_lines``), whatever names
+    it is found under. One walk of each part's records (``ldraw.walk_part``)
+    gives its triangles and its connector-primitive references, which
     ``annotate_part`` turns into connectors. The walk's and annotation's
     warnings land in the catalog's ``warnings``.
     """
     root = Path(library_dir)
-
     search_dirs = [d for d in (root / "parts", root / "p", root) if d.is_dir()]
-    library: dict[str, str] = {}
+    records: dict[Path, list] = {}  # every file under search_dirs, by path
+    library: dict[str, list] = {}
     for d in search_dirs:
         for f in sorted(d.rglob("*.dat")):
-            key = ldraw.normalize_name(str(f.relative_to(d)))
-            library.setdefault(key, ldraw.decode(f.read_bytes()))
+            if f not in records:
+                records[f] = ldraw.read_lines(ldraw.decode(f.read_bytes()))
+            library.setdefault(ldraw.normalize_name(str(f.relative_to(d))), records[f])
 
     part_dir = root / "parts" if (root / "parts").is_dir() else root
     parts = {}
     warnings: list[str] = []
     for f in sorted(part_dir.glob("*.dat")):
-        text = ldraw.decode(f.read_bytes())
+        part = records[f]  # by path: without parts/, a p/ file of the same name shadows it
         pid = f.stem.lower()
         found: list[str] = []
         try:
-            refs, (verts, tris) = ldraw.walk_part(text, library, default_primitive_table(), found)
+            refs, (verts, tris) = ldraw.walk_part(part, library, default_primitive_table(), found)
         except LdrawParseError as exc:
             raise LdrawParseError(f"{f.name}: {exc}") from exc
         connectors = annotate_part(pid, refs, found)
@@ -242,7 +244,7 @@ def build_catalog_from_library(library_dir) -> Catalog:
         if not connectors:
             warnings.append(f"{pid}: no connector sites")
         mesh = TriMesh(verts, tris) if len(tris) else None
-        name = normalize_part_name(ldraw.part_description(text) or pid)
+        name = normalize_part_name(ldraw.part_description(part) or pid)
         parts[pid] = PartDef(pid, name, connectors, mesh)
     catalog = Catalog(parts)
     catalog.warnings = tuple(warnings)

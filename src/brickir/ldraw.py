@@ -77,10 +77,14 @@ def decode(source) -> str:
 _NUMBER_COUNTS = {1: 12, 3: 9, 4: 12}
 
 
-def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
-    """Yield LdrawLine records; malformed lines raise in strict mode and are
-    skipped with a warning otherwise. A non-finite number in a type-1, -3 or
-    -4 line raises in both modes: the file is corrupt, not merely loose."""
+def read_lines(text: str, strict: bool = False) -> list:
+    """A file's records, once, in line order: an LdrawLine per kept line and
+    a warning string per skipped one. Malformed lines end the records with
+    their LdrawParseError in strict mode and are skipped with a warning
+    otherwise. A non-finite number in a type-1, -3 or -4 line ends them in
+    both modes: the file is corrupt, not merely loose. Walking the records
+    replays the warnings and raises the error where it is reached."""
+    records: list = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -90,41 +94,44 @@ def iter_lines(text: str, strict: bool = False, warnings: list | None = None):
             ltype = int(tokens[0])
         except ValueError:
             if strict:
-                raise LdrawParseError(f"unrecognized line type {tokens[0]!r}", number)
-            _warn(warnings, f"line {number}: skipped unrecognized line type {tokens[0]!r}")
+                records.append(LdrawParseError(f"unrecognized line type {tokens[0]!r}", number))
+                break
+            records.append(f"line {number}: skipped unrecognized line type {tokens[0]!r}")
             continue
         if ltype == 0:
-            yield LdrawLine(0, number, text=line[1:].strip())
+            records.append(LdrawLine(0, number, text=line[1:].strip()))
         elif ltype in _NUMBER_COUNTS:
             end = 2 + _NUMBER_COUNTS[ltype]  # type token + color + numbers
             want = end + (ltype == 1)  # a type-1 line ends in its subfile name
             if len(tokens) < want:
                 if strict:
-                    raise LdrawParseError(
+                    records.append(LdrawParseError(
                         f"type-1 line has {len(tokens) - 1} fields, expected 14"
                         if ltype == 1
                         else f"type-{ltype} line too short",
                         number,
-                    )
+                    ))
+                    break
                 what = "malformed" if ltype == 1 else "short"
-                _warn(warnings, f"line {number}: skipped {what} type-{ltype} line")
+                records.append(f"line {number}: skipped {what} type-{ltype} line")
                 continue
             try:
                 color = int(tokens[1])
                 values = tuple(float(v) for v in tokens[2:end])
             except ValueError:
                 if strict:
-                    raise LdrawParseError(f"non-numeric field in type-{ltype} line", number)
-                _warn(warnings, f"line {number}: skipped non-numeric type-{ltype} line")
+                    records.append(LdrawParseError(f"non-numeric field in type-{ltype} line", number))
+                    break
+                records.append(f"line {number}: skipped non-numeric type-{ltype} line")
                 continue
             if not all(math.isfinite(v) for v in values):
-                raise LdrawParseError(f"non-finite number in type-{ltype} line", number)
+                records.append(LdrawParseError(f"non-finite number in type-{ltype} line", number))
+                break
             subfile = " ".join(tokens[end:]) if ltype == 1 else None
-            yield LdrawLine(ltype, number, color=color, values=values, subfile=subfile)
-        elif ltype in (2, 5):
-            continue  # edge/conditional lines: not needed for geometry
-        else:
-            _warn(warnings, f"line {number}: skipped unknown line type {ltype}")
+            records.append(LdrawLine(ltype, number, color=color, values=values, subfile=subfile))
+        elif ltype not in (2, 5):  # edge/conditional lines: not needed for geometry
+            records.append(f"line {number}: skipped unknown line type {ltype}")
+    return records
 
 
 def _warn(warnings, message):
@@ -171,27 +178,33 @@ def _never(ref) -> bool:
     return False
 
 
-def _walk(text, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None,
+def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None,
           expand_leaves=False):
     """Walk an LDraw document depth-first through its subfile references.
 
-    Yields (line, m, t): type-3/4 lines with the transform of the file they
-    sit in, and type-1 lines whose normalized reference ``leaf`` accepts with
-    their composed transform; m is the scalar kernel's rows and t a 3-tuple.
-    Other references are expanded from ``subfiles`` (normalized name ->
-    text). With ``expand_leaves`` an accepted reference is expanded too, for
-    its type-3/4 lines only: below it no reference is accepted. A reference
-    back into ``chain`` (the names of the files being expanded, outermost
-    first; the document's own name or None), nesting deeper than
-    MAX_SUBFILE_DEPTH and a composed transform that overflows raise; a
-    reference found nowhere raises in strict mode and is warned about
-    otherwise.
+    Replays a file's ``read_lines`` records: a warning goes to ``warnings``
+    and an error is raised where it is reached. Yields (line, m, t): type-3/4
+    lines with the transform of the file they sit in, and type-1 lines whose
+    normalized reference ``leaf`` accepts with their composed transform; m is
+    the scalar kernel's rows and t a 3-tuple. Other references are expanded
+    from ``subfiles`` (normalized name -> records). With ``expand_leaves`` an
+    accepted reference is expanded too, for its type-3/4 lines only: below
+    it no reference is accepted. A reference back into ``chain`` (the names
+    of the files being expanded, outermost first; the document's own name or
+    None), nesting deeper than MAX_SUBFILE_DEPTH and a composed transform
+    that overflows raise; a reference found nowhere raises in strict mode
+    and is warned about otherwise.
     """
     if len(chain) > MAX_SUBFILE_DEPTH + 1:
         raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
     if m is None:
         m, t = IDENTITY_ROWS, (0.0, 0.0, 0.0)
-    for line in iter_lines(decode(text), strict=strict, warnings=warnings):
+    for line in records:
+        if not isinstance(line, LdrawLine):
+            if isinstance(line, LdrawParseError):
+                raise line.with_traceback(None)
+            _warn(warnings, line)
+            continue
         if line.line_type in (3, 4):
             yield line, m, t
         if line.line_type != 1:
@@ -223,12 +236,13 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
     """Flatten a .ldr/.mpd document into posed PartInstances.
 
     ``catalog_parts`` is any container supporting ``key in parts`` for part
-    ids. Submodel references are resolved recursively with composed
-    transforms, and a submodel shadows a catalog part of the same name;
-    instances whose composed matrix is scaled or reflected are flagged
-    nonrigid.
+    ids. Each file of the document is read once; submodel references are
+    resolved recursively with composed transforms, and a submodel shadows a
+    catalog part of the same name; instances whose composed matrix is scaled
+    or reflected are flagged nonrigid.
     """
-    main, files = split_mpd(decode(source))
+    main, texts = split_mpd(decode(source))
+    files = {name: read_lines(text, strict) for name, text in texts.items()}
     instances: list[PartInstance] = []
 
     def is_part(ref):
@@ -251,41 +265,45 @@ def parse_structure(source, catalog_parts, strict: bool = False, warnings: list 
     return instances
 
 
-def walk_part(text, library, stop_at, warnings: list | None = None):
-    """One walk of a part definition: its connector-primitive references and
-    its triangles.
+def walk_part(records, library, stop_at, warnings: list | None = None):
+    """One walk of a part definition's ``read_lines`` records: its
+    connector-primitive references and its triangles.
 
-    ``library`` maps normalized subfile names to their text (sub-parts and
-    primitives). A reference whose normalized name is in ``stop_at`` (the
-    connector-primitive table) is collected as (name, line number, composed
-    rows, translation); no reference inside it is, but its triangles are.
-    Type-3/4 lines become part-local triangles: quads split in two, and the
-    winding flips under reflecting transforms so outward orientation
-    survives mirroring. Returns (refs, (vertices (n,3) float64, triangles
-    (m,3) int64)).
+    ``library`` maps normalized subfile names to their records (sub-parts
+    and primitives). A reference whose normalized name is in ``stop_at``
+    (the connector-primitive table) is collected as (name, line number,
+    composed rows, translation); no reference inside it is, but its
+    triangles are. Type-3/4 lines become part-local triangles, each vertex
+    placed by the scalar kernel: quads split in two, and the winding flips
+    under reflecting transforms so outward orientation survives mirroring.
+    Returns (refs, (vertices (n,3) float64, triangles (m,3) int64)).
     """
     refs = []
-    verts: list[np.ndarray] = []
-    tris: list[tuple[int, int, int]] = []
-    walk = _walk(text, library, stop_at.__contains__, False, warnings, expand_leaves=True)
+    coords: list[float] = []  # x, y, z of each vertex in turn
+    corners: list[int] = []  # a, b, c of each triangle in turn
+    placed = None
+    walk = _walk(records, library, stop_at.__contains__, False, warnings, expand_leaves=True)
     for line, m, t in walk:
         if line.line_type == 1:
             refs.append((normalize_name(line.subfile), line.number, m, t))
             continue
-        base = len(verts)
-        flip = _det3(m) < 0  # the rows' triple product, as in the pose gate: no LAPACK det
-        verts.extend(np.array(line.values, dtype=np.float64).reshape(-1, 3) @ np.array(m).T + t)
-        for a, b, c in [(0, 1, 2)] if line.line_type == 3 else [(0, 1, 2), (0, 2, 3)]:
-            tris.append((base + a, base + c, base + b) if flip else (base + a, base + b, base + c))
-    if not verts:
-        return refs, (np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    return refs, (np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64))
+        if m is not placed:  # the lines of one placed file share its rows
+            # the rows' triple product, as in the pose gate: no LAPACK det
+            placed, flip = m, _det3(m) < 0
+        p = line.values
+        base = len(coords) // 3
+        for i in range(0, len(p), 3):
+            coords += mat_vec_add(m, p[i : i + 3], t)
+        for b in range(base + 1, len(coords) // 3 - 1):  # a fan: a triangle, or a quad's two
+            corners += (base, b + 1, b) if flip else (base, b, b + 1)
+    verts = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    return refs, (verts, np.array(corners, dtype=np.int64).reshape(-1, 3))
 
 
-def part_description(part_source) -> str:
-    """First type-0 comment line of a part file (the LDraw description)."""
-    for line in iter_lines(decode(part_source)):
-        if line.line_type == 0:
-            return line.text
-        break
+def part_description(records) -> str:
+    """First type-0 comment line of a part file's records (the LDraw
+    description)."""
+    for line in records:
+        if isinstance(line, LdrawLine):
+            return line.text if line.line_type == 0 else ""
     return ""

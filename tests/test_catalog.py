@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from brickir import ldraw
 from brickir.catalog import (
     Catalog,
     PartDef,
@@ -154,6 +155,46 @@ def test_library_warnings_name_the_part_file_once(tmp_path):
         "3024.dat: line 7: stud.dat rejected by scale check (2.0, 2.0, 2.0) "
         "(review: possible non-connector use)",
     )
+
+
+def test_library_primitive_warning_reaches_each_part_in_walk_order(tmp_path):
+    # the primitive is read once; its warning is replayed at each reference
+    (tmp_path / "parts").mkdir()
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "stud.dat").write_text("0 stud\n7 16 junk\n")
+    for pid in ("3024", "3070"):
+        (tmp_path / "parts" / f"{pid}.dat").write_text(
+            f"0 Plate {pid}\n1 16 0 0 0 {IDENTITY} stud.dat\n9 16\n"
+        )
+    assert build_catalog_from_library(tmp_path).warnings == (
+        "3024.dat: line 2: skipped unknown line type 7",
+        "3024.dat: line 3: skipped unknown line type 9",
+        "3070.dat: line 2: skipped unknown line type 7",
+        "3070.dat: line 3: skipped unknown line type 9",
+    )
+
+
+def test_library_scan_reads_each_file_once(library_dir, monkeypatch):
+    # every parts/ and p/ file is found twice (also relative to the root),
+    # and a part file is both a reference and a part: one read each
+    read = []
+    real = ldraw.read_lines
+    monkeypatch.setattr(ldraw, "read_lines", lambda text, *a: read.append(text) or real(text, *a))
+    Catalog.load(library_dir)
+    assert len(read) == len(list(library_dir.rglob("*.dat"))) == 5
+
+
+def test_library_part_is_walked_from_its_own_file_without_parts_dir(tmp_path):
+    # without parts/, a p/ file of the same name shadows the part as a
+    # reference, not as the part itself
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "3024.dat").write_text("0 Shadow\n")
+    (tmp_path / "3024.dat").write_text(
+        f"0 Plate 1 x 1\n1 16 0 0 0 {IDENTITY} stud.dat\n3 16 0 0 0 1 0 0 0 0 1\n"
+    )
+    plate = build_catalog_from_library(tmp_path).part("3024")
+    assert plate.name == "plate 1 x 1"
+    assert [c.subtype for c in plate.connectors] == ["stud"] and len(plate.mesh) == 1
 
 
 def test_library_part_files_decode_like_ldraw_structures(tmp_path):

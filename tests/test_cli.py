@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -1322,14 +1323,34 @@ def test_fuzzed_flags_with_fuzzed_inputs_keep_the_exit_code_contract(workdir, ca
 # Output bytes under another BLAS kernel
 
 _CHILD_CALLS = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
+from brickir.catalog import Catalog
 from brickir.cli import main
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
     print(code, out.getvalue())
+print(hashlib.sha256(Catalog.load(sys.argv[2]).dumps().encode()).hexdigest())
 """
+
+
+def _turned_stud_library(root: Path) -> Path:
+    """A library whose one part places a 16-segment stud cylinder turned
+    about y by 36, 17 and 71 degrees: its mesh vertices are products of
+    irrational rows and coordinates."""
+    (root / "p").mkdir(parents=True)
+    (root / "parts").mkdir()
+    ring = [(6.0 * math.cos(math.pi * k / 8), 6.0 * math.sin(math.pi * k / 8)) for k in range(16)]
+    quads = [f"4 16 {x0!r} 0 {z0!r} {x1!r} 0 {z1!r} {x1!r} -4 {z1!r} {x0!r} -4 {z0!r}"
+             for (x0, z0), (x1, z1) in zip(ring, ring[1:] + ring[:1])]
+    (root / "p" / "stud.dat").write_text("0 Stud\n" + "\n".join(quads) + "\n")
+    refs = []
+    for x, degrees in ((-20, 36.0), (0, 17.0), (20, 71.0)):
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        refs.append(f"1 16 {x} 0 0 {c!r} 0 {s!r} 0 1 0 {-s!r} 0 {c!r} stud.dat")
+    (root / "parts" / "3024.dat").write_text("0 Turned Studs\n" + "\n".join(refs) + "\n")
+    return root
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -1337,8 +1358,10 @@ for argv in json.loads(sys.argv[1]):
 def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     # execute, check and sample in child processes, one under OpenBLAS's
     # Prescott kernels (SSE3, no fused multiply-add) and one under the
-    # machine's default, print the same bytes
+    # machine's default, print the same bytes, and scan a library with
+    # turned stud references into the same catalog JSON
     (tmp_path / "catalog.json").write_text(CAT.dumps())
+    _turned_stud_library(tmp_path / "lib")
     rng = np.random.default_rng(20261021)
     calls = []
     for i in range(3):
@@ -1356,8 +1379,8 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
-        done = subprocess.run([sys.executable, "-c", _CHILD_CALLS, argv], cwd=tmp_path, env=env,
-                              capture_output=True, check=True)
+        done = subprocess.run([sys.executable, "-c", _CHILD_CALLS, argv, "lib"], cwd=tmp_path,
+                              env=env, capture_output=True, check=True)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b'"rot"') == 90  # the poses of 90 placements were compared

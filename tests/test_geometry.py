@@ -33,7 +33,7 @@ from brickir.geometry import (
     unit_axes,
 )
 from brickir.graph import attach_pose
-from brickir.ldraw import parse_structure, walk_part
+from brickir.ldraw import parse_structure, read_lines, walk_part
 
 from conftest import (
     frame_from_transform,
@@ -247,7 +247,9 @@ def test_every_route_gives_float_tuples_that_compare_and_hash_by_value():
          "reference_axis": [1, 0, 0]}
     )
     refs, _ = walk_part(
-        "1 16 0 -4 0 1 0 0 0 1 0 0 0 1 stud.dat\n", {"stud.dat": "0\n"}, default_primitive_table()
+        read_lines("1 16 0 -4 0 1 0 0 0 1 0 0 0 1 stud.dat\n"),
+        {"stud.dat": read_lines("0\n")},
+        default_primitive_table(),
     )
     (scanned,) = annotate_part("p", refs)
     frames = [frame, frame.transformed(a), loaded.frame, scanned.frame]

@@ -4,7 +4,7 @@ import pytest
 from brickir.connectors import annotate_part, default_primitive_table
 from brickir.errors import LdrawParseError
 from brickir.geometry import SCALE_TOL
-from brickir.ldraw import iter_lines, parse_structure, part_description, walk_part
+from brickir.ldraw import parse_structure, part_description, read_lines, walk_part
 
 from conftest import OVERFLOWING_MPDS, instances_to_ldr, random_rotation
 from oracles import reference_is_rigid, reference_orthonormalize
@@ -163,12 +163,18 @@ LIBRARY = {"stud.dat": STUD, "box.dat": BOX, "twostud.dat": TWOSTUD}
 TABLE = default_primitive_table()
 
 
+def walk_text(part, library=LIBRARY, warnings=None):
+    """``walk_part`` of a part's text, with a library of texts."""
+    records = {name: read_lines(text) for name, text in library.items()}
+    return walk_part(read_lines(part), records, TABLE, warnings)
+
+
 def primitive_refs(part, library=LIBRARY, warnings=None):
-    return walk_part(part, library, TABLE, warnings)[0]
+    return walk_text(part, library, warnings)[0]
 
 
 def part_triangles(part, library=LIBRARY, warnings=None):
-    return walk_part(part, library, TABLE, warnings)[1]
+    return walk_text(part, library, warnings)[1]
 
 
 def test_scan_direct_stud_reference():
@@ -235,11 +241,11 @@ def test_scan_detects_reference_cycle():
     lib["a.dat"] = f"0 a\n1 16 0 0 0 {IDENTITY} b.dat\n"
     lib["b.dat"] = f"0 b\n1 16 0 0 0 {IDENTITY} a.dat\n"
     with pytest.raises(LdrawParseError, match="recursive"):
-        walk_part(lib["a.dat"], lib, TABLE)
+        walk_text(lib["a.dat"], lib)
     # inside a primitive too: the walk expands it for its triangles
     lib["stud.dat"] = f"0 stud\n1 16 0 0 0 {IDENTITY} a.dat\n"
     with pytest.raises(LdrawParseError, match="line 2: recursive subfile reference 'a.dat'"):
-        walk_part(f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n", lib, TABLE)
+        walk_text(f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n", lib)
 
 
 def test_scan_depth_limit():
@@ -248,10 +254,10 @@ def test_scan_depth_limit():
         lib[f"d{i}.dat"] = f"0 d{i}\n1 16 0 0 0 {IDENTITY} d{i + 1}.dat\n"
     lib["d70.dat"] = "0 bottom\n"
     with pytest.raises(LdrawParseError, match="deeper"):
-        walk_part(lib["d0.dat"], lib, TABLE)
+        walk_text(lib["d0.dat"], lib)
     lib["stud.dat"] = f"0 stud\n1 16 0 0 0 {IDENTITY} d0.dat\n"  # inside a primitive
     with pytest.raises(LdrawParseError, match="deeper"):
-        walk_part(f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n", lib, TABLE)
+        walk_text(f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n", lib)
 
 
 def test_walk_part_raises_the_first_error_in_walk_order():
@@ -260,10 +266,10 @@ def test_walk_part_raises_the_first_error_in_walk_order():
     lib = dict(LIBRARY, **{"stud.dat": f"0 stud\n1 16 0 0 0 {IDENTITY} stud.dat\n"})
     part = f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n3 16 nan 0 0 1 0 0 0 0 1\n"
     with pytest.raises(LdrawParseError, match="^line 2: recursive subfile reference 'stud.dat'$"):
-        walk_part(part, lib, TABLE)
+        walk_text(part, lib)
     part = f"0 p\n3 16 nan 0 0 1 0 0 0 0 1\n1 16 0 0 0 {IDENTITY} stud.dat\n"
     with pytest.raises(LdrawParseError, match="^line 2: non-finite number in type-3 line$"):
-        walk_part(part, lib, TABLE)
+        walk_text(part, lib)
 
 
 def test_extract_triangles_splits_quads_and_handles_mirroring():
@@ -303,7 +309,7 @@ def test_extract_triangles_splits_quads_and_handles_mirroring():
 
 
 def test_part_description_reads_first_comment():
-    assert part_description("0 Brick 2 x 4\n3 16 0 0 0 1 1 1 2 2 2\n") == "Brick 2 x 4"
+    assert part_description(read_lines("0 Brick 2 x 4\n3 16 0 0 0 1 1 1 2 2 2\n")) == "Brick 2 x 4"
 
 
 def test_mpd_nested_submodels_compose_three_levels():
@@ -390,7 +396,7 @@ def test_primitive_table_entry_shadows_library_file_of_same_name():
     lib = dict(LIBRARY)
     lib["stud.dat"] = f"0 stud body\n1 16 0 0 0 {IDENTITY} stud2.dat\n{BOX.splitlines()[1]}\n"
     part = f"0 One Stud\n1 16 0 -4 0 {IDENTITY} stud.dat\n"
-    refs, (_, tris) = walk_part(part, lib, TABLE)
+    refs, (_, tris) = walk_text(part, lib)
     # one site: the stud2.dat inside the expanded stud.dat is not another
     assert [name for name, _, _, _ in refs] == ["stud.dat"]
     assert len(tris) == 2  # the triangles come from the same file
@@ -404,7 +410,7 @@ def test_nonfinite_type3_4_number_raises_in_both_modes(line, bad):
     text = "0 Bad\n" + line.format(bad) + "\n"
     for strict in (True, False):
         with pytest.raises(LdrawParseError, match="line 2: non-finite number in type-[34] line"):
-            list(iter_lines(text, strict=strict, warnings=[]))
+            raise read_lines(text, strict)[-1]  # the records end in the error
     with pytest.raises(LdrawParseError, match="line 2"):
         part_triangles(text)
 
@@ -412,7 +418,60 @@ def test_nonfinite_type3_4_number_raises_in_both_modes(line, bad):
 def test_non_numeric_type3_color_is_a_malformed_line():
     text = "0 Bad\n3 red 0 0 0 1 0 0 0 0 1\n"
     with pytest.raises(LdrawParseError, match="line 2: non-numeric field in type-3 line"):
-        list(iter_lines(text, strict=True))
+        raise read_lines(text, strict=True)[-1]
     warnings = []
     assert len(part_triangles(text, warnings=warnings)[1]) == 0
     assert warnings == ["line 2: skipped non-numeric type-3 line"]
+
+
+# ---------------------------------------------------------------------------
+# Records: each file is read once, and every walk replays its records
+
+
+def test_read_lines_records_warnings_in_line_order_and_ends_at_the_error():
+    text = "0 Part\n7 16\n3 16 0 0 0 1 0 0 0 0 1\n3 16 0 0\n3 16 nan 0 0 1 0 0 0 0 1\n0 unread\n"
+    lenient = read_lines(text)
+    assert [r.line_type for r in lenient[0:3:2]] == [0, 3]
+    assert lenient[1] == "line 2: skipped unknown line type 7"
+    assert lenient[3] == "line 4: skipped short type-3 line"
+    assert str(lenient[4]) == "line 5: non-finite number in type-3 line"
+    assert len(lenient) == 5  # nothing after the error
+    strict = read_lines(text, strict=True)
+    assert strict[:3] == lenient[:3] and len(strict) == 4
+    assert str(strict[3]) == "line 4: type-3 line too short"
+
+
+def test_primitive_warning_reaches_every_reference_in_walk_order():
+    library = dict(LIBRARY, **{"stud.dat": "0 stud\n7 16 junk\n"})
+    part = f"0 p\n1 16 0 0 0 {IDENTITY} stud.dat\n9 16\n1 16 0 -4 0 {IDENTITY} twostud.dat\n"
+    warnings = []
+    assert len(primitive_refs(part, library, warnings)) == 3
+    assert warnings == [
+        "line 2: skipped unknown line type 7",
+        "line 3: skipped unknown line type 9",
+        "line 2: skipped unknown line type 7",
+        "line 2: skipped unknown line type 7",
+    ]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_error_in_an_unreferenced_submodel_is_never_raised(strict):
+    text = _mpd(
+        ("main.ldr", f"1 4 0 0 0 {IDENTITY} 3001.dat\n"),
+        ("unused.ldr", "1 4 0 0 0 1 0 0 0 1 3001.dat\n3 16 nan 0 0 1 0 0 0 0 1\n"),
+        ("short.ldr", "3 16 0 0\n"),
+    )
+    warnings = []
+    (inst,) = parse_structure(text, PARTS, strict=strict, warnings=warnings)
+    assert inst.part_id == "3001" and warnings == []
+
+
+def test_parse_structure_raises_the_first_error_in_walk_order():
+    loop = f"1 4 0 0 0 {IDENTITY} main.ldr\n"
+    malformed = "1 4 0 0 0 1 0 0 0 1 3001.dat\n"
+    for body, message in [
+        (loop + malformed, "^line 1: recursive subfile reference 'main.ldr'$"),
+        (malformed + loop, "^line 1: type-1 line has 10 fields, expected 14$"),
+    ]:
+        with pytest.raises(LdrawParseError, match=message):
+            parse_structure(_mpd(("main.ldr", body)), PARTS, strict=True)
