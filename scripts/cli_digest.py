@@ -18,10 +18,10 @@ one), stats, and the exit-code cases of the CLI contract: among them a latin-1
 .ldr (decoded, exit 0), non-UTF-8 program text and graph JSON (exit 2),
 malformed catalogs (exit 3: among them an unregistered subtype with a
 family key, and a missing or repeated connector index), negative --pos-tol,
---axis-tol and --inset (exit 2, argparse's usage and error lines) and insets
-that flatten or turn the plates inside out (exit 1), eval of a directory
-without files and sample of a graph without nodes (exit 1), and parse and
-graph of MPDs whose composed transforms overflow (exit 2), and sample of graph
+--axis-tol and --inset, and an --inset beyond 1e6 LDU (exit 2, argparse's
+usage and error lines), and insets that flatten or turn the plates inside
+out (exit 1), eval of a directory without files and sample of a graph
+without nodes (exit 1), and parse and graph of MPDs whose composed transforms overflow (exit 2), and sample of graph
 JSON whose rotations are written to 8 decimals (repaired, exit 0) or scaled
 by 1.01 (exit 2), and graph, execute, check and eval with a catalog whose
 connector origins lie beyond the 1e6 LDU bound (exit 3). It also runs graph on
@@ -430,6 +430,7 @@ def _calls():
     calls.append(("negative --pos-tol", cat + ["--pos-tol", "-1", "graph", "stack4.ldr"], None))
     calls.append(("negative --axis-tol", cat + ["--axis-tol", "-5", "graph", "stack4.ldr"], None))
     calls.append(("negative --inset", cat + ["--inset", "-1", "check", "two_plates.bseq"], None))
+    calls.append(("--inset 1e300", cat + ["--inset", "1e300", "check", "two_plates.bseq"], None))
     for inset in ("3", "3.5", "1e6"):  # a sheet at 3 LDU, turned inside out beyond
         calls.append((f"--inset {inset}", cat + ["--inset", inset, "check", "two_plates.bseq"],
                       None))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import graph as graph_mod
 from . import ldraw, metrics, program
-from .catalog import Catalog
+from .catalog import MESH_COORD_MAX, Catalog
 from .collision import PartColliders
 from .errors import (
     AnnotationError,
@@ -327,6 +327,7 @@ _NUMBER_RULES = (
     ("pos_tol", lambda v: v >= 0, ">= 0"),
     ("axis_tol", lambda v: v >= 0, ">= 0"),
     ("inset", lambda v: v >= 0, ">= 0"),
+    ("inset", lambda v: v <= MESH_COORD_MAX, f"<= {MESH_COORD_MAX:g}"),  # no overflow in insetting
 )
 
 

@@ -897,9 +897,10 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
     (["--pos-tol", "-1", "graph", "{ldr}"], "argument --pos-tol: must be >= 0, got -1.0"),
     (["--axis-tol", "-5", "graph", "{ldr}"], "argument --axis-tol: must be >= 0, got -5.0"),
     (["--inset", "-1", "check", "{prog}"], "argument --inset: must be >= 0, got -1.0"),
+    (["--inset", "1e300", "check", "{prog}"], "argument --inset: must be <= 1e+06, got 1e+300"),
 ], ids=["max-parts-0", "jobs-0", "jobs-negative", "count-negative", "seed-negative",
         "axis-tol-inf", "pos-tol-nan", "inset-nan", "inset-minus-inf", "pos-tol-negative",
-        "axis-tol-negative", "inset-negative"])
+        "axis-tol-negative", "inset-negative", "inset-beyond-the-mesh-bound"])
 def test_bad_numeric_flags_exit2(workdir, capsys, tmp_path, argv, message):
     prog = tmp_path / "p.bseq"
     prog.write_text(AXLE_PROGRAM.format(0))
