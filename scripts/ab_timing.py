@@ -144,7 +144,7 @@ def sphere_pairs(subdivisions: int, k: int):
 
         def bind(side):
             col, geo = side["collision"], side["geometry"]
-            a, b = col.CollisionMesh.build(*big), col.CollisionMesh.build(*small)
+            a, b = col.inset_mesh(*big, 0.0), col.inset_mesh(*small, 0.0)
             return col.intersects, [(a, geo.RigidTransform(*pa), b, geo.RigidTransform(*pb))
                                     for pa, pb in poses]
 

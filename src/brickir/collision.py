@@ -22,7 +22,7 @@ batched separating-interval triangle test; surface contact within TRI_EPS
 (1e-6 LDU) counts as non-intersecting. Two closed meshes also collide when
 the first triangle corner of one (not a vertex: it may be unused) lies
 inside the other: a ray-parity test, which a point outside the other mesh's
-box skips. Pre-inset meshes may also be supplied directly (offset 0).
+box skips. Pre-inset meshes keep their vertices in place at offset 0.
 
 A mesh of at most ONE_LEAF_MAX (64) triangles, as every demo part is, is
 a single leaf and is built without the tree code: for parts that small a
@@ -86,7 +86,7 @@ class CollisionMesh:
     """Triangle mesh prepared for collision queries (optionally inset),
     holding a static axis-aligned bounding-volume hierarchy over its
     triangles as flat per-node arrays, so traversals can gather many nodes
-    at once. Build one with ``CollisionMesh.build``.
+    at once. Build one with ``inset_mesh``.
 
     ``vertices`` (n, 3) and ``triangles`` (m, 3) are the mesh,
     ``tri_vertices`` its (m, 3, 3) triangle corners, and ``closed`` is True
@@ -187,22 +187,8 @@ class CollisionMesh:
         self.leaf_tris = leaf_tris[:count]
         return lo[:count], hi[:count]
 
-    @classmethod
-    def build(cls, vertices, triangles) -> "CollisionMesh":
-        v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-        t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        if len(t) == 0:
-            raise BrickIrError("empty mesh")
-        _check_indices(v, t)
-        return cls(v, t, v[t])
-
     def __len__(self):
         return len(self.triangles)
-
-
-def _check_indices(v: np.ndarray, t: np.ndarray) -> None:
-    if t.min() < 0 or t.max() >= len(v):
-        raise BrickIrError("triangle index out of range")
 
 
 def _is_closed(triangles: np.ndarray, n: int) -> bool:
@@ -240,8 +226,9 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     The displacement magnitude is offset / c where c = |sum(A_f n_f)| /
     sum(A_f) over the incident faces, so each incident plane moves inward by
     the requested offset (exactly, when the incident normals are balanced --
-    e.g. a 20-LDU cube insets to a 19.5-LDU cube). Degenerate triangles are
-    dropped; on open meshes boundary vertices just use their incident faces.
+    e.g. a 20-LDU cube insets to a 19.5-LDU cube). At every offset, 0
+    included, degenerate triangles are dropped and unused vertices compacted
+    away; on open meshes boundary vertices just use their incident faces.
     An inset that collapses every face, or turns the mesh inside out
     (``_inside_out``), raises BrickIrError.
 
@@ -258,7 +245,8 @@ def inset_mesh(vertices, triangles, offset: float) -> CollisionMesh:
     t = np.array(triangles, dtype=np.int64).reshape(-1, 3)
     if len(t) == 0 or len(v) == 0:
         raise BrickIrError("empty mesh")
-    _check_indices(v, t)
+    if t.min() < 0 or t.max() >= len(v):
+        raise BrickIrError("triangle index out of range")
     n = len(v)
 
     corners = v[t]
@@ -578,8 +566,8 @@ class PartColliders:
     @classmethod
     def from_catalog(cls, catalog, inset: float = 0.25) -> "PartColliders":
         """The table of inset collision meshes for the catalog's parts that
-        have geometry (inset 0 keeps meshes verbatim, e.g. pre-inset inputs).
-        Nothing is built until a part is looked up."""
+        have geometry (inset 0 keeps the vertices of pre-inset inputs in
+        place). Nothing is built until a part is looked up."""
         return cls(catalog, inset)
 
     def get(self, part_id) -> CollisionMesh | None:
@@ -594,7 +582,7 @@ class PartColliders:
         with self._lock:
             mesh = self._by_geometry.get(key)
             if mesh is None:
-                mesh = inset_mesh(v, t, self._inset) if self._inset else CollisionMesh.build(v, t)
+                mesh = inset_mesh(v, t, self._inset)
                 self._by_geometry[key] = mesh
             self._meshes[part_id] = mesh
         return mesh

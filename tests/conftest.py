@@ -5,7 +5,7 @@ points, the closeness of two connector frames, a connector frame as a rigid
 transform, text renderers for programs and LDraw instances, a graph
 component, a rotation's orthonormality error, a program's action count, a
 survival proportion, a canonical stats dump, a catalog with an uninsettable
-mesh, a counter of collision-mesh builds, LDraw files whose composed
+mesh, a collision mesh of a mesh as given, a counter of collision-mesh builds, LDraw files whose composed
 transforms overflow, and the frame-level parameter codec
 (``realize_params``, ``extract_params``)."""
 
@@ -293,6 +293,15 @@ def catalog_obj_with_collapsing_mesh(part_id: str) -> dict:
     verts, tris = box_mesh((0.5, 0.5, 0.5))
     obj["parts"][part_id]["mesh"] = {"vertices": verts.tolist(), "triangles": tris.tolist()}
     return obj
+
+
+def build_collision_mesh(vertices, triangles) -> collision.CollisionMesh:
+    """The CollisionMesh of a mesh as given: unlike ``inset_mesh`` at offset
+    0 it drops no degenerate triangle and keeps unused vertices, so tests can
+    build open, non-manifold and padded meshes exactly."""
+    v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    return collision.CollisionMesh(v, t, v[t])
 
 
 def count_inset_builds(monkeypatch, delay: float = 0.0) -> Counter:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import brickir
-from brickir.collision import box_mesh, CollisionMesh, inset_mesh, intersects, merge_meshes
+from brickir.collision import box_mesh, inset_mesh, intersects, merge_meshes
 from brickir.connectors import ConnectorFamily
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.geometry import QuantizedParams, RigidTransform, compose
@@ -41,7 +41,13 @@ from brickir.program import (
     validate_prefix,
 )
 
-from conftest import icosphere_mesh, random_rigid, rotation_angle_deg, survival_proportion
+from conftest import (
+    build_collision_mesh,
+    icosphere_mesh,
+    random_rigid,
+    rotation_angle_deg,
+    survival_proportion,
+)
 from oracles import brute_force_intersects, exhaustive_match, graphs_equal, replay_path_poses
 
 CAT = build_demo_catalog()
@@ -132,8 +138,8 @@ def test_criterion_2_matching_oracle_equivalence():
 def _rigid_pair(rng, base_gap):
     """Two box meshes posed with a known signed gap along a random direction,
     then moved by a common random rigid transform."""
-    a = CollisionMesh.build(*box_mesh((6.0, 8.0, 10.0)))
-    b = CollisionMesh.build(*box_mesh((7.0, 5.0, 9.0)))
+    a = build_collision_mesh(*box_mesh((6.0, 8.0, 10.0)))
+    b = build_collision_mesh(*box_mesh((7.0, 5.0, 9.0)))
     world = random_rigid(rng, scale=30.0)
     offset = np.array([6.5 + base_gap, 0.987, 1.234])  # generic contact direction
     pose_b = RigidTransform(
@@ -146,11 +152,11 @@ def test_criterion_3_collision_oracle_equivalence():
     with criterion(3, "BVH collision equals all-pairs oracle (1000 + 100 cases)"):
         rng = np.random.default_rng(99)
         meshes = [
-            CollisionMesh.build(*box_mesh(tuple(rng.uniform(2.0, 9.0, 3))))
+            build_collision_mesh(*box_mesh(tuple(rng.uniform(2.0, 9.0, 3))))
             for _ in range(8)
         ]
-        meshes.append(CollisionMesh.build(*icosphere_mesh(3.0, 1)))
-        meshes.append(CollisionMesh.build(*icosphere_mesh(5.0, 1)))
+        meshes.append(build_collision_mesh(*icosphere_mesh(3.0, 1)))
+        meshes.append(build_collision_mesh(*icosphere_mesh(5.0, 1)))
         hits = 0
         for _ in range(1000):
             a = meshes[int(rng.integers(len(meshes)))]
@@ -184,7 +190,7 @@ def test_criterion_3_collision_oracle_equivalence():
             ]
         )
         assert intersects(
-            CollisionMesh.build(*peg_raw), IDENT, CollisionMesh.build(*sleeve_raw), IDENT
+            build_collision_mesh(*peg_raw), IDENT, build_collision_mesh(*sleeve_raw), IDENT
         )
         assert not intersects(
             inset_mesh(*peg_raw, 0.25), IDENT, inset_mesh(*sleeve_raw, 0.25), IDENT

@@ -942,10 +942,10 @@ def test_inset_through_the_part_exit1(workdir, tmp_path, inset):
 
 
 def test_inset_0_tests_containment_from_a_point_on_the_mesh(tmp_path):
-    # At --inset 0 meshes are kept verbatim, unused vertices included. The
-    # plate 1x2 here lists first a vertex that no triangle uses, 4 LDU below
-    # its own box: in the stacked plate b it lies inside plate a, which b
-    # only touches.
+    # At --inset 0, as at every inset, a vertex that no triangle uses is
+    # compacted away, and containment is tested from a triangle corner. The
+    # plate 1x2 here lists first such a vertex, 4 LDU below its own box: in
+    # the stacked plate b it would lie inside plate a, which b only touches.
     obj = CAT.to_json_obj()
     mesh = obj["parts"]["3023"]["mesh"]
     mesh["vertices"] = [[0.0, 12.0, 0.0], *mesh["vertices"]]

@@ -26,6 +26,7 @@ from brickir.geometry import RigidTransform, compose
 
 from conftest import (
     apply,
+    build_collision_mesh,
     catalog_obj_with_collapsing_mesh,
     count_inset_builds,
     icosphere_mesh,
@@ -45,7 +46,7 @@ I = RigidTransform.identity()
 
 
 def _mesh(verts_tris) -> CollisionMesh:
-    return CollisionMesh.build(*verts_tris)
+    return build_collision_mesh(*verts_tris)
 
 
 def _trans(x, y, z):
@@ -84,24 +85,29 @@ def test_inset_empty_mesh_errors():
     with pytest.raises(BrickIrError, match="empty"):
         inset_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int), 0.25)
     with pytest.raises(BrickIrError, match="^empty mesh$"):
-        CollisionMesh.build(np.zeros((8, 3)), np.zeros((0, 3), dtype=int))
+        inset_mesh(np.zeros((8, 3)), np.zeros((0, 3), dtype=int), 0.0)
+    with pytest.raises(BrickIrError, match="^triangle index out of range$"):
+        inset_mesh(np.zeros((3, 3)), [[0, 1, 3]], 0.0)
 
 
 def test_mesh_arrays_are_read_only():
     verts, tris = box_mesh((4.0, 6.0, 8.0))
-    for mesh in (CollisionMesh.build(verts, tris), inset_mesh(verts, tris, 0.25)):
+    for mesh in (build_collision_mesh(verts, tris), inset_mesh(verts, tris, 0.25)):
         arrays = {k: a for k, a in vars(mesh).items() if isinstance(a, np.ndarray)}
         assert {"vertices", "triangles", "tri_vertices", "center", "ray_inv_det"} <= arrays.keys()
         assert not any(a.flags.writeable for a in arrays.values())
 
 
-def test_inset_drops_degenerate_triangles():
+@pytest.mark.parametrize("offset", [0.0, 0.1])
+def test_inset_drops_degenerate_triangles(offset):
     verts, tris = box_mesh((10.0, 10.0, 10.0))
     verts = np.vstack([verts, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
     tris = np.vstack([tris, [[8, 9, 10]]])  # zero-area sliver
-    out = inset_mesh(verts, tris, 0.1)
+    out = inset_mesh(verts, tris, offset)
     assert len(out.triangles) == 12
     assert len(out.vertices) == 8
+    with pytest.raises(BrickIrError, match="^mesh has no non-degenerate triangles$"):
+        inset_mesh(verts, tris[12:], offset)
 
 
 def _normals(v, t):
@@ -193,7 +199,7 @@ def test_inset_matches_reference_on_random_meshes():
         verts, tris, offset = _random_mesh(rng, k)
         raised[_same_inset(verts, tris, offset)] += 1
         if len(tris):
-            flag = CollisionMesh.build(verts, tris).closed
+            flag = build_collision_mesh(verts, tris).closed
             assert flag == reference_is_closed(np.asarray(tris))
             closed += flag
     # both outcomes are exercised, and insets that turn a mesh inside out
@@ -214,13 +220,13 @@ def test_inset_through_the_part_raises(offset):
 def test_closed_flag():
     assert _mesh(box_mesh((4, 4, 4))).closed
     verts, tris = box_mesh((4, 4, 4))
-    assert not CollisionMesh.build(verts, tris[:-1]).closed  # open: one face missing
+    assert not build_collision_mesh(verts, tris[:-1]).closed  # open: one face missing
     # two closed tetrahedra that share the edge (0, 1): four triangles on it
     tet = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
     bowtie = np.vstack([tet, np.where(tet > 1, tet + 2, tet)])
     points = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0.0]])
-    assert CollisionMesh.build(points, tet).closed
-    assert not CollisionMesh.build(points, bowtie).closed
+    assert build_collision_mesh(points, tet).closed
+    assert not build_collision_mesh(points, bowtie).closed
     assert not reference_is_closed(bowtie)
 
 
@@ -390,7 +396,7 @@ def _open(verts_tris) -> CollisionMesh:
     the other surface is inside or outside depending on the ray direction,
     and intersects and the oracle cast different rays."""
     verts, tris = verts_tris
-    return CollisionMesh.build(verts, tris[:-1])
+    return build_collision_mesh(verts, tris[:-1])
 
 
 _CONTACT_MESHES = [
@@ -559,10 +565,10 @@ def _one_leaf_boundary_meshes():
     v64, t64 = _prism(16, rng)
     v66, t66 = _prism(17, rng, center_fans=1)
     return [
-        CollisionMesh.build(v64, t64),
-        CollisionMesh.build(v66, t66),
-        CollisionMesh.build(v66, t66[:-2]),
-        CollisionMesh.build(v66, t66[:-1]),
+        build_collision_mesh(v64, t64),
+        build_collision_mesh(v66, t66),
+        build_collision_mesh(v66, t66[:-2]),
+        build_collision_mesh(v66, t66[:-1]),
     ]
 
 
@@ -615,7 +621,7 @@ def test_mesh_arrays_match_the_reference_build():
         _assert_reference_arrays(mesh, reference_collision_mesh(want_v, want_t))
         assert mesh.closed == want_closed
         _assert_reference_arrays(
-            CollisionMesh.build(verts, tris), reference_collision_mesh(verts, tris)
+            build_collision_mesh(verts, tris), reference_collision_mesh(verts, tris)
         )
     assert {len(t) for _, t, _ in cases} >= {12, 48, 64, 65, 66, 80, 320, 1280}
     rng = np.random.default_rng(20261019)
@@ -634,7 +640,7 @@ def test_tree_only_meshes_match_the_reference_build(monkeypatch):
     for verts, tris in (box_mesh((4.0, 6.0, 8.0)), icosphere_mesh(3.0, 1)):
         for t in (tris, tris[:3]):  # 3 triangles: one padded leaf
             _assert_reference_arrays(
-                CollisionMesh.build(verts, t), reference_collision_mesh(verts, t, one_leaf_max=0)
+                build_collision_mesh(verts, t), reference_collision_mesh(verts, t, one_leaf_max=0)
             )
 
 
@@ -646,17 +652,13 @@ def test_meshes_share_no_array_with_the_caller():
         assert not np.shares_memory(mesh.vertices, verts)
         assert not np.shares_memory(mesh.triangles, tris)
         assert verts.flags.writeable and tris.flags.writeable
-    CollisionMesh.build(verts, tris)
-    assert verts.flags.writeable and tris.flags.writeable
-    tris[0] = tris[0]  # still writable: the mesh froze only its own views
-    verts[0] = verts[0]
 
 
 def _tree_copy(mesh: CollisionMesh, monkeypatch) -> CollisionMesh:
     """The same mesh built as a median-split tree of LEAF_SIZE leaves."""
     with monkeypatch.context() as m:
         m.setattr(CollisionMesh, "ONE_LEAF_MAX", 0)
-        return CollisionMesh.build(mesh.vertices, mesh.triangles)
+        return build_collision_mesh(mesh.vertices, mesh.triangles)
 
 
 def _assert_one_leaf_matches_walk_and_oracle(pairs, monkeypatch):
