@@ -21,6 +21,7 @@ from .errors import LdrawParseError
 from .geometry import IDENTITY_ROWS, RigidTransform, _det3, mat_mul, mat_vec_add, nearest_rotation
 
 MAX_SUBFILE_DEPTH = 64
+_NEVER = frozenset().__contains__  # a leaf test that accepts no reference
 
 
 @dataclass(frozen=True)
@@ -78,65 +79,60 @@ _NUMBER_COUNTS = {1: 12, 3: 9, 4: 12}
 
 
 def read_lines(text: str, strict: bool = False) -> list:
-    """A file's records, once, in line order: an LdrawLine per kept line and
-    a warning string per skipped one. Malformed lines end the records with
-    their LdrawParseError in strict mode and are skipped with a warning
-    otherwise. A non-finite number in a type-1, -3 or -4 line ends them in
-    both modes: the file is corrupt, not merely loose. Walking the records
-    replays the warnings and raises the error where it is reached."""
+    """A file's records, read once, in line order: an LdrawLine per kept
+    line and a warning string per skipped one. A malformed line ends the
+    records with its LdrawParseError in strict mode and is skipped with a
+    warning otherwise; a non-finite number in a type-1, -3 or -4 line ends
+    them in both modes: the file is corrupt, not merely loose. A walk
+    replays the warnings and raises the error where it reaches it."""
     records: list = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
         try:
-            ltype = int(tokens[0])
-        except ValueError:
-            if strict:
-                records.append(LdrawParseError(f"unrecognized line type {tokens[0]!r}", number))
-                break
-            records.append(f"line {number}: skipped unrecognized line type {tokens[0]!r}")
-            continue
-        if ltype == 0:
-            records.append(LdrawLine(0, number, text=line[1:].strip()))
-        elif ltype in _NUMBER_COUNTS:
-            end = 2 + _NUMBER_COUNTS[ltype]  # type token + color + numbers
-            want = end + (ltype == 1)  # a type-1 line ends in its subfile name
-            if len(tokens) < want:
-                if strict:
-                    records.append(LdrawParseError(
-                        f"type-1 line has {len(tokens) - 1} fields, expected 14"
-                        if ltype == 1
-                        else f"type-{ltype} line too short",
-                        number,
-                    ))
-                    break
-                what = "malformed" if ltype == 1 else "short"
-                records.append(f"line {number}: skipped {what} type-{ltype} line")
-                continue
-            try:
-                color = int(tokens[1])
-                values = tuple(float(v) for v in tokens[2:end])
-            except ValueError:
-                if strict:
-                    records.append(LdrawParseError(f"non-numeric field in type-{ltype} line", number))
-                    break
-                records.append(f"line {number}: skipped non-numeric type-{ltype} line")
-                continue
-            if not all(math.isfinite(v) for v in values):
-                records.append(LdrawParseError(f"non-finite number in type-{ltype} line", number))
-                break
-            subfile = " ".join(tokens[end:]) if ltype == 1 else None
-            records.append(LdrawLine(ltype, number, color=color, values=values, subfile=subfile))
-        elif ltype not in (2, 5):  # edge/conditional lines: not needed for geometry
-            records.append(f"line {number}: skipped unknown line type {ltype}")
+            record = _read_line(raw.strip(), number, strict)
+        except LdrawParseError as exc:
+            return [*records, exc]
+        if record is not None:
+            records.append(record)
     return records
 
 
-def _warn(warnings, message):
-    if warnings is not None:
-        warnings.append(message)
+def _read_line(line: str, number: int, strict: bool):
+    """One line's record, or None for a blank, edge or conditional line."""
+    if not line:
+        return None
+    tokens = line.split()
+    try:
+        ltype = int(tokens[0])
+    except ValueError:
+        if strict:
+            raise LdrawParseError(f"unrecognized line type {tokens[0]!r}", number)
+        return f"line {number}: skipped unrecognized line type {tokens[0]!r}"
+    if ltype == 0:
+        return LdrawLine(0, number, text=line[1:].strip())
+    if ltype not in _NUMBER_COUNTS:  # edge/conditional lines: not needed for geometry
+        return None if ltype in (2, 5) else f"line {number}: skipped unknown line type {ltype}"
+    end = 2 + _NUMBER_COUNTS[ltype]  # type token + color + numbers
+    want = end + (ltype == 1)  # a type-1 line ends in its subfile name
+    if len(tokens) < want:
+        if strict:
+            raise LdrawParseError(
+                f"type-1 line has {len(tokens) - 1} fields, expected 14"
+                if ltype == 1
+                else f"type-{ltype} line too short",
+                number,
+            )
+        return f"line {number}: skipped {'malformed' if ltype == 1 else 'short'} type-{ltype} line"
+    try:
+        color = int(tokens[1])
+        values = tuple(float(v) for v in tokens[2:end])
+    except ValueError:
+        if strict:
+            raise LdrawParseError(f"non-numeric field in type-{ltype} line", number)
+        return f"line {number}: skipped non-numeric type-{ltype} line"
+    if not all(math.isfinite(v) for v in values):
+        raise LdrawParseError(f"non-finite number in type-{ltype} line", number)
+    subfile = " ".join(tokens[end:]) if ltype == 1 else None
+    return LdrawLine(ltype, number, color=color, values=values, subfile=subfile)
 
 
 def split_mpd(text: str) -> tuple[str, dict[str, str]]:
@@ -174,10 +170,6 @@ def split_mpd(text: str) -> tuple[str, dict[str, str]]:
     return main, {name: "\n".join(lines) for name, lines in files.items()}
 
 
-def _never(ref) -> bool:
-    return False
-
-
 def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None,
           expand_leaves=False):
     """Walk an LDraw document depth-first through its subfile references.
@@ -199,12 +191,14 @@ def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=No
         raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
     if m is None:
         m, t = IDENTITY_ROWS, (0.0, 0.0, 0.0)
+    if warnings is None:
+        warnings = []
     for line in records:
-        if not isinstance(line, LdrawLine):
-            if isinstance(line, LdrawParseError):
-                raise line.with_traceback(None)
-            _warn(warnings, line)
+        if isinstance(line, str):
+            warnings.append(line)
             continue
+        if isinstance(line, LdrawParseError):
+            raise line
         if line.line_type in (3, 4):
             yield line, m, t
         if line.line_type != 1:
@@ -219,7 +213,7 @@ def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=No
             yield line, cm, ct
             if not expand_leaves:
                 continue
-            below = _never
+            below = _NEVER
         if ref in subfiles:
             if ref in chain:
                 raise LdrawParseError(f"recursive subfile reference {line.subfile!r}", line.number)
@@ -229,7 +223,7 @@ def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=No
         elif strict:
             raise LdrawParseError(f"unresolvable subfile {line.subfile!r}", line.number)
         else:
-            _warn(warnings, f"line {line.number}: unresolvable subfile {line.subfile!r}")
+            warnings.append(f"line {line.number}: unresolvable subfile {line.subfile!r}")
 
 
 def parse_structure(source, catalog_parts, strict: bool = False, warnings: list | None = None):
@@ -281,15 +275,12 @@ def walk_part(records, library, stop_at, warnings: list | None = None):
     refs = []
     coords: list[float] = []  # x, y, z of each vertex in turn
     corners: list[int] = []  # a, b, c of each triangle in turn
-    placed = None
     walk = _walk(records, library, stop_at.__contains__, False, warnings, expand_leaves=True)
     for line, m, t in walk:
         if line.line_type == 1:
             refs.append((normalize_name(line.subfile), line.number, m, t))
             continue
-        if m is not placed:  # the lines of one placed file share its rows
-            # the rows' triple product, as in the pose gate: no LAPACK det
-            placed, flip = m, _det3(m) < 0
+        flip = _det3(m) < 0  # the rows' triple product, as in the pose gate: no LAPACK det
         p = line.values
         base = len(coords) // 3
         for i in range(0, len(p), 3):
