@@ -219,11 +219,12 @@ def build_catalog_from_library(library_dir) -> Catalog:
     """
     root = Path(library_dir)
     search_dirs = [d for d in (root / "parts", root / "p", root) if d.is_dir()]
-    # every file is under the root, so it is read once whatever names it has
-    records = {f: ldraw.read_lines(ldraw.decode(f.read_bytes())) for f in root.rglob("*.dat")}
+    records: dict[Path, list] = {}  # by path: a file found under two names is read once
     library: dict[str, list] = {}
     for d in search_dirs:
         for f in sorted(d.rglob("*.dat")):
+            if f not in records:
+                records[f] = ldraw.read_lines(ldraw.decode(f.read_bytes()))
             library.setdefault(ldraw.normalize_name(str(f.relative_to(d))), records[f])
 
     part_dir = root / "parts" if (root / "parts").is_dir() else root

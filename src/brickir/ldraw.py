@@ -170,8 +170,8 @@ def split_mpd(text: str) -> tuple[str, dict[str, str]]:
     return main, {name: "\n".join(lines) for name, lines in files.items()}
 
 
-def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=None,
-          expand_leaves=False):
+def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=IDENTITY_ROWS,
+          t=(0.0, 0.0, 0.0), expand_leaves=False):
     """Walk an LDraw document depth-first through its subfile references.
 
     Replays a file's ``read_lines`` records: a warning goes to ``warnings``
@@ -189,8 +189,6 @@ def _walk(records, subfiles, leaf, strict, warnings, chain=(None,), m=None, t=No
     """
     if len(chain) > MAX_SUBFILE_DEPTH + 1:
         raise LdrawParseError(f"subfile nesting deeper than {MAX_SUBFILE_DEPTH}")
-    if m is None:
-        m, t = IDENTITY_ROWS, (0.0, 0.0, 0.0)
     if warnings is None:
         warnings = []
     for line in records:
