@@ -21,13 +21,14 @@ family key, and a missing or repeated connector index), negative --pos-tol,
 --axis-tol and --inset, and an --inset beyond 1e6 LDU (exit 2, argparse's
 usage and error lines), and insets that flatten or turn the plates inside
 out (exit 1), eval of a directory without files and sample of a graph
-without nodes (exit 1), and parse and graph of MPDs whose composed transforms overflow (exit 2), and sample of graph
-JSON whose rotations are written to 8 decimals (repaired, exit 0) or scaled
-by 1.01 (exit 2), and graph, execute, check and eval with a catalog whose
-connector origins lie beyond the 1e6 LDU bound (exit 3). It also runs graph on
-seeded perturbations of mixed.ldr, turned and moved around each family's
-match tolerances, at the default and at zero tolerances. The --jobs 2 calls
-run the thread pool, and with it concurrent first lookups in the shared
+without nodes (exit 1), and parse and graph of MPDs whose composed
+transforms overflow (exit 2), and sample of graph JSON whose rotations are
+written to 8 decimals (repaired, exit 0) or scaled by 1.01 (exit 2), and
+graph, execute, check and eval with a catalog whose connector origins lie
+beyond the 1e6 LDU bound (exit 3). It also runs graph on seeded
+perturbations of mixed.ldr, turned and moved around each family's match
+tolerances, at the default and at zero tolerances. The --jobs 2 calls run
+the thread pool, and with it concurrent first lookups in the shared
 collision-mesh table, on any machine.
 The --no-collision calls run the executor without reading a single pose.
 

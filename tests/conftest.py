@@ -5,9 +5,9 @@ points, the closeness of two connector frames, a connector frame as a rigid
 transform, text renderers for programs and LDraw instances, a graph
 component, a rotation's orthonormality error, a program's action count, a
 survival proportion, a canonical stats dump, a catalog with an uninsettable
-mesh, a collision mesh of a mesh as given, a counter of collision-mesh builds, LDraw files whose composed
-transforms overflow, and the frame-level parameter codec
-(``realize_params``, ``extract_params``)."""
+mesh, a collision mesh of a mesh as given, a counter of collision-mesh
+builds, LDraw files whose composed transforms overflow, and the frame-level
+parameter codec (``realize_params``, ``extract_params``)."""
 
 import json
 import math
