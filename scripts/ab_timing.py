@@ -259,6 +259,12 @@ def catalog_load(sides, args):
     return Case(1, once)
 
 
+# A collision mesh's outcome: the mesh, its BVH and its boxes, named, so a
+# side whose meshes keep other arrays too still compares.
+MESH_ARRAYS = ("vertices", "triangles", "tri_vertices", "left", "right", "leaf", "extent",
+               "leaf_tris", "center", "half", "lo_eps", "hi_eps", "tri_lo_eps", "tri_hi_eps")
+
+
 def shard_meshes(sides, args):
     calls, _ = workload("eval-corrupted", args.seed)
     table = sides[1]["collision"].PartColliders
@@ -282,8 +288,8 @@ def shard_meshes(sides, args):
         catalog = side["catalog"].Catalog.load(workloads.CATALOG)
         table = side["collision"].PartColliders.from_catalog(catalog)
         seconds, meshes = timed(lambda: [table.get(pid) for pid in seen])
-        return seconds, [(m.closed, [a.tobytes() for a in vars(m).values()
-                                     if isinstance(a, np.ndarray)]) for m in meshes]
+        return seconds, [(m.closed, [getattr(m, k).tobytes() for k in MESH_ARRAYS])
+                         for m in meshes]
 
     return Case(len(seen), once, detail=lambda _: f"{len(seen)} parts")
 

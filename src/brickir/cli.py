@@ -126,8 +126,7 @@ def _colliders(args, catalog) -> PartColliders | None:
     return PartColliders.from_catalog(catalog, inset=args.inset)
 
 
-def cmd_parse(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_parse(args, catalog) -> int:
     warnings: list[str] = []
     instances = ldraw.parse_structure(
         Path(args.input).read_bytes(), catalog, strict=args.strict, warnings=warnings
@@ -165,15 +164,13 @@ def _graph_from_input(path, catalog, args) -> graph_mod.ConnectivityGraph:
     return graph_mod.match_connectors(instances, catalog, _tolerances(args))
 
 
-def cmd_graph(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_graph(args, catalog) -> int:
     g = _graph_from_input(args.input, catalog, args)
     _emit(_json_dumps(g.to_json_obj()), args)
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_sample(args, catalog) -> int:
     corpus = [_graph_from_input(p, catalog, args) for p in sorted(args.inputs)]
     paths = graph_mod.sample_corpus_paths(
         corpus,
@@ -194,16 +191,14 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_serialize(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_serialize(args, catalog) -> int:
     g = _graph_from_input(args.input, catalog, args)
     path = graph_mod.sample_path(g, max_parts=args.max_parts, seed=args.seed)
     _emit(program.serialize(path, catalog), args)
     return EXIT_OK
 
 
-def cmd_execute(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_execute(args, catalog) -> int:
     poses = program.execute(_read(args.input), catalog)
     _emit(_json_dumps({"poses": {n: p.to_json_obj() for n, p in poses.items()}}), args)
     return EXIT_OK
@@ -234,8 +229,7 @@ def _report_line(path, report) -> str:
     )
 
 
-def cmd_check(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_check(args, catalog) -> int:
     colliders = _colliders(args, catalog)
     inputs = sorted(args.inputs)
     results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
@@ -249,16 +243,14 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_stats(args, catalog) -> int:
     corpus = [_graph_from_input(p, catalog, args) for p in sorted(args.inputs)]
     stats = metrics.dataset_stats(corpus)
     _emit(stats.to_csv() if args.format == "csv" else _json_dumps(stats.to_json_obj()), args)
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    catalog = _load_catalog(args)
+def cmd_eval(args, catalog) -> int:
     colliders = _colliders(args, catalog)
     inputs = []
     for p in sorted(args.inputs):
@@ -339,7 +331,8 @@ def main(argv=None) -> int:
         if value is not None and not ok(value):
             parser.error(f"argument --{dest.replace('_', '-')}: must be {rule}, got {value}")
     try:
-        return _COMMANDS[args.command](args)
+        catalog = _load_catalog(args)
+        return _COMMANDS[args.command](args, catalog)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -354,6 +347,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if args.strict else EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:  # e.g. a --count too large to allocate its draws
+        print("error: out of memory", file=sys.stderr)
         return EXIT_IO
 
 

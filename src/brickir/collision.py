@@ -46,11 +46,12 @@ corner can put its crossing segment where the triangle has none. Such a
 false hit can lie between triangles whose boxes are apart, and the filter
 drops it.
 
-Everything that depends on a mesh alone (its BVH nodes' centres and
-half-extents, the TRI_EPS-expanded node and triangle bounds, the ray-parity
-terms of every triangle) is computed once when the CollisionMesh is built,
-so a query does only per-pose work. A CollisionMesh has at least one
-triangle; its arrays are read-only, so it is safe to share across threads.
+The bounds that every query reads (its BVH nodes' centres and
+half-extents, the TRI_EPS-expanded node and triangle bounds) are computed
+once when the CollisionMesh is built. The ray-parity terms are not: few
+containment points pass the box test, so point_in_mesh computes them past
+it. A CollisionMesh has at least one triangle; its arrays are read-only, so
+it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ class CollisionMesh:
     (and of the root as float tuples, ``root_center``/``root_half``),
     the node bounds widened by TRI_EPS (``lo_eps``/``hi_eps``), and per
     triangle its widened box (``tri_lo_eps``/``tri_hi_eps``, which filter
-    triangle pairs before the triangle test) and the Moller-Trumbore terms
-    of the fixed parity ray (``ray_v0``, ``ray_e1``, ``ray_e2``, ``ray_h``,
-    ``ray_ok``, ``ray_inv_det``). Every array is read-only.
+    triangle pairs before the triangle test). Every array is read-only.
     """
 
     LEAF_SIZE = 4
@@ -139,15 +138,6 @@ class CollisionMesh:
         self.hi_eps = hi + TRI_EPS
         self.tri_lo_eps = tmin - TRI_EPS
         self.tri_hi_eps = tmax + TRI_EPS
-        v0 = tri_vertices[:, 0]
-        e1 = tri_vertices[:, 1] - v0
-        e2 = tri_vertices[:, 2] - v0
-        h = _cross(_RAY_DIR, e2)
-        det = np.einsum("ij,ij->i", e1, h)
-        ok = np.abs(det) > 1e-12
-        inv_det = np.divide(1.0, det, out=np.zeros(m), where=ok)
-        self.ray_v0, self.ray_e1, self.ray_e2 = v0, e1, e2
-        self.ray_h, self.ray_ok, self.ray_inv_det = h, ok, inv_det
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -523,19 +513,27 @@ def _leaf_pairs_hit(posed, tris_a, b: CollisionMesh, leaves_b) -> bool:
 
 def point_in_mesh(point: np.ndarray, mesh: CollisionMesh) -> bool:
     """Ray-parity containment test (reliable only for closed meshes).
-    Moller-Trumbore over all triangles, vectorized; the terms that depend on
-    the mesh alone are precomputed on it. A point outside the mesh's
-    TRI_EPS-widened box is outside without a ray: the ray from such a point
-    crosses a closed mesh an even number of times."""
+    Moller-Trumbore over all triangles, vectorized. A point outside the
+    mesh's TRI_EPS-widened box is outside without a ray: the ray from such a
+    point crosses a closed mesh an even number of times. Few points pass
+    that box test, so the ray terms of the triangles are computed here, past
+    it, not kept on the mesh."""
     if ((point < mesh.lo_eps[0]) | (point > mesh.hi_eps[0])).any():
         return False
-    inv_det = mesh.ray_inv_det
-    s = point[None, :] - mesh.ray_v0
-    u = np.einsum("ij,ij->i", s, mesh.ray_h) * inv_det
-    qv = _cross(s, mesh.ray_e1)
+    tri = mesh.tri_vertices
+    v0 = tri[:, 0]
+    e1 = tri[:, 1] - v0
+    e2 = tri[:, 2] - v0
+    h = _cross(_RAY_DIR, e2)
+    det = np.einsum("ij,ij->i", e1, h)
+    ok = np.abs(det) > 1e-12
+    inv_det = np.divide(1.0, det, out=np.zeros(len(det)), where=ok)
+    s = point[None, :] - v0
+    u = np.einsum("ij,ij->i", s, h) * inv_det
+    qv = _cross(s, e1)
     v = (qv @ _RAY_DIR) * inv_det
-    t = np.einsum("ij,ij->i", mesh.ray_e2, qv) * inv_det
-    hits = mesh.ray_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
+    t = np.einsum("ij,ij->i", e2, qv) * inv_det
+    hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
     return bool(hits.sum() % 2 == 1)
 
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from brickir import collision
-from brickir.collision import _RAY_DIR, DEGENERATE_AREA, TRI_EPS, AssemblyChecker
+from brickir.collision import DEGENERATE_AREA, TRI_EPS, AssemblyChecker
 from brickir.connectors import ConnectorFamily, dof_spec, letter_id
 from brickir.errors import BrickIrError, MatchError, ProgramError
 from brickir.geometry import (
@@ -490,14 +490,6 @@ def reference_collision_mesh(vertices, triangles, one_leaf_max=64, leaf_size=4) 
 
     build(np.arange(m))
     lo, hi = lo[:count], hi[:count]
-    v0 = tri_vertices[:, 0]
-    e1 = tri_vertices[:, 1] - v0
-    e2 = tri_vertices[:, 2] - v0
-    h = np.cross(_RAY_DIR, e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(det) > 1e-12
-    inv_det = np.zeros(m)
-    inv_det[ok] = 1.0 / det[ok]
     return {
         "vertices": v, "triangles": t, "tri_vertices": tri_vertices,
         "left": left[:count], "right": right[:count], "leaf": left[:count] < 0,
@@ -505,8 +497,6 @@ def reference_collision_mesh(vertices, triangles, one_leaf_max=64, leaf_size=4) 
         "center": (lo + hi) / 2.0, "half": (hi - lo) / 2.0,
         "lo_eps": lo - TRI_EPS, "hi_eps": hi + TRI_EPS,
         "tri_lo_eps": tmin - TRI_EPS, "tri_hi_eps": tmax + TRI_EPS,
-        "ray_v0": v0, "ray_e1": e1, "ray_e2": e2, "ray_h": h, "ray_ok": ok,
-        "ray_inv_det": inv_det,
     }
 
 

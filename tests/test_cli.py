@@ -701,8 +701,12 @@ def _run_captured(workdir, *argv):
     (["parse"], "m.mpd", OVERFLOWING_MPDS["matrix"], 2, "line 1: non-finite composed transform"),
     (["graph"], "t.mpd", OVERFLOWING_MPDS["translation"], 2,
      "line 1: non-finite composed transform"),
+    # 8e15 bytes of draws: beyond the user address space, so nothing is allocated
+    (["sample", "--count", "1000000000000000"], "one.json",
+     ConnectivityGraph({0: PartInstance(0, "3003", 4, RigidTransform.identity())}, []).dumps(),
+     1, "out of memory"),
 ], ids=["eval-empty-dir", "strict-eval-empty-dir", "sample-node-less", "strict-sample-node-less",
-        "parse-matrix-overflow", "graph-translation-overflow"])
+        "parse-matrix-overflow", "graph-translation-overflow", "sample-count-beyond-memory"])
 def test_degenerate_inputs_exit_with_one_error_line(workdir, tmp_path, argv, name, data, code,
                                                     message):
     target = tmp_path / name

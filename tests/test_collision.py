@@ -94,7 +94,7 @@ def test_mesh_arrays_are_read_only():
     verts, tris = box_mesh((4.0, 6.0, 8.0))
     for mesh in (build_collision_mesh(verts, tris), inset_mesh(verts, tris, 0.25)):
         arrays = {k: a for k, a in vars(mesh).items() if isinstance(a, np.ndarray)}
-        assert {"vertices", "triangles", "tri_vertices", "center", "ray_inv_det"} <= arrays.keys()
+        assert {"vertices", "triangles", "tri_vertices", "center", "tri_lo_eps"} <= arrays.keys()
         assert not any(a.flags.writeable for a in arrays.values())
 
 
@@ -280,18 +280,40 @@ def test_point_in_mesh():
     assert not point_in_mesh(np.array([100.0, 3.0, -7.0]), cube)
 
 
+def _assert_point_in_mesh(mesh: CollisionMesh, points, inside, clear):
+    """point_in_mesh gives ``inside`` at every ``clear`` point, and both
+    points that skip the ray (outside the box) and points outside the solid
+    that take it (inside the box) are among them."""
+    got = [point_in_mesh(p, mesh) for p in points[clear]]
+    assert got == inside[clear].tolist()
+    in_box = ((points >= mesh.lo_eps[0]) & (points <= mesh.hi_eps[0])).all(axis=1)
+    assert (clear & in_box & ~inside).sum() > 20 and (clear & ~in_box).sum() > 20
+
+
 def test_point_in_mesh_matches_the_sphere_inside_and_outside_its_box():
-    # Points outside the box skip the ray; points in the box's corners, outside
-    # the sphere, take it. The faceted sphere lies between radius 9.5 and 10.
-    sphere = _mesh(icosphere_mesh(10.0, 2))
+    # Points in the box's corners, outside the sphere, take the ray. The
+    # faceted spheres (320 triangles in one tree, 1280 in another) lie
+    # between radius 9.5 and 10.
     rng = np.random.default_rng(17)
-    points = rng.uniform(-12.0, 12.0, (400, 3))
-    radii = np.linalg.norm(points, axis=1)
-    clear = (radii < 9.4) | (radii > 10.0)
-    got = [point_in_mesh(p, sphere) for p in points[clear]]
-    assert got == (radii[clear] < 9.4).tolist()
-    in_box = (np.abs(points[clear]) <= 10.0).all(axis=1)
-    assert 20 < (in_box & (radii[clear] > 10.0)).sum() and (~in_box).sum() > 20
+    for subdivisions in (2, 3):
+        sphere = _mesh(icosphere_mesh(10.0, subdivisions))
+        assert len(sphere.leaf) > 1
+        points = rng.uniform(-12.0, 12.0, (400, 3))
+        radii = np.linalg.norm(points, axis=1)
+        _assert_point_in_mesh(sphere, points, radii < 9.4, (radii < 9.4) | (radii > 10.0))
+    # The inset technic brick 3700: one leaf of four boxes (two slabs, two
+    # cheeks) around a through-channel, closed and not convex. Its inset
+    # moves each box's faces and keeps it a box, so the solid is the union
+    # of the boxes that its vertices span, eight vertices each.
+    part = build_demo_catalog().parts["3700"]
+    brick = inset_mesh(part.mesh.vertices, part.mesh.triangles, 0.25)
+    assert brick.closed and len(brick.leaf) == 1 and len(brick.vertices) == 32
+    boxes = brick.vertices.reshape(4, 8, 3)
+    lo, hi = boxes.min(axis=1), boxes.max(axis=1)
+    points = rng.uniform(brick.lo_eps[0] - 2.0, brick.hi_eps[0] + 2.0, (600, 3))
+    # per point and box, how far outside the box (negative: inside) on the worst axis
+    apart = np.maximum(lo - points[:, None], points[:, None] - hi).max(axis=2).min(axis=1)
+    _assert_point_in_mesh(brick, points, apart < 0.0, np.abs(apart) > 0.01)
 
 
 def test_tri_tri_basic():
