@@ -2,7 +2,7 @@
 """Interleaved A/B timing of brickir between two checkouts.
 
     python scripts/ab_timing.py --base ../other-checkout [--reps 15] [--seed 77]
-        [--threads 1|2] [--cases demo-wall,parse-dense-wall]
+        [--cases demo-wall,parse-dense-wall]
 
 Loads this checkout's ``src/brickir`` and the one under ``--base`` side by
 side in one process (the base as the package ``brickir_base``) and times the
@@ -23,11 +23,10 @@ Inputs shaped like a workload come from the benchmark's own generators
 from generators keyed ``[seed, k]``. Each rep runs a case once on each side,
 the side that runs first alternating between reps (one garbage collection
 before a case's first rep, none between calls), and the script stops if
-the two sides' outcomes differ. With ``--threads 2`` each side's collision
-items are split over two threads, as the CLI's ``--jobs`` pool does. Per
-case it prints the items and what they hold, each side's median over the
-reps in the case's unit, the ratio base / change (above 1: the change is
-faster) and the number of reps the change won.
+the two sides' outcomes differ. Per case it prints the items and what they
+hold, each side's median over the reps in the case's unit, the ratio base /
+change (above 1: the change is faster) and the number of reps the change
+won.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import os
 import statistics
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Callable
@@ -96,33 +94,17 @@ def timed(fn, *args):
     return time.perf_counter() - start, result
 
 
-def calls_case(sides, bind, threads: int) -> Case:
-    """``fn(*item)`` on every item, where ``bind(side)`` gives the side's
-    (fn, items), split over ``threads`` threads in contiguous chunks. An
-    item's outcome is its verdict, or its mesh's arrays."""
+def calls_case(sides, bind) -> Case:
+    """``fn(*item)`` on every item, in one loop, where ``bind(side)`` gives
+    the side's (fn, items). An item's outcome is its verdict, or its mesh's
+    arrays."""
     bound = {id(side): bind(side) for side in sides}
 
     def once(side):
         fn, items = bound[id(side)]
-        chunks = [items[k * len(items) // threads:(k + 1) * len(items) // threads]
-                  for k in range(threads)]
-        results = [None] * threads
-
-        def work(k):
-            results[k] = [fn(*args) for args in chunks[k]]
-
-        def run():
-            if threads == 1:
-                return work(0)
-            workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-
-        seconds, _ = timed(run)
+        seconds, results = timed(lambda: [fn(*args) for args in items])
         return seconds, [r if isinstance(r, bool) else (r.vertices.tobytes(), r.triangles.tobytes())
-                         for chunk in results for r in chunk]
+                         for r in results]
 
     def hits(outcome):
         return f"{sum(o is True for o in outcome)} hits" if isinstance(outcome[0], bool) else "-"
@@ -148,7 +130,7 @@ def sphere_pairs(subdivisions: int, k: int):
             return col.intersects, [(a, geo.RigidTransform(*pa), b, geo.RigidTransform(*pb))
                                     for pa, pb in poses]
 
-        return calls_case(sides, bind, args.threads)
+        return calls_case(sides, bind)
 
     return make
 
@@ -202,7 +184,7 @@ def part_pairs(instances, limit=None):
                 for a, b in pairs[:limit]
             ]
 
-        return calls_case(sides, bind, args.threads)
+        return calls_case(sides, bind)
 
     return make
 
@@ -210,7 +192,7 @@ def part_pairs(instances, limit=None):
 def build_demo(sides, args):
     parts = sides[1]["demo"].build_demo_catalog().parts.values()
     items = [(p.mesh.vertices, p.mesh.triangles, 0.25) for p in parts]
-    return calls_case(sides, lambda side: (side["collision"].inset_mesh, items), args.threads)
+    return calls_case(sides, lambda side: (side["collision"].inset_mesh, items))
 
 
 @functools.cache
@@ -278,7 +260,7 @@ def shard_meshes(sides, args):
     table.get = recording
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = sides[1]["cli"].main(["--jobs", "1", *calls[0].argv])  # serial: a fixed order
+            code = sides[1]["cli"].main(calls[0].argv)
     finally:
         table.get = real
     if code != 0:
@@ -389,8 +371,6 @@ def main():
     ap.add_argument("--base", type=Path, required=True, help="root of the other checkout")
     ap.add_argument("--reps", type=int, default=15)
     ap.add_argument("--seed", type=int, default=77)
-    ap.add_argument("--threads", type=int, default=1, choices=(1, 2),
-                    help="threads per side in the collision cases")
     ap.add_argument("--cases", default=",".join(CASES), help="comma-separated case names")
     args = ap.parse_args()
     names = args.cases.split(",")

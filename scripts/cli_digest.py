@@ -9,17 +9,17 @@ build paths and seeded random programs (every third one corrupted at one
 line) in a temporary directory, then runs ``brickir.cli.main`` on them:
 parse/graph, sample at three seeds and with --no-collision / --inset 0,
 serialize/execute, execute of every uncorrupted program, eval in
-json/text/csv and with --jobs 1 / --jobs 2, check (with --jobs 2, with
---no-collision, and --strict check on an overlapping program), eval
---no-collision through the --jobs 2 pool, check, --strict check, eval (with
-and without collision) and execute of seeded programs that reuse a connector
+json/text/csv, with --no-collision and with --inset 0, check (of two
+programs and an overlapping one, of all programs, with --no-collision,
+and --strict check on an overlapping program), check, --strict check, eval
+(with and without collision) and execute of seeded programs that reuse a connector
 (some with a syntax error after the reuse, in a later action or in the same
 one), stats, and the exit-code cases of the CLI contract: among them a latin-1
 .ldr (decoded, exit 0), non-UTF-8 program text and graph JSON (exit 2),
 malformed catalogs (exit 3: among them an unregistered subtype with a
 family key, and a missing or repeated connector index), negative --pos-tol,
---axis-tol and --inset, and an --inset beyond 1e6 LDU (exit 2, argparse's
-usage and error lines), and insets that flatten or turn the plates inside
+--axis-tol and --inset, an --inset beyond 1e6 LDU and the removed --jobs
+flag (exit 2, argparse's usage and error lines), and insets that flatten or turn the plates inside
 out (exit 1), eval of a directory without files, sample of a graph
 without nodes and sample of a --count too large to allocate (exit 1), and
 parse and graph of MPDs whose composed transforms overflow (exit 2), and
@@ -28,9 +28,7 @@ exit 0) or scaled by 1.01 (exit 2), and graph, execute, check and eval
 with a catalog whose connector origins lie beyond the 1e6 LDU bound
 (exit 3). It also runs graph on seeded
 perturbations of mixed.ldr, turned and moved around each family's match
-tolerances, at the default and at zero tolerances. The --jobs 2 calls run
-the thread pool, and with it concurrent first lookups in the shared
-collision-mesh table, on any machine.
+tolerances, at the default and at zero tolerances.
 The --no-collision calls run the executor without reading a single pose.
 
 It also writes a small LDraw part library as text (``ldlib``): primitives
@@ -384,19 +382,14 @@ def _calls():
     calls.append(("eval csv", cat + ["--format", "csv", "eval", "programs"], None))
     calls.append(("eval --no-collision", cat + ["--no-collision", "eval", "programs"], None))
     calls.append(("eval --inset 0", cat + ["--inset", "0", "eval", "programs"], None))
-    calls.append(("eval --jobs 1", cat + ["--jobs", "1", "eval", "programs"], None))
-    calls.append(("eval --jobs 2", cat + ["--jobs", "2", "eval", "programs"], None))
-    calls.append(("check json", cat + ["--jobs", "1", "check", "programs/p00.bseq",
-                                       "programs/p01.bseq", "overlap.bseq"], None))
+    calls.append(("check json", cat + ["check", "programs/p00.bseq", "programs/p01.bseq",
+                                       "overlap.bseq"], None))
     calls.append(("check text", cat + ["--format", "text", "--inset", "0", "check",
                                        "programs/p02.bseq", "overlap.bseq"], None))
     programs = [f"programs/p{i:02d}.bseq" for i in range(30)]
-    calls.append(("check --jobs 2", cat + ["--jobs", "2", "check", *programs, "overlap.bseq"],
-                  None))
+    calls.append(("check all", cat + ["check", *programs, "overlap.bseq"], None))
     calls.append(("check --no-collision", cat + ["--no-collision", "check", *programs,
                                                  "overlap.bseq"], None))
-    calls.append(("eval --no-collision --jobs 2", cat + ["--no-collision", "--jobs", "2", "eval",
-                                                          "programs"], None))
     calls.append(("strict check overlap", cat + ["--strict", "check", "overlap.bseq"], None))
     reused = [f"reuse/r{i}.bseq" for i in range(9)]
     calls.append(("check reuse", cat + ["check", *reused], None))
@@ -433,6 +426,7 @@ def _calls():
     calls.append(("negative --axis-tol", cat + ["--axis-tol", "-5", "graph", "stack4.ldr"], None))
     calls.append(("negative --inset", cat + ["--inset", "-1", "check", "two_plates.bseq"], None))
     calls.append(("--inset 1e300", cat + ["--inset", "1e300", "check", "two_plates.bseq"], None))
+    calls.append(("removed --jobs 2", cat + ["--jobs", "2", "eval", "programs"], None))
     for inset in ("3", "3.5", "1e6"):  # a sheet at 3 LDU, turned inside out beyond
         calls.append((f"--inset {inset}", cat + ["--inset", inset, "check", "two_plates.bseq"],
                       None))

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import graph as graph_mod
@@ -56,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos-tol", type=float, default=1.0, help="match position tolerance (LDU)")
     p.add_argument("--axis-tol", type=float, default=2.0, help="match axis tolerance (deg)")
     p.add_argument("--strict", action="store_true", help="fail instead of recovering")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers for batch subcommands")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--inset", type=float, default=0.25,
@@ -213,13 +210,6 @@ def _validate_file(path, catalog, colliders):
     return report, max(intro_like, report.connectivity_steps)
 
 
-def _map_ordered(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _report_line(path, report) -> str:
     err = report["first_error"]
     suffix = f" first_error={err['code']}@{err['line']}" if err else ""
@@ -232,8 +222,7 @@ def _report_line(path, report) -> str:
 def cmd_check(args, catalog) -> int:
     colliders = _colliders(args, catalog)
     inputs = sorted(args.inputs)
-    results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
-    reports = [r.to_json_obj() for r, _ in results]
+    reports = [_validate_file(p, catalog, colliders)[0].to_json_obj() for p in inputs]
     if args.format == "text":
         _emit("\n".join(_report_line(p, r) for p, r in zip(inputs, reports)) + "\n", args)
     else:
@@ -261,7 +250,7 @@ def cmd_eval(args, catalog) -> int:
             inputs.append(p)
     if not inputs:
         raise OSError(f"no program files in {', '.join(sorted(args.inputs))}")
-    results = _map_ordered(lambda p: _validate_file(p, catalog, colliders), inputs, args.jobs)
+    results = [_validate_file(p, catalog, colliders) for p in inputs]
     reports = [r for r, _ in results]
     curve = metrics.survival_curve(reports)
     invalid_flags = []
@@ -311,7 +300,6 @@ _COMMANDS = {
 _NUMBER_RULES = (
     ("seed", lambda v: v >= 0, ">= 0"),
     ("max_parts", lambda v: v >= 1, ">= 1"),
-    ("jobs", lambda v: v >= 1, ">= 1"),
     ("count", lambda v: v >= 0, ">= 0"),
     ("pos_tol", math.isfinite, "finite"),
     ("axis_tol", math.isfinite, "finite"),

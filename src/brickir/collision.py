@@ -30,11 +30,7 @@ tree walk costs more than it prunes, and the triangle-box filter prunes
 instead. Larger meshes keep a median-split tree with LEAF_SIZE (4)
 triangles per leaf. The inset gathers the triangle corners once per pass
 over the triangles, one bincount sums the per-vertex normals and areas, and
-the mesh takes the second pass's corners as its own. So a one-leaf build
-makes four numpy calls that release and re-take the GIL (the two gathers,
-the bincount and the sort of the closedness test; np.arange and ndarray.take
-would add more), and a one-leaf query a few gathers. Under the CLI's --jobs
-threads each such call waits for the GIL while another worker runs Python.
+the mesh takes the second pass's corners as its own.
 
 The filter loses no hit of the exact triangle test: that test reports a hit
 only when the two triangles' crossing segments, on the line where their
@@ -50,13 +46,10 @@ The bounds that every query reads (its BVH nodes' centres and
 half-extents, the TRI_EPS-expanded node and triangle bounds) are computed
 once when the CollisionMesh is built. The ray-parity terms are not: few
 containment points pass the box test, so point_in_mesh computes them past
-it. A CollisionMesh has at least one triangle; its arrays are read-only, so
-it is safe to share across threads.
+it. A CollisionMesh has at least one triangle; its arrays are read-only.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -69,10 +62,6 @@ _CORNERS = np.arange(3)
 _BIN_COLUMNS = np.arange(4)  # inset_mesh's per-vertex bins: normal x, y, z and area
 _NO_CHILD = np.full(1, -1, dtype=np.intp)  # left and right of a one-leaf mesh's root
 _NO_CHILD.setflags(write=False)
-# Rows per broad-phase comparison: numpy gives up the GIL in a loop over
-# more than 500 elements, which under the CLI's --jobs threads costs a wait
-# for the other worker; a (83, 6) comparison and its row test stay below.
-_BROAD_ROWS = 500 // 6
 
 # Oblique fixed ray direction: avoids axis-aligned degeneracies in parity tests.
 _RAY_DIR = np.array([0.57735026, 0.51449576, 0.63245553])
@@ -124,7 +113,7 @@ class CollisionMesh:
             lo = tmin.min(axis=0, keepdims=True)
             hi = tmax.max(axis=0, keepdims=True)
             self.left = self.right = _NO_CHILD
-            self.leaf_tris = np.fromiter(range(m), np.intp, m)[None]  # np.arange drops the GIL
+            self.leaf_tris = np.arange(m)[None]
         else:
             lo, hi = self._build_tree(tri_vertices.mean(axis=1), tmin, tmax)
         size = hi - lo
@@ -546,9 +535,8 @@ class PartColliders:
     consumer reads. A part's mesh is built on its first lookup and kept.
     Builds are keyed by geometry (the shapes and bytes of the vertex and
     triangle arrays), so parts with the same mesh share one CollisionMesh
-    and it is built once. Builds run under a lock, so threads sharing the
-    table build each geometry once. Meshes are immutable, so the table is
-    shareable; each consumer places parts into its own AssemblyChecker.
+    and it is built once. Meshes are immutable, so the table is shareable;
+    each consumer places parts into its own AssemblyChecker.
 
     ``get`` returns None for an unknown part and for a part without
     geometry. A mesh that cannot be built raises from every lookup that
@@ -559,7 +547,6 @@ class PartColliders:
         self._inset = inset
         self._meshes: dict = {}  # part id -> mesh
         self._by_geometry: dict = {}  # geometry key -> mesh
-        self._lock = threading.Lock()
 
     @classmethod
     def from_catalog(cls, catalog, inset: float = 0.25) -> "PartColliders":
@@ -577,12 +564,11 @@ class PartColliders:
             return None
         v, t = part.mesh.vertices, part.mesh.triangles
         key = (v.shape, t.shape, v.tobytes(), t.tobytes())
-        with self._lock:
-            mesh = self._by_geometry.get(key)
-            if mesh is None:
-                mesh = inset_mesh(v, t, self._inset)
-                self._by_geometry[key] = mesh
-            self._meshes[part_id] = mesh
+        mesh = self._by_geometry.get(key)
+        if mesh is None:
+            mesh = inset_mesh(v, t, self._inset)
+            self._by_geometry[key] = mesh
+        self._meshes[part_id] = mesh
         return mesh
 
 
@@ -594,11 +580,10 @@ class AssemblyChecker:
     array. A new box (lo, hi) overlaps row i's widened box iff
     ``lo_i - TRI_EPS <= hi`` and ``-(hi_i + TRI_EPS) <= -lo`` on every axis,
     so the broad phase is one comparison of the rows with ``(hi, -lo)`` and
-    one ``all`` along the rows, per block of _BROAD_ROWS rows. Negation is
-    exact, so the candidates are those of comparing ``lo <= hi_i + TRI_EPS``
-    and ``hi >= lo_i - TRI_EPS`` directly, bit for bit.
-
-    Not thread-safe; use one checker per worker.
+    one ``all`` along the rows, whose candidates run the narrow phase in
+    placement order. Negation is exact, so the candidates are those of
+    comparing ``lo <= hi_i + TRI_EPS`` and ``hi >= lo_i - TRI_EPS``
+    directly, bit for bit.
     """
 
     def __init__(self):
@@ -631,12 +616,10 @@ class AssemblyChecker:
         self._placed.append((mesh, pose))
         if step:
             query = np.array((hi0, hi1, hi2, -lo0, -lo1, -lo2))
-            for start in range(0, step, _BROAD_ROWS):
-                rows = self._bounds[start:min(start + _BROAD_ROWS, step)]
-                for i in np.flatnonzero((rows <= query).all(axis=1)).tolist():
-                    other_mesh, other_pose = self._placed[start + i]
-                    if intersects(mesh, pose, other_mesh, other_pose):
-                        return start + i
+            for i in np.flatnonzero((self._bounds[:step] <= query).all(axis=1)).tolist():
+                other_mesh, other_pose = self._placed[i]
+                if intersects(mesh, pose, other_mesh, other_pose):
+                    return i
         return None
 
 

@@ -11,8 +11,6 @@ parameter codec (``realize_params``, ``extract_params``)."""
 
 import json
 import math
-import threading
-import time
 from collections import Counter
 
 import numpy as np
@@ -304,18 +302,14 @@ def build_collision_mesh(vertices, triangles) -> collision.CollisionMesh:
     return collision.CollisionMesh(v, t, v[t])
 
 
-def count_inset_builds(monkeypatch, delay: float = 0.0) -> Counter:
+def count_inset_builds(monkeypatch) -> Counter:
     """Patch ``collision.inset_mesh`` to count its calls per source vertex
-    array (one per catalog part), sleeping ``delay`` seconds in each build
-    to widen the window in which concurrent lookups race."""
+    array (one per catalog part)."""
     builds: Counter = Counter()
-    lock = threading.Lock()
     real = collision.inset_mesh
 
     def counting(vertices, triangles, offset):
-        with lock:
-            builds[id(vertices)] += 1
-        time.sleep(delay)
+        builds[id(vertices)] += 1
         return real(vertices, triangles, offset)
 
     monkeypatch.setattr(collision, "inset_mesh", counting)

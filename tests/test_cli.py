@@ -295,9 +295,9 @@ def test_internal_pose_path_runs_no_lapack(workdir, capsys, tmp_path, monkeypatc
 
 def test_outputs_byte_identical_across_runs_and_jobs(workdir, capsys, tmp_path):
     seqdir = _write_eval_corpus(tmp_path)
-    assert run(workdir, "--jobs", 1, "eval", seqdir) == 0
+    assert run(workdir, "eval", seqdir) == 0
     first = capsys.readouterr().out
-    assert run(workdir, "--jobs", 4, "eval", seqdir) == 0
+    assert run(workdir, "eval", seqdir) == 0
     second = capsys.readouterr().out
     assert first == second
     assert run(workdir, "--seed", 11, "serialize", workdir / "stack4.ldr") == 0
@@ -352,8 +352,8 @@ def test_reused_parser_keeps_no_state_between_calls(workdir, tmp_path, monkeypat
     catalog = ["--catalog", str(workdir / "catalog.json")]
     calls = [
         [*catalog, "--pos-tol", "x", "graph", ldr],  # argparse's own error: exit 2
-        [*catalog, "--jobs", "0", "eval", *progs],  # a numeric rule's error: exit 2
-        [*catalog, "--jobs", "1", "eval", *progs],
+        [*catalog, "--max-parts", "0", "eval", *progs],  # a numeric rule's error: exit 2
+        [*catalog, "eval", *progs],
         [*catalog, "--no-collision", "check", *progs],
         [*catalog, "--format", "csv", "eval", *progs],
         [*catalog, "sample", ldr, "--count", "3"],
@@ -816,14 +816,14 @@ def test_eval_builds_only_the_meshes_it_places(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "check"])
-def test_jobs_2_builds_each_mesh_once(workdir, capsys, tmp_path, monkeypatch, command):
-    builds = count_inset_builds(monkeypatch, delay=0.005)
+def test_one_call_builds_each_mesh_once(workdir, capsys, tmp_path, monkeypatch, command):
+    builds = count_inset_builds(monkeypatch)
     text = serialize(generate_random_path(CAT, np.random.default_rng(3), 12), CAT)
     files = []
-    for k in range(6):  # the same program six times: both workers race for every part
+    for k in range(6):  # the same program six times: every file looks up the same parts
         files.append(tmp_path / f"p{k}.bseq")
         files[-1].write_text(text)
-    assert run(workdir, "--jobs", 2, command, *files) == 0
+    assert run(workdir, command, *files) == 0
     capsys.readouterr()
     assert builds and set(builds.values()) == {1}
 
@@ -890,8 +890,6 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
 
 @pytest.mark.parametrize("argv, message", [
     (["--max-parts", "0", "serialize", "{ldr}"], "argument --max-parts: must be >= 1, got 0"),
-    (["--jobs", "0", "eval", "{prog}"], "argument --jobs: must be >= 1, got 0"),
-    (["--jobs", "-3", "check", "{prog}"], "argument --jobs: must be >= 1, got -3"),
     (["sample", "{ldr}", "--count", "-1"], "argument --count: must be >= 0, got -1"),
     (["--seed", "-1", "serialize", "{ldr}"], "argument --seed: must be >= 0, got -1"),
     (["--axis-tol", "inf", "graph", "{ldr}"], "argument --axis-tol: must be finite, got inf"),
@@ -902,7 +900,7 @@ def test_fuzzed_programs_keep_the_exit_code_contract(workdir, text):
     (["--axis-tol", "-5", "graph", "{ldr}"], "argument --axis-tol: must be >= 0, got -5.0"),
     (["--inset", "-1", "check", "{prog}"], "argument --inset: must be >= 0, got -1.0"),
     (["--inset", "1e300", "check", "{prog}"], "argument --inset: must be <= 1e+06, got 1e+300"),
-], ids=["max-parts-0", "jobs-0", "jobs-negative", "count-negative", "seed-negative",
+], ids=["max-parts-0", "count-negative", "seed-negative",
         "axis-tol-inf", "pos-tol-nan", "inset-nan", "inset-minus-inf", "pos-tol-negative",
         "axis-tol-negative", "inset-negative", "inset-beyond-the-mesh-bound"])
 def test_bad_numeric_flags_exit2(workdir, capsys, tmp_path, argv, message):
