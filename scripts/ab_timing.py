@@ -14,7 +14,9 @@ of the demo parts (``build-demo``); a first and a later ``cli.main`` call
 (``main-first``, ``main-later``); ``Catalog.load`` (``catalog-load``); the
 mesh lookups of the eval-corrupted round's first ``eval`` call
 (``shard-meshes``); ``parse_program`` on the programs of one round of a
-workload (``parse-eval-corrupted``, ``parse-dense-wall``); and
+workload (``parse-eval-corrupted``, ``parse-dense-wall``);
+``validate_prefix`` on the same programs, with a fresh mesh table per
+``eval`` call (``validate-eval-corrupted``, ``validate-dense-wall``); and
 ``Catalog.load`` of a generated 200-part LDraw library directory
 (``library-scan``, in ms per part).
 
@@ -302,6 +304,33 @@ def parse_case(name: str):
     return make
 
 
+def validate_case(name: str):
+    """``validate_prefix`` on the programs that one round of a workload
+    evaluates, each ``eval`` call with a freshly loaded catalog and a fresh
+    mesh table, as the CLI makes them. A report's outcome is its JSON."""
+
+    def make(sides, args):
+        _, shards = workload(name, args.seed)
+
+        def once(side):
+            load, validate = side["catalog"].Catalog.load, side["program"].validate_prefix
+            seconds, reports = 0.0, []
+            for texts in shards:
+                catalog = load(workloads.CATALOG)
+                meshes = side["collision"].PartColliders.from_catalog(catalog)
+                start = time.perf_counter()
+                reports += [validate(text, catalog, meshes) for text in texts]
+                seconds += time.perf_counter() - start
+            return seconds, [report.to_json_obj() for report in reports]
+
+        def actions(outcome):
+            return f"{sum(r['connectivity_steps'] for r in outcome)} actions"
+
+        return Case(sum(map(len, shards)), once, detail=actions)
+
+    return make
+
+
 def library_scan(sides, args, parts: int = 200):
     """``Catalog.load`` of a generated LDraw library directory: ``parts``
     parts, each a scaled box primitive and 1-16 studs (16-segment cylinders,
@@ -344,6 +373,8 @@ CASES = {
     "shard-meshes": shard_meshes,
     "parse-eval-corrupted": parse_case("eval-corrupted"),
     "parse-dense-wall": parse_case("dense-wall"),
+    "validate-eval-corrupted": validate_case("eval-corrupted"),
+    "validate-dense-wall": validate_case("dense-wall"),
     "library-scan": library_scan,
 }
 
@@ -362,7 +393,7 @@ def compare(name: str, case: Case, sides, reps: int) -> None:
             raise SystemExit(f"{name}: the two sides disagree on an outcome")
     base, change = (case.scale * statistics.median(t) for t in times)
     won = sum(c < b for b, c in zip(*times))
-    print(f"{name:<21} {case.items:>6} {case.detail(outcomes[1]):<12} {base:>9.3f} "
+    print(f"{name:<23} {case.items:>6} {case.detail(outcomes[1]):<12} {base:>9.3f} "
           f"{change:>9.3f} {case.unit:<7} {base / change:>6.2f} {won:>3}/{reps:<3}", flush=True)
 
 
@@ -379,7 +410,7 @@ def main():
 
     sides = (load_side(args.base.resolve() / "src", "brickir_base"),
              load_side(ROOT / "src", "brickir"))
-    print(f"{'case':<21} {'items':>6} {'holding':<12} {'base':>9} {'change':>9} {'unit':<7} "
+    print(f"{'case':<23} {'items':>6} {'holding':<12} {'base':>9} {'change':>9} {'unit':<7} "
           f"{'ratio':>6} {'won':>7}")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

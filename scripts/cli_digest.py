@@ -24,7 +24,9 @@ out (exit 1), eval of a directory without files, sample of a graph
 without nodes and sample of a --count too large to allocate (exit 1), and
 parse and graph of MPDs whose composed transforms overflow (exit 2), and
 sample of graph JSON whose rotations are written to 8 decimals (repaired,
-exit 0) or scaled by 1.01 (exit 2), and graph, execute, check and eval
+exit 0) or scaled by 1.01 (exit 2), serialize of two-plate graph JSON
+with edges that the matcher cannot find (a ball edge on studs, a stud-stud
+edge, a stud held by two edges: exit 3), and graph, execute, check and eval
 with a catalog whose connector origins lie beyond the 1e6 LDU bound
 (exit 3). It also runs graph on seeded
 perturbations of mixed.ldr, turned and moved around each family's match
@@ -88,6 +90,18 @@ OVERLAP = (
 
 
 PERTURBED = 8
+
+IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+TWO_PLATES = [  # the two lowest plates of stack4.ldr, as graph-JSON nodes
+    {"id": i, "part": "3023", "color": color, "pose": {"rot": IDENTITY, "t": [0.0, y, 0.0]}}
+    for i, (color, y) in enumerate(((4, 0.0), (14, -8.0)))
+]
+STUD_EDGE = {"a": [0, "a"], "b": [1, "b"], "family": "stud", "params": {"yaw": 0}}
+EDGE_FAULTS = {  # edge lists between the two plates that the matcher cannot find
+    "ball": [{**STUD_EDGE, "family": "ball", "params": {"euler": [0, 0, 0]}}],
+    "stud-stud": [{**STUD_EDGE, "b": [1, "a"]}],
+    "held-twice": [STUD_EDGE, {**STUD_EDGE, "b": [1, "d"]}],
+}
 
 # --- a small LDraw part library, written as text ----------------------------
 
@@ -304,6 +318,8 @@ def _write_inputs(root: Path) -> None:
         for node in obj["nodes"]:
             node["pose"]["rot"] = [round(v * scale, 8) for v in node["pose"]["rot"]]
         (root / f"{name}_rotations.json").write_text(json.dumps(obj))
+    for name, edges in EDGE_FAULTS.items():
+        (root / f"edge_{name}.json").write_text(json.dumps({"nodes": TWO_PLATES, "edges": edges}))
     rng = np.random.default_rng(20261020)
     for i in range(PERTURBED):
         (root / f"mixed_p{i}.ldr").write_text(_perturbed_mixed(rng))
@@ -440,6 +456,8 @@ def _calls():
     for name in ("rounded", "scaled"):
         calls.append((f"sample {name} rotations", cat + [
             "--seed", "1", "sample", f"{name}_rotations.json", "--count", "4"], None))
+    for name in EDGE_FAULTS:
+        calls.append((f"serialize {name} edge", cat + ["serialize", f"edge_{name}.json"], None))
     far = ["--catalog", "catalog_far_origin.json"]
     calls.append(("far connector origin graph", far + ["graph", "turned_plate.ldr"], None))
     for command in ("execute", "check", "eval"):

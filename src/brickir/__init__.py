@@ -19,7 +19,6 @@ from .graph import (
 )
 from .ldraw import PartInstance, parse_structure, read_lines, walk_part
 from .program import (
-    BuildProgram,
     ValidityReport,
     execute,
     parse_program,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotatedConnector",
     "BuildPath",
-    "BuildProgram",
     "Catalog",
     "ConnEdge",
     "ConnectivityGraph",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ldraw
-from .connectors import AnnotatedConnector, annotate_part, default_primitive_table, default_rules
+from .connectors import AnnotatedConnector, annotate_part, default_primitive_table
 from .errors import CatalogError, LdrawParseError
 
 
@@ -98,8 +98,8 @@ def _default_colors() -> dict[int, str]:
 class Catalog:
     """Read-only registry of parts and color names (immutable after load).
 
-    ``rules`` is the shipped connector pairing table; ``warnings`` holds what
-    building the catalog from a part library reported, one line each.
+    ``warnings`` holds what building the catalog from a part library
+    reported, one line each.
     """
 
     warnings: tuple[str, ...] = ()
@@ -107,7 +107,6 @@ class Catalog:
     def __init__(self, parts, colors=None):
         self.parts: dict[str, PartDef] = dict(parts)
         self.colors: dict[int, str] = dict(colors if colors is not None else _default_colors())
-        self.rules = default_rules()
         self._by_name = {normalize_part_name(p.name): p for p in self.parts.values()}
         self._color_names = set(self.colors.values())
 
@@ -147,8 +146,8 @@ class Catalog:
             }
             if p.mesh is not None:
                 entry["mesh"] = {
-                    "vertices": [[float(x) for x in v] for v in p.mesh.vertices],
-                    "triangles": [[int(i) for i in t] for t in p.mesh.triangles],
+                    "vertices": p.mesh.vertices.tolist(),
+                    "triangles": p.mesh.triangles.tolist(),
                 }
             parts[pid] = entry
         return {

@@ -23,6 +23,7 @@ from . import graph as graph_mod
 from . import ldraw, metrics, program
 from .catalog import MESH_COORD_MAX, Catalog
 from .collision import PartColliders
+from .connectors import default_rules
 from .errors import (
     AnnotationError,
     BrickIrError,
@@ -149,13 +150,24 @@ def cmd_parse(args, catalog) -> int:
 def _graph_from_input(path, catalog, args) -> graph_mod.ConnectivityGraph:
     if path.endswith(".json"):
         g = graph_mod.ConnectivityGraph.loads(_read(path))
-        # every node's part and every edge endpoint's connector must exist:
-        # the catalog lookups raise CatalogError otherwise
+        # every node's part and every edge endpoint's connector must exist (the
+        # lookups raise CatalogError otherwise), and every edge must be one the
+        # matcher could find: between subtypes that pair (so share a family), of
+        # that family, on single-accept connectors that no other edge holds
         for inst in g.nodes.values():
             catalog.part(inst.part_id)
+        rules = default_rules()
+        held = set()  # the single-accept endpoints of the edges so far
         for e in g.edges:
-            for node, index in (e.a, e.b):
-                catalog.connector(g.nodes[node].part_id, index)
+            a, b = (catalog.connector(g.nodes[node].part_id, index) for node, index in (e.a, e.b))
+            if not (rules.compatible(a.subtype, b.subtype) and a.family == e.family):
+                raise CatalogError(f"{e.family.value} edge {e.a}-{e.b} cannot join "
+                                   f"{a.subtype!r} and {b.subtype!r}")
+            for end, connector in ((e.a, a), (e.b, b)):
+                if end in held:
+                    raise CatalogError(f"connector {end} is single-accept and held by two edges")
+                if not rules.is_multi_accept(connector.subtype):
+                    held.add(end)
         return g
     instances = ldraw.parse_structure(Path(path).read_bytes(), catalog, strict=args.strict)
     return graph_mod.match_connectors(instances, catalog, _tolerances(args))

@@ -208,7 +208,7 @@ DEMO_STRUCTURES = {
 
 def _compat_index(catalog: Catalog):
     """subtype -> [(part_id, connector)] of partners it can pair with."""
-    rules = catalog.rules
+    rules = default_rules()
     index: dict[str, list] = {}
     for pid in sorted(catalog.parts):
         for conn in catalog.parts[pid].connectors:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .catalog import Catalog
 from .collision import AssemblyChecker
-from .connectors import ConnectorFamily, dof_spec, letter_index
+from .connectors import ConnectorFamily, default_rules, dof_spec, letter_index
 from .errors import CatalogError, GraphParseError, MatchError
 from .geometry import (
     IDENTITY_ROWS,
@@ -522,9 +522,9 @@ def _candidate_pairs(conns, tol: MatchTolerances):
     return pairs
 
 
-def _resolve_candidates(conns, pairs, catalog: Catalog, tol: MatchTolerances):
+def _resolve_candidates(conns, pairs, tol: MatchTolerances):
     """Narrow phase plus deterministic degree-constraint resolution."""
-    rules = catalog.rules
+    rules = default_rules()
     candidates = []
     keys = [_endpoint_key(c) for c in conns]
     for i, j in pairs:
@@ -574,7 +574,7 @@ def match_connectors(
     tol = tol or MatchTolerances()
     conns = _collect_world_connectors(instances, catalog)
     pairs = _candidate_pairs(conns, tol)
-    edges = _resolve_candidates(conns, pairs, catalog, tol)
+    edges = _resolve_candidates(conns, pairs, tol)
     nodes = {inst.node_id: inst for inst in instances if not inst.nonrigid}
     return ConnectivityGraph(nodes, edges)
 
@@ -598,8 +598,6 @@ def _wilson_tree(adj, root, comp, rng):
         u = start
         while u not in in_tree:
             choices = adj[u]
-            if not choices:
-                raise MatchError(f"node {u} is isolated within its component")
             nxt[u] = choices[int(rng.integers(len(choices)))]
             u = nxt[u][0]
         u = start

@@ -13,7 +13,8 @@ ball: e1 e2 e3; fixed: none. Node ids are assigned a, b, ..., z, aa, ... in
 introduction order; the attach's "new" endpoint is always the most recently
 introduced node. This grammar is the normative definition of the format.
 
-Programs are immutable values; execution is a pure function of its inputs.
+A parsed program is its placement actions, each a part introduction and its
+attaches (immutable values); execution is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import partial
 
 from .catalog import Catalog, PartDef
 from .collision import AssemblyChecker
-from .connectors import ConnectorFamily, dof_spec, letter_id
+from .connectors import AnnotatedConnector, ConnectorFamily, default_rules, dof_spec, letter_id
 from .errors import ProgramError
 from .geometry import QuantizedParams, RigidTransform
 from .graph import BuildPath, attach_pose, param_values, params_from_values, reverse_params
@@ -42,21 +43,15 @@ class PartIntro:
 
 @dataclass(frozen=True)
 class Attach:
+    """An attach line, with the two connectors its indices name (the
+    target's, then the newest part's), as the parser resolved them."""
+
     target: str
     family: ConnectorFamily
-    target_subtype: str
-    target_index: str
-    new_subtype: str
-    new_index: str
+    target_connector: AnnotatedConnector
+    new_connector: AnnotatedConnector
     params: QuantizedParams
     line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BuildProgram:
-    """Ordered build steps; the first step introduces the root."""
-
-    steps: tuple
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,11 @@ class ProgramDiagnosis:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Longest valid prefix plus the first invalid line, if any."""
+    """Longest valid prefix, as its placement actions, plus the first
+    invalid line, if any. An action is a part introduction and its attaches;
+    the first introduces the root and has none."""
 
-    program: BuildProgram
+    actions: tuple[tuple[PartIntro, tuple[Attach, ...]], ...]
     error: ProgramDiagnosis | None = None
 
 
@@ -136,8 +133,8 @@ def serialize(path: BuildPath, catalog: Catalog) -> str:
         else:
             params = reverse_params(edge.family, edge.params)
             new_conn = edge.a[1]
-        target_subtype = catalog.connector(g.nodes[target_node].part_id, target_conn).subtype
-        new_subtype = catalog.connector(g.nodes[step.new_node].part_id, new_conn).subtype
+        target_subtype = catalog.part(g.nodes[target_node].part_id).connector(target_conn).subtype
+        new_subtype = catalog.part(g.nodes[step.new_node].part_id).connector(new_conn).subtype
         lines.append(intro_line(step.new_node))
         tokens = [
             letters[target_node],
@@ -199,7 +196,8 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
     In prefix mode the result carries the first invalid line as a structured
     diagnosis; strict mode raises ProgramError instead. An invalid line
     anywhere inside a placement action invalidates the whole action, so the
-    returned program only contains complete valid actions.
+    result holds complete valid actions only. Each attach carries the two
+    connectors it names, so nothing after the parser looks them up again.
 
     What a line checks against the catalog alone is worked out once per
     call: each distinct part name, colour, (family, target subtype, new
@@ -210,17 +208,17 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
     keeps its code, message and line. Connectors are looked up by index
     (``PartDef.connectors_by_index``).
     """
-    steps: list = []
-    complete = 0  # number of steps belonging to fully completed actions
+    actions: list = []  # the complete actions
+    intro: PartIntro | None = None  # the action in progress
+    attaches: list[Attach] = []  # its attaches so far
     introduced: dict[str, PartDef] = {}  # letter -> part
-    newest: str | None = None
     newest_part: PartDef | None = None
     newest_attached = True  # the root needs no attach
     parts: dict = {}  # part name -> PartDef, or None when not in the catalog
     colors: dict = {}  # colour -> its lowercase name, or None when not registered
     families: dict = {}  # (family, target subtype, new subtype) -> family or error
     params_of: dict = {}  # (family, *param tokens) -> QuantizedParams or error
-    rules = catalog.rules
+    rules = default_rules()
 
     try:
         for number, raw in enumerate(text.splitlines(), start=1):
@@ -230,9 +228,10 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
             if " | " in line:
                 if not newest_attached:
                     raise ProgramError(
-                        "missing-attach", f"node {newest!r} was never attached", number
+                        "missing-attach", f"node {intro.node!r} was never attached", number
                     )
-                complete = len(steps)  # the previous action is done
+                if intro is not None:
+                    actions.append((intro, tuple(attaches)))  # the previous action is done
                 left, color_name = map(str.strip, line.split(" | ", 1))
                 tokens = left.split()
                 if len(tokens) < 2 or not color_name:
@@ -263,10 +262,10 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                     )
                 newest_attached = not introduced  # root completes at its intro
                 introduced[node_id] = newest_part = part
-                newest = node_id
-                steps.append(PartIntro(node_id, part.part_id, part.name, color, number))
+                intro = PartIntro(node_id, part.part_id, part.name, color, number)
+                attaches = []
             else:
-                if newest is None:
+                if intro is None:
                     raise ProgramError(
                         "unexpected-attach", "attach before any part introduction", number
                     )
@@ -286,7 +285,7 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                     params = params_of[key] = _parse_params(family, tokens[6:])
                 if type(params) is tuple:
                     raise ProgramError(*params, number)
-                if target_id == newest:
+                if target_id == intro.node:
                     raise ProgramError(
                         "self-attach", "attach targets the node it introduces", number
                     )
@@ -297,6 +296,7 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                         f"target node {target_id!r} not introduced yet",
                         number,
                     )
+                connectors = []  # the target's, then the new part's
                 for part, sub, idx, role in (
                     (target_part, sub_t, idx_t, "target"),
                     (newest_part, sub_n, idx_n, "new"),
@@ -315,33 +315,32 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
                             f"not {sub!r}",
                             number,
                         )
-                steps.append(
-                    Attach(target_id, family, sub_t, idx_t, sub_n, idx_n, params, line=number)
-                )
+                    connectors.append(connector)
+                attaches.append(Attach(target_id, family, *connectors, params, line=number))
                 newest_attached = True
         if not newest_attached:
             raise ProgramError(
-                "missing-attach", f"node {newest!r} was never attached", steps[-1].line
+                "missing-attach", f"node {intro.node!r} was never attached", intro.line
             )
+        if intro is not None:
+            actions.append((intro, tuple(attaches)))
     except ProgramError as exc:
         if strict:
             raise
-        return ParseResult(
-            BuildProgram(tuple(steps[:complete])),
-            ProgramDiagnosis(exc.line or 0, exc.code, str(exc)),
-        )
-    return ParseResult(BuildProgram(tuple(steps)), None)
+        return ParseResult(tuple(actions), ProgramDiagnosis(exc.line or 0, exc.code, str(exc)))
+    return ParseResult(tuple(actions), None)
 
 
 # ---------------------------------------------------------------------------
 # Execution
 
 
-def _placements(program: BuildProgram, catalog: Catalog):
-    """Place the steps of a parsed program, yielding ``(intro, place)`` as
-    each placement action completes. ``place()`` returns the node's pose: the
-    root lands at the identity, every other node at its first attach. Further
-    attaches on the same node only claim connectors.
+def _placements(actions):
+    """Place the parsed actions, yielding ``(intro, place)`` for each action
+    once its attaches have claimed their connectors. ``place()`` returns the
+    node's pose:
+    the root lands at the identity, every other node at its first attach.
+    Further attaches on the same node only claim connectors.
 
     The parser has checked every other rule, so the one check left here is
     'connector-occupied' (reusing a single-accept connector), which raises
@@ -351,55 +350,44 @@ def _placements(program: BuildProgram, catalog: Catalog):
     placed first (``execute`` places all, ``validate_prefix`` the
     collision-checked prefix).
     """
-    fixed_by: dict[str, Attach | None] = {}  # node -> the attach that fixes its pose
     poses: dict[str, RigidTransform] = {}
-    parts: dict[str, str] = {}
     consumed: set[tuple[str, str]] = set()
-    rules = catalog.rules
+    is_multi_accept = default_rules().is_multi_accept
 
-    def place(node: str) -> RigidTransform:
+    def place(node: str, attach: Attach | None) -> RigidTransform:
         if node not in poses:
-            step = fixed_by[node]
-            poses[node] = RigidTransform.identity() if step is None else attach_pose(
-                poses[step.target],
-                catalog.connector(parts[step.target], step.target_index).frame,
-                catalog.connector(parts[node], step.new_index).frame,
-                step.family,
-                step.params,
+            poses[node] = RigidTransform.identity() if attach is None else attach_pose(
+                poses[attach.target],
+                attach.target_connector.frame,
+                attach.new_connector.frame,
+                attach.family,
+                attach.params,
             )
         return poses[node]
 
-    intro = None  # the action in progress
-    for step in program.steps:
-        if isinstance(step, PartIntro):
-            if intro is None:
-                fixed_by[step.node] = None  # the root
-            else:
-                yield intro, partial(place, intro.node)
-            parts[step.node] = step.part_id
-            intro = step
-            continue
-        for node, index, subtype in (
-            (step.target, step.target_index, step.target_subtype),
-            (intro.node, step.new_index, step.new_subtype),
-        ):
-            key = (node, index)
-            if key in consumed and not rules.is_multi_accept(subtype):
-                raise ProgramError(
-                    "connector-occupied", f"connector {index!r} of node {node!r} reused", step.line
-                )
-            consumed.add(key)
-        fixed_by.setdefault(intro.node, step)
-    if intro is not None:
-        yield intro, partial(place, intro.node)
+    for intro, attaches in actions:
+        for attach in attaches:
+            for node, connector in (
+                (attach.target, attach.target_connector),
+                (intro.node, attach.new_connector),
+            ):
+                key = (node, connector.index)
+                if key in consumed and not is_multi_accept(connector.subtype):
+                    raise ProgramError(
+                        "connector-occupied",
+                        f"connector {connector.index!r} of node {node!r} reused",
+                        attach.line,
+                    )
+                consumed.add(key)
+        yield intro, partial(place, intro.node, attaches[0] if attaches else None)
 
 
 def execute(text: str, catalog: Catalog) -> dict[str, RigidTransform]:
     """Run program text: the root lands at the identity and every attached
     node's pose satisfies its attach instruction exactly. The first invalid
     line raises ProgramError (the parser's codes, or 'connector-occupied')."""
-    program = parse_program(text, catalog, strict=True).program
-    return {intro.node: place() for intro, place in _placements(program, catalog)}
+    actions = parse_program(text, catalog, strict=True).actions
+    return {intro.node: place() for intro, place in _placements(actions)}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +411,7 @@ def validate_prefix(text: str, catalog: Catalog, part_meshes=None) -> ValidityRe
     connectivity = 0
     collision = 0
     try:
-        for intro, place in _placements(result.program, catalog):
+        for intro, place in _placements(result.actions):
             connectivity += 1
             if collision < connectivity - 1:
                 continue  # an earlier placement collided

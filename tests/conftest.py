@@ -36,7 +36,6 @@ from brickir.graph import (
     _validate_params,
     param_values,
 )
-from brickir.program import PartIntro
 
 
 # every number is finite, but the composed matrix or translation at line 1
@@ -213,20 +212,20 @@ def icosphere_mesh(radius: float, subdivisions: int = 1):
     return v, np.array(tris, dtype=np.int64)
 
 
-def render_program(program) -> str:
-    """Program steps back to text (inverse of parse_program on valid input)."""
+def render_program(actions) -> str:
+    """Parsed actions back to text (inverse of parse_program on valid input)."""
     lines = []
-    for step in program.steps:
-        if isinstance(step, PartIntro):
-            lines.append(f"{step.node} {step.part_name} | {step.color_name}")
-        else:
+    for intro, attaches in actions:
+        lines.append(f"{intro.node} {intro.part_name} | {intro.color_name}")
+        for step in attaches:
+            target, new = step.target_connector, step.new_connector
             tokens = [
                 step.target,
                 step.family.value,
-                step.target_subtype,
-                step.target_index,
-                step.new_subtype,
-                step.new_index,
+                target.subtype,
+                target.index,
+                new.subtype,
+                new.index,
             ] + ["flip"] * step.params.flip
             tokens += [str(v) for v in param_values(step.family, step.params)]
             lines.append(" ".join(tokens))
@@ -250,11 +249,6 @@ def orthonormality_error(rotation) -> float:
     """Max-abs deviation of R^T R from the identity."""
     r = np.asarray(rotation, dtype=np.float64)
     return float(np.abs(r.T @ r - np.eye(3)).max())
-
-
-def action_count(program) -> int:
-    """Placement actions of a BuildProgram: its part introductions."""
-    return sum(1 for s in program.steps if isinstance(s, PartIntro))
 
 
 def survival_proportion(curve, k: int) -> float:

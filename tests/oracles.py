@@ -20,7 +20,7 @@ import numpy as np
 
 from brickir import collision
 from brickir.collision import DEGENERATE_AREA, TRI_EPS, AssemblyChecker
-from brickir.connectors import ConnectorFamily, dof_spec, letter_id
+from brickir.connectors import ConnectorFamily, default_rules, dof_spec, letter_id
 from brickir.errors import BrickIrError, MatchError, ProgramError
 from brickir.geometry import (
     ORTHONORMAL_TOL,
@@ -40,7 +40,6 @@ from brickir.graph import (
 from brickir.program import (
     FAMILY_NAMES,
     Attach,
-    BuildProgram,
     ParseResult,
     PartIntro,
     ProgramDiagnosis,
@@ -69,7 +68,7 @@ def exhaustive_match(instances, catalog, tol) -> ConnectivityGraph:
     """O(n^2 c^2) matcher: the full predicate is evaluated on every connector
     pair with broadcast numpy, then the documented degree-constraint
     resolution applies."""
-    rules = catalog.rules
+    rules = default_rules()
     rows = []  # (node_id, connector, world frame, multi_accept)
     for inst in instances:
         if inst.nonrigid:
@@ -537,9 +536,12 @@ def reference_rigid_check(rotation, translation):
     return r, t
 
 
-def reference_placements(program, catalog):
-    """Run a program's steps, yielding ``(intro, part_id, pose)`` as each
-    placement action completes (the root lands at the identity).
+def reference_placements(actions, catalog):
+    """Run a parsed program's steps, one after the other, yielding
+    ``(intro, part_id, pose)`` as each placement action completes (the root
+    lands at the identity). Of an attach it reads the target, the family,
+    the params and the two connector indices, and it looks the connectors up
+    in the catalog itself.
 
     A node's pose is fixed by its first attach; further attaches on the same
     node only claim connectors. The first failing step raises ProgramError:
@@ -550,7 +552,7 @@ def reference_placements(program, catalog):
     poses: dict[str, RigidTransform] = {}
     parts: dict[str, str] = {}
     consumed: set[tuple[str, str]] = set()
-    rules = catalog.rules
+    rules = default_rules()
 
     def placed(intro: PartIntro):
         if intro.node not in poses:
@@ -559,8 +561,9 @@ def reference_placements(program, catalog):
             )
         return intro, parts[intro.node], poses[intro.node]
 
+    steps = [step for head, attaches in actions for step in (head, *attaches)]
     intro = None  # the action in progress
-    for step in program.steps:
+    for step in steps:
         if isinstance(step, PartIntro):
             if intro is not None:
                 yield placed(intro)
@@ -578,11 +581,10 @@ def reference_placements(program, catalog):
             raise ProgramError(
                 "target-not-introduced", f"target {step.target!r} unplaced", step.line
             )
-        for node, index, subtype in (
-            (step.target, step.target_index, step.target_subtype),
-            (intro.node, step.new_index, step.new_subtype),
-        ):
+        target_index, new_index = step.target_connector.index, step.new_connector.index
+        for node, index in ((step.target, target_index), (intro.node, new_index)):
             key = (node, index)
+            subtype = catalog.connector(parts[node], index).subtype
             if key in consumed and not rules.is_multi_accept(subtype):
                 raise ProgramError(
                     "connector-occupied", f"connector {index!r} of node {node!r} reused", step.line
@@ -591,8 +593,8 @@ def reference_placements(program, catalog):
         if intro.node not in poses:
             poses[intro.node] = attach_pose(
                 poses[step.target],
-                catalog.connector(parts[step.target], step.target_index).frame,
-                catalog.connector(parts[intro.node], step.new_index).frame,
+                catalog.connector(parts[step.target], target_index).frame,
+                catalog.connector(parts[intro.node], new_index).frame,
                 step.family,
                 step.params,
             )
@@ -601,7 +603,7 @@ def reference_placements(program, catalog):
 
 
 def reference_validate_prefix(program, catalog, part_meshes=None) -> ValidityReport:
-    """Longest valid action prefix of a program (text or BuildProgram).
+    """Longest valid action prefix of a program (text, or parsed actions).
 
     connectivity_steps counts actions that parse and execute (the root intro
     is action 1); collision_steps additionally requires each placement to be
@@ -614,7 +616,7 @@ def reference_validate_prefix(program, catalog, part_meshes=None) -> ValidityRep
         result = parse_program(program, catalog, strict=False)
         if result.error:
             diagnoses.append(result.error)
-        program = result.program
+        program = result.actions
 
     part_meshes = part_meshes or {}
     checker = AssemblyChecker()
@@ -764,7 +766,7 @@ def reference_parse_program(text: str, catalog, strict: bool = False) -> ParseRe
                 family = FAMILY_NAMES.get(family_name)
                 if family is None:
                     fail("unknown-family", f"unknown family {family_name!r}", number)
-                rules = catalog.rules
+                rules = default_rules()
                 for sub in (sub_t, sub_n):
                     if not rules.is_registered(sub) or rules.family_of(sub) != family:
                         fail(
@@ -787,6 +789,7 @@ def reference_parse_program(text: str, catalog, strict: bool = False) -> ParseRe
                         f"target node {target_id!r} not introduced yet",
                         number,
                     )
+                connectors = []  # the target's, then the new part's
                 for part_id, sub, idx, role in (
                     (introduced[target_id], sub_t, idx_t, "target"),
                     (introduced[newest], sub_n, idx_n, "new"),
@@ -805,9 +808,8 @@ def reference_parse_program(text: str, catalog, strict: bool = False) -> ParseRe
                             f"connector {idx!r} of {part.name!r} is {actual!r}, not {sub!r}",
                             number,
                         )
-                steps.append(
-                    Attach(target_id, family, sub_t, idx_t, sub_n, idx_n, params, line=number)
-                )
+                    connectors.append(part.connector(idx))
+                steps.append(Attach(target_id, family, *connectors, params, line=number))
                 newest_attached = True
         if not newest_attached:
             fail("missing-attach", f"node {newest!r} was never attached", steps[-1].line)
@@ -815,10 +817,20 @@ def reference_parse_program(text: str, catalog, strict: bool = False) -> ParseRe
         if strict:
             raise
         return ParseResult(
-            BuildProgram(tuple(steps[:complete])),
-            ProgramDiagnosis(exc.line or 0, exc.code, str(exc)),
+            _actions(steps[:complete]), ProgramDiagnosis(exc.line or 0, exc.code, str(exc))
         )
-    return ParseResult(BuildProgram(tuple(steps)), None)
+    return ParseResult(_actions(steps), None)
+
+
+def _actions(steps) -> tuple:
+    """Flat parsed steps grouped into (intro, attaches) placement actions."""
+    actions = []
+    for step in steps:
+        if isinstance(step, PartIntro):
+            actions.append((step, []))
+        else:
+            actions[-1][1].append(step)
+    return tuple((intro, tuple(attaches)) for intro, attaches in actions)
 
 
 class ReferenceAssemblyChecker:

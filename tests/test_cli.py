@@ -520,6 +520,42 @@ def test_graph_json_unknown_part_exit3(workdir, capsys, tmp_path):
     _assert_one_error_line(capsys)
 
 
+def _relabel_as_ball(edges):
+    edges[0].update(family="ball", params={"euler": [0, 0, 0]})
+
+
+def _join_two_studs(edges):
+    edges[0]["b"] = [1, "a"]
+
+
+def _hold_a_stud_twice(edges):
+    edges.append({**edges[0], "b": [1, "d"]})
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_relabel_as_ball, "ball edge (0, 'a')-(1, 'b') cannot join 'stud' and 'hole'"),
+    (_join_two_studs, "stud edge (0, 'a')-(1, 'a') cannot join 'stud' and 'stud'"),
+    (_hold_a_stud_twice, "connector (0, 'a') is single-accept and held by two edges"),
+], ids=["ball-edge-on-studs", "stud-stud-edge", "stud-held-twice"])
+def test_graph_json_edge_the_matcher_cannot_find_exit3(workdir, capsys, tmp_path, edit, message):
+    # the two lowest plates of stack4.ldr and their stud edge: serialize
+    # writes a program that check accepts; after the edit it used to write
+    # one that check rejects (unknown-subtype, incompatible-subtypes) or
+    # that holds a stud twice
+    obj = _stack4_graph_obj(workdir, tmp_path)
+    obj["nodes"], obj["edges"] = obj["nodes"][:2], obj["edges"][:1]
+    graph = tmp_path / "two.json"
+    graph.write_text(json.dumps(obj))
+    program = tmp_path / "two.bseq"
+    assert run(workdir, "--out", program, "serialize", graph) == 0
+    assert run(workdir, "--strict", "check", program) == 0
+    capsys.readouterr()
+    edit(obj["edges"])
+    graph.write_text(json.dumps(obj))
+    assert run(workdir, "serialize", graph) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _TWO_PLATES = "a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n"
 
 

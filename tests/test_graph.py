@@ -192,8 +192,8 @@ def _assert_broad_phase_loses_nothing(insts, catalog, tol) -> Counter:
     every = set(itertools.combinations(range(len(conns)), 2))
     pairs = _candidate_pairs(conns, tol)
     assert pairs <= every
-    edges = _resolve_candidates(conns, every, catalog, tol)
-    assert _resolve_candidates(conns, pairs, catalog, tol) == edges == g.edges
+    edges = _resolve_candidates(conns, every, tol)
+    assert _resolve_candidates(conns, pairs, tol) == edges == g.edges
     return Counter(e.family for e in edges)
 
 
@@ -436,7 +436,7 @@ def test_matcher_places_and_pairs_frames_as_the_frame_objects(monkeypatch):
     checked = 0
     for pair in sorted(_candidate_pairs(conns, TOL)):
         seen.clear()
-        _resolve_candidates(conns, {pair}, CAT, TOL)
+        _resolve_candidates(conns, {pair}, TOL)
         if seen:  # a pair on one part, or of incompatible subtypes, is not checked
             a, b = sorted(pair, key=lambda k: _endpoint_key(conns[k]))
             want = relative(placed[a], placed[b])

@@ -9,7 +9,7 @@ import brickir
 from brickir import program as program_module
 from brickir.catalog import Catalog, PartDef
 from brickir.collision import PartColliders
-from brickir.connectors import AnnotatedConnector, ConnectorFamily, letter_id
+from brickir.connectors import AnnotatedConnector, ConnectorFamily, default_rules, letter_id
 from brickir.demo import build_demo_catalog, generate_random_path
 from brickir.errors import CatalogError, ProgramError
 from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose
@@ -17,7 +17,6 @@ from brickir.graph import BuildPath, ConnEdge, ConnectivityGraph, PathStep
 from brickir.ldraw import PartInstance
 from brickir.program import (
     FAMILY_NAMES,
-    PartIntro,
     execute,
     node_letters,
     parse_program,
@@ -26,7 +25,6 @@ from brickir.program import (
 )
 
 from conftest import (
-    action_count,
     component,
     demo_ldr,
     max_abs_diff,
@@ -102,7 +100,7 @@ def test_serialize_parse_render_byte_identical():
         text = serialize(path, CAT)
         result = parse_program(text, CAT)
         assert result.error is None
-        assert render_program(result.program) == text
+        assert render_program(result.actions) == text
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def test_serialize_parse_render_byte_identical():
 def test_parse_empty_program():
     result = parse_program("", CAT)
     assert result.error is None
-    assert result.program.steps == ()
+    assert result.actions == ()
 
 
 VALID = (
@@ -127,7 +125,7 @@ VALID = (
 def test_parse_valid_program():
     result = parse_program(VALID, CAT)
     assert result.error is None
-    assert action_count(result.program) == 3
+    assert len(result.actions) == 3
 
 
 CORRUPTIONS = [
@@ -160,7 +158,7 @@ def test_parse_error_codes_and_prefix_lengths(line_idx, new_line, code, actions)
     assert result.error is not None
     assert result.error.code == code
     assert result.error.line == line_idx + 1
-    assert action_count(result.program) == actions
+    assert len(result.actions) == actions
     with pytest.raises(ProgramError):
         parse_program(text, CAT, strict=True)
 
@@ -168,14 +166,14 @@ def test_parse_error_codes_and_prefix_lengths(line_idx, new_line, code, actions)
 def test_parse_attach_before_intro_prefix_is_empty():
     result = parse_program("a stud stud a hole b 0\n", CAT)
     assert result.error.code == "unexpected-attach"
-    assert result.program.steps == ()
+    assert result.actions == ()
 
 
 def test_parse_trailing_unattached_intro():
     text = "a plate 1x2 | red\nb plate 1x2 | blue\n"
     result = parse_program(text, CAT)
     assert result.error.code == "missing-attach"
-    assert action_count(result.program) == 1
+    assert len(result.actions) == 1
     # reported like a missing attach found mid-text, in both modes
     message = "line 2: missing-attach: node 'b' was never attached"
     assert (result.error.line, result.error.message) == (2, message)
@@ -454,7 +452,7 @@ def test_multi_attach_on_one_node():
     )
     result = parse_program(text, CAT)
     assert result.error is None
-    assert action_count(result.program) == 2
+    assert len(result.actions) == 2
     poses = execute(text, CAT)
     assert np.allclose(poses["b"].translation, [0, -8, 0])
     report = validate_prefix(text, CAT)
@@ -493,9 +491,9 @@ def test_poses_are_computed_only_up_to_the_first_collision(monkeypatch):
     calls = _count_attach_poses(monkeypatch)
     colliding = 0
     for text in [TEN_VALID] + _demo_texts(31, 16, 20, 60):
-        program = parse_program(text, CAT, strict=True).program
-        n = action_count(program)
-        expected = reference_validate_prefix(program, CAT, MESHES)
+        actions = parse_program(text, CAT, strict=True).actions
+        n = len(actions)
+        expected = reference_validate_prefix(actions, CAT, MESHES)
         calls.clear()
         assert validate_prefix(text, CAT, MESHES) == expected
         if expected.first_error is None:
@@ -536,10 +534,10 @@ def test_part_names_are_looked_up_by_the_parser_only(monkeypatch):
             calls.clear()
             validate_prefix(text, CAT, meshes)
             assert calls == list(dict.fromkeys(intros))
-        program = parse_program(text, CAT).program
+        actions = parse_program(text, CAT).actions
         calls.clear()
         try:
-            for _, place in program_module._placements(program, CAT):
+            for _, place in program_module._placements(actions):
                 place()
         except ProgramError:
             assert text is reuse
@@ -573,6 +571,11 @@ def _corrupted(text: str, rng: np.random.Generator) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(result) -> list[int]:
+    """The line of every intro and attach of a parse result, in order."""
+    return [step.line for intro, attaches in result.actions for step in (intro, *attaches)]
+
+
 def _pose_bytes(poses) -> dict:
     return {
         n: (np.array(p.rotation).tobytes(), np.array(p.translation).tobytes())
@@ -604,11 +607,11 @@ def test_deferred_poses_match_the_eager_executor():
             with pytest.raises(ProgramError) as raised:
                 execute(text, CAT)
             assert (raised.value.code, raised.value.line) == (result.error.code, result.error.line)
-            last = result.program.steps[-1].line if result.program.steps else 0
+            last = _lines(result)[-1] if result.actions else 0
             text = "".join(text.splitlines(keepends=True)[:last])
-        program = parse_program(text, CAT, strict=True).program
+        actions = parse_program(text, CAT, strict=True).actions
         try:
-            expected = {intro.node: pose for intro, _, pose in reference_placements(program, CAT)}
+            expected = {intro.node: pose for intro, _, pose in reference_placements(actions, CAT)}
         except ProgramError as exc:
             with pytest.raises(ProgramError) as raised:
                 execute(text, CAT)
@@ -623,7 +626,7 @@ def test_deferred_poses_match_the_eager_executor():
 
 _PARSE_BASES = _demo_texts(2027, 6, 2, 12) + _demo_texts(2028, 3, 27, 40)  # ids past 'z' too
 _PART_NAMES = sorted(p.name for p in CAT.parts.values())
-_SUBTYPES = sorted(CAT.rules.subtype_family) + ["pin2", "Stud"]
+_SUBTYPES = sorted(default_rules().subtype_family) + ["pin2", "Stud"]
 _PARAM_TOKENS = ["0", "90", "359", "360", "-90", "+45", "7", "x", "1.5", "flip", "٣",
                  str(2**52), str(-(2**52)), str(2**52 + 1), str(-(2**52) - 1), "1" * 5000]
 _PARSER_CODES = {
@@ -686,7 +689,7 @@ def _mutate_program(text: str, rnd: random.Random) -> str:
             elif op == "wrong-family":  # a registered subtype of another family
                 family = FAMILY_NAMES.get(tokens[1])
                 tokens[rnd.choice([2, 4])] = rnd.choice(
-                    [s for s, f in CAT.rules.subtype_family.items() if f != family])
+                    [s for s, f in default_rules().subtype_family.items() if f != family])
             elif op == "incompatible":
                 tokens[4] = tokens[2]
             elif op == "connector":
@@ -723,7 +726,7 @@ def _assert_parses_like_the_reference(text):
     got, want = parse_program(text, CAT), reference_parse_program(text, CAT)
     assert got == want
     # PartIntro and Attach leave their line out of ==
-    assert [s.line for s in got.program.steps] == [s.line for s in want.program.steps]
+    assert _lines(got) == _lines(want)
     assert _strict_outcome(parse_program, text) == _strict_outcome(reference_parse_program, text)
     return got
 
@@ -752,10 +755,10 @@ def test_parser_shares_one_outcome_per_key_within_a_call():
     text = _PARSE_BASES[-1]
     first, second = parse_program(text, CAT), parse_program(text, CAT)
     params = {}
-    for step in first.program.steps:
-        if not isinstance(step, PartIntro):
-            params.setdefault((step.family, step.params), step.params)
-            assert step.params is params[(step.family, step.params)]
-    assert len(params) < sum(not isinstance(s, PartIntro) for s in first.program.steps)
-    attach = next(s for s in second.program.steps if not isinstance(s, PartIntro))
+    attaches = [step for _, steps in first.actions for step in steps]
+    for step in attaches:
+        params.setdefault((step.family, step.params), step.params)
+        assert step.params is params[(step.family, step.params)]
+    assert len(params) < len(attaches)
+    attach = second.actions[1][1][0]
     assert attach.params is not params[(attach.family, attach.params)]

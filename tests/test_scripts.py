@@ -8,7 +8,8 @@ ROOT = Path(__file__).resolve().parents[1]
 AB_CASES = [
     "sphere-1280", "sphere-5120", "demo-wall", "demo-random", "build-demo",
     "main-first", "main-later", "catalog-load", "shard-meshes",
-    "parse-eval-corrupted", "parse-dense-wall", "library-scan",
+    "parse-eval-corrupted", "parse-dense-wall", "validate-eval-corrupted",
+    "validate-dense-wall", "library-scan",
 ]
 
 
