@@ -26,7 +26,8 @@ parse and graph of MPDs whose composed transforms overflow (exit 2), and
 sample of graph JSON whose rotations are written to 8 decimals (repaired,
 exit 0) or scaled by 1.01 (exit 2), serialize of two-plate graph JSON
 with edges that the matcher cannot find (a ball edge on studs, a stud-stud
-edge, a stud held by two edges: exit 3), and graph, execute, check and eval
+edge, a stud held by two edges, an edge joining a plate to itself: exit 3)
+and with a repeated node id (exit 2), and graph, execute, check and eval
 with a catalog whose connector origins lie beyond the 1e6 LDU bound
 (exit 3). It also runs graph on seeded
 perturbations of mixed.ldr, turned and moved around each family's match
@@ -101,7 +102,10 @@ EDGE_FAULTS = {  # edge lists between the two plates that the matcher cannot fin
     "ball": [{**STUD_EDGE, "family": "ball", "params": {"euler": [0, 0, 0]}}],
     "stud-stud": [{**STUD_EDGE, "b": [1, "a"]}],
     "held-twice": [STUD_EDGE, {**STUD_EDGE, "b": [1, "d"]}],
+    "self": [STUD_EDGE, {**STUD_EDGE, "a": [1, "a"], "b": [1, "d"]}],
 }
+DUPLICATE_ID = {"id": 1, "part": "3004", "color": 14,  # a brick with the second plate's id
+                "pose": {"rot": IDENTITY, "t": [0.0, -100.0, 0.0]}}
 
 # --- a small LDraw part library, written as text ----------------------------
 
@@ -268,7 +272,8 @@ def _write_inputs(root: Path) -> None:
     for i in range(30):
         path = generate_random_path(catalog, rng, int(rng.integers(20, 61)))
         if i % 3 == 0:
-            (graphs / f"g{i:02d}.json").write_text(path.graph.dumps())
+            text = json.dumps(path.graph.to_json_obj(), sort_keys=True)
+            (graphs / f"g{i:02d}.json").write_text(text)
         lines = serialize(path, catalog).splitlines()
         if i % 3 == 1:
             lines[int(rng.integers(1, len(lines)))] = "x stud garbage"
@@ -320,6 +325,8 @@ def _write_inputs(root: Path) -> None:
         (root / f"{name}_rotations.json").write_text(json.dumps(obj))
     for name, edges in EDGE_FAULTS.items():
         (root / f"edge_{name}.json").write_text(json.dumps({"nodes": TWO_PLATES, "edges": edges}))
+    (root / "duplicate_id.json").write_text(
+        json.dumps({"nodes": [*TWO_PLATES, DUPLICATE_ID], "edges": [STUD_EDGE]}))
     rng = np.random.default_rng(20261020)
     for i in range(PERTURBED):
         (root / f"mixed_p{i}.ldr").write_text(_perturbed_mixed(rng))
@@ -458,6 +465,7 @@ def _calls():
             "--seed", "1", "sample", f"{name}_rotations.json", "--count", "4"], None))
     for name in EDGE_FAULTS:
         calls.append((f"serialize {name} edge", cat + ["serialize", f"edge_{name}.json"], None))
+    calls.append(("serialize duplicate node id", cat + ["serialize", "duplicate_id.json"], None))
     far = ["--catalog", "catalog_far_origin.json"]
     calls.append(("far connector origin graph", far + ["graph", "turned_plate.ldr"], None))
     for command in ("execute", "check", "eval"):

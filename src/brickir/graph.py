@@ -217,18 +217,17 @@ class ConnectivityGraph:
             "edges": [e.to_json_obj() for e in self.edges],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj) -> "ConnectivityGraph":
         """Rebuild a graph from its JSON object. Malformed input (an infinite
-        number included), ids that are not integers, connector indices that
-        are not strings and edges naming a missing node raise GraphParseError."""
+        number included), ids that are not integers or repeat, connector indices
+        that are not strings and edges naming a missing node raise GraphParseError."""
         try:
             nodes = {}
             for n in obj.get("nodes", []):
                 nid = _json_id(n["id"])
+                if nid in nodes:
+                    raise GraphParseError(f"duplicate node id {nid}")
                 nodes[nid] = PartInstance(
                     node_id=nid,
                     part_id=_json_string(n["part"], "part id"),
@@ -245,12 +244,27 @@ class ConnectivityGraph:
         return cls(nodes, edges)
 
     @classmethod
-    def loads(cls, text: str) -> "ConnectivityGraph":
+    def loads(cls, text: str, catalog: Catalog) -> "ConnectivityGraph":
+        """Read graph JSON and hold it to the matcher's rules: each node's part, then
+        each edge's connectors, pairing and occupancy; a break raises CatalogError."""
         try:
             obj = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise GraphParseError(f"invalid graph JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
+        g = cls.from_json_obj(obj)
+        for inst in g.nodes.values():
+            catalog.part(inst.part_id)
+        held: set[tuple[int, str]] = set()
+        for e in g.edges:
+            a, b = (catalog.connector(g.nodes[node].part_id, index) for node, index in (e.a, e.b))
+            fault = _join_fault(e.a[0], a, e.b[0], b, e.family)
+            if fault:
+                raise CatalogError(f"{e.family.value} edge {e.a}-{e.b} {fault}")
+            for end, connector in ((e.a, a), (e.b, b)):
+                if occupied(held, end, connector):
+                    raise CatalogError(f"connector {end} is single-accept and held by two edges")
+                held.add(end)
+        return g
 
 
 @dataclass(frozen=True)
@@ -522,9 +536,23 @@ def _candidate_pairs(conns, tol: MatchTolerances):
     return pairs
 
 
+def _join_fault(node_a, a, node_b, b, family: ConnectorFamily) -> str | None:
+    """Why connector ``a`` of ``node_a`` and ``b`` of ``node_b`` cannot form an
+    edge of ``family``, or None: the one pairing rule of matcher and loader."""
+    if node_a == node_b:
+        return "joins a node to itself"
+    if not (default_rules().compatible(a.subtype, b.subtype) and a.family == family):
+        return f"cannot join {a.subtype!r} and {b.subtype!r}"
+    return None
+
+
+def occupied(held, end, connector) -> bool:
+    """The single-accept rule: ``end``, of ``connector``, is in ``held`` and takes one edge."""
+    return end in held and not default_rules().is_multi_accept(connector.subtype)
+
+
 def _resolve_candidates(conns, pairs, tol: MatchTolerances):
     """Narrow phase plus deterministic degree-constraint resolution."""
-    rules = default_rules()
     candidates = []
     keys = [_endpoint_key(c) for c in conns]
     for i, j in pairs:
@@ -532,32 +560,23 @@ def _resolve_candidates(conns, pairs, tol: MatchTolerances):
             i, j = j, i  # canonical direction: the smaller (node, connector) endpoint is 'a'
         node_a, conn_a, rot_a, origin_a, reach_a = conns[i]
         node_b, conn_b, rot_b, origin_b, reach_b = conns[j]
-        if node_a == node_b or not rules.compatible(conn_a.subtype, conn_b.subtype):
-            continue
         family = conn_a.family
+        if _join_fault(node_a, conn_a, node_b, conn_b, family):
+            continue
         r, t = relative_rows(rot_a, origin_a, rot_b, origin_b)
         if not _check_pairing(family, r, t, tol, reach_a + reach_b):
             continue
         params = _quantize(family, r, t)
-        candidates.append(
-            (
-                keys[i],
-                keys[j],
-                ConnEdge((node_a, conn_a.index), (node_b, conn_b.index), family, params),
-                rules.is_multi_accept(conn_a.subtype),
-                rules.is_multi_accept(conn_b.subtype),
-            )
-        )
+        edge = ConnEdge((node_a, conn_a.index), (node_b, conn_b.index), family, params)
+        candidates.append((keys[i], keys[j], edge, conn_a, conn_b))
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     used: set[tuple[int, int]] = set()
     edges = []
-    for ka, kb, edge, multi_a, multi_b in candidates:
-        if (not multi_a and ka in used) or (not multi_b and kb in used):
-            continue
-        used.add(ka)
-        used.add(kb)
-        edges.append(edge)
+    for ka, kb, edge, conn_a, conn_b in candidates:
+        if not (occupied(used, ka, conn_a) or occupied(used, kb, conn_b)):
+            used.update((ka, kb))
+            edges.append(edge)
     return edges
 
 

@@ -27,7 +27,14 @@ from .collision import AssemblyChecker
 from .connectors import AnnotatedConnector, ConnectorFamily, default_rules, dof_spec, letter_id
 from .errors import ProgramError
 from .geometry import QuantizedParams, RigidTransform
-from .graph import BuildPath, attach_pose, param_values, params_from_values, reverse_params
+from .graph import (
+    BuildPath,
+    attach_pose,
+    occupied,
+    param_values,
+    params_from_values,
+    reverse_params,
+)
 
 FAMILY_NAMES = {f.value: f for f in ConnectorFamily}
 
@@ -338,21 +345,19 @@ def parse_program(text: str, catalog: Catalog, strict: bool = False) -> ParseRes
 def _placements(actions):
     """Place the parsed actions, yielding ``(intro, place)`` for each action
     once its attaches have claimed their connectors. ``place()`` returns the
-    node's pose:
-    the root lands at the identity, every other node at its first attach.
-    Further attaches on the same node only claim connectors.
+    node's pose: the root lands at the identity, every other node at its first
+    attach. Further attaches on the same node only claim connectors.
 
     The parser has checked every other rule, so the one check left here is
-    'connector-occupied' (reusing a single-accept connector), which raises
-    ProgramError at the reusing attach. A pose is computed on the first
-    ``place()`` and then kept. It is built from its target's pose, so callers
-    must place in order: each placement they read needs every earlier one
-    placed first (``execute`` places all, ``validate_prefix`` the
+    'connector-occupied' (``occupied``: a single-accept connector reused),
+    which raises ProgramError at the reusing attach. A pose is computed on the
+    first ``place()`` and then kept. It is built from its target's pose, so
+    callers must place in order: each placement they read needs every earlier
+    one placed first (``execute`` places all, ``validate_prefix`` the
     collision-checked prefix).
     """
     poses: dict[str, RigidTransform] = {}
     consumed: set[tuple[str, str]] = set()
-    is_multi_accept = default_rules().is_multi_accept
 
     def place(node: str, attach: Attach | None) -> RigidTransform:
         if node not in poses:
@@ -367,12 +372,10 @@ def _placements(actions):
 
     for intro, attaches in actions:
         for attach in attaches:
-            for node, connector in (
-                (attach.target, attach.target_connector),
-                (intro.node, attach.new_connector),
-            ):
+            ends = ((attach.target, attach.target_connector), (intro.node, attach.new_connector))
+            for node, connector in ends:
                 key = (node, connector.index)
-                if key in consumed and not is_multi_accept(connector.subtype):
+                if occupied(consumed, key, connector):
                     raise ProgramError(
                         "connector-occupied",
                         f"connector {connector.index!r} of node {node!r} reused",

@@ -265,6 +265,11 @@ def stats_json(stats) -> str:
     return json.dumps(stats.to_json_obj(), sort_keys=True)
 
 
+def graph_json(g) -> str:
+    """A ConnectivityGraph as canonical JSON (sorted keys, compact)."""
+    return json.dumps(g.to_json_obj(), sort_keys=True)
+
+
 def instances_to_ldr(instances) -> str:
     """Re-serialize instances as type-1 lines (full-precision, lossless)."""
     lines = []

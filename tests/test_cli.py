@@ -30,6 +30,7 @@ from conftest import (
     catalog_obj_with_collapsing_mesh,
     count_inset_builds,
     demo_ldr,
+    graph_json,
     orthonormality_error,
     rotation_about_axis,
 )
@@ -142,7 +143,7 @@ def test_serialize_execute_roundtrip(workdir, capsys, tmp_path):
     assert set(poses) == {"a", "b", "c", "d"}
     assert poses["a"]["t"] == [0.0, 0.0, 0.0]
     # library-level comparison
-    g = brickir.ConnectivityGraph.loads(graph_out.read_text())
+    g = brickir.ConnectivityGraph.loads(graph_out.read_text(), CAT)
     path = brickir.sample_path(g, max_parts=100, seed=9)
     lib_text = serialize(path, CAT)
     assert lib_text == text
@@ -259,7 +260,7 @@ def test_graph_json_rotation_repaired_within_1e3_and_rejected_beyond(workdir, tm
     got = _run_captured(workdir, "sample", graph_out)
     assert (got[0], got[2]) == (code, "" if code == 0 else f"error: {message}\n")
     if code == 0:
-        loaded = ConnectivityGraph.loads(graph_out.read_text())
+        loaded = ConnectivityGraph.loads(graph_out.read_text(), CAT)
         for nid, want in zip(sorted(loaded.nodes), exact):
             rotation = loaded.nodes[nid].pose.rotation
             assert orthonormality_error(rotation) <= 1e-9
@@ -532,16 +533,21 @@ def _hold_a_stud_twice(edges):
     edges.append({**edges[0], "b": [1, "d"]})
 
 
+def _join_a_plate_to_itself(edges):
+    edges.append({**edges[0], "a": [1, "a"], "b": [1, "d"]})
+
+
 @pytest.mark.parametrize("edit,message", [
     (_relabel_as_ball, "ball edge (0, 'a')-(1, 'b') cannot join 'stud' and 'hole'"),
     (_join_two_studs, "stud edge (0, 'a')-(1, 'a') cannot join 'stud' and 'stud'"),
     (_hold_a_stud_twice, "connector (0, 'a') is single-accept and held by two edges"),
-], ids=["ball-edge-on-studs", "stud-stud-edge", "stud-held-twice"])
+    (_join_a_plate_to_itself, "stud edge (1, 'a')-(1, 'd') joins a node to itself"),
+], ids=["ball-edge-on-studs", "stud-stud-edge", "stud-held-twice", "self-edge"])
 def test_graph_json_edge_the_matcher_cannot_find_exit3(workdir, capsys, tmp_path, edit, message):
     # the two lowest plates of stack4.ldr and their stud edge: serialize
     # writes a program that check accepts; after the edit it used to write
-    # one that check rejects (unknown-subtype, incompatible-subtypes) or
-    # that holds a stud twice
+    # one that check rejects (unknown-subtype, incompatible-subtypes), that
+    # holds a stud twice, or whose graph joins a plate to itself
     obj = _stack4_graph_obj(workdir, tmp_path)
     obj["nodes"], obj["edges"] = obj["nodes"][:2], obj["edges"][:1]
     graph = tmp_path / "two.json"
@@ -554,6 +560,20 @@ def test_graph_json_edge_the_matcher_cannot_find_exit3(workdir, capsys, tmp_path
     graph.write_text(json.dumps(obj))
     assert run(workdir, "serialize", graph) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_graph_json_duplicate_node_id_exit2(workdir, capsys, tmp_path):
+    # the later node used to replace the earlier one: serialize introduced a
+    # brick where the file's plate was, and stats counted two nodes
+    obj = _stack4_graph_obj(workdir, tmp_path)
+    obj["nodes"], obj["edges"] = obj["nodes"][:2], obj["edges"][:1]
+    obj["nodes"].append({**obj["nodes"][1], "part": "3004",
+                         "pose": {**obj["nodes"][1]["pose"], "t": [0, -100, 0]}})
+    graph = tmp_path / "dup.json"
+    graph.write_text(json.dumps(obj))
+    for command in ("serialize", "stats"):
+        assert run(workdir, command, graph) == 2
+        assert capsys.readouterr() == ("", "error: duplicate node id 1\n")
 
 
 _TWO_PLATES = "a plate 1x2 | red\nb plate 1x2 | red\na stud stud a hole b 0\n"
@@ -739,7 +759,7 @@ def _run_captured(workdir, *argv):
      "line 1: non-finite composed transform"),
     # 8e15 bytes of draws: beyond the user address space, so nothing is allocated
     (["sample", "--count", "1000000000000000"], "one.json",
-     ConnectivityGraph({0: PartInstance(0, "3003", 4, RigidTransform.identity())}, []).dumps(),
+     graph_json(ConnectivityGraph({0: PartInstance(0, "3003", 4, RigidTransform.identity())}, [])),
      1, "out of memory"),
 ], ids=["eval-empty-dir", "strict-eval-empty-dir", "sample-node-less", "strict-sample-node-less",
         "parse-matrix-overflow", "graph-translation-overflow", "sample-count-beyond-memory"])
@@ -795,7 +815,7 @@ def _axle_graph_json(slide_token: str) -> str:
     nodes = {i: PartInstance(i, pid, 4, poses[n]) for i, (n, pid) in enumerate(
         (("a", "3700"), ("b", "3673")))}
     edge = ConnEdge((0, "c"), (1, "a"), ConnectorFamily.AXLE, QuantizedParams())
-    text = ConnectivityGraph(nodes, [edge]).dumps()
+    text = graph_json(ConnectivityGraph(nodes, [edge]))
     assert text.count('"slide": 0') == 1
     return text.replace('"slide": 0', f'"slide": {slide_token}')
 
@@ -1406,7 +1426,7 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     for i in range(3):
         path = generate_random_path(CAT, rng, 30)
         (tmp_path / f"p{i}.bseq").write_text(serialize(path, CAT))
-        (tmp_path / f"g{i}.json").write_text(path.graph.dumps())
+        (tmp_path / f"g{i}.json").write_text(graph_json(path.graph))
         calls.append(["execute", f"p{i}.bseq"])
     calls.append(["check", "p0.bseq", "p1.bseq", "p2.bseq"])
     calls.append(["--seed", "3", "sample", "g0.json", "g1.json", "g2.json", "--count", "6"])

@@ -11,7 +11,7 @@ import brickir
 from brickir.catalog import Catalog
 from brickir.collision import PartColliders
 from brickir.connectors import ConnectorFamily
-from brickir.demo import build_demo_catalog, generate_random_path
+from brickir.demo import DEMO_STRUCTURES, build_demo_catalog, generate_random_path
 from brickir.errors import CatalogError, GraphParseError, MatchError
 from brickir.geometry import ConnectorFrame, QuantizedParams, RigidTransform, compose, relative
 from brickir.graph import (
@@ -36,7 +36,7 @@ from brickir.graph import (
     select_corpus_indices,
     truncate_on_collision,
 )
-from brickir.ldraw import PartInstance
+from brickir.ldraw import PartInstance, parse_structure
 from brickir.program import _params_tokens, _parse_params, serialize
 
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     frame_from_transform,
     frame_transform,
     frames_close,
+    graph_json,
     random_rigid,
     realize_params,
     rotation_about_axis,
@@ -706,13 +707,27 @@ def test_graph_json_roundtrip():
     rng = np.random.default_rng(9)
     path = generate_random_path(CAT, rng, 12)
     g = path.graph
-    text = g.dumps()
-    g2 = ConnectivityGraph.loads(text)
-    assert g2.dumps() == text
+    text = graph_json(g)
+    g2 = ConnectivityGraph.loads(text, CAT)
+    assert graph_json(g2) == text
     assert set(g2.nodes) == set(g.nodes)
     assert [e.to_json_obj() for e in g2.edges] == [e.to_json_obj() for e in g.edges]
     for nid in g.nodes:
         assert g2.nodes[nid].pose == g.nodes[nid].pose
+
+
+def test_graph_json_loads_every_graph_the_pipeline_writes():
+    # the loader checks graph JSON by the matcher's own rules, so every graph
+    # the matcher or the random-path generator builds must read back unchanged
+    graphs = [match_connectors(parse_structure(t, CAT), CAT) for t in DEMO_STRUCTURES.values()]
+    rng = np.random.default_rng(34)
+    graphs += [generate_random_path(CAT, rng, int(rng.integers(2, 40))).graph for _ in range(20)]
+    for g in graphs:
+        loaded = ConnectivityGraph.loads(graph_json(g), CAT)
+        assert {n: (i.part_id, i.color, i.pose) for n, i in loaded.nodes.items()} == {
+            n: (i.part_id, i.color, i.pose) for n, i in g.nodes.items()  # JSON has no LDraw raw
+        }
+        assert loaded.edges == g.edges
 
 
 @pytest.mark.parametrize(
@@ -730,6 +745,7 @@ def test_graph_json_roundtrip():
         lambda o: o["edges"][0].update(family="hinge", params={"yaw": 0, "flip": False, "slide": 4}),
         lambda o: o["edges"][0].update(family="stud", params={"yaw": 0, "euler": [0, 0, 0]}),
         lambda o: o["edges"][0].update(family="ball", params={"euler": [0, 0, 0], "yaw": 90}),
+        lambda o: o["nodes"].append({**o["nodes"][1], "id": o["nodes"][0]["id"]}),  # a repeated id
     ],
 )
 def test_graph_json_malformed_raises_parse_error(mutate):
